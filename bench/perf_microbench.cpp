@@ -129,19 +129,15 @@ void
 BM_ClusterSimReplay(benchmark::State &state)
 {
     // End-to-end replay macrobenchmark: one whole trace through the
-    // cluster simulator per iteration, per model, with the engine as
-    // the last argument (0 = legacy per-block, 1 = extent).  The
-    // extent/legacy pairs feed BENCH_e2e.json's speedup table.
+    // cluster simulator per iteration, per model.
     const auto trace = static_cast<int>(state.range(0));
     const auto kind = static_cast<core::ModelKind>(state.range(1));
-    const bool extent = state.range(2) != 0;
     const auto &ops = core::standardOps(trace, core::benchScale());
     for (auto _ : state) {
         core::ModelConfig model;
         model.kind = kind;
         model.volatileBytes = 8 * kMiB;
         model.nvramBytes = kMiB;
-        model.extentOps = extent;
         const auto metrics = core::runClientSim(ops, model);
         benchmark::DoNotOptimize(metrics.appWriteBytes);
     }
@@ -150,16 +146,8 @@ BM_ClusterSimReplay(benchmark::State &state)
         static_cast<std::int64_t>(ops.ops.size()));
 }
 BENCHMARK(BM_ClusterSimReplay)
-    ->ArgNames({"trace", "model", "engine"})
-    ->Args({3, 0, 0})->Args({3, 0, 1})
-    ->Args({3, 1, 0})->Args({3, 1, 1})
-    ->Args({3, 2, 0})->Args({3, 2, 1})
-    ->Args({4, 0, 0})->Args({4, 0, 1})
-    ->Args({4, 1, 0})->Args({4, 1, 1})
-    ->Args({4, 2, 0})->Args({4, 2, 1})
-    ->Args({7, 0, 0})->Args({7, 0, 1})
-    ->Args({7, 1, 0})->Args({7, 1, 1})
-    ->Args({7, 2, 0})->Args({7, 2, 1})
+    ->ArgNames({"trace", "model"})
+    ->ArgsProduct({{3, 4, 7}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -272,24 +260,21 @@ BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 void
 BM_ReplayGrid(benchmark::State &state)
 {
-    // The replay grid scheduler itself: both engines x all three
-    // models on trace 4, fanned out at explicit width jobs (1 = the
-    // serial model loop the grid is bit-identical to).  The jobs:N /
-    // jobs:1 real-time ratio is the grid speedup in BENCH_e2e.json.
+    // The replay grid scheduler itself: all three models on trace 4,
+    // fanned out at explicit width jobs (1 = the serial model loop the
+    // grid is bit-identical to).  The jobs:N / jobs:1 real-time ratio
+    // is the grid speedup in BENCH_e2e.json.
     const auto width = static_cast<unsigned>(state.range(0));
     const auto &ops = core::standardOps(4, 0.05);
     std::vector<core::ModelConfig> models;
-    for (const bool extent : {false, true}) {
-        for (const auto kind :
-             {core::ModelKind::Volatile, core::ModelKind::WriteAside,
-              core::ModelKind::Unified}) {
-            core::ModelConfig model;
-            model.kind = kind;
-            model.volatileBytes = 8 * kMiB;
-            model.nvramBytes = kMiB;
-            model.extentOps = extent;
-            models.push_back(model);
-        }
+    for (const auto kind :
+         {core::ModelKind::Volatile, core::ModelKind::WriteAside,
+          core::ModelKind::Unified}) {
+        core::ModelConfig model;
+        model.kind = kind;
+        model.volatileBytes = 8 * kMiB;
+        model.nvramBytes = kMiB;
+        models.push_back(model);
     }
     for (auto _ : state) {
         const auto results =

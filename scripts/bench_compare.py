@@ -6,10 +6,10 @@ normalizes the result into compact {benchmark: {real_time_ns, ...}}
 summaries.  The whole-trace macrobenchmarks — BM_ClusterSimReplay,
 the pipelined BM_PipelineSweep, the BM_ReplayGrid scheduler, and the
 BM_CurveSweep size-sweep pairs — go to BENCH_e2e.json, which
-additionally pairs each extent-engine run with its legacy-engine twin
-(each multi-job pipeline/grid run with its jobs:1 baseline, and each
-single-pass curve sweep with its per-size grid twin) and records the
-speedup ratios in both real and cpu time, plus host metadata
+additionally pairs each multi-job pipeline/grid run with its jobs:1
+baseline (and each single-pass curve sweep with its per-size grid
+twin) and records the speedup ratios in both real and cpu time, plus
+host metadata
 (hardware_concurrency, NVFS_JOBS / NVFS_GRID_JOBS); everything else
 goes to BENCH_microbench.json so CI can archive a perf snapshot per
 commit.  With ``--baseline
@@ -41,15 +41,12 @@ import tempfile
 
 E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_PipelineSweep",
                 "BM_ReplayGrid", "BM_CurveSweep")
-E2E_NAME = re.compile(
-    r"^BM_ClusterSimReplay/trace:(\d+)/model:(\d+)/engine:(\d+)$")
 PIPELINE_NAME = re.compile(
     r"^BM_PipelineSweep/jobs:(\d+)(?:/real_time)?$")
 GRID_NAME = re.compile(
     r"^BM_ReplayGrid/jobs:(\d+)(?:/real_time)?$")
 CURVE_NAME = re.compile(
     r"^BM_CurveSweep/nvram:(\d+)/curve:(\d+)$")
-MODEL_NAMES = {0: "volatile", 1: "write-aside", 2: "unified"}
 CURVE_AXIS_NAMES = {0: "volatile_axis", 1: "nvram_axis"}
 
 # The single-pass curve engine must beat the per-size grid by at least
@@ -205,39 +202,13 @@ def _jobs_speedups(e2e, pattern, base_key, fast_key):
 
 
 def add_speedups(e2e):
-    """Pair extent runs with their legacy twins and record speedups.
+    """Record the pipeline, grid and curve-engine speedups.
 
     Every pair records both real and cpu time: on a loaded machine a
-    single replay's real time can run well past its cpu time (the old
-    trace:3/model:2/engine:1 snapshot was ~1.6x), so the cpu column is
-    the noise-robust one to read alongside the median aggregation.
+    single replay's real time can run well past its cpu time, so the
+    cpu column is the noise-robust one to read alongside the median
+    aggregation.
     """
-    times = {}
-    for name, entry in e2e["benchmarks"].items():
-        match = E2E_NAME.match(name)
-        if match and entry.get("real_time_ns"):
-            trace, model, engine = (int(g) for g in match.groups())
-            times[(trace, model, engine)] = (
-                entry["real_time_ns"], entry.get("cpu_time_ns"))
-    speedups = {}
-    for (trace, model, engine), extent in sorted(times.items()):
-        if engine != 1:
-            continue
-        legacy = times.get((trace, model, 0))
-        if not legacy or not legacy[0] or not extent[0]:
-            continue
-        key = f"trace{trace}/{MODEL_NAMES.get(model, model)}"
-        speedups[key] = {
-            "legacy_ms": legacy[0] / 1e6,
-            "extent_ms": extent[0] / 1e6,
-            "speedup": legacy[0] / extent[0],
-        }
-        if legacy[1] and extent[1]:
-            speedups[key]["legacy_cpu_ms"] = legacy[1] / 1e6
-            speedups[key]["extent_cpu_ms"] = extent[1] / 1e6
-            speedups[key]["cpu_speedup"] = legacy[1] / extent[1]
-    e2e["speedups"] = speedups
-
     # Pipelined sweep and replay grid: jobs:N vs the jobs:1 baseline.
     e2e["pipeline_speedups"] = _jobs_speedups(
         e2e, PIPELINE_NAME, "serial_ms", "pipelined_ms")
@@ -373,7 +344,7 @@ def check_e2e_regressions(current, baseline, baseline_path,
     ``warn_ratio`` only warn — the committed BENCH_e2e.json was
     recorded on some other machine, and real time on a shared runner
     absorbs scheduler noise the benchmark never executed (the old
-    trace:3/model:2/engine:1 snapshot ran ~1.6x its cpu time that
+    trace:3/model:2 replay snapshot ran ~1.6x its cpu time that
     way).  With ``max_ratio`` set (the CI gate), a *cpu*-time median
     past the cap is a genuine slowdown and returns the offending
     names for a hard failure.
@@ -518,12 +489,6 @@ def main():
             fh.write("\n")
         print(f"wrote {args.e2e_output} "
               f"({len(e2e['benchmarks'])} replays)")
-        for key, entry in sorted(e2e["speedups"].items()):
-            cpu_s = (f", cpu {entry['cpu_speedup']:.2f}x"
-                     if "cpu_speedup" in entry else "")
-            print(f"  {key}: {entry['legacy_ms']:.1f}ms -> "
-                  f"{entry['extent_ms']:.1f}ms "
-                  f"({entry['speedup']:.2f}x{cpu_s})")
         for key, entry in sorted(e2e["pipeline_speedups"].items()):
             print(f"  pipeline {key}: {entry['serial_ms']:.1f}ms -> "
                   f"{entry['pipelined_ms']:.1f}ms "

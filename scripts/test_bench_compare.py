@@ -169,6 +169,23 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(regressed, [])
 
 
+class AddSpeedupsTest(unittest.TestCase):
+    def test_pairs_jobs_and_curve_runs_only(self):
+        e2e = bench_compare.add_speedups({"benchmarks": {
+            "BM_ClusterSimReplay/trace:3/model:0": entry(50.0, 50.0),
+            "BM_ReplayGrid/jobs:1/real_time": entry(300.0, 290.0),
+            "BM_ReplayGrid/jobs:2/real_time": entry(200.0, 100.0),
+            "BM_CurveSweep/nvram:1/curve:0": entry(400.0, 400.0),
+            "BM_CurveSweep/nvram:1/curve:1": entry(200.0, 200.0),
+        }})
+        self.assertNotIn("speedups", e2e)
+        self.assertAlmostEqual(
+            e2e["grid_speedups"]["jobs2"]["speedup"], 1.5)
+        self.assertAlmostEqual(
+            e2e["curve_speedups"]["nvram_axis"]["speedup"], 2.0)
+        self.assertEqual(e2e["pipeline_speedups"], {})
+
+
 class CountersTest(unittest.TestCase):
     def test_load_stats_snapshot_flattens(self):
         snap = {

@@ -29,9 +29,8 @@
  * object's bookkeeping (its own list plus a hash probe per event)
  * exactly mirrors the lru_ list this cache maintains anyway.  A cache
  * constructed with native_lru skips every policy notification and
- * serves chooseVictim() from the head of lru_.  The extent engine
- * enables it; the legacy engine keeps the policy object driven as
- * before so differential tests compare truly unchanged code.
+ * serves chooseVictim() from the head of lru_.  The client models
+ * enable it exactly when their policy is LRU.
  */
 
 #pragma once

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "check/reference.hpp"
 #include "check/shrink.hpp"
 #include "core/client/cluster_sim.hpp"
 #include "util/audit.hpp"
@@ -35,28 +36,31 @@ constexpr ModelKind kModels[] = {ModelKind::Volatile,
                                  ModelKind::Unified};
 
 /**
- * One simulation leg.  Audits (util::AuditError) and simulator
- * invariant panics (util::PanicError via NVFS_REQUIRE) both count as
- * failures; anything escaping run() is folded into the description.
+ * One simulation leg: the production replay, or the per-block
+ * reference.  Audits (util::AuditError) and simulator invariant
+ * panics (util::PanicError via NVFS_REQUIRE) both count as failures;
+ * anything escaping the replay is folded into the description.
  */
 std::optional<Metrics>
-runOne(const OpStream &ops, ModelKind kind, bool extent,
+runOne(const OpStream &ops, ModelKind kind, bool reference,
        const FuzzConfig &config, std::string &error)
 {
     ClusterConfig cluster;
     cluster.model.kind = kind;
     cluster.model.volatileBytes = config.volatileBytes;
     cluster.model.nvramBytes = config.nvramBytes;
-    cluster.model.extentOps = extent;
     cluster.seed = config.seed; // same replacement stream both legs
     cluster.auditEvery = config.auditEvery;
     try {
+        if (reference)
+            return runPerBlockReference(ops, cluster);
         ClusterSim sim(cluster, ops.clientCount);
         return sim.run(ops);
     } catch (const std::exception &e) {
         std::ostringstream out;
         out << core::modelKindName(kind) << "/"
-            << (extent ? "extent" : "legacy") << ": " << e.what();
+            << (reference ? "reference" : "production") << ": "
+            << e.what();
         error = out.str();
         return std::nullopt;
     }
@@ -217,22 +221,22 @@ runDifferential(const OpStream &ops, const FuzzConfig &config)
 {
     for (ModelKind kind : kModels) {
         std::string error;
-        const auto extent = runOne(ops, kind, true, config, error);
-        if (!extent.has_value())
+        const auto production = runOne(ops, kind, false, config, error);
+        if (!production.has_value())
             return error;
-        const auto legacy = runOne(ops, kind, false, config, error);
-        if (!legacy.has_value())
+        const auto reference = runOne(ops, kind, true, config, error);
+        if (!reference.has_value())
             return error;
-        if (!(*extent == *legacy)) {
+        if (!(*production == *reference)) {
             std::ostringstream out;
             out << core::modelKindName(kind)
-                << ": extent and legacy engines disagree"
-                << " (appWrite " << extent->appWriteBytes << " vs "
-                << legacy->appWriteBytes << ", serverRead "
-                << extent->serverReadBytes << " vs "
-                << legacy->serverReadBytes << ", bus "
-                << extent->busBytes << " vs " << legacy->busBytes
-                << ")";
+                << ": production and per-block reference disagree"
+                << " (appWrite " << production->appWriteBytes << " vs "
+                << reference->appWriteBytes << ", serverRead "
+                << production->serverReadBytes << " vs "
+                << reference->serverReadBytes << ", bus "
+                << production->busBytes << " vs "
+                << reference->busBytes << ")";
             return out.str();
         }
     }

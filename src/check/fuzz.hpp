@@ -3,12 +3,13 @@
  * nvfs::check — the differential fuzz driver.
  *
  * Generates randomized (but valid: time-sorted, bounded ids) op
- * streams and replays each one through the extent-granularity engine
- * and the legacy per-block engine, across all three client cache
- * models, with structural audits enabled.  A run fails when an audit
- * throws util::AuditError, a simulator invariant panics, or the two
- * engines disagree on any Metrics counter.  Failures are shrunk to a
- * minimal reproducing op stream before being reported.
+ * streams and replays each one through the production cluster
+ * simulator and the per-block reference (check::runPerBlockReference),
+ * across all three client cache models, with structural audits
+ * enabled.  A run fails when an audit throws util::AuditError, a
+ * simulator invariant panics, or the two disagree on any Metrics
+ * counter.  Failures are shrunk to a minimal reproducing op stream
+ * before being reported.
  */
 
 #pragma once
@@ -70,10 +71,11 @@ prep::OpStream generateOps(const FuzzConfig &config,
                            std::uint64_t seed);
 
 /**
- * Replay `ops` through extent and legacy engines for each of the
- * three models (audits every config.auditEvery ops) and compare the
- * Metrics.  Returns a description of the first failure, or nullopt
- * when every pairing agrees and no audit fires.
+ * Replay `ops` through the production simulator and the per-block
+ * reference for each of the three models (audits every
+ * config.auditEvery ops) and compare the Metrics.  Returns a
+ * description of the first failure, or nullopt when every pairing
+ * agrees and no audit fires.
  */
 std::optional<std::string>
 runDifferential(const prep::OpStream &ops, const FuzzConfig &config);

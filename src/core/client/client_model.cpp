@@ -1,14 +1,11 @@
 #include "core/client/client_model.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 
 #include "core/client/unified_model.hpp"
 #include "core/client/volatile_model.hpp"
 #include "core/client/write_aside_model.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace nvfs::core {
@@ -22,26 +19,6 @@ modelKindName(ModelKind kind)
       case ModelKind::Unified: return "unified";
     }
     return "unknown";
-}
-
-bool
-defaultExtentEngine()
-{
-    static const bool value = [] {
-        const char *env = util::envRaw("NVFS_BLOCK_ENGINE");
-        if (env == nullptr || *env == '\0')
-            return true;
-        const std::string_view name(env);
-        if (name == "extent")
-            return true;
-        if (name == "legacy")
-            return false;
-        util::warn("NVFS_BLOCK_ENGINE='" + std::string(name) +
-                   "' is not a known engine (expected 'extent' or "
-                   "'legacy'); using the extent engine");
-        return true;
-    }();
-    return value;
 }
 
 ClientModel::ClientModel(const ModelConfig &config, Metrics &metrics,

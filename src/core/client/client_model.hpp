@@ -30,14 +30,6 @@ enum class ModelKind { Volatile, WriteAside, Unified };
 /** Printable model name. */
 std::string modelKindName(ModelKind kind);
 
-/**
- * Default for ModelConfig::extentOps, from NVFS_BLOCK_ENGINE: "extent"
- * (or unset) enables the extent-granularity fast paths, "legacy"
- * forces the original per-block engine (kept for differential tests).
- * Anything else warns once and uses the extent engine.
- */
-bool defaultExtentEngine();
-
 /** Configuration shared by all three models. */
 struct ModelConfig
 {
@@ -73,15 +65,6 @@ struct ModelConfig
     bool dynamicSizing = false;
     double dynamicMinFraction = 0.5;
     TimeUs dynamicPeriod = 20 * kUsPerMinute;
-
-    /**
-     * Process whole block runs through the cache's range operations
-     * instead of one hash probe + LRU splice per 4 KB block.  Results
-     * are byte-identical to the per-block engine (enforced by the
-     * legacy-vs-extent differential tests); this only changes how
-     * fast they are computed.
-     */
-    bool extentOps = defaultExtentEngine();
 };
 
 /** One client's cache state. */

@@ -1,26 +1,14 @@
 #include "core/client/cluster_sim.hpp"
 
-#include <algorithm>
-#include <limits>
-
-#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace nvfs::core {
-
-using prep::OpType;
 
 ClusterSim::ClusterSim(const ClusterConfig &config,
                        std::uint32_t client_count)
     : config_(config), rng_(config.seed)
 {
     NVFS_REQUIRE(client_count > 0, "need at least one client");
-    auditEvery_ =
-        config_.auditEvery != 0
-            ? config_.auditEvery
-            : static_cast<std::uint64_t>(util::envInt(
-                  "NVFS_AUDIT", 0, 0,
-                  std::numeric_limits<std::int64_t>::max()));
     clients_.reserve(client_count);
     for (std::uint32_t i = 0; i < client_count; ++i) {
         clients_.push_back(makeClientModel(config_.model, metrics_,
@@ -35,240 +23,11 @@ ClusterSim::client(ClientId id)
     return *clients_[id];
 }
 
-void
-ClusterSim::advanceClock(TimeUs now)
-{
-    while (lastSweep_ + config_.model.sweepInterval <= now) {
-        lastSweep_ += config_.model.sweepInterval;
-        for (auto &client : clients_)
-            client->tick(lastSweep_);
-    }
-}
-
-void
-ClusterSim::flushEverywhere(FileId file, TimeUs now)
-{
-    for (auto &client : clients_)
-        client->recall(file, WriteCause::Callback, now);
-}
-
 Metrics
 ClusterSim::run(const prep::OpStream &ops)
 {
     metrics_ = Metrics{};
-    lastWriterPid_.clear();
-    dirtyOwner_.clear();
-    nextCrash_ = 0;
-    TimeUs last = 0;
-
-    // Column-streaming replay: the dispatch path reads only the time
-    // and type columns sequentially; each case pulls just the columns
-    // it needs, so the loop moves through a few homogeneous arrays
-    // instead of striding over full Op records.
-    const prep::OpColumns &col = ops.ops;
-    const std::size_t count = col.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const TimeUs now = col.time[i];
-        NVFS_REQUIRE(now >= last, "ops out of order");
-        last = now;
-        advanceClock(now);
-
-        // Injected client crashes (Section 4 fault injection).
-        while (nextCrash_ < config_.crashes.size() &&
-               config_.crashes[nextCrash_].first <= now) {
-            const auto [when, victim] = config_.crashes[nextCrash_++];
-            if (victim < clients_.size()) {
-                clients_[victim]->crash(when);
-                // The recovered/lost data is no longer dirty anywhere.
-                dirtyOwner_.eraseIf([&](FileId, ClientId owner) {
-                    return owner == victim;
-                });
-            }
-        }
-
-        const FileId file = col.file[i];
-        switch (col.type[i]) {
-          case OpType::Open: {
-            const OpenActions actions = engine_.onOpen(
-                col.client[i], col.pid[i], file,
-                (col.openFlags[i] & prep::kOpenForWrite) != 0);
-            if (actions.recallFrom != kNoClient &&
-                actions.recallFrom < clients_.size() &&
-                !config_.blockLevelCallbacks) {
-                // Whole-file recall (Sprite's protocol).  With
-                // block-level callbacks the flush is deferred until
-                // the opener actually touches the data.
-                clients_[actions.recallFrom]->recall(
-                    file, WriteCause::Callback, now);
-                dirtyOwner_.erase(file);
-            }
-            if (actions.disableCaching) {
-                flushEverywhere(file, now);
-                dirtyOwner_.erase(file);
-            }
-            break;
-          }
-          case OpType::Close:
-            engine_.onClose(col.client[i], col.pid[i], file);
-            break;
-          case OpType::Read: {
-            const ClientId client = col.client[i];
-            const Bytes offset = col.offset[i];
-            Bytes length = col.length[i];
-            NVFS_REQUIRE(client < clients_.size(), "bad client");
-            // A block-level callback fires one recallRange per sub-op
-            // interleaved with the reads; folding the reads would
-            // regroup those flushes around them, so don't.
-            bool owner_recall = false;
-            if (config_.blockLevelCallbacks &&
-                !engine_.cachingDisabled(file)) {
-                const ClientId *owner = dirtyOwner_.find(file);
-                owner_recall = owner != nullptr && *owner != client &&
-                               *owner < clients_.size();
-            }
-            if (config_.coalesce && !owner_recall) {
-                const Bytes *sz = sizes_.find(file);
-                const Bytes size0 = sz == nullptr ? 0 : *sz;
-                while (i + 1 < count &&
-                       prep::canCoalesce(col, i, i + 1, offset, length,
-                                         size0)) {
-                    length += col.length[++i];
-                }
-            }
-            auto &size = sizes_[file];
-            size = std::max(size, offset + length);
-            if (engine_.cachingDisabled(file)) {
-                // Bypass: straight from the server.
-                metrics_.appReadBytes += length;
-                metrics_.serverReadBytes += length;
-            } else {
-                if (config_.blockLevelCallbacks) {
-                    const ClientId *owner = dirtyOwner_.find(file);
-                    if (owner != nullptr && *owner != client &&
-                        *owner < clients_.size()) {
-                        clients_[*owner]->recallRange(
-                            file, offset, length,
-                            WriteCause::Callback, now);
-                    }
-                }
-                clients_[client]->read(file, offset, length, now);
-            }
-            break;
-          }
-          case OpType::Write: {
-            const ClientId client = col.client[i];
-            const Bytes offset = col.offset[i];
-            Bytes length = col.length[i];
-            NVFS_REQUIRE(client < clients_.size(), "bad client");
-            if (config_.coalesce) {
-                const Bytes *sz = sizes_.find(file);
-                const Bytes size0 = sz == nullptr ? 0 : *sz;
-                while (i + 1 < count &&
-                       prep::canCoalesce(col, i, i + 1, offset, length,
-                                         size0)) {
-                    length += col.length[++i];
-                }
-            }
-            auto &size = sizes_[file];
-            size = std::max(size, offset + length);
-            if (engine_.cachingDisabled(file)) {
-                // Bypass: write-through to the server.
-                metrics_.appWriteBytes += length;
-                metrics_.addServerWrite(WriteCause::Concurrent, length);
-                if (config_.model.sink) {
-                    forEachBlock(file, offset, length,
-                                 [&](const cache::BlockId &id,
-                                     Bytes begin, Bytes end) {
-                                     config_.model.sink->onServerWrite(
-                                         now, id.file, id.index,
-                                         end - begin,
-                                         WriteCause::Concurrent);
-                                 });
-                }
-            } else {
-                if (config_.blockLevelCallbacks) {
-                    const ClientId *owner = dirtyOwner_.find(file);
-                    if (owner != nullptr && *owner != client &&
-                        *owner < clients_.size()) {
-                        // A new writer takes over: the old writer's
-                        // whole dirty set must reach the server first.
-                        clients_[*owner]->recall(
-                            file, WriteCause::Callback, now);
-                    }
-                }
-                clients_[client]->write(file, offset, length, now);
-                engine_.onWrite(client, file);
-                lastWriterPid_[file] = {client, col.pid[i]};
-                dirtyOwner_[file] = client;
-            }
-            break;
-          }
-          case OpType::Delete: {
-            engine_.onDelete(file);
-            for (auto &client : clients_)
-                client->removeFile(file, now);
-            sizes_.erase(file);
-            lastWriterPid_.erase(file);
-            dirtyOwner_.erase(file);
-            break;
-          }
-          case OpType::Truncate: {
-            const Bytes length = col.length[i];
-            for (auto &client : clients_)
-                client->truncate(file, length, now);
-            Bytes *size = sizes_.find(file);
-            if (size != nullptr)
-                *size = std::min(*size, length);
-            break;
-          }
-          case OpType::Fsync: {
-            const ClientId client = col.client[i];
-            if (client < clients_.size() &&
-                !engine_.cachingDisabled(file)) {
-                clients_[client]->fsync(file, now);
-            }
-            break;
-          }
-          case OpType::Migrate: {
-            const ClientId client = col.client[i];
-            const ProcId pid = col.pid[i];
-            if (client >= clients_.size())
-                break;
-            // Flush the dirty data of every file this process last
-            // wrote; in Sprite the migrated process's files must be
-            // visible at the target host.  Victims are sorted so the
-            // flush order is independent of hash-table layout.
-            std::vector<FileId> victims;
-            lastWriterPid_.forEach(
-                [&](FileId written,
-                    const std::pair<ClientId, ProcId> &writer) {
-                    if (writer.first == client && writer.second == pid)
-                        victims.push_back(written);
-                });
-            std::sort(victims.begin(), victims.end());
-            for (FileId victim : victims) {
-                clients_[client]->recall(victim, WriteCause::Migration,
-                                         now);
-                engine_.clearWriter(victim, client);
-                lastWriterPid_.erase(victim);
-                dirtyOwner_.erase(victim);
-            }
-            break;
-          }
-          case OpType::End:
-            break;
-        }
-
-        // nvfs::check: sweep every model's invariants each N ops.
-        if (auditEvery_ != 0 && ++opsSinceAudit_ >= auditEvery_) {
-            opsSinceAudit_ = 0;
-            for (const auto &client : clients_)
-                client->auditInvariants();
-        }
-    }
-
-    for (auto &client : clients_)
-        client->finish(last);
+    replayOps(ops, config_, clients_, sizes_, {&metrics_, 1});
     return metrics_;
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * The cluster simulator: replays a processed op stream against one
- * cache model instance per client, Sprite's consistency engine, and
- * the 5-second block-cleaner clock.  This is the simulator behind all
- * of Section 2's figures.
+ * The cluster simulator: one cache model instance per client, replayed
+ * through the shared client protocol (core::replayOps — Sprite's
+ * consistency engine and the 5-second block-cleaner clock).  This is
+ * the simulator behind all of Section 2's figures.
  */
 
 #pragma once
@@ -12,49 +12,10 @@
 #include <vector>
 
 #include "core/client/client_model.hpp"
-#include "core/client/server_state.hpp"
+#include "core/client/replay.hpp"
 #include "prep/ops.hpp"
-#include "util/flat_map.hpp"
 
 namespace nvfs::core {
-
-/** Everything a client simulation run needs. */
-struct ClusterConfig
-{
-    ModelConfig model;
-    std::uint64_t seed = 42; ///< random replacement policy seed
-
-    /**
-     * Consistency-protocol extension ([21], §2.3): instead of
-     * recalling a file's whole dirty set when another client opens
-     * it, flush only the dirty blocks that client actually touches.
-     */
-    bool blockLevelCallbacks = false;
-
-    /**
-     * Fold adjacent same-time sequential reads/writes of one
-     * (client, pid, file) stream into a single maximal op before
-     * dispatch (prep::canCoalesce), so the extent engine sees whole
-     * extents.  Provably invisible to the results; off only for the
-     * coalescing differential tests.
-     */
-    bool coalesce = true;
-
-    /**
-     * Fault injection (Section 4): (time, client) pairs, sorted by
-     * time.  At each point the client crashes and reboots — volatile
-     * contents are lost, NVRAM contents are recovered.
-     */
-    std::vector<std::pair<TimeUs, ClientId>> crashes;
-
-    /**
-     * nvfs::check: audit every client model's invariants after this
-     * many dispatched ops (0 = take the interval from the NVFS_AUDIT
-     * environment variable; unset there too means never).  Audits
-     * throw util::AuditError, which propagates out of run().
-     */
-    std::uint64_t auditEvery = 0;
-};
 
 /** Replays one trace. */
 class ClusterSim
@@ -62,34 +23,22 @@ class ClusterSim
   public:
     ClusterSim(const ClusterConfig &config, std::uint32_t client_count);
 
-    /** Run to completion and return the cluster-wide metrics. */
+    /**
+     * Run to completion and return the cluster-wide metrics.  Call
+     * once: the models keep their cache state afterwards (tests
+     * inspect it through client()).
+     */
     Metrics run(const prep::OpStream &ops);
 
     /** Per-client model access (tests). */
     ClientModel &client(ClientId id);
 
   private:
-    void advanceClock(TimeUs now);
-
-    /** Flush + invalidate `file` on every client (sharing disabled). */
-    void flushEverywhere(FileId file, TimeUs now);
-
     ClusterConfig config_;
     util::Rng rng_;
     Metrics metrics_;
     FileSizeMap sizes_;
-    ConsistencyEngine engine_;
     std::vector<std::unique_ptr<ClientModel>> clients_;
-    /** (client, pid) that last wrote each file, for migration. */
-    util::FlatMap<FileId, std::pair<ClientId, ProcId>,
-                  util::SplitMix64Hash> lastWriterPid_;
-    /** Client holding dirty data per file (block-level callbacks). */
-    util::FlatMap<FileId, ClientId, util::SplitMix64Hash> dirtyOwner_;
-    std::size_t nextCrash_ = 0;
-    TimeUs lastSweep_ = 0;
-    /** Resolved audit interval (0 = audits off). */
-    std::uint64_t auditEvery_ = 0;
-    std::uint64_t opsSinceAudit_ = 0;
 };
 
 } // namespace nvfs::core

@@ -11,12 +11,10 @@ UnifiedModel::UnifiedModel(const ModelConfig &config, Metrics &metrics,
       // The volatile cache's policy object is never consulted (victims
       // come from lruBlock() directly), so native-LRU mode is safe
       // here regardless of batching.
-      volatile_(config.volatileBytes / kBlockSize, nullptr,
-                config.extentOps),
+      volatile_(config.volatileBytes / kBlockSize, nullptr, true),
       nvram_(config.nvramBytes / kBlockSize,
              cache::makePolicy(config.nvramPolicy, &rng, config.oracle),
-             config.extentOps &&
-                 config.nvramPolicy == cache::PolicyKind::Lru)
+             config.nvramPolicy == cache::PolicyKind::Lru)
 {
     NVFS_REQUIRE(volatile_.capacityBlocks() > 0,
                  "volatile cache too small");
@@ -147,13 +145,6 @@ UnifiedModel::read(FileId file, Bytes offset, Bytes length, TimeUs now)
     metrics_.appReadBytes += length;
     if (length == 0)
         return;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes, Bytes) {
-                         readBlock(id, now);
-                     });
-        return;
-    }
     const std::uint32_t last = lastBlockOf(offset, length);
     std::uint32_t b = firstBlockOf(offset);
     while (b <= last) {
@@ -199,14 +190,6 @@ UnifiedModel::write(FileId file, Bytes offset, Bytes length, TimeUs now)
     metrics_.appWriteBytes += length;
     if (length == 0)
         return;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes begin,
-                         Bytes end) {
-                         writeBlock(id, begin, end, now);
-                     });
-        return;
-    }
     const Bytes op_end = offset + length;
     const std::uint32_t last = lastBlockOf(offset, length);
     std::uint32_t b = firstBlockOf(offset);
@@ -265,23 +248,6 @@ UnifiedModel::recallRange(FileId file, Bytes offset, Bytes length,
     if (length == 0)
         return 0;
     Bytes flushed = 0;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes, Bytes) {
-                         if (nvram_.contains(id)) {
-                             const cache::CacheBlock block =
-                                 nvram_.remove(id);
-                             if (block.isDirty()) {
-                                 flushed += serverWriteBlock(id, cause,
-                                                             now);
-                                 ++metrics_.nvramReadAccesses;
-                             }
-                         }
-                         if (volatile_.contains(id))
-                             volatile_.remove(id);
-                     });
-        return flushed;
-    }
     const std::uint32_t first = firstBlockOf(offset);
     const std::uint32_t last = lastBlockOf(offset, length);
     recallScratch_.clear();
@@ -387,6 +353,20 @@ UnifiedModel::finish(TimeUs now)
         serverWriteBlock(id, WriteCause::EndOfTrace, now);
         nvram_.markClean(id);
     }
+}
+
+Bytes
+UnifiedModel::recallBlock(const cache::BlockId &id, WriteCause cause,
+                          TimeUs now)
+{
+    Bytes flushed = 0;
+    if (nvram_.contains(id) && nvram_.remove(id).isDirty()) {
+        flushed = serverWriteBlock(id, cause, now);
+        ++metrics_.nvramReadAccesses;
+    }
+    if (volatile_.contains(id))
+        volatile_.remove(id);
+    return flushed;
 }
 
 void

@@ -52,6 +52,20 @@ class UnifiedModel : public ClientModel
     /** Panics if a block is resident in both memories. */
     void checkInvariants() const;
 
+  protected:
+    /**
+     * The per-block engine, one 4 KB block per call: the bodies
+     * check::runPerBlockReference loops over as the differential
+     * oracle for the batched read/write/recallRange.  writeBlock is
+     * also the production fallback for runs no batch proof covers.
+     */
+    void readBlock(const cache::BlockId &id, TimeUs now);
+    void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
+                    TimeUs now);
+    /** Flush (if dirty) and drop one block; returns bytes sent. */
+    Bytes recallBlock(const cache::BlockId &id, WriteCause cause,
+                      TimeUs now);
+
   private:
     /**
      * Make room in the NVRAM for one incoming block: pick a victim,
@@ -65,13 +79,6 @@ class UnifiedModel : public ClientModel
 
     /** Insert a clean fetched block per the unified placement rule. */
     void placeCleanBlock(const cache::BlockId &id, TimeUs now);
-
-    /** Per-block read body (legacy engine and fallback). */
-    void readBlock(const cache::BlockId &id, TimeUs now);
-
-    /** Per-block write body (legacy engine and fallback). */
-    void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
-                    TimeUs now);
 
     cache::BlockCache volatile_;
     cache::BlockCache nvram_;

@@ -9,8 +9,7 @@ namespace nvfs::core {
 VolatileModel::VolatileModel(const ModelConfig &config, Metrics &metrics,
                              const FileSizeMap &sizes, util::Rng &rng)
     : ClientModel(config, metrics, sizes, rng),
-      cache_(config.volatileBytes / kBlockSize, nullptr,
-             config.extentOps),
+      cache_(config.volatileBytes / kBlockSize, nullptr, true),
       sizingPhase_(rng.uniform(0.0, 2.0 * M_PI))
 {
     NVFS_REQUIRE(cache_.capacityBlocks() > 0,
@@ -126,13 +125,12 @@ VolatileModel::fillRun(FileId file, std::uint32_t first,
         return;
     }
     // Evicting the whole deficit up front matches the per-block
-    // interleaving exactly when victims come from the native LRU list,
-    // replacement ignores dirtiness, and the run fits in the cache:
-    // inserted blocks sit at the MRU end, so the per-block schedule's
-    // victims are the same `count - free` oldest pre-existing blocks
-    // in the same order.
-    if (cache_.nativeLru() && !config_.dirtyPreference &&
-        count <= cache_.capacityBlocks()) {
+    // interleaving exactly when victims come from the native LRU list
+    // (always, for this cache), replacement ignores dirtiness, and the
+    // run fits in the cache: inserted blocks sit at the MRU end, so
+    // the per-block schedule's victims are the same `count - free`
+    // oldest pre-existing blocks in the same order.
+    if (!config_.dirtyPreference && count <= cache_.capacityBlocks()) {
         evictBlocks(count - free, now);
         cache_.insertRange(file, first, last, now);
         return;
@@ -151,13 +149,6 @@ VolatileModel::read(FileId file, Bytes offset, Bytes length, TimeUs now)
     metrics_.appReadBytes += length;
     if (length == 0)
         return;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes, Bytes) {
-                         readBlock(id, now);
-                     });
-        return;
-    }
     const std::uint32_t last = lastBlockOf(offset, length);
     std::uint32_t b = firstBlockOf(offset);
     while (b <= last) {
@@ -185,14 +176,6 @@ VolatileModel::write(FileId file, Bytes offset, Bytes length, TimeUs now)
     metrics_.appWriteBytes += length;
     if (length == 0)
         return;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes begin,
-                         Bytes end) {
-                         writeBlock(id, begin, end, now);
-                     });
-        return;
-    }
     const Bytes op_end = offset + length;
     const std::uint32_t last = lastBlockOf(offset, length);
     std::uint32_t b = firstBlockOf(offset);
@@ -252,21 +235,6 @@ VolatileModel::recallRange(FileId file, Bytes offset, Bytes length,
     if (length == 0)
         return 0;
     Bytes flushed = 0;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes, Bytes) {
-                         const cache::CacheBlock *block =
-                             cache_.peek(id);
-                         if (!block)
-                             return;
-                         if (block->isDirty()) {
-                             flushed += blockTransferBytes(id);
-                             flushBlock(id, cause, now);
-                         }
-                         cache_.remove(id);
-                     });
-        return flushed;
-    }
     // Snapshot the resident blocks first: flushing/removing while the
     // extent index is being walked would invalidate the walk.
     recallScratch_.clear();
@@ -357,6 +325,22 @@ VolatileModel::finish(TimeUs now)
 {
     for (const cache::BlockId &id : cache_.allDirtyBlocks())
         flushBlock(id, WriteCause::EndOfTrace, now);
+}
+
+Bytes
+VolatileModel::recallBlock(const cache::BlockId &id, WriteCause cause,
+                           TimeUs now)
+{
+    const cache::CacheBlock *block = cache_.peek(id);
+    if (block == nullptr)
+        return 0;
+    Bytes flushed = 0;
+    if (block->isDirty()) {
+        flushed = blockTransferBytes(id);
+        flushBlock(id, cause, now);
+    }
+    cache_.remove(id);
+    return flushed;
 }
 
 void

@@ -45,6 +45,20 @@ class VolatileModel : public ClientModel
     /** Resident blocks (tests). */
     const cache::BlockCache &cache() const { return cache_; }
 
+  protected:
+    /**
+     * The per-block engine, one 4 KB block per call: the bodies
+     * check::runPerBlockReference loops over as the differential
+     * oracle for the batched read/write/recallRange.  writeBlock is
+     * also the production fallback for runs no batch proof covers.
+     */
+    void readBlock(const cache::BlockId &id, TimeUs now);
+    void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
+                    TimeUs now);
+    /** Flush (if dirty) and drop one block; returns bytes sent. */
+    Bytes recallBlock(const cache::BlockId &id, WriteCause cause,
+                      TimeUs now);
+
   private:
     /** Write a dirty block's contents to the server and clean it. */
     void flushBlock(const cache::BlockId &id, WriteCause cause,
@@ -52,13 +66,6 @@ class VolatileModel : public ClientModel
 
     /** Evict until an insert is possible. */
     void ensureSpace(TimeUs now);
-
-    /** Per-block read body (legacy engine and fallback). */
-    void readBlock(const cache::BlockId &id, TimeUs now);
-
-    /** Per-block write body (legacy engine and fallback). */
-    void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
-                    TimeUs now);
 
     /**
      * Make blocks [first, last] of `file` resident (extent engine).

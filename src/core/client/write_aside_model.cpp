@@ -10,12 +10,10 @@ WriteAsideModel::WriteAsideModel(const ModelConfig &config,
                                  const FileSizeMap &sizes,
                                  util::Rng &rng)
     : ClientModel(config, metrics, sizes, rng),
-      volatile_(config.volatileBytes / kBlockSize, nullptr,
-                config.extentOps),
+      volatile_(config.volatileBytes / kBlockSize, nullptr, true),
       nvram_(config.nvramBytes / kBlockSize,
              cache::makePolicy(config.nvramPolicy, &rng, config.oracle),
-             config.extentOps &&
-                 config.nvramPolicy == cache::PolicyKind::Lru)
+             config.nvramPolicy == cache::PolicyKind::Lru)
 {
     NVFS_REQUIRE(volatile_.capacityBlocks() > 0,
                  "volatile cache too small");
@@ -129,13 +127,6 @@ WriteAsideModel::read(FileId file, Bytes offset, Bytes length,
     metrics_.appReadBytes += length;
     if (length == 0)
         return;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes, Bytes) {
-                         readBlock(id, now);
-                     });
-        return;
-    }
     const std::uint32_t last = lastBlockOf(offset, length);
     std::uint32_t b = firstBlockOf(offset);
     while (b <= last) {
@@ -166,14 +157,6 @@ WriteAsideModel::write(FileId file, Bytes offset, Bytes length,
     metrics_.appWriteBytes += length;
     if (length == 0)
         return;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes begin,
-                         Bytes end) {
-                         writeBlock(id, begin, end, now);
-                     });
-        return;
-    }
     const Bytes op_end = offset + length;
     const std::uint32_t last = lastBlockOf(offset, length);
     std::uint32_t b = firstBlockOf(offset);
@@ -202,7 +185,8 @@ WriteAsideModel::write(FileId file, Bytes offset, Bytes length,
             std::min<Bytes>(op_end, Bytes{end} * kBlockSize);
         // Batching is only the per-block schedule when each cache's
         // victim choices cannot observe the regrouped state:
-        //  - volatile fill: native-LRU victims, run fits in the cache;
+        //  - volatile fill: native-LRU victims (the volatile cache is
+        //    always native LRU), run fits in the cache;
         //  - nvram fill with evictions: native LRU, run fits in the
         //    NVRAM, and the volatile side evicts *nothing* — a dirty
         //    volatile victim's flush would interleave with the NVRAM
@@ -222,9 +206,7 @@ WriteAsideModel::write(FileId file, Bytes offset, Bytes length,
         const bool no_volatile_evict =
             rv.resident || volatile_.freeBlocks() >= count;
         const bool fill_v_ok =
-            no_volatile_evict ||
-            (volatile_.nativeLru() &&
-             count <= volatile_.capacityBlocks());
+            no_volatile_evict || count <= volatile_.capacityBlocks();
         const bool fill_n_ok =
             rn.resident ||
             (nvram_.nativeLru()
@@ -278,18 +260,6 @@ WriteAsideModel::recallRange(FileId file, Bytes offset, Bytes length,
     if (length == 0)
         return 0;
     Bytes flushed = 0;
-    if (!config_.extentOps) {
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes, Bytes) {
-                         if (nvram_.contains(id)) {
-                             flushed += blockTransferBytes(id);
-                             flushNvramBlock(id, cause, now);
-                         }
-                         if (volatile_.contains(id))
-                             volatile_.remove(id);
-                     });
-        return flushed;
-    }
     // Flushes emit in ascending block order either way; removals emit
     // nothing, so flushing all NVRAM blocks before dropping the
     // volatile copies matches the per-block interleaving.
@@ -395,6 +365,20 @@ WriteAsideModel::finish(TimeUs now)
 {
     for (const cache::BlockId &id : nvram_.allDirtyBlocks())
         flushNvramBlock(id, WriteCause::EndOfTrace, now);
+}
+
+Bytes
+WriteAsideModel::recallBlock(const cache::BlockId &id, WriteCause cause,
+                             TimeUs now)
+{
+    Bytes flushed = 0;
+    if (nvram_.contains(id)) {
+        flushed = blockTransferBytes(id);
+        flushNvramBlock(id, cause, now);
+    }
+    if (volatile_.contains(id))
+        volatile_.remove(id);
+    return flushed;
 }
 
 void

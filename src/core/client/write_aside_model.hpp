@@ -51,6 +51,20 @@ class WriteAsideModel : public ClientModel
     /** Panics if the NVRAM/volatile mirroring invariant is broken. */
     void checkInvariants() const;
 
+  protected:
+    /**
+     * The per-block engine, one 4 KB block per call: the bodies
+     * check::runPerBlockReference loops over as the differential
+     * oracle for the batched read/write/recallRange.  writeBlock is
+     * also the production fallback for runs no batch proof covers.
+     */
+    void readBlock(const cache::BlockId &id, TimeUs now);
+    void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
+                    TimeUs now);
+    /** Flush (if dirty) and drop one block; returns bytes sent. */
+    Bytes recallBlock(const cache::BlockId &id, WriteCause cause,
+                      TimeUs now);
+
   private:
     /** Flush an NVRAM block to the server; volatile copy goes clean. */
     void flushNvramBlock(const cache::BlockId &id, WriteCause cause,
@@ -61,13 +75,6 @@ class WriteAsideModel : public ClientModel
 
     /** Evict from the NVRAM until an insert fits. */
     void ensureNvramSpace(TimeUs now);
-
-    /** Per-block read body (legacy engine and fallback). */
-    void readBlock(const cache::BlockId &id, TimeUs now);
-
-    /** Per-block write body (legacy engine and fallback). */
-    void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
-                    TimeUs now);
 
     /**
      * Make blocks [first, last] of `file` resident in the volatile

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "cache/extent_index.hpp"
-#include "core/client/server_state.hpp"
+#include "core/client/replay.hpp"
 #include "core/sim/experiments.hpp"
 #include "obs/obs.hpp"
 #include "util/audit.hpp"
@@ -57,6 +57,27 @@ transferBytes(const cache::BlockId &id, const FileSizeMap &sizes)
 }
 
 /**
+ * Protocol entry points replayOps requires but the curve engine never
+ * receives: runCurveSim replays with no injected crashes and
+ * whole-file callbacks only.
+ */
+struct CurveClientBase
+{
+    [[noreturn]] void
+    crash(TimeUs)
+    {
+        util::panic("curve engine: client crashes are not modelled");
+    }
+
+    [[noreturn]] Bytes
+    recallRange(FileId, Bytes, Bytes, WriteCause, TimeUs)
+    {
+        util::panic("curve engine: block-level callbacks are not "
+                    "modelled");
+    }
+};
+
+/**
  * Multi-size mirror of VolatileModel under pure LRU: one global
  * recency order (OrderStatIndex) serves every size.  The resident set
  * of size k is always the `occ[k]` most recently used blocks — LRU
@@ -67,7 +88,7 @@ transferBytes(const cache::BlockId &id, const FileSizeMap &sizes)
  * so replacement write-backs see the same file sizes (and therefore
  * the same end-of-file clipping) as the per-size replay.
  */
-class VolatileCurveClient
+class VolatileCurveClient : public CurveClientBase
 {
   public:
     VolatileCurveClient(const ModelConfig &base,
@@ -588,7 +609,7 @@ class VolatileCurveClient
  * stored once per slot; the per-size lists replicate each size's
  * placement/demotion decisions (which *do* diverge) exactly.
  */
-class UnifiedCurveClient
+class UnifiedCurveClient : public CurveClientBase
 {
   public:
     UnifiedCurveClient(const ModelConfig &base,
@@ -1313,33 +1334,21 @@ class UnifiedCurveClient
 };
 
 /**
- * The ClusterSim dispatch loop, replayed once for all sizes: file
- * sizes, consistency state, coalescing decisions, and the sweep clock
- * are size-independent and shared; the per-size client state lives in
- * the curve clients.  Mirrors ClusterSim::run for the default
- * configuration (no crash injection, no block-level callbacks,
- * coalescing on) — curveSupported() rejects everything else.
+ * One replay for all sizes: file sizes, consistency state, coalescing
+ * decisions and the sweep clock are size-independent and shared; the
+ * per-size client state lives in the curve clients, and bypassed I/O
+ * is charged to every size.
  */
 template <typename Client>
 std::vector<Metrics>
 replayCurve(const prep::OpStream &ops, const CurveSpec &spec)
 {
-    using prep::OpType;
+    ClusterConfig config;
+    config.model = spec.base;
+    config.auditEvery = spec.auditEvery;
 
-    const std::size_t size_count = spec.sizes.size();
-    std::vector<Metrics> metrics(size_count);
+    std::vector<Metrics> metrics(spec.sizes.size());
     FileSizeMap sizes;
-    ConsistencyEngine engine;
-    util::FlatMap<FileId, std::pair<ClientId, ProcId>,
-                  util::SplitMix64Hash>
-        lastWriterPid;
-    const auto audit_every =
-        spec.auditEvery != 0
-            ? spec.auditEvery
-            : static_cast<std::uint64_t>(util::envInt(
-                  "NVFS_AUDIT", 0, 0,
-                  std::numeric_limits<std::int64_t>::max()));
-
     const std::uint32_t client_count =
         std::max<std::uint32_t>(1, ops.clientCount);
     std::vector<std::unique_ptr<Client>> clients;
@@ -1348,161 +1357,7 @@ replayCurve(const prep::OpStream &ops, const CurveSpec &spec)
         clients.push_back(std::make_unique<Client>(
             spec.base, spec.sizes, metrics, sizes));
     }
-
-    TimeUs last_sweep = 0;
-    const auto advanceClock = [&](TimeUs now) {
-        while (last_sweep + spec.base.sweepInterval <= now) {
-            last_sweep += spec.base.sweepInterval;
-            for (auto &client : clients)
-                client->tick(last_sweep);
-        }
-    };
-
-    std::uint64_t ops_since_audit = 0;
-    TimeUs last = 0;
-    const prep::OpColumns &col = ops.ops;
-    const std::size_t count = col.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const TimeUs now = col.time[i];
-        NVFS_REQUIRE(now >= last, "ops out of order");
-        last = now;
-        advanceClock(now);
-
-        const FileId file = col.file[i];
-        switch (col.type[i]) {
-          case OpType::Open: {
-            const OpenActions actions = engine.onOpen(
-                col.client[i], col.pid[i], file,
-                (col.openFlags[i] & prep::kOpenForWrite) != 0);
-            if (actions.recallFrom != kNoClient &&
-                actions.recallFrom < clients.size()) {
-                clients[actions.recallFrom]->recall(
-                    file, WriteCause::Callback, now);
-            }
-            if (actions.disableCaching) {
-                for (auto &client : clients)
-                    client->recall(file, WriteCause::Callback, now);
-            }
-            break;
-          }
-          case OpType::Close:
-            engine.onClose(col.client[i], col.pid[i], file);
-            break;
-          case OpType::Read: {
-            const ClientId client = col.client[i];
-            const Bytes offset = col.offset[i];
-            Bytes length = col.length[i];
-            NVFS_REQUIRE(client < clients.size(), "bad client");
-            {
-                const Bytes *sz = sizes.find(file);
-                const Bytes size0 = sz == nullptr ? 0 : *sz;
-                while (i + 1 < count &&
-                       prep::canCoalesce(col, i, i + 1, offset, length,
-                                         size0)) {
-                    length += col.length[++i];
-                }
-            }
-            auto &size = sizes[file];
-            size = std::max(size, offset + length);
-            if (engine.cachingDisabled(file)) {
-                // Bypass: straight from the server, at every size.
-                for (Metrics &m : metrics) {
-                    m.appReadBytes += length;
-                    m.serverReadBytes += length;
-                }
-            } else {
-                clients[client]->read(file, offset, length, now);
-            }
-            break;
-          }
-          case OpType::Write: {
-            const ClientId client = col.client[i];
-            const Bytes offset = col.offset[i];
-            Bytes length = col.length[i];
-            NVFS_REQUIRE(client < clients.size(), "bad client");
-            {
-                const Bytes *sz = sizes.find(file);
-                const Bytes size0 = sz == nullptr ? 0 : *sz;
-                while (i + 1 < count &&
-                       prep::canCoalesce(col, i, i + 1, offset, length,
-                                         size0)) {
-                    length += col.length[++i];
-                }
-            }
-            auto &size = sizes[file];
-            size = std::max(size, offset + length);
-            if (engine.cachingDisabled(file)) {
-                // Bypass: write-through to the server, at every size.
-                for (Metrics &m : metrics) {
-                    m.appWriteBytes += length;
-                    m.addServerWrite(WriteCause::Concurrent, length);
-                }
-            } else {
-                clients[client]->write(file, offset, length, now);
-                engine.onWrite(client, file);
-                lastWriterPid[file] = {client, col.pid[i]};
-            }
-            break;
-          }
-          case OpType::Delete: {
-            engine.onDelete(file);
-            for (auto &client : clients)
-                client->removeFile(file, now);
-            sizes.erase(file);
-            lastWriterPid.erase(file);
-            break;
-          }
-          case OpType::Truncate: {
-            const Bytes length = col.length[i];
-            for (auto &client : clients)
-                client->truncate(file, length, now);
-            Bytes *size = sizes.find(file);
-            if (size != nullptr)
-                *size = std::min(*size, length);
-            break;
-          }
-          case OpType::Fsync: {
-            const ClientId client = col.client[i];
-            if (client < clients.size() &&
-                !engine.cachingDisabled(file)) {
-                clients[client]->fsync(file, now);
-            }
-            break;
-          }
-          case OpType::Migrate: {
-            const ClientId client = col.client[i];
-            const ProcId pid = col.pid[i];
-            if (client >= clients.size())
-                break;
-            std::vector<FileId> victims;
-            lastWriterPid.forEach(
-                [&](FileId written,
-                    const std::pair<ClientId, ProcId> &writer) {
-                    if (writer.first == client && writer.second == pid)
-                        victims.push_back(written);
-                });
-            std::sort(victims.begin(), victims.end());
-            for (const FileId victim : victims) {
-                clients[client]->recall(victim, WriteCause::Migration,
-                                        now);
-                engine.clearWriter(victim, client);
-                lastWriterPid.erase(victim);
-            }
-            break;
-          }
-          case OpType::End:
-            break;
-        }
-
-        if (audit_every != 0 && ++ops_since_audit >= audit_every) {
-            ops_since_audit = 0;
-            for (const auto &client : clients)
-                client->auditInvariants();
-        }
-    }
-
-    for (auto &client : clients)
-        client->finish(last);
+    replayOps(ops, config, clients, sizes, metrics);
     return metrics;
 }
 
@@ -1511,7 +1366,7 @@ replayCurve(const prep::OpStream &ops, const CurveSpec &spec)
 bool
 curveEngineEnabled()
 {
-    // Read per call (tests flip it between runs), warn once on junk.
+    // Read per call (tests flip it between runs).
     const char *env = util::envRaw("NVFS_CURVE_ENGINE");
     if (env == nullptr || *env == '\0')
         return true;
@@ -1520,14 +1375,8 @@ curveEngineEnabled()
         return true;
     if (name == "off")
         return false;
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        util::warn("NVFS_CURVE_ENGINE='" + std::string(name) +
-                   "' is not a known mode (expected 'on' or 'off'); "
-                   "using the curve engine");
-    }
-    return true;
+    util::fatal("NVFS_CURVE_ENGINE='" + std::string(name) +
+                "' is not a known mode (expected 'on' or 'off')");
 }
 
 bool

@@ -11,7 +11,9 @@
  * stack, indexed by util::OrderStatIndex) can classify every event —
  * absorption, eviction write-back, callback recall, 30 s sync flush —
  * against *all* configured sizes at once by threshold comparison, and
- * accumulate a full Metrics vector per size in one pass.
+ * accumulate a full Metrics vector per size in one pass.  The replay
+ * itself is core::replayOps, the protocol driver ClusterSim runs too;
+ * the curve engine contributes only its multi-size client set.
  *
  * Results are bit-identical to running the per-size replay grid
  * (core::runClientGrid) point by point; the curve_sim_test
@@ -58,7 +60,7 @@ constexpr std::size_t kCurveMaxSizes = 32;
 /**
  * NVFS_CURVE_ENGINE: "on"/unset enables the single-pass engine where
  * supported, "off" forces the per-size replay grid everywhere.
- * Anything else warns once (naming the variable) and stays on.
+ * Anything else is a fatal configuration error naming the variable.
  */
 bool curveEngineEnabled();
 

@@ -232,9 +232,6 @@ autoExportFromEnv()
         return;
     if (want_trace)
         Registry::instance().enableTracing(true);
-    // Touch the registry now so it outlives the atexit hook (exit
-    // runs hooks and static destructors in reverse order).
-    Registry::instance();
     std::atexit(exportAtExit);
 }
 

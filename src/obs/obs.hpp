@@ -149,11 +149,18 @@ struct Slab
 class Registry
 {
   public:
+    /**
+     * Never destroyed.  util::ThreadPool::global() is a function-local
+     * static too: a static registry first touched after the pool was
+     * built would be destroyed before it, and the pool's workers
+     * detach their slabs into the registry while static teardown
+     * joins them.
+     */
     static Registry &
     instance()
     {
-        static Registry registry;
-        return registry;
+        static Registry *registry = new Registry;
+        return *registry;
     }
 
     /**
@@ -575,8 +582,8 @@ class Registry
     static Registry &
     instance()
     {
-        static Registry registry;
-        return registry;
+        static Registry *registry = new Registry;
+        return *registry;
     }
 
     Snapshot snapshot() { return {}; }

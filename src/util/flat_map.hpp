@@ -136,8 +136,9 @@ class FlatMap
             dist += 16;
         }
         // Fewer than 16 bytes before the table's end: finish the probe
-        // scalar, wrapping as usual.
-        return scalarProbe(key, pos, dist);
+        // scalar, wrapping as usual (pos == capacity() when the last
+        // group ended exactly at the end, so wrap it first).
+        return scalarProbe(key, pos & mask, dist);
 #else
         return findScalar(key);
 #endif

@@ -186,6 +186,16 @@ TEST(CurveSupport, RejectsInclusionBreakers)
 // point must return the same rows either way.
 TEST(CurveFallback, EnvKnobForcesGrid)
 {
+    {
+        // Junk is a hard error naming the variable and both accepted
+        // values.  Checked first, before any replay starts the worker
+        // pool: the threadsafe death test re-runs this test up to the
+        // EXPECT_EXIT in a fresh process.
+        ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+        EnvGuard guard("NVFS_CURVE_ENGINE", "sideways");
+        EXPECT_EXIT(curveEngineEnabled(), ::testing::ExitedWithCode(1),
+                    "NVFS_CURVE_ENGINE='sideways'.*'on' or 'off'");
+    }
     const auto &ops = standardOps(2, kScale);
     const CurveSpec spec = unifiedSpec();
     SweepRunner runner(1);

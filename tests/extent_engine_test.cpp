@@ -1,11 +1,13 @@
 /**
  * @file
- * Differential tests of the extent-granularity engine against the
- * per-block legacy engine.  The extent engine must be *byte-identical*
+ * Differential tests of the production (extent-granularity) client
+ * models against the per-block reference engine
+ * (check::runPerBlockReference).  Production must be *byte-identical*
  * — every Metrics counter, including the per-cause server-write
- * histogram, must match the legacy engine on every trace, model, and
- * consistency mode — and the BlockCache range operations must leave
- * the cache in exactly the state the equivalent per-block loop would.
+ * histogram, must match the reference on every trace, model,
+ * consistency mode and crash schedule — and the BlockCache range
+ * operations must leave the cache in exactly the state the equivalent
+ * per-block loop would.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "cache/block_cache.hpp"
+#include "check/reference.hpp"
 #include "core/client/cluster_sim.hpp"
 #include "core/lifetime/next_modify.hpp"
 #include "core/sim/experiments.hpp"
@@ -50,32 +53,66 @@ tinyModel(ModelKind kind)
     return model;
 }
 
-// The tentpole acceptance check: 8 traces x 3 models x block-level
-// callbacks on/off, extent vs legacy, identical Metrics (operator==
-// covers the per-cause byte histogram and both absorbed counters).
-TEST(ExtentEngineDifferential, MatchesLegacyOnStandardTraces)
+/**
+ * Three client crashes spread over the trace, each 1 us after a write
+ * by the victim, so the victim crashes holding fresh dirty data.
+ */
+std::vector<std::pair<TimeUs, ClientId>>
+crashSchedule(const prep::OpStream &ops)
+{
+    const prep::OpColumns &col = ops.ops;
+    std::vector<std::size_t> writes;
+    for (std::size_t i = 0; i < col.size(); ++i) {
+        if (col.type[i] == prep::OpType::Write)
+            writes.push_back(i);
+    }
+    std::vector<std::pair<TimeUs, ClientId>> crashes;
+    for (std::size_t q = 1; q <= 3 && !writes.empty(); ++q) {
+        const std::size_t w = writes[q * writes.size() / 4];
+        crashes.emplace_back(col.time[w] + 1, col.client[w]);
+    }
+    return crashes;
+}
+
+// The acceptance check: 8 traces x 3 models x block-level callbacks
+// on/off x injected client crashes on/off, production vs the
+// per-block reference, identical Metrics (operator== covers the
+// per-cause byte histogram, both absorbed counters and the lost dirty
+// bytes).  Both sides replay through core::replayOps, so the crash
+// and callback dispatch is exercised against both engines.
+TEST(ExtentEngineDifferential, MatchesPerBlockReferenceOnStandardTraces)
 {
     const ModelKind kinds[] = {ModelKind::Volatile,
                                ModelKind::WriteAside,
                                ModelKind::Unified};
+    Bytes lost = 0;
+    Bytes recovered = 0;
     for (int trace = 1; trace <= 8; ++trace) {
         const auto &ops = standardOps(trace, kScale);
         for (ModelKind kind : kinds) {
             for (bool callbacks : {false, true}) {
-                ClusterConfig config;
-                config.model = tinyModel(kind);
-                config.blockLevelCallbacks = callbacks;
-                config.model.extentOps = true;
-                const Metrics extent = runCluster(ops, config);
-                config.model.extentOps = false;
-                const Metrics legacy = runCluster(ops, config);
-                EXPECT_EQ(extent, legacy)
-                    << "trace " << trace << " model "
-                    << modelKindName(kind) << " callbacks "
-                    << callbacks;
+                for (bool crashes : {false, true}) {
+                    ClusterConfig config;
+                    config.model = tinyModel(kind);
+                    config.blockLevelCallbacks = callbacks;
+                    if (crashes)
+                        config.crashes = crashSchedule(ops);
+                    const Metrics production = runCluster(ops, config);
+                    EXPECT_EQ(production,
+                              check::runPerBlockReference(ops, config))
+                        << "trace " << trace << " model "
+                        << modelKindName(kind) << " callbacks "
+                        << callbacks << " crashes " << crashes;
+                    lost += production.lostDirtyBytes;
+                    recovered +=
+                        production.serverWrites(WriteCause::Recovery);
+                }
             }
         }
     }
+    // The crash axis must actually crash clients holding dirty data.
+    EXPECT_GT(lost, 0u);
+    EXPECT_GT(recovered, 0u);
 }
 
 // Non-LRU NVRAM policies exercise the per-block fallback paths and
@@ -95,11 +132,8 @@ TEST(ExtentEngineDifferential, MatchesLegacyUnderNonLruPolicies)
                 config.model = tinyModel(kind);
                 config.model.nvramPolicy = policy;
                 config.model.oracle = &oracle;
-                config.model.extentOps = true;
-                const Metrics extent = runCluster(ops, config);
-                config.model.extentOps = false;
-                const Metrics legacy = runCluster(ops, config);
-                EXPECT_EQ(extent, legacy)
+                EXPECT_EQ(runCluster(ops, config),
+                          check::runPerBlockReference(ops, config))
                     << "trace " << trace << " model "
                     << modelKindName(kind) << " policy "
                     << cache::policyName(policy);
@@ -120,11 +154,8 @@ TEST(ExtentEngineDifferential, MatchesLegacyWithDirtyPreference)
             ClusterConfig config;
             config.model = tinyModel(kind);
             config.model.dirtyPreference = true;
-            config.model.extentOps = true;
-            const Metrics extent = runCluster(ops, config);
-            config.model.extentOps = false;
-            const Metrics legacy = runCluster(ops, config);
-            EXPECT_EQ(extent, legacy)
+            EXPECT_EQ(runCluster(ops, config),
+                      check::runPerBlockReference(ops, config))
                 << "trace " << trace << " model "
                 << modelKindName(kind);
         }
@@ -188,8 +219,10 @@ TEST(BlockCacheRangeOps, RandomizedEquivalenceWithPerBlock)
 {
     for (bool native : {false, true}) {
         constexpr std::uint64_t kCapacity = 24;
+        // The per-block twin always drives the LRU policy object, so
+        // the native pass also checks native-LRU victims against it.
         BlockCache ranged(kCapacity, nullptr, native);
-        BlockCache blocked(kCapacity, nullptr, native);
+        BlockCache blocked(kCapacity, nullptr, false);
         util::Rng rng(native ? 0xfeedULL : 0xbeefULL);
         TimeUs now = 0;
 

@@ -287,28 +287,38 @@ TEST(FlatMapTest, SimdFindMatchesScalarAcrossWrapBoundary)
 {
     // Home slots near the end of the table force probes to wrap; the
     // group scan must hand off to the scalar tail and still agree
-    // with the pure scalar probe for every key.
-    util::FlatMap<std::uint64_t, std::uint64_t, IdentityHash> map;
-    map.reserve(48); // capacity 64
-    // A collision pile-up whose chain starts 6 slots before the wrap
-    // point and spills past it: keys 58, 58+64, 58+128, ... all share
-    // home slot 58 of 64.
-    for (std::uint64_t i = 0; i < 20; ++i)
-        map.insertOrAssign(58 + i * 64, i);
-    for (std::uint64_t i = 0; i < 24; ++i) {
-        const std::uint64_t present = 58 + i * 64;
-        ASSERT_EQ(map.find(present), map.findScalar(present));
-        const std::uint64_t absent = 59 + i * 64;
-        ASSERT_EQ(map.find(absent), map.findScalar(absent));
-        ASSERT_EQ(map.find(absent), nullptr);
-    }
-    // Erase from the middle of the chain (backward-shift moves the
-    // tail across the wrap) and re-verify.
-    for (const std::uint64_t gone : {58 + 5 * 64, 58 + 11 * 64}) {
-        ASSERT_TRUE(map.erase(gone));
+    // with the pure scalar probe for every key.  Home 58 of 64 starts
+    // inside the scalar tail; home 48 (capacity - 16) runs one whole
+    // group that ends exactly at the table's end, so the tail starts
+    // at the wrap point.
+    for (const std::uint64_t home : {58u, 48u}) {
+        util::FlatMap<std::uint64_t, std::uint64_t, IdentityHash> map;
+        map.reserve(48); // capacity 64
+        // A collision pile-up whose chain starts before the wrap
+        // point and spills past it: keys home, home+64, home+128, ...
+        // all share one home slot.
+        for (std::uint64_t i = 0; i < 20; ++i)
+            map.insertOrAssign(home + i * 64, i);
         for (std::uint64_t i = 0; i < 24; ++i) {
-            const std::uint64_t key = 58 + i * 64;
-            ASSERT_EQ(map.find(key), map.findScalar(key));
+            const std::uint64_t present = home + i * 64;
+            ASSERT_EQ(map.find(present), map.findScalar(present))
+                << "home " << home << " key " << present;
+            if (i < 20) {
+                ASSERT_NE(map.find(present), nullptr);
+            }
+            const std::uint64_t absent = home + 1 + i * 64;
+            ASSERT_EQ(map.find(absent), map.findScalar(absent));
+            ASSERT_EQ(map.find(absent), nullptr);
+        }
+        // Erase from the middle of the chain (backward-shift moves the
+        // tail across the wrap) and re-verify.
+        for (const std::uint64_t gone : {home + 5 * 64, home + 11 * 64}) {
+            ASSERT_TRUE(map.erase(gone));
+            for (std::uint64_t i = 0; i < 24; ++i) {
+                const std::uint64_t key = home + i * 64;
+                ASSERT_EQ(map.find(key), map.findScalar(key))
+                    << "home " << home << " key " << key;
+            }
         }
     }
 }

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "check/reference.hpp"
 #include "core/lifetime/lifetime.hpp"
 #include "core/lifetime/next_modify.hpp"
 #include "core/sim/experiments.hpp"
@@ -371,9 +372,10 @@ TEST(ParallelPrep, NextModifyIndexAgreesAcrossWidths)
 
 TEST(ParallelIngest, ReplayIdenticalAcrossWidthsForEveryCombo)
 {
-    // The acceptance matrix: every bundled trace x model x engine.
-    // Ops ingested+prepped at 8 jobs must equal the 1-job ops, and
-    // the simulated metrics must be byte-identical either way.
+    // The acceptance matrix: every bundled trace x model.  Ops
+    // ingested+prepped at 8 jobs must equal the 1-job ops, and the
+    // simulated metrics must be byte-identical either way — and equal
+    // to the per-block reference engine's.
     const std::string dir = tempDir("nvfs_par_ingest_replay");
     for (int t = 1; t <= 8; ++t) {
         const std::string path =
@@ -393,21 +395,22 @@ TEST(ParallelIngest, ReplayIdenticalAcrossWidthsForEveryCombo)
         for (const auto kind :
              {core::ModelKind::Volatile, core::ModelKind::WriteAside,
               core::ModelKind::Unified}) {
-            for (const bool extent : {false, true}) {
-                core::ModelConfig model;
-                model.kind = kind;
-                model.volatileBytes = 4 * kMiB;
-                model.nvramBytes = kMiB;
-                model.extentOps = extent;
-                const core::Metrics a =
-                    core::runClientSim(serial_ops, model);
-                const core::Metrics b =
-                    core::runClientSim(parallel_ops, model);
-                EXPECT_EQ(a, b)
-                    << "trace " << t << " model "
-                    << static_cast<int>(kind) << " extent=" << extent
-                    << " diverged";
-            }
+            core::ClusterConfig config;
+            config.model.kind = kind;
+            config.model.volatileBytes = 4 * kMiB;
+            config.model.nvramBytes = kMiB;
+            const core::Metrics a =
+                core::runClientSim(serial_ops, config.model);
+            const core::Metrics b =
+                core::runClientSim(parallel_ops, config.model);
+            EXPECT_EQ(a, b) << "trace " << t << " model "
+                            << core::modelKindName(kind)
+                            << " diverged";
+            EXPECT_EQ(b,
+                      check::runPerBlockReference(parallel_ops, config))
+                << "trace " << t << " model "
+                << core::modelKindName(kind)
+                << " diverged from the per-block reference";
         }
     }
 }

@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 
+#include "check/reference.hpp"
 #include "core/sim/sweep.hpp"
 #include "prep/op_cache.hpp"
 #include "trace/stream.hpp"
@@ -493,22 +494,18 @@ TEST(SweepRunner, TraceSweepPipelinedMatchesSerial)
     }
 }
 
-/** Both engines x all three models at a couple of NVRAM sizes. */
+/** All three models at a 4 MB volatile / 512 KB NVRAM point. */
 std::vector<ModelConfig>
 gridModels()
 {
     std::vector<ModelConfig> models;
-    for (const bool extent : {false, true}) {
-        for (const auto kind :
-             {ModelKind::Volatile, ModelKind::WriteAside,
-              ModelKind::Unified}) {
-            ModelConfig model;
-            model.kind = kind;
-            model.volatileBytes = 4 * kMiB;
-            model.nvramBytes = kMiB / 2;
-            model.extentOps = extent;
-            models.push_back(model);
-        }
+    for (const auto kind : {ModelKind::Volatile, ModelKind::WriteAside,
+                            ModelKind::Unified}) {
+        ModelConfig model;
+        model.kind = kind;
+        model.volatileBytes = 4 * kMiB;
+        model.nvramBytes = kMiB / 2;
+        models.push_back(model);
     }
     return models;
 }
@@ -516,8 +513,9 @@ gridModels()
 TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
 {
     // The replay grid must be bit-identical to calling runClientSim
-    // in a serial loop, for any width, with the invariant audits on:
-    // traces 3/4/7, both block engines, all three models.
+    // in a serial loop, for any width, with the invariant audits on,
+    // and the serial loop to the per-block reference engine: traces
+    // 3/4/7, all three models.
     ::setenv("NVFS_AUDIT", "2048", 1);
     const auto models = gridModels();
     for (const int t : {3, 4, 7}) {
@@ -525,8 +523,16 @@ TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
 
         std::vector<Metrics> serial;
         serial.reserve(models.size());
-        for (const ModelConfig &model : models)
+        for (const ModelConfig &model : models) {
             serial.push_back(runClientSim(ops, model));
+            ClusterConfig config;
+            config.model = model;
+            EXPECT_EQ(serial.back(),
+                      check::runPerBlockReference(ops, config))
+                << "trace " << t << " model "
+                << modelKindName(model.kind)
+                << " diverged from the per-block reference";
+        }
 
         ::setenv("NVFS_GRID_JOBS", "1", 1);
         const auto one = runClientGrid(ops, models);

@@ -1,10 +1,10 @@
 /**
  * @file
  * nvfs_fuzz — standalone driver for the nvfs::check differential
- * fuzzer.  Replays randomized op streams through the extent and
- * legacy engines across all three client models with structural
- * audits enabled; exits non-zero with a shrunk reproducer when any
- * audit fires or the engines disagree.
+ * fuzzer.  Replays randomized op streams through the production
+ * simulator and the per-block reference across all three client
+ * models with structural audits enabled; exits non-zero with a shrunk
+ * reproducer when any audit fires or the two disagree.
  *
  *   nvfs_fuzz [--runs N] [--ops N] [--seed S] [--clients N]
  *             [--files N] [--audit N] [--max-seconds T] [--no-shrink]
@@ -97,8 +97,8 @@ main(int argc, char **argv)
 
     const check::FuzzResult result = check::fuzz(config, runs);
     if (result.ok()) {
-        std::printf("nvfs_fuzz: %zu runs, %zu ops, extent == legacy, "
-                    "all audits clean\n",
+        std::printf("nvfs_fuzz: %zu runs, %zu ops, production == "
+                    "per-block reference, all audits clean\n",
                     result.runs, result.opsExecuted);
         return 0;
     }

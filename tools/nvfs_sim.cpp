@@ -670,8 +670,8 @@ cmdCheck(const Args &args)
 
     const check::FuzzResult result = check::fuzz(config, runs);
     if (result.ok()) {
-        std::printf("check: %zu runs, %zu ops, extent == legacy, "
-                    "all audits clean\n",
+        std::printf("check: %zu runs, %zu ops, production == "
+                    "per-block reference, all audits clean\n",
                     result.runs, result.opsExecuted);
         return 0;
     }
