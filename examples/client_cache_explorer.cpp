@@ -23,16 +23,11 @@ int
 main(int argc, char **argv)
 {
     const int trace = static_cast<int>(
-        argc > 1 ? util::argInt("trace", argv[1], 7) : 7);
+        argc > 1 ? util::argInt("trace", argv[1], 1, 8) : 7);
     const double scale =
-        argc > 2 ? util::argDouble("scale", argv[2], 0.25) : 0.25;
+        argc > 2 ? util::argDouble("scale", argv[2], 1e-6, 1e6) : 0.25;
     const double volatile_mb =
-        argc > 3 ? util::argDouble("volatile-mb", argv[3], 8.0) : 8.0;
-
-    if (trace < 1 || trace > 8) {
-        std::fprintf(stderr, "trace must be 1..8\n");
-        return 1;
-    }
+        argc > 3 ? util::argDouble("volatile-mb", argv[3], 0, 1e6) : 8.0;
 
     std::printf("client cache explorer: trace %d, scale %.2f, "
                 "%.1f MB volatile cache\n\n",

@@ -162,7 +162,7 @@ int
 main(int argc, char **argv)
 {
     const double scale =
-        argc > 1 ? util::argDouble("scale", argv[1], 0.1) : 0.1;
+        argc > 1 ? util::argDouble("scale", argv[1], 1e-6, 1e6) : 0.1;
     part1DeviceStory();
     part2ClusterStory(scale);
     // The explorer replays the workload once per site; keep its scale

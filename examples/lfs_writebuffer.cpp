@@ -22,12 +22,12 @@ int
 main(int argc, char **argv)
 {
     const double hours =
-        argc > 1 ? util::argDouble("hours", argv[1], 24.0) : 24.0;
+        argc > 1 ? util::argDouble("hours", argv[1], 1e-6, 1e6) : 24.0;
     const double buffer_kb =
-        argc > 2 ? util::argDouble("buffer-kb", argv[2], 512.0)
+        argc > 2 ? util::argDouble("buffer-kb", argv[2], 0, 1e9)
                  : 512.0;
     const double scale =
-        argc > 3 ? util::argDouble("scale", argv[3], 1.0) : 1.0;
+        argc > 3 ? util::argDouble("scale", argv[3], 1e-6, 1e6) : 1.0;
 
     const auto duration = static_cast<TimeUs>(hours * kUsPerHour);
     const auto buffer = static_cast<Bytes>(buffer_kb * kKiB);

@@ -21,9 +21,9 @@ int
 main(int argc, char **argv)
 {
     const int trace = static_cast<int>(
-        argc > 1 ? util::argInt("trace", argv[1], 7) : 7);
+        argc > 1 ? util::argInt("trace", argv[1], 1, 8) : 7);
     const double scale =
-        argc > 2 ? util::argDouble("scale", argv[2], 0.25) : 0.25;
+        argc > 2 ? util::argDouble("scale", argv[2], 1e-6, 1e6) : 0.25;
 
     std::printf("nvfs quickstart: trace %d at scale %.2f\n\n", trace,
                 scale);

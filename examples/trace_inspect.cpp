@@ -28,9 +28,9 @@ int
 main(int argc, char **argv)
 {
     const int trace_number = static_cast<int>(
-        argc > 1 ? util::argInt("trace", argv[1], 2) : 2);
+        argc > 1 ? util::argInt("trace", argv[1], 1, 8) : 2);
     const double scale =
-        argc > 2 ? util::argDouble("scale", argv[2], 0.1) : 0.1;
+        argc > 2 ? util::argDouble("scale", argv[2], 1e-6, 1e6) : 0.1;
     const std::string path =
         argc > 3 ? argv[3] : "/tmp/nvfs_demo.trace";
 

@@ -4,15 +4,13 @@
 Runs ``perf_microbench`` with google-benchmark's JSON reporter and
 normalizes the result into compact {benchmark: {real_time_ns, ...}}
 summaries.  The whole-trace macrobenchmarks — BM_ClusterSimReplay,
-the pipelined BM_PipelineSweep, the BM_ReplayGrid scheduler, and the
-BM_CurveSweep size-sweep pairs — go to BENCH_e2e.json, which
-additionally pairs each multi-job pipeline/grid run with its jobs:1
-baseline (and each single-pass curve sweep with its per-size grid
-twin) and records the speedup ratios in both real and cpu time, plus
-host metadata
-(hardware_concurrency, NVFS_JOBS / NVFS_GRID_JOBS); everything else
-goes to BENCH_microbench.json so CI can archive a perf snapshot per
-commit.  With ``--baseline
+the BM_ReplayGrid scheduler, and the BM_CurveSweep size-sweep pairs —
+go to BENCH_e2e.json, which additionally pairs each multi-job grid
+run with its jobs:1 baseline (and each single-pass curve sweep with
+its per-size grid twin) and records the speedup ratios in both real
+and cpu time, plus host metadata (hardware_concurrency, NVFS_JOBS);
+everything else goes to BENCH_microbench.json so CI can archive a
+perf snapshot per commit.  With ``--baseline
 previous.json`` it also prints a per-benchmark comparison and (with
 ``--max-regression``) fails when any microbenchmark slowed down beyond
 the allowed ratio.  With ``--e2e-baseline BENCH_e2e.json`` the
@@ -39,10 +37,7 @@ import subprocess
 import sys
 import tempfile
 
-E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_PipelineSweep",
-                "BM_ReplayGrid", "BM_CurveSweep")
-PIPELINE_NAME = re.compile(
-    r"^BM_PipelineSweep/jobs:(\d+)(?:/real_time)?$")
+E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_ReplayGrid", "BM_CurveSweep")
 GRID_NAME = re.compile(
     r"^BM_ReplayGrid/jobs:(\d+)(?:/real_time)?$")
 CURVE_NAME = re.compile(
@@ -202,16 +197,14 @@ def _jobs_speedups(e2e, pattern, base_key, fast_key):
 
 
 def add_speedups(e2e):
-    """Record the pipeline, grid and curve-engine speedups.
+    """Record the grid and curve-engine speedups.
 
     Every pair records both real and cpu time: on a loaded machine a
     single replay's real time can run well past its cpu time, so the
     cpu column is the noise-robust one to read alongside the median
     aggregation.
     """
-    # Pipelined sweep and replay grid: jobs:N vs the jobs:1 baseline.
-    e2e["pipeline_speedups"] = _jobs_speedups(
-        e2e, PIPELINE_NAME, "serial_ms", "pipelined_ms")
+    # Replay grid: jobs:N vs the jobs:1 baseline.
     e2e["grid_speedups"] = _jobs_speedups(
         e2e, GRID_NAME, "serial_ms", "grid_ms")
 
@@ -249,15 +242,14 @@ def host_metadata(raw):
 
     The speedup ratios only mean something next to the parallelism
     that was available: std::thread::hardware_concurrency (surfaced
-    as num_cpus in the google-benchmark context) and the NVFS_JOBS /
-    NVFS_GRID_JOBS overrides in effect during the run.
+    as num_cpus in the google-benchmark context) and the NVFS_JOBS
+    override in effect during the run.
     """
     return {
         "hardware_concurrency": raw.get("context", {}).get(
             "num_cpus", os.cpu_count()),
         "env": {
             "NVFS_JOBS": os.environ.get("NVFS_JOBS"),
-            "NVFS_GRID_JOBS": os.environ.get("NVFS_GRID_JOBS"),
         },
     }
 
@@ -489,10 +481,6 @@ def main():
             fh.write("\n")
         print(f"wrote {args.e2e_output} "
               f"({len(e2e['benchmarks'])} replays)")
-        for key, entry in sorted(e2e["pipeline_speedups"].items()):
-            print(f"  pipeline {key}: {entry['serial_ms']:.1f}ms -> "
-                  f"{entry['pipelined_ms']:.1f}ms "
-                  f"({entry['speedup']:.2f}x)")
         for key, entry in sorted(e2e["grid_speedups"].items()):
             print(f"  grid {key}: {entry['serial_ms']:.1f}ms -> "
                   f"{entry['grid_ms']:.1f}ms "

@@ -183,7 +183,6 @@ class AddSpeedupsTest(unittest.TestCase):
             e2e["grid_speedups"]["jobs2"]["speedup"], 1.5)
         self.assertAlmostEqual(
             e2e["curve_speedups"]["nvram_axis"]["speedup"], 2.0)
-        self.assertEqual(e2e["pipeline_speedups"], {})
 
 
 class CountersTest(unittest.TestCase):

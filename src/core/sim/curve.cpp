@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <limits>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "cache/extent_index.hpp"
@@ -13,7 +11,6 @@
 #include "core/sim/experiments.hpp"
 #include "obs/obs.hpp"
 #include "util/audit.hpp"
-#include "util/env.hpp"
 #include "util/fenwick.hpp"
 #include "util/interval_set.hpp"
 #include "util/log.hpp"
@@ -1362,22 +1359,6 @@ replayCurve(const prep::OpStream &ops, const CurveSpec &spec)
 }
 
 } // namespace
-
-bool
-curveEngineEnabled()
-{
-    // Read per call (tests flip it between runs).
-    const char *env = util::envRaw("NVFS_CURVE_ENGINE");
-    if (env == nullptr || *env == '\0')
-        return true;
-    const std::string_view name(env);
-    if (name == "on")
-        return true;
-    if (name == "off")
-        return false;
-    util::fatal("NVFS_CURVE_ENGINE='" + std::string(name) +
-                "' is not a known mode (expected 'on' or 'off')");
-}
 
 bool
 curveSupported(const CurveSpec &spec)

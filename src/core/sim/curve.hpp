@@ -21,8 +21,7 @@
  * Configurations whose semantics break the inclusion property —
  * write-aside mirroring, random/clock/omniscient NVRAM policies,
  * dirty-preferring replacement, dynamic cache sizing, end-to-end
- * sinks — automatically fall back to the per-size grid, and
- * NVFS_CURVE_ENGINE=off forces the fallback everywhere.
+ * sinks — automatically fall back to the per-size grid.
  */
 
 #pragma once
@@ -56,13 +55,6 @@ struct CurveSpec
 
 /** Most sizes one curve pass can carry (per-slot residency masks). */
 constexpr std::size_t kCurveMaxSizes = 32;
-
-/**
- * NVFS_CURVE_ENGINE: "on"/unset enables the single-pass engine where
- * supported, "off" forces the per-size replay grid everywhere.
- * Anything else is a fatal configuration error naming the variable.
- */
-bool curveEngineEnabled();
 
 /**
  * True when the single-pass engine reproduces this spec exactly: the

@@ -238,16 +238,6 @@ runClientSim(const prep::OpStream &ops, const ModelConfig &model,
     return sim.run(ops);
 }
 
-unsigned
-gridJobCount()
-{
-    // Read per call (not cached): the determinism tests flip
-    // NVFS_GRID_JOBS between replays of the same grid.
-    return static_cast<unsigned>(util::envInt(
-        "NVFS_GRID_JOBS",
-        static_cast<std::int64_t>(util::defaultJobCount()), 1, 65536));
-}
-
 namespace {
 
 /** TaskError context for one replay-grid cell. */
@@ -269,7 +259,7 @@ runClientGrid(const prep::OpStream &ops,
     static const obs::Timer cellTimer("grid.cell");
     std::vector<Metrics> results(models.size());
     if (width == 0)
-        width = gridJobCount();
+        width = util::defaultJobCount();
     if (width <= 1 || models.size() <= 1) {
         for (std::size_t i = 0; i < models.size(); ++i) {
             const util::TaskLabel label(gridCellContext(i, models[i]));
@@ -291,8 +281,8 @@ runClientGrid(const prep::OpStream &ops,
     // run, but each cell's simulation is self-contained (runClientSim
     // constructs a fresh ClusterSim/Metrics/Rng per call), so the
     // result vector is identical for any width.  No pool-wide wait():
-    // the grid has its own done-counter, so concurrent pool users
-    // (e.g. pipeline prepares) are unaffected.
+    // the grid has its own done-counter, so other tasks on the same
+    // pool are unaffected.
     struct GridState
     {
         explicit GridState(std::size_t n) : tasks(n), errors(n) {}

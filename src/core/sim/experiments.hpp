@@ -69,25 +69,16 @@ Metrics runClientSim(const prep::OpStream &ops, const ModelConfig &model,
                      std::uint64_t seed = 42);
 
 /**
- * Worker width of the replay grid of one sweep point: the
- * NVFS_GRID_JOBS environment variable when set to a positive integer,
- * else defaultJobCount() (i.e. NVFS_JOBS / the hardware thread
- * count).  A malformed or non-positive NVFS_GRID_JOBS warns via
- * envInt() — naming the variable and the accepted range — and falls
- * back, the same strict-parse path NVFS_JOBS and NVFS_SCALE use.
- */
-unsigned gridJobCount();
-
-/**
- * Replay one op stream through every model concurrently: each (model,
- * engine) cell of the grid runs as its own task on the ambient
- * work-stealing pool, with per-task ClusterSim/Metrics state, and the
- * results come back in model order.  Bit-identical to calling
- * runClientSim on each model in sequence for any width: tasks share
- * only the read-only op stream, each owns its simulator and RNG, and
- * if several threw, the lowest-index model's exception is rethrown
- * (deterministic).  `width` 0 means gridJobCount(); width 1 (or a
- * single model) runs the plain serial loop on the calling thread.
+ * Replay one op stream through every model concurrently: each model
+ * cell of the grid runs as its own task on the ambient work-stealing
+ * pool, with per-task ClusterSim/Metrics state, and the results come
+ * back in model order.  Bit-identical to calling runClientSim on each
+ * model in sequence for any width: tasks share only the read-only op
+ * stream, each owns its simulator and RNG, and if several threw, the
+ * lowest-index model's exception is rethrown (deterministic).
+ * `width` 0 means util::defaultJobCount() (the NVFS_JOBS width);
+ * width 1 (or a single model) runs the plain serial loop on the
+ * calling thread.
  */
 std::vector<Metrics>
 runClientGrid(const prep::OpStream &ops,
@@ -113,8 +104,8 @@ ServerRunResult runServerSim(TimeUs duration, double scale,
 
 /**
  * Default scale for benches; override with the NVFS_SCALE env var.
- * Accepted values are finite reals > 0 (typically 0.01-1.0); anything
- * else warns via util::log and falls back to 1.0.
+ * Accepted values are finite reals in [1e-6, 1e6] (typically
+ * 0.01-1.0); anything else is a fatal error naming the variable.
  */
 double benchScale();
 

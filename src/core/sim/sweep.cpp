@@ -1,42 +1,12 @@
 #include "core/sim/sweep.hpp"
 
 #include "core/client/cluster_sim.hpp"
-#include "obs/obs.hpp"
-#include "prep/converter.hpp"
-#include "trace/stream.hpp"
 
 namespace nvfs::core {
 
 SweepRunner::SweepRunner(unsigned jobs)
     : jobs_(jobs == 0 ? util::defaultJobCount() : jobs)
 {
-}
-
-std::vector<std::vector<Metrics>>
-SweepRunner::runTraceSweep(const std::vector<std::string> &trace_paths,
-                           const std::vector<ModelConfig> &models,
-                           std::uint64_t seed) const
-{
-    return runPipelined(
-        trace_paths,
-        [](const std::string &path) {
-            // Runs on a pool worker, so the mmap ingest's ambient
-            // parallelFor fans out across the same pool.
-            trace::TraceBuffer raw = [&path] {
-                const obs::StageTimer stage("sweep.ingest", path);
-                return trace::readTraceFile(path);
-            }();
-            const obs::StageTimer stage("sweep.prep", path);
-            return prep::convertTrace(raw);
-        },
-        [&models, seed](prep::OpStream ops) {
-            // The replay grid of the current point fans out over
-            // NVFS_GRID_JOBS tasks (bit-identical to the serial model
-            // loop) while the pipeline's own pool prepares the next
-            // point.
-            const obs::StageTimer stage("sweep.replay");
-            return runClientGrid(ops, models, seed);
-        });
 }
 
 std::vector<Metrics>
@@ -54,7 +24,7 @@ std::vector<Metrics>
 SweepRunner::runCurveSweep(const prep::OpStream &ops,
                            const CurveSpec &spec) const
 {
-    if (curveEngineEnabled() && curveSupported(spec))
+    if (curveSupported(spec))
         return runCurveSim(ops, spec);
     // Per-size fallback: the exact grid the curve engine replaces.
     return runClientGrid(ops, curveGridModels(spec), spec.seed,

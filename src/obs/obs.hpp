@@ -6,7 +6,7 @@
  *
  * The simulator's perf story so far lives entirely in wall-clock
  * medians (BENCH_e2e.json); nothing records *why* a sweep took the
- * time it took — steal rates, cache hit ratios, pipeline overlap.
+ * time it took — steal rates, cache hit ratios, stage times.
  * This header is the hot-path half of the subsystem: tiny handles
  * (Counter / MaxCounter / Timer / StageTimer) that write to a
  * thread-local slab, so the common increment is a TLS load plus one

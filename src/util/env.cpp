@@ -50,40 +50,7 @@ envInt(const char *name, std::int64_t fallback, std::int64_t min,
     const char *raw = std::getenv(name);
     if (raw == nullptr)
         return fallback;
-    const auto value = tryParseInt(raw);
-    if (!value || *value < min || *value > max) {
-        warn(format("%s='%s' is not an integer in [%lld, %lld]; "
-                    "using %lld",
-                    name, raw, static_cast<long long>(min),
-                    static_cast<long long>(max),
-                    static_cast<long long>(fallback)));
-        return fallback;
-    }
-    return *value;
-}
-
-std::int64_t
-argInt(const char *what, const char *text, std::int64_t fallback)
-{
-    const auto value = tryParseInt(text);
-    if (!value) {
-        warn(format("%s='%s' is not an integer; using %lld", what,
-                    text, static_cast<long long>(fallback)));
-        return fallback;
-    }
-    return *value;
-}
-
-double
-argDouble(const char *what, const char *text, double fallback)
-{
-    const auto value = tryParseDouble(text);
-    if (!value) {
-        warn(format("%s='%s' is not a number; using %g", what, text,
-                    fallback));
-        return fallback;
-    }
-    return *value;
+    return argInt(name, raw, min, max);
 }
 
 double
@@ -92,11 +59,29 @@ envDouble(const char *name, double fallback, double min, double max)
     const char *raw = std::getenv(name);
     if (raw == nullptr)
         return fallback;
-    const auto value = tryParseDouble(raw);
+    return argDouble(name, raw, min, max);
+}
+
+std::int64_t
+argInt(const char *what, const char *text, std::int64_t min,
+       std::int64_t max)
+{
+    const auto value = tryParseInt(text);
     if (!value || *value < min || *value > max) {
-        warn(format("%s='%s' is not a number in [%g, %g]; using %g",
-                    name, raw, min, max, fallback));
-        return fallback;
+        fatal(format("%s='%s' is not an integer in [%lld, %lld]", what,
+                     text, static_cast<long long>(min),
+                     static_cast<long long>(max)));
+    }
+    return *value;
+}
+
+double
+argDouble(const char *what, const char *text, double min, double max)
+{
+    const auto value = tryParseDouble(text);
+    if (!value || *value < min || *value > max) {
+        fatal(format("%s='%s' is not a number in [%g, %g]", what, text,
+                     min, max));
     }
     return *value;
 }

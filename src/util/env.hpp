@@ -5,9 +5,10 @@
  * The env variables grew three divergent ad-hoc parsers (NVFS_JOBS,
  * NVFS_SCALE, and the audit knob); each had slightly different ideas
  * about trailing garbage and range errors.  envInt()/envDouble()
- * centralize the policy: a malformed or out-of-range value warns once
- * (naming the variable, the offending text, and the accepted range)
- * and falls back — it never silently becomes 0 the way atoi would.
+ * centralize the policy: a malformed or out-of-range value is a fatal
+ * error naming the variable, the offending text, and the accepted
+ * range — it never silently becomes 0 the way atoi would, and never
+ * runs on with a default the user did not ask for.
  */
 
 #pragma once
@@ -28,9 +29,9 @@ std::optional<std::int64_t> tryParseInt(const std::string &text);
 std::optional<double> tryParseDouble(const std::string &text);
 
 /**
- * Integer environment knob.  Unset -> fallback (silently).  Set but
- * malformed or outside [min, max] -> warn with the variable name and
- * accepted range, then fallback.
+ * Integer environment knob.  Unset -> fallback.  Set but malformed or
+ * outside [min, max] -> fatal error naming the variable and the
+ * accepted range.
  */
 std::int64_t envInt(const char *name, std::int64_t fallback,
                     std::int64_t min, std::int64_t max);
@@ -44,14 +45,14 @@ const char *envRaw(const char *name);
 
 /**
  * Strict positional-argument parse (the examples' argv handling).
- * Malformed text warns with the argument name — "trace='7x' is not an
- * integer; using 7" — and falls back; it never silently becomes 0 the
- * way atoi did.
+ * Malformed or out-of-range text is a fatal error naming the argument
+ * and the accepted range: "trace='7x' is not an integer in [1, 8]".
  */
 std::int64_t argInt(const char *what, const char *text,
-                    std::int64_t fallback);
+                    std::int64_t min, std::int64_t max);
 
 /** Double flavour of argInt (rejects non-finite values too). */
-double argDouble(const char *what, const char *text, double fallback);
+double argDouble(const char *what, const char *text, double min,
+                 double max);
 
 } // namespace nvfs::util

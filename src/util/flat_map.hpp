@@ -15,23 +15,10 @@
  * give me the value", and pointer returns keep the fast path free of
  * iterator bookkeeping.  Pointers and iteration order are invalidated
  * by any insert or erase, like unordered_map under rehash.
- *
- * Lookup probes the metadata byte array in 16-slot groups with SSE2 or
- * NEON when available (Swiss-table style: one vector compare finds
- * every candidate and every terminator in the group at once), falling
- * back to the scalar byte-at-a-time probe near the table's wrap point
- * and on targets without vector units.  The group scan inspects the
- * exact same bytes in the exact same order as the scalar probe, so the
- * result — and the table layout, which SIMD never touches — is
- * identical; findScalar() stays public as the reference the
- * differential tests compare against.  Defining NVFS_NO_SIMD (the
- * NVFS_SCALAR_FALLBACK CMake option) forces the scalar path
- * everywhere.
  */
 
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -39,15 +26,6 @@
 
 #include "util/audit.hpp"
 #include "util/log.hpp"
-
-#if !defined(NVFS_NO_SIMD) && defined(__SSE2__)
-#define NVFS_FLATMAP_SSE2 1
-#include <emmintrin.h>
-#elif !defined(NVFS_NO_SIMD) &&                                        \
-    (defined(__ARM_NEON) || defined(__ARM_NEON__))
-#define NVFS_FLATMAP_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace nvfs::util {
 
@@ -95,68 +73,26 @@ class FlatMap
     const V *
     find(const K &key) const
     {
-#if defined(NVFS_FLATMAP_SSE2) || defined(NVFS_FLATMAP_NEON)
         if (size_ == 0)
             return nullptr;
         const std::size_t mask = capacity() - 1;
         std::size_t pos = Hash{}(key) & mask;
-        std::size_t dist = 1; // stored distance: 1 = home slot
-        // Group scan: 16 metadata bytes per vector compare.  Each lane
-        // wants meta == dist + lane (a candidate, confirmed by a key
-        // compare) and terminates on meta < dist + lane (empty slot or
-        // a resident closer to its own home — the robin-hood miss
-        // proof, identical to the scalar probe's early exit).  Lanes
-        // past distance 255 saturate; a saturated lane can produce a
-        // spurious candidate against meta == 255, but the key compare
-        // rejects it (a genuinely matching key at that slot would need
-        // a stored distance > 255, which cannot exist), and the
-        // dist > kMaxDist guard below bounds the walk.
-        while (pos + 16 <= capacity()) {
-            if (dist > kMaxDist)
+        // `dist` is widened past uint8_t so a probe that walks beyond
+        // the maximum storable distance exits via `meta < dist`
+        // instead of wrapping.
+        for (std::size_t dist = 1;; ++dist) {
+            const std::uint8_t meta = meta_[pos];
+            if (meta == kEmpty || meta < dist) {
+                // An empty slot — or a resident closer to *its* home
+                // than we are to ours — proves the key was never
+                // robin-hood-inserted past here.  meta <= 255 also
+                // makes this the exit once dist outruns kMaxDist.
                 return nullptr;
-            std::uint32_t eq;
-            std::uint32_t stop;
-            groupProbe(pos, dist, eq, stop);
-            std::uint32_t candidates = eq;
-            if (stop != 0) {
-                // Only lanes before the first terminator can hold the
-                // key.
-                candidates &= (stop & (0u - stop)) - 1;
             }
-            while (candidates != 0) {
-                const unsigned lane =
-                    static_cast<unsigned>(std::countr_zero(candidates));
-                if (slots_[pos + lane].key == key)
-                    return &slots_[pos + lane].value;
-                candidates &= candidates - 1;
-            }
-            if (stop != 0)
-                return nullptr;
-            pos += 16;
-            dist += 16;
+            if (meta == dist && slots_[pos].key == key)
+                return &slots_[pos].value;
+            pos = (pos + 1) & mask;
         }
-        // Fewer than 16 bytes before the table's end: finish the probe
-        // scalar, wrapping as usual (pos == capacity() when the last
-        // group ended exactly at the end, so wrap it first).
-        return scalarProbe(key, pos & mask, dist);
-#else
-        return findScalar(key);
-#endif
-    }
-
-    /**
-     * The scalar reference probe — exactly the pre-SIMD lookup, one
-     * metadata byte at a time.  find() delegates here when no vector
-     * unit is available (or NVFS_NO_SIMD is defined); it stays public
-     * so the differential tests can compare the vectorized probe
-     * against it on the same table.
-     */
-    const V *
-    findScalar(const K &key) const
-    {
-        if (size_ == 0)
-            return nullptr;
-        return scalarProbe(key, Hash{}(key) & (capacity() - 1), 1);
     }
 
     bool contains(const K &key) const { return find(key) != nullptr; }
@@ -329,91 +265,6 @@ class FlatMap
         static_cast<std::size_t>(-1);
 
     std::size_t capacity() const { return slots_.size(); }
-
-    /**
-     * Continue a probe for `key` one byte at a time from (pos, dist).
-     * `dist` is widened past uint8_t so a probe that walks beyond the
-     * maximum storable distance exits via `meta < dist` instead of
-     * wrapping.
-     */
-    const V *
-    scalarProbe(const K &key, std::size_t pos, std::size_t dist) const
-    {
-        const std::size_t mask = capacity() - 1;
-        for (;;) {
-            const std::uint8_t meta = meta_[pos];
-            if (meta == kEmpty || meta < dist) {
-                // An empty slot — or a resident closer to *its* home
-                // than we are to ours — proves the key was never
-                // robin-hood-inserted past here.  meta <= 255 also
-                // makes this the exit once dist outruns kMaxDist.
-                return nullptr;
-            }
-            if (meta == dist && slots_[pos].key == key)
-                return &slots_[pos].value;
-            pos = (pos + 1) & mask;
-            ++dist;
-        }
-    }
-
-#if defined(NVFS_FLATMAP_SSE2)
-    /**
-     * Scan meta_[pos..pos+16) against probe distances dist..dist+15
-     * (saturated at 255).  On return, bit L of `eq` is set when lane L
-     * is a candidate (meta == distance) and bit L of `stop` when the
-     * probe terminates there (meta < distance).
-     */
-    void
-    groupProbe(std::size_t pos, std::size_t dist, std::uint32_t &eq,
-               std::uint32_t &stop) const
-    {
-        const __m128i ramp =
-            _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
-                          14, 15);
-        const __m128i meta = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(meta_.data() + pos));
-        const __m128i distvec = _mm_adds_epu8(
-            _mm_set1_epi8(static_cast<char>(dist)), ramp);
-        eq = static_cast<std::uint32_t>(
-            _mm_movemask_epi8(_mm_cmpeq_epi8(meta, distvec)));
-        // meta >= distance  <=>  saturating (distance - meta) == 0.
-        const auto ge = static_cast<std::uint32_t>(_mm_movemask_epi8(
-            _mm_cmpeq_epi8(_mm_subs_epu8(distvec, meta),
-                           _mm_setzero_si128())));
-        stop = ~ge & 0xFFFFu;
-    }
-#elif defined(NVFS_FLATMAP_NEON)
-    /** NEON groupProbe.  The vshrn narrowing trick yields a 4-bit
-     *  nibble per lane; compacting to one bit per lane keeps the
-     *  bit-scan arithmetic in find() shared with the SSE2 path. */
-    void
-    groupProbe(std::size_t pos, std::size_t dist, std::uint32_t &eq,
-               std::uint32_t &stop) const
-    {
-        const uint8x16_t ramp = vcombine_u8(
-            vcreate_u8(0x0706050403020100ULL),
-            vcreate_u8(0x0f0e0d0c0b0a0908ULL));
-        const uint8x16_t meta = vld1q_u8(meta_.data() + pos);
-        const uint8x16_t distvec = vqaddq_u8(
-            vdupq_n_u8(static_cast<std::uint8_t>(dist)), ramp);
-        // Narrow each comparison to a 4-bit nibble per lane, then
-        // compact the nibble mask to one bit per lane.
-        const auto compact = [](uint8x16_t v) -> std::uint32_t {
-            const std::uint64_t nibbles = vget_lane_u64(
-                vreinterpret_u64_u8(
-                    vshrn_n_u16(vreinterpretq_u16_u8(v), 4)),
-                0);
-            std::uint32_t bits = 0;
-            for (unsigned lane = 0; lane < 16; ++lane) {
-                if ((nibbles >> (lane * 4)) & 1)
-                    bits |= 1u << lane;
-            }
-            return bits;
-        };
-        eq = compact(vceqq_u8(meta, distvec));
-        stop = compact(vcltq_u8(meta, distvec));
-    }
-#endif
 
     /**
      * Robin-hood probe for an insert of `key`.  Returns (slot, true)

@@ -67,7 +67,11 @@ void
 fatal(const std::string &message)
 {
     std::fprintf(stderr, "[nvfs:fatal] %s\n", message.c_str());
-    std::exit(1);
+    // Not exit(): a bad env knob can be read on pool workers (NVFS_AUDIT
+    // inside grid replays), and exit() would run static destructors
+    // under the other threads, or twice if two workers fail at once.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 } // namespace nvfs::util

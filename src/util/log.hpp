@@ -40,7 +40,9 @@ void warn(const std::string &message);
 
 /**
  * Terminate because of a user error (bad configuration, bad input
- * file).  Calls std::exit(1).
+ * file).  Flushes stdio and ends the process with status 1 through
+ * std::_Exit, so it is safe from any thread; static destructors and
+ * atexit hooks (the NVFS_STATS_OUT export) do not run.
  */
 [[noreturn]] void fatal(const std::string &message);
 

@@ -137,11 +137,9 @@ wrapTaskContext(std::exception_ptr error)
 
 /**
  * Worker count for parallel work: the NVFS_JOBS environment variable
- * when set to a positive integer, else the hardware thread count (and
- * 1 when even that is unknown).  A malformed NVFS_JOBS (not a plain
- * positive integer, or out of range) warns via envInt() and falls
- * back to the hardware count rather than silently running
- * single-threaded or with a surprising worker count.
+ * when set, else the hardware thread count (and 1 when even that is
+ * unknown).  A malformed NVFS_JOBS (not a plain integer in
+ * [1, 65536]) is a fatal error via envInt().
  */
 inline unsigned
 defaultJobCount()

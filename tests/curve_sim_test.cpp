@@ -6,14 +6,12 @@
  * the per-cause server-write histogram and both absorbed counters,
  * must match runClientGrid on every trace and size — plus unit tests
  * of util::OrderStatIndex (the Fenwick stack-distance structure)
- * under churn, and of the NVFS_CURVE_ENGINE fallback path.
+ * under churn, and of the per-size grid fallback path.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "core/sim/curve.hpp"
@@ -26,37 +24,6 @@ namespace nvfs::core {
 namespace {
 
 constexpr double kScale = 0.02;
-
-/** Set/unset an environment variable for one scope. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            had_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~EnvGuard()
-    {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 /** Small caches so every trace forces evictions at every size. */
 CurveSpec
@@ -110,27 +77,61 @@ TEST(CurveDifferential, MatchesGridOnStandardTraces)
     }
 }
 
-// The paper's actual figure grid (Fig 3-6 sizes, MiB-scale caches)
-// on the busiest trace: the production-shaped workload the benches
-// route through the engine.
+// Every spec shape the figure benches pass to runCurveSweep, through
+// that entry point, bit-compared against the per-size grid: the Fig
+// 3/4 unified NVRAM grid (8 MiB volatile, the ten paper sizes) on all
+// eight traces, and the Fig 6 / Section 2.7 cost-table series on
+// trace 7 — volatile on 8 and 16 MiB bases plus 0-8 MiB of extra
+// memory, and unified at 8 and 16 MiB whose first point is one block.
 TEST(CurveDifferential, MatchesGridOnPaperSizes)
 {
-    const auto &ops = standardOps(7, kScale);
-    CurveSpec spec;
-    spec.base.kind = ModelKind::Unified;
-    spec.base.volatileBytes = 8 * kMiB;
-    spec.axis = CurveAxis::NvramBytes;
+    const SweepRunner runner(1);
+    auto check = [&runner](int trace, const CurveSpec &spec) {
+        ASSERT_TRUE(curveSupported(spec));
+        const auto &ops = standardOps(trace, kScale);
+        const std::vector<Metrics> curve = runner.runCurveSweep(ops, spec);
+        const std::vector<Metrics> grid =
+            runClientGrid(ops, curveGridModels(spec), spec.seed);
+        ASSERT_EQ(curve.size(), grid.size());
+        for (std::size_t k = 0; k < curve.size(); ++k) {
+            EXPECT_EQ(curve[k], grid[k])
+                << "trace " << trace << " axis "
+                << (spec.axis == CurveAxis::VolatileBytes ? "volatile"
+                                                          : "nvram")
+                << " volatile base " << spec.base.volatileBytes
+                << " size " << spec.sizes[k];
+        }
+    };
+
+    CurveSpec nvram;
+    nvram.base.kind = ModelKind::Unified;
+    nvram.base.volatileBytes = 8 * kMiB;
+    nvram.axis = CurveAxis::NvramBytes;
     for (const double mb : {0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0,
                             2.0, 4.0, 8.0, 16.0}) {
-        spec.sizes.push_back(
+        nvram.sizes.push_back(
             static_cast<Bytes>(mb * static_cast<double>(kMiB)));
     }
-    const std::vector<Metrics> curve = runCurveSim(ops, spec);
-    const std::vector<Metrics> grid =
-        runClientGrid(ops, curveGridModels(spec), spec.seed);
-    ASSERT_EQ(curve.size(), grid.size());
-    for (std::size_t k = 0; k < curve.size(); ++k)
-        EXPECT_EQ(curve[k], grid[k]) << "size " << spec.sizes[k];
+    for (int trace = 1; trace <= 8; ++trace)
+        check(trace, nvram);
+
+    for (const Bytes base : {Bytes{8 * kMiB}, Bytes{16 * kMiB}}) {
+        CurveSpec vol;
+        vol.base.kind = ModelKind::Volatile;
+        vol.axis = CurveAxis::VolatileBytes;
+        CurveSpec uni;
+        uni.base.kind = ModelKind::Unified;
+        uni.base.volatileBytes = base;
+        uni.axis = CurveAxis::NvramBytes;
+        for (const double extra : {0.0, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0}) {
+            const auto extra_bytes =
+                static_cast<Bytes>(extra * static_cast<double>(kMiB));
+            vol.sizes.push_back(base + extra_bytes);
+            uni.sizes.push_back(extra == 0 ? kBlockSize : extra_bytes);
+        }
+        check(7, vol);
+        check(7, uni);
+    }
 }
 
 TEST(CurveDifferential, SizesInArbitraryOrder)
@@ -180,40 +181,6 @@ TEST(CurveSupport, RejectsInclusionBreakers)
     vol = volatileSpec();
     vol.base.kind = ModelKind::Unified; // axis/kind mismatch
     EXPECT_FALSE(curveSupported(vol));
-}
-
-// NVFS_CURVE_ENGINE=off forces the per-size grid; the sweep entry
-// point must return the same rows either way.
-TEST(CurveFallback, EnvKnobForcesGrid)
-{
-    {
-        // Junk is a hard error naming the variable and both accepted
-        // values.  Checked first, before any replay starts the worker
-        // pool: the threadsafe death test re-runs this test up to the
-        // EXPECT_EXIT in a fresh process.
-        ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-        EnvGuard guard("NVFS_CURVE_ENGINE", "sideways");
-        EXPECT_EXIT(curveEngineEnabled(), ::testing::ExitedWithCode(1),
-                    "NVFS_CURVE_ENGINE='sideways'.*'on' or 'off'");
-    }
-    const auto &ops = standardOps(2, kScale);
-    const CurveSpec spec = unifiedSpec();
-    SweepRunner runner(1);
-    std::vector<Metrics> engine_rows;
-    {
-        EnvGuard guard("NVFS_CURVE_ENGINE", "on");
-        EXPECT_TRUE(curveEngineEnabled());
-        engine_rows = runner.runCurveSweep(ops, spec);
-    }
-    std::vector<Metrics> grid_rows;
-    {
-        EnvGuard guard("NVFS_CURVE_ENGINE", "off");
-        EXPECT_FALSE(curveEngineEnabled());
-        grid_rows = runner.runCurveSweep(ops, spec);
-    }
-    ASSERT_EQ(engine_rows.size(), grid_rows.size());
-    for (std::size_t k = 0; k < engine_rows.size(); ++k)
-        EXPECT_EQ(engine_rows[k], grid_rows[k]);
 }
 
 // Unsupported specs silently take the grid path through the sweep

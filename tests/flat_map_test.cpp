@@ -6,6 +6,7 @@
  * deletion), and rehashing.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -254,14 +255,12 @@ struct IdentityHash
 
 TEST(FlatMapTest, SimdFindMatchesScalarUnderChurn)
 {
-    // The vectorized group probe must return exactly what the scalar
-    // reference probe returns — same pointer, not just same value —
-    // for hits and misses alike, across growth and backward-shift
-    // erase churn.  (With NVFS_NO_SIMD both paths are the same code
-    // and this degenerates to a tautology, which is fine: the CI
-    // scalar-fallback leg runs it that way.)
+    // find() must agree with a model of the live key set — the right
+    // value for every present key, nullptr for every absent one —
+    // across growth and backward-shift erase churn.
     util::Rng rng(0x51D);
     Map map;
+    std::unordered_map<std::uint64_t, std::uint64_t> model;
     for (int step = 0; step < 20000; ++step) {
         const auto key =
             static_cast<std::uint64_t>(rng.uniformInt(0, 2047));
@@ -269,28 +268,34 @@ TEST(FlatMapTest, SimdFindMatchesScalarUnderChurn)
           case 0:
           case 1:
             map.insertOrAssign(key, static_cast<std::uint64_t>(step));
+            model[key] = static_cast<std::uint64_t>(step);
             break;
           case 2:
             map.erase(key);
+            model.erase(key);
             break;
           default:
             break;
         }
         const auto probe =
             static_cast<std::uint64_t>(rng.uniformInt(0, 2047));
-        ASSERT_EQ(map.find(probe), map.findScalar(probe))
-            << "probe " << probe << " diverged at step " << step;
+        const auto it = model.find(probe);
+        if (it == model.end()) {
+            ASSERT_EQ(map.find(probe), nullptr)
+                << "probe " << probe << " found at step " << step;
+        } else {
+            ASSERT_NE(map.find(probe), nullptr)
+                << "probe " << probe << " missed at step " << step;
+            ASSERT_EQ(*map.find(probe), it->second);
+        }
     }
 }
 
 TEST(FlatMapTest, SimdFindMatchesScalarAcrossWrapBoundary)
 {
-    // Home slots near the end of the table force probes to wrap; the
-    // group scan must hand off to the scalar tail and still agree
-    // with the pure scalar probe for every key.  Home 58 of 64 starts
-    // inside the scalar tail; home 48 (capacity - 16) runs one whole
-    // group that ends exactly at the table's end, so the tail starts
-    // at the wrap point.
+    // Home slots near the end of the table force probes to wrap past
+    // the last slot: home 58 of 64 wraps after six slots, and home 48
+    // (capacity - 16) after sixteen.
     for (const std::uint64_t home : {58u, 48u}) {
         util::FlatMap<std::uint64_t, std::uint64_t, IdentityHash> map;
         map.reserve(48); // capacity 64
@@ -301,23 +306,36 @@ TEST(FlatMapTest, SimdFindMatchesScalarAcrossWrapBoundary)
             map.insertOrAssign(home + i * 64, i);
         for (std::uint64_t i = 0; i < 24; ++i) {
             const std::uint64_t present = home + i * 64;
-            ASSERT_EQ(map.find(present), map.findScalar(present))
-                << "home " << home << " key " << present;
             if (i < 20) {
-                ASSERT_NE(map.find(present), nullptr);
+                ASSERT_NE(map.find(present), nullptr)
+                    << "home " << home << " key " << present;
+                ASSERT_EQ(*map.find(present), i);
+            } else {
+                ASSERT_EQ(map.find(present), nullptr)
+                    << "home " << home << " key " << present;
             }
             const std::uint64_t absent = home + 1 + i * 64;
-            ASSERT_EQ(map.find(absent), map.findScalar(absent));
             ASSERT_EQ(map.find(absent), nullptr);
         }
         // Erase from the middle of the chain (backward-shift moves the
         // tail across the wrap) and re-verify.
+        std::vector<std::uint64_t> erased;
         for (const std::uint64_t gone : {home + 5 * 64, home + 11 * 64}) {
             ASSERT_TRUE(map.erase(gone));
+            erased.push_back(gone);
             for (std::uint64_t i = 0; i < 24; ++i) {
                 const std::uint64_t key = home + i * 64;
-                ASSERT_EQ(map.find(key), map.findScalar(key))
-                    << "home " << home << " key " << key;
+                const bool live =
+                    i < 20 && std::find(erased.begin(), erased.end(),
+                                        key) == erased.end();
+                if (live) {
+                    ASSERT_NE(map.find(key), nullptr)
+                        << "home " << home << " key " << key;
+                    ASSERT_EQ(*map.find(key), i);
+                } else {
+                    ASSERT_EQ(map.find(key), nullptr)
+                        << "home " << home << " key " << key;
+                }
             }
         }
     }
@@ -325,16 +343,15 @@ TEST(FlatMapTest, SimdFindMatchesScalarAcrossWrapBoundary)
 
 TEST(FlatMapTest, SimdFindMatchesScalarOnLongProbeChains)
 {
-    // Probe chains longer than one 16-slot group: 40 keys all homed
-    // at slot 0 make stored distances 1..40, so a miss must scan
-    // three vector groups before the robin-hood early exit fires.
+    // Probe chains longer than 16 slots: 40 keys all homed at slot 0
+    // make stored distances 1..40, so a miss walks the whole chain
+    // before the robin-hood early exit fires.
     util::FlatMap<std::uint64_t, std::uint64_t, IdentityHash> map;
     map.reserve(48); // capacity 64
     for (std::uint64_t i = 0; i < 40; ++i)
         map.insertOrAssign(i * 64, i);
     for (std::uint64_t i = 0; i < 48; ++i) {
         const std::uint64_t key = i * 64;
-        ASSERT_EQ(map.find(key), map.findScalar(key));
         if (i < 40) {
             ASSERT_NE(map.find(key), nullptr);
             ASSERT_EQ(*map.find(key), i);

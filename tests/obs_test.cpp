@@ -27,6 +27,7 @@
 #include "lfs/log.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
+#include "prep/converter.hpp"
 #include "trace/stream.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
@@ -286,14 +287,13 @@ TEST(Obs, LfsSealCountersMirrorLogStats)
 
 /**
  * The acceptance bar for the observability layer: a parallel sweep
- * (pipelined ingest + wide grid replay) must report the *same*
+ * (parallel ingest + wide grid replay) must report the *same*
  * deterministic counter totals as the serial run of the same work.
  * Scheduling-dependent stats (pool.*) are excluded by design.
  */
 TEST(Obs, SweepCountersExactUnderParallelism)
 {
     const ScopedEnv noCache("NVFS_TRACE_CACHE", nullptr);
-    const ScopedEnv noPipelineOverride("NVFS_PIPELINE", nullptr);
 
     const std::string dir = testing::TempDir() + "nvfs_obs_sweep";
     std::filesystem::remove_all(dir);
@@ -330,40 +330,37 @@ TEST(Obs, SweepCountersExactUnderParallelism)
         "trace_cache.miss",
     };
 
-    auto runAndCollect = [&](unsigned jobs, const char *grid_jobs) {
-        const ScopedEnv gridJobs("NVFS_GRID_JOBS", grid_jobs);
+    auto runAndCollect = [&](unsigned width) {
         obs::resetAll();
-        const auto results =
-            core::SweepRunner(jobs).runTraceSweep(paths, models);
+        util::ThreadPool pool(width);
+        const auto results = core::SweepRunner(width).runPipelined(
+            paths,
+            [&pool](const std::string &path) {
+                return prep::convertTrace(
+                    trace::readTraceFile(path, &pool));
+            },
+            [&models, width](const prep::OpStream &ops) {
+                return core::runClientGrid(ops, models, 42, width);
+            });
         const auto snap = obs::snapshot();
         std::vector<std::uint64_t> values;
         for (const char *name : kDeterministic)
             values.push_back(snap.value(name));
         // Stage-timer *counts* are deterministic too (durations are
-        // not): one ingest/prep/replay per trace, one cell per
-        // (trace, model) pair.
-        const auto count = [&snap](const char *name) {
-            const auto *entry = snap.find(name);
-            return entry != nullptr ? entry->count : 0;
-        };
-        values.push_back(count("sweep.ingest"));
-        values.push_back(count("sweep.prep"));
-        values.push_back(count("sweep.replay"));
-        values.push_back(count("grid.cell"));
+        // not): one cell per (trace, model) pair.
+        const auto *cell = snap.find("grid.cell");
+        values.push_back(cell != nullptr ? cell->count : 0);
         return std::make_pair(results, values);
     };
 
-    const auto [serialResults, serialValues] =
-        runAndCollect(1, "1");
-    const auto [parallelResults, parallelValues] =
-        runAndCollect(8, "8");
+    const auto [serialResults, serialValues] = runAndCollect(1);
+    const auto [parallelResults, parallelValues] = runAndCollect(8);
 
     ASSERT_EQ(serialResults, parallelResults)
         << "sweep results diverged between serial and parallel";
     for (std::size_t i = 0; i < serialValues.size(); ++i) {
         EXPECT_EQ(parallelValues[i], serialValues[i])
-            << "counter #" << i << " diverged under NVFS_JOBS=8 "
-            << "NVFS_GRID_JOBS=8";
+            << "counter #" << i << " diverged at width 8";
     }
     // And the totals must reflect the actual work, not just agree.
     constexpr std::size_t kNamed =
@@ -511,7 +508,6 @@ TEST(TaskError, SweepMapNamesTheTaskIndex)
 
 TEST(TaskError, PipelinedPrepareNamesThePoint)
 {
-    const ScopedEnv noPipelineOverride("NVFS_PIPELINE", nullptr);
     const std::vector<std::string> points{"a.nvt", "b.nvt", "c.nvt"};
     for (const unsigned jobs : {1u, 4u}) {
         try {

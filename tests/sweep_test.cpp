@@ -19,6 +19,7 @@
 
 #include "check/reference.hpp"
 #include "core/sim/sweep.hpp"
+#include "prep/converter.hpp"
 #include "prep/op_cache.hpp"
 #include "trace/stream.hpp"
 #include "util/thread_pool.hpp"
@@ -405,8 +406,8 @@ TEST(SweepRunner, StressManyMoreTasksThanThreads)
 
 TEST(SweepRunner, PipelinedPreservesPointOrderAndResults)
 {
-    // replay runs on the calling thread in strict point order even
-    // though prepares complete out of order on the pool.
+    // replay runs on the calling thread in strict point order, each
+    // on its own point's prepared value.
     std::vector<int> points(9);
     std::iota(points.begin(), points.end(), 0);
     std::vector<int> replay_order;
@@ -451,49 +452,6 @@ TEST(SweepRunner, PipelinedRethrowsPrepareErrorAtItsPoint)
         EXPECT_EQ(replayed[i], i);
 }
 
-TEST(SweepRunner, TraceSweepPipelinedMatchesSerial)
-{
-    // Full acceptance path: real trace files through the pipelined
-    // multi-trace sweep.  Pipelining on (4 jobs), pipelining disabled
-    // via NVFS_PIPELINE=0, and the plain serial runner must all
-    // produce byte-identical metric tables.
-    const std::string dir = testing::TempDir() + "nvfs_pipe_sweep";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> paths;
-    for (const int t : {3, 4, 7}) {
-        const std::string path =
-            dir + "/trace" + std::to_string(t) + ".nvt";
-        trace::writeTraceFile(
-            path, workload::generateStandardTrace(t, 0.01));
-        paths.push_back(path);
-    }
-    const auto models = standardGrid();
-
-    const auto serial = SweepRunner(1).runTraceSweep(paths, models);
-    const auto piped = SweepRunner(4).runTraceSweep(paths, models);
-    ::setenv("NVFS_PIPELINE", "0", 1);
-    const auto strict = SweepRunner(4).runTraceSweep(paths, models);
-    ::unsetenv("NVFS_PIPELINE");
-
-    ASSERT_EQ(serial.size(), paths.size());
-    ASSERT_EQ(piped.size(), paths.size());
-    ASSERT_EQ(strict.size(), paths.size());
-    for (std::size_t r = 0; r < paths.size(); ++r) {
-        ASSERT_EQ(serial[r].size(), models.size());
-        ASSERT_EQ(piped[r].size(), models.size());
-        ASSERT_EQ(strict[r].size(), models.size());
-        for (std::size_t c = 0; c < models.size(); ++c) {
-            EXPECT_EQ(piped[r][c], serial[r][c])
-                << "trace " << r << " model " << c
-                << " diverged when pipelined";
-            EXPECT_EQ(strict[r][c], serial[r][c])
-                << "trace " << r << " model " << c
-                << " diverged with NVFS_PIPELINE=0";
-        }
-    }
-}
-
 /** All three models at a 4 MB volatile / 512 KB NVRAM point. */
 std::vector<ModelConfig>
 gridModels()
@@ -534,11 +492,8 @@ TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
                 << " diverged from the per-block reference";
         }
 
-        ::setenv("NVFS_GRID_JOBS", "1", 1);
-        const auto one = runClientGrid(ops, models);
-        ::setenv("NVFS_GRID_JOBS", "8", 1);
-        const auto eight = runClientGrid(ops, models);
-        ::unsetenv("NVFS_GRID_JOBS");
+        const auto one = runClientGrid(ops, models, 42, 1);
+        const auto eight = runClientGrid(ops, models, 42, 8);
 
         ASSERT_EQ(one.size(), models.size());
         ASSERT_EQ(eight.size(), models.size());
@@ -556,8 +511,8 @@ TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
 
 TEST(SweepRunner, GridExplicitWidthMatchesSerial)
 {
-    // Explicit width overrides the env knob; widths beyond the model
-    // count or the pool size must not change results either.
+    // Widths beyond the model count or the pool size must not change
+    // results either.
     const auto &ops = standardOps(3, kScale);
     const auto models = gridModels();
     const auto serial = runClientGrid(ops, models, 42, 1);
@@ -570,30 +525,27 @@ TEST(SweepRunner, GridExplicitWidthMatchesSerial)
     }
 }
 
-TEST(SweepRunner, GridJobsEnvRejectsMalformedValues)
+TEST(SweepRunner, GridJunkAuditKnobIsFatalOnWorkers)
 {
-    // Satellite: NVFS_GRID_JOBS goes through util::envInt's strict
-    // parsing — zero, negative, and garbage all fall back to the
-    // NVFS_JOBS-derived default (with a warning) instead of being
-    // silently truncated or crashing.
-    const unsigned fallback = util::defaultJobCount();
-    for (const char *bad : {"0", "-3", "abc", "8x", ""}) {
-        ::setenv("NVFS_GRID_JOBS", bad, 1);
-        EXPECT_EQ(gridJobCount(), fallback)
-            << "NVFS_GRID_JOBS=\"" << bad << '"';
-    }
-    ::setenv("NVFS_GRID_JOBS", "6", 1);
-    EXPECT_EQ(gridJobCount(), 6u);
-    ::unsetenv("NVFS_GRID_JOBS");
-    EXPECT_EQ(gridJobCount(), fallback);
+    // NVFS_AUDIT is read inside every replay, so a wide grid meets a
+    // junk value on several pool workers at once; the process must
+    // still end cleanly with the message and status 1.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto &ops = standardOps(3, kScale);
+    const auto models = gridModels();
+    ::setenv("NVFS_AUDIT", "often", 1);
+    EXPECT_EXIT(runClientGrid(ops, models, 42, 8),
+                ::testing::ExitedWithCode(1),
+                "NVFS_AUDIT='often' is not an integer in");
+    ::unsetenv("NVFS_AUDIT");
 }
 
 TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
 {
-    // Grid + pipeline concurrently (the TSan job runs this at
-    // NVFS_JOBS=8): replay grids of width 8 race the pipeline's
-    // prepare tasks on the shared pool, and the full metric table
-    // must still be byte-identical to the serial runner.
+    // Full acceptance path: real trace files through runPipelined
+    // (parallel mmap ingest + prep) into replay grids of width 8 and
+    // width 1 (the TSan job runs this at NVFS_JOBS=8): the metric
+    // tables must be byte-identical.
     const std::string dir = testing::TempDir() + "nvfs_grid_sweep";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -606,13 +558,19 @@ TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
         paths.push_back(path);
     }
     const auto models = gridModels();
+    auto sweep = [&](unsigned width) {
+        return SweepRunner().runPipelined(
+            paths,
+            [](const std::string &path) {
+                return prep::convertTrace(trace::readTraceFile(path));
+            },
+            [&models, width](const prep::OpStream &ops) {
+                return runClientGrid(ops, models, 42, width);
+            });
+    };
 
-    ::setenv("NVFS_GRID_JOBS", "1", 1);
-    const auto serial = SweepRunner(1).runTraceSweep(paths, models);
-    ::setenv("NVFS_GRID_JOBS", "8", 1);
-    const auto wide = SweepRunner(4).runTraceSweep(paths, models);
-    ::unsetenv("NVFS_GRID_JOBS");
-
+    const auto serial = sweep(1);
+    const auto wide = sweep(8);
     ASSERT_EQ(serial.size(), paths.size());
     ASSERT_EQ(wide.size(), paths.size());
     for (std::size_t r = 0; r < paths.size(); ++r) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "util/audit.hpp"
 #include "util/env.hpp"
@@ -450,28 +451,48 @@ TEST(Env, TryParseDoubleStrict)
     EXPECT_FALSE(tryParseDouble("inf").has_value());
 }
 
-TEST(Env, EnvIntFallsBackOnGarbageAndRange)
+TEST(Env, EnvIntRejectsGarbageAndRange)
 {
+    // Threadsafe style: each death check re-runs this test in a fresh
+    // process up to the EXPECT_EXIT, so the env it sets is replayed.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ::unsetenv("NVFS_TEST_KNOB");
     EXPECT_EQ(envInt("NVFS_TEST_KNOB", 5, 0, 100), 5);
     ::setenv("NVFS_TEST_KNOB", "17", 1);
     EXPECT_EQ(envInt("NVFS_TEST_KNOB", 5, 0, 100), 17);
-    ::setenv("NVFS_TEST_KNOB", "17x", 1); // atoi would say 17
-    EXPECT_EQ(envInt("NVFS_TEST_KNOB", 5, 0, 100), 5);
-    ::setenv("NVFS_TEST_KNOB", "101", 1); // above max
-    EXPECT_EQ(envInt("NVFS_TEST_KNOB", 5, 0, 100), 5);
+    // "17x": atoi would say 17.  "101"/"-1": outside [0, 100].
+    for (const std::string bad : {"17x", "101", "-1", ""}) {
+        ::setenv("NVFS_TEST_KNOB", bad.c_str(), 1);
+        EXPECT_EXIT(envInt("NVFS_TEST_KNOB", 5, 0, 100),
+                    ::testing::ExitedWithCode(1),
+                    "NVFS_TEST_KNOB='" + bad +
+                        "' is not an integer in \\[0, 100\\]");
+    }
     ::unsetenv("NVFS_TEST_KNOB");
+    EXPECT_EQ(argInt("trace", "7", 1, 8), 7);
+    EXPECT_EXIT(argInt("trace", "9", 1, 8), ::testing::ExitedWithCode(1),
+                "trace='9' is not an integer in \\[1, 8\\]");
 }
 
-TEST(Env, EnvDoubleFallsBackOnGarbage)
+TEST(Env, EnvDoubleRejectsGarbageAndRange)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ::unsetenv("NVFS_TEST_KNOB");
     EXPECT_EQ(envDouble("NVFS_TEST_KNOB", 0.25, 0.0, 8.0), 0.25);
     ::setenv("NVFS_TEST_KNOB", "0.5", 1);
     EXPECT_EQ(envDouble("NVFS_TEST_KNOB", 0.25, 0.0, 8.0), 0.5);
-    ::setenv("NVFS_TEST_KNOB", "lots", 1);
-    EXPECT_EQ(envDouble("NVFS_TEST_KNOB", 0.25, 0.0, 8.0), 0.25);
+    for (const std::string bad : {"lots", "0.5x", "9", "nan"}) {
+        ::setenv("NVFS_TEST_KNOB", bad.c_str(), 1);
+        EXPECT_EXIT(envDouble("NVFS_TEST_KNOB", 0.25, 0.0, 8.0),
+                    ::testing::ExitedWithCode(1),
+                    "NVFS_TEST_KNOB='" + bad +
+                        "' is not a number in \\[0, 8\\]");
+    }
     ::unsetenv("NVFS_TEST_KNOB");
+    EXPECT_EQ(argDouble("scale", "0.02", 1e-6, 1e6), 0.02);
+    EXPECT_EXIT(argDouble("scale", "0", 1e-6, 1e6),
+                ::testing::ExitedWithCode(1),
+                "scale='0' is not a number in \\[1e-06, 1e\\+06\\]");
 }
 
 // ------------------------------------------------ audits (util layer)

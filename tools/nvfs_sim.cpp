@@ -373,61 +373,6 @@ printSweepTable(const std::string &title,
     std::printf("%s\n", table.render(title).c_str());
 }
 
-/** Strict --curve parse: bare flag / on / off, reject anything else. */
-bool
-curveRequested(const Args &args)
-{
-    if (!args.has("curve"))
-        return false;
-    const std::string value = args.get("curve");
-    if (value == "1" || value == "on")
-        return true;
-    if (value == "0" || value == "off")
-        return false;
-    util::fatal("--curve expects on|off, got '" + value + "'");
-}
-
-/**
- * The sweep grid through SweepRunner::runCurveSweep: one multi-size
- * curve per model column (the bench wiring), reassembled into the
- * row-major (NVRAM size x model) order printSweepTable expects.
- * Columns the curve engine cannot handle (write-aside mirroring,
- * non-LRU policies) fall back to the per-size replay grid inside
- * runCurveSweep, so the output is identical either way.
- */
-std::vector<core::Metrics>
-runCurveGrid(const core::SweepRunner &runner, const prep::OpStream &ops,
-             const std::vector<std::string> &model_names,
-             const std::vector<std::string> &nvram_sizes,
-             Bytes volatile_bytes, cache::PolicyKind policy)
-{
-    std::vector<std::vector<core::Metrics>> columns;
-    for (const std::string &name : model_names) {
-        core::CurveSpec spec;
-        spec.base.kind = parseModelKind(name);
-        spec.base.nvramPolicy = policy;
-        if (spec.base.kind == core::ModelKind::Volatile) {
-            spec.axis = core::CurveAxis::VolatileBytes;
-            for (const std::string &size_text : nvram_sizes)
-                spec.sizes.push_back(volatile_bytes +
-                                     util::parseBytes(size_text));
-        } else {
-            spec.base.volatileBytes = volatile_bytes;
-            spec.axis = core::CurveAxis::NvramBytes;
-            for (const std::string &size_text : nvram_sizes)
-                spec.sizes.push_back(util::parseBytes(size_text));
-        }
-        columns.push_back(runner.runCurveSweep(ops, spec));
-    }
-    std::vector<core::Metrics> row_major;
-    row_major.reserve(nvram_sizes.size() * model_names.size());
-    for (std::size_t s = 0; s < nvram_sizes.size(); ++s) {
-        for (const auto &column : columns)
-            row_major.push_back(column[s]);
-    }
-    return row_major;
-}
-
 int
 cmdSweep(const Args &args)
 {
@@ -437,7 +382,6 @@ cmdSweep(const Args &args)
         splitList(args.get("nvram", "0.5M,1M,2M,4M"));
     const Bytes volatile_bytes = args.getBytes("volatile", 8 * kMiB);
     const auto policy = parsePolicy(args.get("policy", "lru"));
-    const bool curve = curveRequested(args);
 
     // The (model x NVRAM size) grid, row-major by NVRAM size.  The
     // volatile model ignores NVRAM, so it contributes one run per
@@ -463,8 +407,8 @@ cmdSweep(const Args &args)
         static_cast<unsigned>(args.getInt("jobs", 0)));
 
     // Comma lists (--trace 3,4,7 or --in a,b,c) run the pipelined
-    // mode: ingest/prep of trace k+1 overlaps the replay of trace k
-    // (NVFS_PIPELINE=0 falls back to strict serial order).
+    // mode: one table per trace, each trace ingested, prepped and
+    // replayed in turn.
     const auto point_list = args.has("in")
                                 ? splitList(args.get("in"))
                                 : splitList(args.get("trace", ""));
@@ -493,18 +437,9 @@ cmdSweep(const Args &args)
                 const obs::StageTimer stage("sweep.prep", point);
                 return prep::convertTrace(buffer);
             },
-            [&](prep::OpStream ops) {
-                // The point's replay grid fans out over
-                // NVFS_GRID_JOBS tasks, bit-identical to the serial
-                // model loop; --curve collapses each LRU-managed
-                // model column into one single-pass replay.
+            [&](const prep::OpStream &ops) {
                 const obs::StageTimer stage("sweep.replay");
-                if (curve) {
-                    return runCurveGrid(runner, ops, model_names,
-                                        nvram_sizes, volatile_bytes,
-                                        policy);
-                }
-                return core::runClientGrid(ops, models);
+                return runner.runClientSweep(ops, models);
             });
         for (std::size_t t = 0; t < point_list.size(); ++t) {
             printSweepTable(
@@ -526,16 +461,11 @@ cmdSweep(const Args &args)
     }();
     const auto results = [&] {
         const obs::StageTimer stage("sweep.replay");
-        return curve ? runCurveGrid(runner, ops, model_names,
-                                    nvram_sizes, volatile_bytes,
-                                    policy)
-                     : runner.runClientSweep(ops, models);
+        return runner.runClientSweep(ops, models);
     }();
-    printSweepTable(
-        util::format("%s sweep, %u jobs, %zu runs",
-                     curve ? "curve" : "parallel", runner.jobs(),
-                     models.size()),
-        model_names, nvram_sizes, results);
+    printSweepTable(util::format("parallel sweep, %u jobs, %zu runs",
+                                 runner.jobs(), models.size()),
+                    model_names, nvram_sizes, results);
     return 0;
 }
 
@@ -704,7 +634,7 @@ usage()
         "  sweep    --trace N[,N...] [--scale S] [--jobs N]\n"
         "           [--models volatile,write-aside,unified]\n"
         "           [--nvram 0.5M,1M,2M,4M] [--volatile 8M]\n"
-        "           [--policy lru] [--curve [on|off]]\n"
+        "           [--policy lru]\n"
         "  check    [--runs 20] [--ops 2000] [--seed 1] "
         "[--clients 4]\n"
         "           [--files 48] [--audit 64] [--max-seconds T]\n"
