@@ -36,6 +36,8 @@ namespace {
 void
 BM_IntervalSetInsert(benchmark::State &state)
 {
+    // Arg(1) is the one-run set every dirty block holds (stored
+    // inline, no allocation); 64 and 1024 runs time the spilled map.
     util::Rng rng(1);
     for (auto _ : state) {
         util::IntervalSet set;
@@ -46,7 +48,7 @@ BM_IntervalSetInsert(benchmark::State &state)
         benchmark::DoNotOptimize(set.totalBytes());
     }
 }
-BENCHMARK(BM_IntervalSetInsert)->Arg(64)->Arg(1024);
+BENCHMARK(BM_IntervalSetInsert)->Arg(1)->Arg(64)->Arg(1024);
 
 void
 BM_BlockCacheChurn(benchmark::State &state)
@@ -255,7 +257,10 @@ BM_SweepRunner(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(models.size()));
 }
-BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_SweepRunner)
+    ->Arg(1)->Arg(2)->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void
 BM_ReplayGrid(benchmark::State &state)
@@ -288,6 +293,7 @@ BM_ReplayGrid(benchmark::State &state)
 BENCHMARK(BM_ReplayGrid)
     ->ArgName("jobs")
     ->Arg(1)->Arg(2)->Arg(4)
+    ->MeasureProcessCPUTime()
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -381,6 +387,7 @@ BENCHMARK(BM_ParallelIngest)
     ->ArgNames({"jobs", "text"})
     ->Args({1, 0})->Args({2, 0})->Args({4, 0})
     ->Args({1, 1})->Args({2, 1})->Args({4, 1})
+    ->MeasureProcessCPUTime()
     ->UseRealTime();
 
 } // namespace
@@ -393,6 +400,8 @@ int
 main(int argc, char **argv)
 {
     nvfs::obs::autoExportFromEnv();
+    // bench_compare.py records the build type beside the core count.
+    benchmark::AddCustomContext("nvfs_build_type", NVFS_BUILD_TYPE);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

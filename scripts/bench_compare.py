@@ -39,7 +39,7 @@ import tempfile
 
 E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_ReplayGrid", "BM_CurveSweep")
 GRID_NAME = re.compile(
-    r"^BM_ReplayGrid/jobs:(\d+)(?:/real_time)?$")
+    r"^BM_ReplayGrid/jobs:(\d+)(?:/process_time)?(?:/real_time)?$")
 CURVE_NAME = re.compile(
     r"^BM_CurveSweep/nvram:(\d+)/curve:(\d+)$")
 CURVE_AXIS_NAMES = {0: "volatile_axis", 1: "nvram_axis"}
@@ -243,11 +243,15 @@ def host_metadata(raw):
     The speedup ratios only mean something next to the parallelism
     that was available: std::thread::hardware_concurrency (surfaced
     as num_cpus in the google-benchmark context) and the NVFS_JOBS
-    override in effect during the run.
+    override in effect during the run.  The timings also depend on
+    how the simulator was compiled: perf_microbench reports its CMake
+    build type as nvfs_build_type (the context's library_build_type
+    is google-benchmark's own).
     """
+    context = raw.get("context", {})
     return {
-        "hardware_concurrency": raw.get("context", {}).get(
-            "num_cpus", os.cpu_count()),
+        "hardware_concurrency": context.get("num_cpus", os.cpu_count()),
+        "build_type": context.get("nvfs_build_type"),
         "env": {
             "NVFS_JOBS": os.environ.get("NVFS_JOBS"),
         },
@@ -463,6 +467,7 @@ def main():
     raw, counters = run_benchmarks(args.bench, args.bench_filter,
                                    args.min_time, args.repetitions)
     summary = summarize(raw, lambda name: not is_e2e(name))
+    summary["metadata"] = host_metadata(raw)
     with open(args.output, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

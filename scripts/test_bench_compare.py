@@ -184,6 +184,28 @@ class AddSpeedupsTest(unittest.TestCase):
         self.assertAlmostEqual(
             e2e["curve_speedups"]["nvram_axis"]["speedup"], 2.0)
 
+    def test_pairs_process_time_grid_runs(self):
+        # Threaded benches measure process CPU time, which
+        # google-benchmark marks with a /process_time name segment.
+        e2e = bench_compare.add_speedups({"benchmarks": {
+            "BM_ReplayGrid/jobs:1/process_time/real_time":
+                entry(300.0, 290.0),
+            "BM_ReplayGrid/jobs:4/process_time/real_time":
+                entry(100.0, 320.0),
+        }})
+        jobs4 = e2e["grid_speedups"]["jobs4"]
+        self.assertAlmostEqual(jobs4["speedup"], 3.0)
+        self.assertAlmostEqual(jobs4["grid_cpu_ms"], 320.0 / 1e6)
+
+
+class HostMetadataTest(unittest.TestCase):
+    def test_records_core_count_and_build_type(self):
+        meta = bench_compare.host_metadata({"context": {
+            "num_cpus": 4, "library_build_type": "debug",
+            "nvfs_build_type": "RelWithDebInfo"}})
+        self.assertEqual(meta["hardware_concurrency"], 4)
+        self.assertEqual(meta["build_type"], "RelWithDebInfo")
+
 
 class CountersTest(unittest.TestCase):
     def test_load_stats_snapshot_flattens(self):

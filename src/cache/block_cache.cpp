@@ -72,9 +72,9 @@ BlockCache::freeEntry(std::uint32_t idx)
 {
     // Every removal path resets the entry's list links through
     // listRemove, and every insert path sets id and lastAccess, so
-    // only the dirty state needs clearing here.  dirty.clear() keeps
-    // the interval vector's capacity parked in the vacant slot, which
-    // spares the next occupant the reallocation.
+    // only the dirty state needs clearing here.  dirty.clear() returns
+    // the run set to its inline form, so a vacant slot holds no heap
+    // memory.
     Entry &entry = arena_[idx];
     entry.block.dirty.clear();
     entry.block.lastModify = kNoTime;

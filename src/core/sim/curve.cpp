@@ -41,6 +41,8 @@ struct PerSizeState
     SizeLink link; ///< dirty FIFO (volatile) / vol-or-nv LRU (unified)
     util::IntervalSet dirty;
 };
+static_assert(sizeof(PerSizeState) <= 40,
+              "one (slot, size) entry: stamp, links, inline dirty run");
 
 /** End-of-file clipping, shared with ClientModel::blockTransferBytes. */
 Bytes

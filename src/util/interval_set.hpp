@@ -11,9 +11,12 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/audit.hpp"
@@ -38,33 +41,53 @@ struct ByteRange
  *
  * Insert/erase are O(log n + k) where k is the number of overlapped
  * ranges.  Iteration yields ranges in increasing order.
+ *
+ * Almost every set holds at most one run (a cache block's dirty bytes
+ * are nearly always one contiguous span), so that case is stored
+ * inline and allocates nothing.  A second disjoint run spills the runs
+ * into an ordered map; the set returns to the inline form as soon as
+ * it is back to one run or none, so the representation is canonical:
+ * spilled if and only if it holds two or more runs.
  */
 class IntervalSet
 {
   public:
     IntervalSet() = default;
-    IntervalSet(const IntervalSet &) = default;
-    IntervalSet &operator=(const IntervalSet &) = default;
 
-    // Moves reset the source's byte total: a moved-from std::map is
-    // empty, and leaving the scalar behind produces a set whose
-    // total_ disagrees with its (zero) runs — a latent corruption if
-    // the moved-from object is ever used again.
-    IntervalSet(IntervalSet &&other) noexcept
-        : ranges_(std::move(other.ranges_)), total_(other.total_)
+    // Copies are deep: a spilled source's runs are duplicated.
+    IntervalSet(const IntervalSet &other)
+        : begin_(other.begin_), end_(other.end_),
+          spill_(other.spill_ ? std::make_unique<Spill>(*other.spill_)
+                              : nullptr)
+    {}
+
+    IntervalSet &
+    operator=(const IntervalSet &other)
     {
-        other.ranges_.clear();
-        other.total_ = 0;
+        if (this != &other)
+            *this = IntervalSet(other);
+        return *this;
+    }
+
+    // Moves leave the source empty and zeroed, ready for reuse;
+    // otherwise an inline source would keep a copy of its run.
+    IntervalSet(IntervalSet &&other) noexcept
+        : begin_(other.begin_), end_(other.end_),
+          spill_(std::move(other.spill_))
+    {
+        other.begin_ = 0;
+        other.end_ = 0;
     }
 
     IntervalSet &
     operator=(IntervalSet &&other) noexcept
     {
         if (this != &other) {
-            ranges_ = std::move(other.ranges_);
-            total_ = other.total_;
-            other.ranges_.clear();
-            other.total_ = 0;
+            begin_ = other.begin_;
+            end_ = other.end_;
+            spill_ = std::move(other.spill_);
+            other.begin_ = 0;
+            other.end_ = 0;
         }
         return *this;
     }
@@ -75,9 +98,24 @@ class IntervalSet
     {
         if (end <= begin)
             return;
+        if (!spill_) {
+            if (begin_ == end_) {
+                begin_ = begin;
+                end_ = end;
+                return;
+            }
+            if (begin <= end_ && end >= begin_) {
+                begin_ = std::min(begin_, begin);
+                end_ = std::max(end_, end);
+                return;
+            }
+            spillRuns({begin_, end_}, {begin, end});
+            return;
+        }
+        auto &ranges = spill_->ranges;
         // Find the first range that could touch [begin, end).
-        auto it = ranges_.lower_bound(begin);
-        if (it != ranges_.begin()) {
+        auto it = ranges.lower_bound(begin);
+        if (it != ranges.begin()) {
             auto prev = std::prev(it);
             if (prev->second >= begin)
                 it = prev;
@@ -85,14 +123,15 @@ class IntervalSet
         Bytes new_begin = begin;
         Bytes new_end = end;
         Bytes absorbed = 0;
-        while (it != ranges_.end() && it->first <= new_end) {
+        while (it != ranges.end() && it->first <= new_end) {
             new_begin = std::min(new_begin, it->first);
             new_end = std::max(new_end, it->second);
             absorbed += it->second - it->first;
-            it = ranges_.erase(it);
+            it = ranges.erase(it);
         }
-        ranges_.emplace(new_begin, new_end);
-        total_ += (new_end - new_begin) - absorbed;
+        ranges.emplace_hint(it, new_begin, new_end);
+        spill_->total += (new_end - new_begin) - absorbed;
+        unspillIfSmall();
     }
 
     /** Remove [begin, end) from the set, splitting runs as needed. */
@@ -101,29 +140,50 @@ class IntervalSet
     {
         if (end <= begin)
             return;
-        auto it = ranges_.lower_bound(begin);
-        if (it != ranges_.begin()) {
+        if (!spill_) {
+            if (end <= begin_ || begin >= end_)
+                return; // disjoint, or the set is empty
+            if (begin <= begin_ && end >= end_) {
+                begin_ = 0;
+                end_ = 0;
+            } else if (begin <= begin_) {
+                begin_ = end;
+            } else if (end >= end_) {
+                end_ = begin;
+            } else {
+                spillRuns({begin_, begin}, {end, end_});
+            }
+            return;
+        }
+        auto &ranges = spill_->ranges;
+        auto it = ranges.lower_bound(begin);
+        if (it != ranges.begin()) {
             auto prev = std::prev(it);
             if (prev->second > begin)
                 it = prev;
         }
-        std::vector<std::pair<Bytes, Bytes>> to_add;
-        while (it != ranges_.end() && it->first < end) {
+        // Only the first and last overlapped runs can leave a flank.
+        ByteRange head;
+        ByteRange tail;
+        while (it != ranges.end() && it->first < end) {
             const Bytes rb = it->first;
             const Bytes re = it->second;
-            it = ranges_.erase(it);
+            it = ranges.erase(it);
             if (rb < begin)
-                to_add.emplace_back(rb, begin);
+                head = {rb, begin};
             if (re > end)
-                to_add.emplace_back(end, re);
-            total_ -= std::min(re, end) - std::max(rb, begin);
+                tail = {end, re};
+            spill_->total -= std::min(re, end) - std::max(rb, begin);
         }
-        for (const auto &[b, e] : to_add)
-            ranges_.emplace(b, e);
+        if (!head.empty())
+            ranges.emplace_hint(it, head.begin, head.end);
+        if (!tail.empty())
+            ranges.emplace_hint(it, tail.begin, tail.end);
+        unspillIfSmall();
     }
 
     /** Total bytes covered. */
-    Bytes totalBytes() const { return total_; }
+    Bytes totalBytes() const { return spill_ ? spill_->total : end_ - begin_; }
 
     /** Bytes of [begin, end) covered by the set. */
     Bytes
@@ -131,14 +191,20 @@ class IntervalSet
     {
         if (end <= begin)
             return 0;
+        if (!spill_) {
+            const Bytes b = std::max(begin, begin_);
+            const Bytes e = std::min(end, end_);
+            return e > b ? e - b : 0;
+        }
+        const auto &ranges = spill_->ranges;
         Bytes covered = 0;
-        auto it = ranges_.lower_bound(begin);
-        if (it != ranges_.begin()) {
+        auto it = ranges.lower_bound(begin);
+        if (it != ranges.begin()) {
             auto prev = std::prev(it);
             if (prev->second > begin)
                 it = prev;
         }
-        for (; it != ranges_.end() && it->first < end; ++it) {
+        for (; it != ranges.end() && it->first < end; ++it) {
             const Bytes b = std::max(begin, it->first);
             const Bytes e = std::min(end, it->second);
             if (e > b)
@@ -148,17 +214,22 @@ class IntervalSet
     }
 
     /** True when nothing is covered. */
-    bool empty() const { return ranges_.empty(); }
+    bool empty() const { return !spill_ && begin_ == end_; }
 
     /** Number of disjoint runs. */
-    std::size_t runCount() const { return ranges_.size(); }
+    std::size_t
+    runCount() const
+    {
+        return spill_ ? spill_->ranges.size() : (begin_ != end_ ? 1 : 0);
+    }
 
     /** Remove everything. */
     void
     clear()
     {
-        ranges_.clear();
-        total_ = 0;
+        spill_.reset();
+        begin_ = 0;
+        end_ = 0;
     }
 
     /** Snapshot of the runs in increasing order. */
@@ -166,25 +237,42 @@ class IntervalSet
     runs() const
     {
         std::vector<ByteRange> out;
-        out.reserve(ranges_.size());
-        for (const auto &[b, e] : ranges_)
+        if (!spill_) {
+            if (begin_ != end_)
+                out.push_back({begin_, end_});
+            return out;
+        }
+        out.reserve(spill_->ranges.size());
+        for (const auto &[b, e] : spill_->ranges)
             out.push_back({b, e});
         return out;
     }
 
     /**
      * Structural audit (nvfs::check): every run non-empty, runs
-     * strictly separated (coalescing leaves no adjacent pair), and the
-     * incremental total_ equal to the sum of the runs.  Throws
+     * strictly separated (coalescing leaves no adjacent pair), the
+     * incremental total equal to the sum of the runs, and the
+     * representation canonical (inline for zero or one run, with an
+     * empty set zeroed; spilled only for two or more).  Throws
      * AuditError on violation.
      */
     void
     auditInvariants() const
     {
+        if (!spill_) {
+            NVFS_AUDIT_CHECK(begin_ < end_ || (begin_ == 0 && end_ == 0),
+                             "IntervalSet",
+                             "inline run inverted or empty but not zeroed");
+            return;
+        }
+        NVFS_AUDIT_CHECK(begin_ == 0 && end_ == 0, "IntervalSet",
+                         "spilled set kept a stale inline run");
+        NVFS_AUDIT_CHECK(spill_->ranges.size() >= 2, "IntervalSet",
+                         "spilled set holds fewer than two runs");
         Bytes sum = 0;
         Bytes prev_end = 0;
         bool first = true;
-        for (const auto &[b, e] : ranges_) {
+        for (const auto &[b, e] : spill_->ranges) {
             NVFS_AUDIT_CHECK(b < e, "IntervalSet", "empty run stored");
             NVFS_AUDIT_CHECK(first || b > prev_end, "IntervalSet",
                              "runs overlap or touch (not coalesced)");
@@ -192,14 +280,57 @@ class IntervalSet
             prev_end = e;
             first = false;
         }
-        NVFS_AUDIT_CHECK(sum == total_, "IntervalSet",
+        NVFS_AUDIT_CHECK(sum == spill_->total, "IntervalSet",
                          "incremental byte total diverged from runs");
     }
 
   private:
-    std::map<Bytes, Bytes> ranges_; // begin -> end
-    Bytes total_ = 0;
+    /** Two or more runs: begin -> end, plus their byte total. */
+    struct Spill
+    {
+        std::map<Bytes, Bytes> ranges;
+        Bytes total = 0;
+    };
+
+    /** Leave the inline form holding the two disjoint runs `a` < `b`. */
+    void
+    spillRuns(ByteRange a, ByteRange b)
+    {
+        if (b.begin < a.begin)
+            std::swap(a, b);
+        spill_ = std::make_unique<Spill>();
+        spill_->ranges.emplace_hint(spill_->ranges.end(), a.begin, a.end);
+        spill_->ranges.emplace_hint(spill_->ranges.end(), b.begin, b.end);
+        spill_->total = a.length() + b.length();
+        begin_ = 0;
+        end_ = 0;
+    }
+
+    /** Return to the inline form once at most one run is left. */
+    void
+    unspillIfSmall()
+    {
+        const auto &ranges = spill_->ranges;
+        if (ranges.size() >= 2)
+            return;
+        const bool one = !ranges.empty();
+        const Bytes b = one ? ranges.begin()->first : 0;
+        const Bytes e = one ? ranges.begin()->second : 0;
+        spill_.reset();
+        begin_ = b;
+        end_ = e;
+    }
+
+    // Inline form (spill_ empty): the one run is [begin_, end_), and
+    // begin_ == end_ == 0 when the set is empty.  Spilled form: both
+    // are 0 and the runs live in *spill_.
+    Bytes begin_ = 0;
+    Bytes end_ = 0;
+    std::unique_ptr<Spill> spill_;
 };
+
+static_assert(sizeof(IntervalSet) <= 24,
+              "IntervalSet must stay two offsets and a pointer");
 
 /**
  * A map from disjoint byte ranges to values of type T.

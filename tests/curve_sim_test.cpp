@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/sim/curve.hpp"
@@ -19,6 +20,7 @@
 #include "util/audit.hpp"
 #include "util/fenwick.hpp"
 #include "util/rng.hpp"
+#include "multi_run_ops.hpp"
 
 namespace nvfs::core {
 namespace {
@@ -54,10 +56,13 @@ unifiedSpec()
 // (operator== covers the per-cause byte histogram and both absorbed
 // counters).  Audits stay on inside the curve engine so the
 // threshold/inclusion invariants are checked throughout the replay.
+// One more input, the multi-run stream, puts two or more dirty runs
+// in a block, which no standard trace does, so the spilled form of
+// the per-size dirty sets is compared too.
 TEST(CurveDifferential, MatchesGridOnStandardTraces)
 {
-    for (int trace = 1; trace <= 8; ++trace) {
-        const auto &ops = standardOps(trace, kScale);
+    const auto compare = [](const std::string &input,
+                            const prep::OpStream &ops) {
         for (CurveSpec spec : {volatileSpec(), unifiedSpec()}) {
             spec.auditEvery = 997;
             ASSERT_TRUE(curveSupported(spec));
@@ -67,14 +72,20 @@ TEST(CurveDifferential, MatchesGridOnStandardTraces)
             ASSERT_EQ(curve.size(), grid.size());
             for (std::size_t k = 0; k < curve.size(); ++k) {
                 EXPECT_EQ(curve[k], grid[k])
-                    << "trace " << trace << " axis "
+                    << input << " axis "
                     << (spec.axis == CurveAxis::VolatileBytes
                             ? "volatile"
                             : "nvram")
                     << " size " << spec.sizes[k];
             }
         }
-    }
+    };
+    for (int trace = 1; trace <= 8; ++trace)
+        compare("trace " + std::to_string(trace), standardOps(trace, kScale));
+
+    const prep::OpStream multi_run = testutil::multiRunOps(16);
+    ASSERT_GT(testutil::multiRunWrites(multi_run), 0u);
+    compare("multi-run stream", multi_run);
 }
 
 // Every spec shape the figure benches pass to runCurveSweep, through

@@ -14,6 +14,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "core/lifetime/next_modify.hpp"
 #include "core/sim/experiments.hpp"
 #include "util/rng.hpp"
+#include "multi_run_ops.hpp"
 
 namespace nvfs::core {
 namespace {
@@ -79,7 +81,9 @@ crashSchedule(const prep::OpStream &ops)
 // per-block reference, identical Metrics (operator== covers the
 // per-cause byte histogram, both absorbed counters and the lost dirty
 // bytes).  Both sides replay through core::replayOps, so the crash
-// and callback dispatch is exercised against both engines.
+// and callback dispatch is exercised against both engines.  The
+// multi-run stream is one more input: it puts two or more dirty runs
+// in a block, which no standard trace does.
 TEST(ExtentEngineDifferential, MatchesPerBlockReferenceOnStandardTraces)
 {
     const ModelKind kinds[] = {ModelKind::Volatile,
@@ -87,8 +91,8 @@ TEST(ExtentEngineDifferential, MatchesPerBlockReferenceOnStandardTraces)
                                ModelKind::Unified};
     Bytes lost = 0;
     Bytes recovered = 0;
-    for (int trace = 1; trace <= 8; ++trace) {
-        const auto &ops = standardOps(trace, kScale);
+    const auto compare = [&](const std::string &input,
+                             const prep::OpStream &ops) {
         for (ModelKind kind : kinds) {
             for (bool callbacks : {false, true}) {
                 for (bool crashes : {false, true}) {
@@ -100,16 +104,23 @@ TEST(ExtentEngineDifferential, MatchesPerBlockReferenceOnStandardTraces)
                     const Metrics production = runCluster(ops, config);
                     EXPECT_EQ(production,
                               check::runPerBlockReference(ops, config))
-                        << "trace " << trace << " model "
-                        << modelKindName(kind) << " callbacks "
-                        << callbacks << " crashes " << crashes;
+                        << input << " model " << modelKindName(kind)
+                        << " callbacks " << callbacks << " crashes "
+                        << crashes;
                     lost += production.lostDirtyBytes;
                     recovered +=
                         production.serverWrites(WriteCause::Recovery);
                 }
             }
         }
-    }
+    };
+    for (int trace = 1; trace <= 8; ++trace)
+        compare("trace " + std::to_string(trace), standardOps(trace, kScale));
+
+    const prep::OpStream multi_run = testutil::multiRunOps(16);
+    ASSERT_GT(testutil::multiRunWrites(multi_run), 0u);
+    compare("multi-run stream", multi_run);
+
     // The crash axis must actually crash clients holding dirty data.
     EXPECT_GT(lost, 0u);
     EXPECT_GT(recovered, 0u);

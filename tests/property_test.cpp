@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "cache/block_cache.hpp"
 #include "core/lifetime/lifetime.hpp"
@@ -30,6 +32,85 @@ class SeededTest : public ::testing::TestWithParam<std::uint64_t>
 // ----------------------------------------- IntervalSet vs. bitmap
 
 using IntervalSeed = SeededTest;
+
+/** Apply the same insert or erase to `set` and to `bitmap`. */
+void
+applyToBoth(util::IntervalSet &set, std::vector<bool> &bitmap,
+            Bytes begin, Bytes end, bool insert)
+{
+    if (insert)
+        set.insert(begin, end);
+    else
+        set.erase(begin, end);
+    for (Bytes i = begin; i < end; ++i)
+        bitmap[i] = insert;
+}
+
+/**
+ * One step of a block-shaped op mix over offsets in [0, kBlockSize]:
+ * appends (some after a gap), whole-block overwrites, tail truncates,
+ * a middle erase that splits one run, scattered writes that may bridge
+ * gaps, and a clear() every 32 steps.  Unlike the scattered ranges
+ * above, it keeps returning a set to one run or none, so it crosses
+ * IntervalSet's inline/spilled boundary in both directions.
+ */
+void
+blockShapedStep(util::Rng &rng, int step, util::IntervalSet &set,
+                std::vector<bool> &bitmap)
+{
+    if (step % 32 == 31) {
+        set.clear();
+        std::fill(bitmap.begin(), bitmap.end(), false);
+        return;
+    }
+    const auto runs = set.runs();
+    const std::uint64_t roll = rng.uniformInt(0, 99);
+    if (roll < 35) {
+        const Bytes tail = runs.empty() ? 0 : runs.back().end;
+        const Bytes gap = rng.chance(0.4) ? rng.uniformInt(1, 512) : 0;
+        const Bytes begin = std::min(kBlockSize, tail + gap);
+        const Bytes end =
+            std::min(kBlockSize, begin + rng.uniformInt(1, 1024));
+        applyToBoth(set, bitmap, begin, end, true);
+    } else if (roll < 45) {
+        set.clear();
+        set.insert(0, kBlockSize);
+        std::fill(bitmap.begin(), bitmap.end(), true);
+    } else if (roll < 65) {
+        applyToBoth(set, bitmap, rng.uniformInt(0, kBlockSize), kBlockSize,
+                    false);
+    } else if (roll < 80) {
+        if (runs.empty())
+            return;
+        const util::ByteRange run = runs[rng.uniformInt(0, runs.size() - 1)];
+        if (run.length() < 3)
+            return;
+        const Bytes begin = run.begin + rng.uniformInt(1, run.length() - 2);
+        const Bytes end = begin + rng.uniformInt(1, run.end - 1 - begin);
+        applyToBoth(set, bitmap, begin, end, false);
+    } else {
+        const Bytes begin = rng.uniformInt(0, kBlockSize - 1);
+        const Bytes end =
+            std::min(kBlockSize, begin + rng.uniformInt(1, 768));
+        applyToBoth(set, bitmap, begin, end, true);
+    }
+}
+
+/** The maximal runs of set bits in `bitmap`. */
+std::vector<util::ByteRange>
+bitmapRuns(const std::vector<bool> &bitmap)
+{
+    std::vector<util::ByteRange> runs;
+    for (Bytes i = 0; i < bitmap.size(); ++i) {
+        if (!bitmap[i])
+            continue;
+        if (!runs.empty() && runs.back().end == i)
+            ++runs.back().end;
+        else
+            runs.push_back({i, i + 1});
+    }
+    return runs;
+}
 
 TEST_P(IntervalSeed, IntervalSetRunsStayCanonical)
 {
@@ -59,6 +140,35 @@ TEST_P(IntervalSeed, IntervalSetRunsStayCanonical)
         ASSERT_EQ(total, set.totalBytes());
         ASSERT_EQ(runs.size(), set.runCount());
     }
+
+    // One more input: the block-shaped mix.  Every step must also pass
+    // the set's own audit, which checks that one run or none is held
+    // inline and only two or more are spilled.
+    util::IntervalSet block;
+    std::vector<bool> bitmap(kBlockSize, false);
+    std::size_t spills = 0;
+    std::size_t returns = 0;
+    for (int step = 0; step < 600; ++step) {
+        const std::size_t before = block.runCount();
+        blockShapedStep(rng, step, block, bitmap);
+        ASSERT_NO_THROW(block.auditInvariants()) << "step " << step;
+        const auto runs = block.runs();
+        Bytes total = 0;
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            ASSERT_LT(runs[i].begin, runs[i].end);
+            ASSERT_LE(runs[i].end, kBlockSize);
+            total += runs[i].length();
+            if (i > 0) {
+                ASSERT_GT(runs[i].begin, runs[i - 1].end);
+            }
+        }
+        ASSERT_EQ(total, block.totalBytes());
+        ASSERT_EQ(runs.size(), block.runCount());
+        spills += before <= 1 && runs.size() >= 2;
+        returns += before >= 2 && runs.size() <= 1;
+    }
+    EXPECT_GT(spills, 0u);
+    EXPECT_GT(returns, 0u);
 }
 
 TEST_P(IntervalSeed, IntervalSetExactBitmapEquivalence)
@@ -93,6 +203,30 @@ TEST_P(IntervalSeed, IntervalSetExactBitmapEquivalence)
             overlap += bitmap[i] ? 1 : 0;
         ASSERT_EQ(set.overlapBytes(qb, std::min<Bytes>(qe, 1024)),
                   overlap);
+    }
+
+    // One more input: the block-shaped mix over a 4 KB bitmap, checked
+    // run for run after every step.
+    util::IntervalSet block;
+    std::vector<bool> block_bitmap(kBlockSize, false);
+    for (int step = 0; step < 600; ++step) {
+        blockShapedStep(rng, step, block, block_bitmap);
+        const auto expected = bitmapRuns(block_bitmap);
+        ASSERT_EQ(block.runs(), expected) << "step " << step;
+        ASSERT_EQ(block.runCount(), expected.size()) << "step " << step;
+        ASSERT_EQ(block.empty(), expected.empty()) << "step " << step;
+        Bytes covered = 0;
+        for (const util::ByteRange &run : expected)
+            covered += run.length();
+        ASSERT_EQ(block.totalBytes(), covered) << "step " << step;
+        ASSERT_NO_THROW(block.auditInvariants()) << "step " << step;
+
+        const Bytes qb = rng.uniformInt(0, kBlockSize);
+        const Bytes qe = std::min(kBlockSize, qb + rng.uniformInt(0, 2048));
+        Bytes overlap = 0;
+        for (Bytes i = qb; i < qe; ++i)
+            overlap += block_bitmap[i] ? 1 : 0;
+        ASSERT_EQ(block.overlapBytes(qb, qe), overlap) << "step " << step;
     }
 }
 

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "util/audit.hpp"
 #include "util/env.hpp"
@@ -539,6 +540,58 @@ TEST(Audit, MovedFromIntervalSetStaysConsistent)
     EXPECT_TRUE(b.empty());
     EXPECT_EQ(b.totalBytes(), 0u);
     EXPECT_NO_THROW(b.auditInvariants());
+
+    // The same for a spilled set (two or more runs live in a map, not
+    // inline).  Copies must be deep: changing a copy leaves the source
+    // as it was.
+    const std::vector<ByteRange> three = {{0, 100}, {200, 300}, {400, 500}};
+    IntervalSet spilled;
+    for (const ByteRange &run : three)
+        spilled.insert(run.begin, run.end);
+    ASSERT_EQ(spilled.runs(), three);
+
+    IntervalSet copy(spilled);
+    copy.erase(50, 450); // back to two runs in the copy only
+    EXPECT_EQ(copy.runs(), (std::vector<ByteRange>{{0, 50}, {450, 500}}));
+    EXPECT_NO_THROW(copy.auditInvariants());
+    copy.insert(50, 450); // one run: inline again
+    EXPECT_EQ(copy.runCount(), 1u);
+    EXPECT_EQ(copy.totalBytes(), 500u);
+    EXPECT_NO_THROW(copy.auditInvariants());
+
+    IntervalSet assigned;
+    assigned.insert(1000, 2000);
+    assigned = spilled;
+    assigned.clear();
+    EXPECT_TRUE(assigned.empty());
+    EXPECT_EQ(spilled.runs(), three);
+    EXPECT_EQ(spilled.totalBytes(), 300u);
+    EXPECT_NO_THROW(spilled.auditInvariants());
+
+    IntervalSet moved(std::move(spilled));
+    EXPECT_EQ(moved.runs(), three);
+    EXPECT_EQ(moved.totalBytes(), 300u);
+    EXPECT_TRUE(spilled.empty());
+    EXPECT_EQ(spilled.totalBytes(), 0u);
+    EXPECT_EQ(spilled.runCount(), 0u);
+    EXPECT_EQ(spilled.overlapBytes(0, 500), 0u);
+    EXPECT_NO_THROW(spilled.auditInvariants());
+    spilled.insert(10, 20); // reusable, inline and spilled
+    spilled.insert(30, 40);
+    EXPECT_EQ(spilled.runCount(), 2u);
+    EXPECT_EQ(spilled.totalBytes(), 20u);
+    EXPECT_NO_THROW(spilled.auditInvariants());
+
+    IntervalSet target;
+    target.insert(0, 10);
+    target.insert(20, 30);
+    target = std::move(moved); // the target's own spill is released
+    EXPECT_EQ(target.runs(), three);
+    EXPECT_NO_THROW(target.auditInvariants());
+    EXPECT_TRUE(moved.empty());
+    EXPECT_EQ(moved.totalBytes(), 0u);
+    EXPECT_EQ(moved.runCount(), 0u);
+    EXPECT_NO_THROW(moved.auditInvariants());
 }
 
 } // namespace

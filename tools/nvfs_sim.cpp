@@ -25,6 +25,7 @@
  * --jobs experiments in parallel (default NVFS_JOBS, else all cores).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -71,6 +72,29 @@ class Args
     }
 
     bool has(const std::string &key) const { return values_.count(key); }
+
+    /**
+     * Fail, naming them, on any flags outside `known` and the global
+     * --stats: a misspelt or leftover flag must not run the defaults.
+     */
+    void
+    rejectUnknown(const std::string &command,
+                  const std::vector<std::string> &known) const
+    {
+        std::string unknown;
+        std::size_t count = 0;
+        for (const auto &[key, value] : values_) {
+            if (key == "stats" ||
+                std::find(known.begin(), known.end(), key) != known.end())
+                continue;
+            unknown += " --" + key;
+            ++count;
+        }
+        if (count > 0) {
+            util::fatal("nvfs_sim " + command + ": unknown flag" +
+                        (count > 1 ? "s" : "") + unknown);
+        }
+    }
 
     std::string
     get(const std::string &key, const std::string &fallback = "") const
@@ -651,34 +675,56 @@ usage()
         "           seeded sample of N sites)\n"
         "\n"
         "Every command also accepts --stats (print the observability\n"
-        "counter/timer table after the run).  NVFS_STATS_OUT=FILE\n"
+        "counter/timer table after the run); any flag a command does\n"
+        "not list is an error.  NVFS_STATS_OUT=FILE\n"
         "writes the same snapshot as JSON at exit; NVFS_TRACE_OUT=FILE\n"
         "writes Chrome trace-event spans (open in about:tracing).\n");
 }
+
+/** A subcommand and every flag it reads (besides the global --stats). */
+struct Command
+{
+    std::string name;
+    int (*run)(const Args &);
+    std::vector<std::string> flags;
+};
 
 } // namespace
 
 int
 dispatch(const std::string &command, const Args &args)
 {
-    if (command == "generate")
-        return cmdGenerate(args);
-    if (command == "validate")
-        return cmdValidate(args);
-    if (command == "lifetime")
-        return cmdLifetime(args);
-    if (command == "profile")
-        return cmdProfile(args);
-    if (command == "client")
-        return cmdClient(args);
-    if (command == "server")
-        return cmdServer(args);
-    if (command == "sweep")
-        return cmdSweep(args);
-    if (command == "check")
-        return cmdCheck(args);
-    if (command == "crashsweep")
-        return cmdCrashsweep(args);
+    // The trace source every loadOrGenerate caller accepts.
+    const std::vector<std::string> source = {"in", "text", "trace",
+                                             "scale", "compat"};
+    const auto with_source = [&](std::vector<std::string> flags) {
+        flags.insert(flags.end(), source.begin(), source.end());
+        return flags;
+    };
+    const Command commands[] = {
+        {"generate", cmdGenerate, with_source({"out"})},
+        {"validate", cmdValidate, source},
+        {"lifetime", cmdLifetime, source},
+        {"profile", cmdProfile, source},
+        {"client", cmdClient,
+         with_source({"model", "volatile", "nvram", "policy",
+                      "block-callbacks", "crash"})},
+        {"server", cmdServer, {"hours", "buffer", "scale"}},
+        {"sweep", cmdSweep,
+         with_source({"jobs", "models", "nvram", "volatile", "policy"})},
+        {"check", cmdCheck,
+         {"runs", "ops", "seed", "clients", "files", "audit",
+          "max-seconds", "no-shrink"}},
+        {"crashsweep", cmdCrashsweep,
+         with_source(
+             {"models", "buffers", "seed", "sample", "no-shrink"})},
+    };
+    for (const Command &entry : commands) {
+        if (entry.name == command) {
+            args.rejectUnknown(command, entry.flags);
+            return entry.run(args);
+        }
+    }
     usage();
     return 1;
 }
