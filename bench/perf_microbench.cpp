@@ -6,8 +6,6 @@
  */
 
 #include <cstdio>
-#include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -22,12 +20,9 @@
 #include "lfs/log.hpp"
 #include "obs/export.hpp"
 #include "prep/op_cache.hpp"
-#include "trace/stream.hpp"
 #include "util/flat_map.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/generator.hpp"
 
 using namespace nvfs;
 
@@ -339,56 +334,6 @@ BENCHMARK(BM_CurveSweep)
     ->Args({0, 0})->Args({0, 1})
     ->Args({1, 0})->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
-
-/** Trace file on disk for the ingest bench, written once. */
-const std::string &
-benchTracePath(int trace, bool text)
-{
-    static std::map<std::uint64_t, std::string> paths;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(trace) << 1) | (text ? 1 : 0);
-    const auto it = paths.find(key);
-    if (it != paths.end())
-        return it->second;
-    const std::string path = "/tmp/nvfs_bench_ingest_" +
-                             std::to_string(::getpid()) + "_t" +
-                             std::to_string(trace) +
-                             (text ? ".txt" : ".nvt");
-    const auto buffer =
-        workload::generateStandardTrace(trace, core::benchScale());
-    if (text)
-        trace::writeTraceText(path, buffer);
-    else
-        trace::writeTraceFile(path, buffer);
-    return paths.emplace(key, path).first->second;
-}
-
-void
-BM_ParallelIngest(benchmark::State &state)
-{
-    // mmap-chunked trace parse at a fixed worker count: jobs=1 is the
-    // serial baseline for the parallel-ingest speedup.  Arg(1) picks
-    // the format (0 = binary records, 1 = text lines).
-    const auto jobs = static_cast<unsigned>(state.range(0));
-    const bool text = state.range(1) != 0;
-    const std::string &path = benchTracePath(7, text);
-    util::ThreadPool pool(jobs);
-    for (auto _ : state) {
-        const auto buffer = text ? trace::readTraceText(path, &pool)
-                                 : trace::readTraceFile(path, &pool);
-        benchmark::DoNotOptimize(buffer.events.size());
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(
-            std::filesystem::file_size(path)));
-}
-BENCHMARK(BM_ParallelIngest)
-    ->ArgNames({"jobs", "text"})
-    ->Args({1, 0})->Args({2, 0})->Args({4, 0})
-    ->Args({1, 1})->Args({2, 1})->Args({4, 1})
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 } // namespace
 

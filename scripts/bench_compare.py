@@ -57,7 +57,7 @@ def run_benchmarks(bench, bench_filter, min_time, repetitions):
     """Run perf_microbench; return (report, obs counter snapshot).
 
     The bench binary honours NVFS_STATS_OUT (nvfs::obs auto-export),
-    so the run doubles as the counter capture: steal rates, cache hit
+    so the run doubles as the counter capture: pool task counts, cache hit
     ratios, and extent-probe totals land next to the medians they
     explain.
     """

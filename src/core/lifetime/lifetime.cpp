@@ -1,13 +1,12 @@
 #include "core/lifetime/lifetime.hpp"
 
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
 #include "core/client/server_state.hpp"
-#include "prep/file_shards.hpp"
 #include "util/interval_set.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nvfs::core {
 
@@ -46,22 +45,11 @@ LifetimeResult::netWriteTrafficPct(TimeUs delay) const
            static_cast<double>(totalWritten);
 }
 
-namespace {
-
-/**
- * The serial lifetime scan, restricted to one file shard: `own`
- * holds the shard's op indices and `migrates` every Migrate op
- * (broadcast — its victims are found through this shard's own
- * lastWriter map, so each shard flushes exactly its own files).
- * Both lists are ascending, merged two-pointer so ops replay in
- * stream order.
- */
-void
-scanShard(const prep::OpColumns &col,
-          const std::vector<std::uint32_t> &own,
-          const std::vector<std::uint32_t> &migrates,
-          LifetimeResult &result)
+LifetimeResult
+analyzeLifetimes(const prep::OpStream &ops)
 {
+    const prep::OpColumns &col = ops.ops;
+    LifetimeResult result;
     ConsistencyEngine engine;
 
     // Per file: live dirty byte runs tagged with their birth time.
@@ -91,16 +79,7 @@ scanShard(const prep::OpColumns &col,
     // Column scan: the dispatch path streams the time/type/file
     // columns; each case pulls only what it needs (byte-run extents
     // go straight into the IntervalMap — no per-block work anywhere).
-    std::size_t a = 0;
-    std::size_t m = 0;
-    while (a < own.size() || m < migrates.size()) {
-        std::size_t i;
-        if (m >= migrates.size() ||
-            (a < own.size() && own[a] < migrates[m])) {
-            i = own[a++];
-        } else {
-            i = migrates[m++];
-        }
+    for (std::size_t i = 0; i < col.size(); ++i) {
         const TimeUs time = col.time[i];
         const FileId file = col.file[i];
         switch (col.type[i]) {
@@ -191,42 +170,6 @@ scanShard(const prep::OpColumns &col,
             record(f, begin, end, birth, kTimeInfinity,
                    ByteFate::Remaining);
         });
-    }
-}
-
-} // namespace
-
-LifetimeResult
-analyzeLifetimes(const prep::OpStream &ops, util::ThreadPool *pool)
-{
-    util::ThreadPool &jobs =
-        pool != nullptr ? *pool : util::ThreadPool::ambient();
-    const prep::FileShards shards =
-        prep::FileShards::build(ops.ops, jobs);
-
-    std::vector<LifetimeResult> parts(prep::FileShards::kShardCount);
-    jobs.parallelFor(
-        0, prep::FileShards::kShardCount,
-        [&](std::size_t b, std::size_t e) {
-            for (std::size_t s = b; s < e; ++s)
-                scanShard(ops.ops, shards.indices[s],
-                          shards.migrates, parts[s]);
-        },
-        1);
-
-    // Shard-ordered concatenation keeps the run log deterministic
-    // for any worker count.
-    LifetimeResult result;
-    std::size_t total = 0;
-    for (const LifetimeResult &part : parts)
-        total += part.runs.size();
-    result.runs.reserve(total);
-    for (LifetimeResult &part : parts) {
-        result.runs.insert(result.runs.end(), part.runs.begin(),
-                           part.runs.end());
-        result.totalWritten += part.totalWritten;
-        for (std::size_t f = 0; f < part.byFate.size(); ++f)
-            result.byFate[f] += part.byFate[f];
     }
     return result;
 }

@@ -22,10 +22,6 @@
 #include "prep/ops.hpp"
 #include "util/types.hpp"
 
-namespace nvfs::util {
-class ThreadPool;
-}
-
 namespace nvfs::core {
 
 /** What finally happened to a run of written bytes. */
@@ -57,6 +53,7 @@ struct ByteRun
 /** Output of the lifetime pass. */
 struct LifetimeResult
 {
+    /** Every run, in the order the pass ended them (analyzeLifetimes). */
     std::vector<ByteRun> runs;
     Bytes totalWritten = 0;
     std::array<Bytes, static_cast<std::size_t>(ByteFate::Count_)>
@@ -87,15 +84,12 @@ struct LifetimeResult
 };
 
 /**
- * Run the pass over a processed trace.  The cache state is keyed by
- * file, so the scan runs across file shards on `pool` (nullptr = the
- * ambient NVFS_JOBS pool); Migrate ops are broadcast to every shard
- * (a migration flushes files that may live anywhere) and the shard
- * run logs are concatenated in shard order, so the result is
- * identical for any worker count.  Run order within the log is
- * per-shard, not global — consumers aggregate, they don't replay.
+ * Run the pass over a processed trace in one forward scan of its
+ * ops.  Runs are logged in stream order of the op that ended them;
+ * the files one migration flushes, and the Remaining runs at the end,
+ * follow hash-map order.  Consumers aggregate the log, they don't
+ * replay it.
  */
-LifetimeResult analyzeLifetimes(const prep::OpStream &ops,
-                                util::ThreadPool *pool = nullptr);
+LifetimeResult analyzeLifetimes(const prep::OpStream &ops);
 
 } // namespace nvfs::core

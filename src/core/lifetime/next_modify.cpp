@@ -4,22 +4,18 @@
 #include <limits>
 
 #include "core/client/client_model.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nvfs::core {
 
-std::size_t
-NextModifyIndex::buildShard(const prep::OpColumns &col,
-                            const std::vector<std::uint32_t> &shard_ops,
-                            FileMap &files)
+NextModifyIndex::NextModifyIndex(const prep::OpStream &ops)
 {
+    const prep::OpColumns &col = ops.ops;
     // Column scan consuming extents: only time/type/file/offset/length
     // are read, one hash probe per op (not per 4 KB block).  Writes
     // append to a dense per-file table indexed by block number;
     // Delete/Truncate walk the file's live block-index *runs* instead
     // of an element-wise set.
-    std::size_t block_count = 0;
-    for (const std::uint32_t i : shard_ops) {
+    for (std::size_t i = 0; i < col.size(); ++i) {
         const TimeUs time = col.time[i];
         const FileId file = col.file[i];
         switch (col.type[i]) {
@@ -30,19 +26,19 @@ NextModifyIndex::buildShard(const prep::OpColumns &col,
             const std::uint32_t first = firstBlockOf(col.offset[i]);
             const std::uint32_t last =
                 lastBlockOf(col.offset[i], length);
-            FileTimes &times = files[file];
+            FileTimes &times = files_[file];
             if (times.blocks.size() <= last)
                 times.blocks.resize(std::size_t{last} + 1);
             for (std::uint32_t b = first; b <= last; ++b) {
                 if (times.blocks[b].empty())
-                    ++block_count;
+                    ++blockCount_;
                 times.blocks[b].push_back(time);
             }
             times.live.insert(first, Bytes{last} + 1);
             break;
           }
           case prep::OpType::Delete: {
-            FileTimes *times = files.find(file);
+            FileTimes *times = files_.find(file);
             if (times == nullptr || times->live.empty())
                 break;
             for (const util::ByteRange &run : times->live.runs()) {
@@ -54,7 +50,7 @@ NextModifyIndex::buildShard(const prep::OpColumns &col,
             break;
           }
           case prep::OpType::Truncate: {
-            FileTimes *times = files.find(file);
+            FileTimes *times = files_.find(file);
             if (times == nullptr || times->live.empty())
                 break;
             const Bytes first_dead = blocksCovering(col.length[i]);
@@ -76,42 +72,18 @@ NextModifyIndex::buildShard(const prep::OpColumns &col,
 
     // Ops are time-sorted, so each vector is already sorted; fix any
     // inversions cheaply to stay robust to unsorted input.
-    files.forEach([](const FileId &, FileTimes &times) {
+    files_.forEach([](const FileId &, FileTimes &times) {
         for (std::vector<TimeUs> &vec : times.blocks) {
             if (!std::is_sorted(vec.begin(), vec.end()))
                 std::sort(vec.begin(), vec.end());
         }
     });
-    return block_count;
-}
-
-NextModifyIndex::NextModifyIndex(const prep::OpStream &ops,
-                                 util::ThreadPool *pool)
-{
-    util::ThreadPool &jobs =
-        pool != nullptr ? *pool : util::ThreadPool::ambient();
-    const prep::FileShards shards =
-        prep::FileShards::build(ops.ops, jobs);
-
-    std::array<std::size_t, prep::FileShards::kShardCount> counts{};
-    jobs.parallelFor(
-        0, prep::FileShards::kShardCount,
-        [&](std::size_t b, std::size_t e) {
-            for (std::size_t s = b; s < e; ++s)
-                counts[s] = buildShard(ops.ops, shards.indices[s],
-                                       shards_[s]);
-        },
-        1);
-    for (const std::size_t count : counts)
-        blockCount_ += count;
 }
 
 TimeUs
 NextModifyIndex::nextModify(const cache::BlockId &id, TimeUs after) const
 {
-    const FileMap &files =
-        shards_[prep::FileShards::shardOf(id.file)];
-    const FileTimes *times = files.find(id.file);
+    const FileTimes *times = files_.find(id.file);
     if (times == nullptr || id.index >= times->blocks.size())
         return kTimeInfinity;
     const std::vector<TimeUs> &vec = times->blocks[id.index];

@@ -12,18 +12,12 @@
 
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "cache/policy.hpp"
-#include "prep/file_shards.hpp"
 #include "prep/ops.hpp"
 #include "util/flat_map.hpp"
 #include "util/interval_set.hpp"
-
-namespace nvfs::util {
-class ThreadPool;
-}
 
 namespace nvfs::core {
 
@@ -31,14 +25,8 @@ namespace nvfs::core {
 class NextModifyIndex : public cache::NextModifyOracle
 {
   public:
-    /**
-     * Build from a processed trace.  The index is partitioned by
-     * file shard, each shard built independently on `pool` (nullptr
-     * = the ambient NVFS_JOBS pool); lookups route to the owning
-     * shard, so the built index is identical for any worker count.
-     */
-    explicit NextModifyIndex(const prep::OpStream &ops,
-                             util::ThreadPool *pool = nullptr);
+    /** Build from a processed trace in one forward scan. */
+    explicit NextModifyIndex(const prep::OpStream &ops);
 
     /** Next write to `id` strictly after `after`; infinity if none. */
     TimeUs nextModify(const cache::BlockId &id,
@@ -60,17 +48,7 @@ class NextModifyIndex : public cache::NextModifyOracle
         util::IntervalSet live;
     };
 
-    using FileMap =
-        util::FlatMap<FileId, FileTimes, util::SplitMix64Hash>;
-
-    /** Build one shard's map from its op-index list. */
-    static std::size_t
-    buildShard(const prep::OpColumns &col,
-               const std::vector<std::uint32_t> &shard_ops,
-               FileMap &files);
-
-    /** One map per file shard; a lookup touches exactly one. */
-    std::array<FileMap, prep::FileShards::kShardCount> shards_;
+    util::FlatMap<FileId, FileTimes, util::SplitMix64Hash> files_;
     std::size_t blockCount_ = 0;
 };
 

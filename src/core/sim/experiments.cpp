@@ -1,10 +1,8 @@
 #include "core/sim/experiments.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <future>
 #include <map>
@@ -257,99 +255,20 @@ runClientGrid(const prep::OpStream &ops,
 {
     static const obs::Counter cells("grid.cells");
     static const obs::Timer cellTimer("grid.cell");
+    // Each cell is self-contained (runClientSim constructs a fresh
+    // ClusterSim/Metrics/Rng per call), so the result vector is the
+    // same whichever thread replays which cell.
     std::vector<Metrics> results(models.size());
-    if (width == 0)
-        width = util::defaultJobCount();
-    if (width <= 1 || models.size() <= 1) {
-        for (std::size_t i = 0; i < models.size(); ++i) {
-            const util::TaskLabel label(gridCellContext(i, models[i]));
+    util::ThreadPool::global().forEach(
+        models.size(), width == 0 ? util::defaultJobCount() : width,
+        [&models](std::size_t i) {
+            return gridCellContext(i, models[i]);
+        },
+        [&](std::size_t i) {
             const obs::StageTimer stage(cellTimer, "grid.cell");
             cells.add();
-            try {
-                results[i] = runClientSim(ops, models[i], seed);
-            } catch (...) {
-                std::rethrow_exception(
-                    util::wrapTaskContext(std::current_exception()));
-            }
-        }
-        return results;
-    }
-
-    // Claim-loop fan-out, the parallelFor shape: the caller and up to
-    // width-1 pool helpers race to claim model indices off a shared
-    // atomic counter.  Which thread replays which cell varies run to
-    // run, but each cell's simulation is self-contained (runClientSim
-    // constructs a fresh ClusterSim/Metrics/Rng per call), so the
-    // result vector is identical for any width.  No pool-wide wait():
-    // the grid has its own done-counter, so other tasks on the same
-    // pool are unaffected.
-    struct GridState
-    {
-        explicit GridState(std::size_t n) : tasks(n), errors(n) {}
-
-        const std::size_t tasks;
-        std::atomic<std::size_t> next{0};
-        std::atomic<std::size_t> done{0};
-        std::vector<std::exception_ptr> errors;
-        std::mutex m;
-        std::condition_variable cv;
-    };
-    auto state = std::make_shared<GridState>(models.size());
-    auto drive = [state, &ops, &models, seed, &results] {
-        for (;;) {
-            const std::size_t i =
-                state->next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= state->tasks)
-                return; // stragglers must not touch the references
-            {
-                // Scope closed before the done-counter bump: the
-                // caller may return the moment done == tasks, and
-                // the cell's timer record must already be in the
-                // slab by then (counter exactness at quiescence).
-                const util::TaskLabel label(
-                    gridCellContext(i, models[i]));
-                const obs::StageTimer stage(cellTimer, "grid.cell");
-                cells.add();
-                try {
-                    results[i] = runClientSim(ops, models[i], seed);
-                } catch (...) {
-                    state->errors[i] = util::wrapTaskContext(
-                        std::current_exception());
-                }
-            }
-            if (state->done.fetch_add(1, std::memory_order_acq_rel) +
-                    1 ==
-                state->tasks) {
-                const std::lock_guard<std::mutex> lock(state->m);
-                state->cv.notify_all();
-            }
-        }
-    };
-    util::ThreadPool &pool = util::ThreadPool::ambient();
-    const std::size_t helpers = std::min<std::size_t>(
-        {models.size() - 1, pool.threadCount(), width - 1});
-    for (std::size_t h = 0; h < helpers; ++h)
-        pool.submit(drive);
-    drive();
-    {
-        std::unique_lock<std::mutex> lock(state->m);
-        state->cv.wait(lock, [&state] {
-            return state->done.load(std::memory_order_acquire) ==
-                   state->tasks;
+            results[i] = runClientSim(ops, models[i], seed);
         });
-    }
-    // Take ownership of every error before rethrowing: straggler
-    // helpers still hold the shared grid state, and whichever thread
-    // drops the last reference releases the exception objects — that
-    // must be the caller, after its catch block is done reading.
-    std::exception_ptr first;
-    for (std::exception_ptr &error : state->errors) {
-        if (!first)
-            first = std::move(error);
-        error = nullptr;
-    }
-    if (first)
-        std::rethrow_exception(first);
     return results;
 }
 

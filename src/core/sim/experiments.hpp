@@ -70,15 +70,15 @@ Metrics runClientSim(const prep::OpStream &ops, const ModelConfig &model,
 
 /**
  * Replay one op stream through every model concurrently: each model
- * cell of the grid runs as its own task on the ambient work-stealing
- * pool, with per-task ClusterSim/Metrics state, and the results come
- * back in model order.  Bit-identical to calling runClientSim on each
- * model in sequence for any width: tasks share only the read-only op
- * stream, each owns its simulator and RNG, and if several threw, the
- * lowest-index model's exception is rethrown (deterministic).
- * `width` 0 means util::defaultJobCount() (the NVFS_JOBS width);
- * width 1 (or a single model) runs the plain serial loop on the
- * calling thread.
+ * is one index of the shared pool's claim loop
+ * (util::ThreadPool::forEach), with per-cell ClusterSim/Metrics
+ * state, and the results come back in model order.  Bit-identical to
+ * calling runClientSim on each model in sequence for any width: cells
+ * share only the read-only op stream, each owns its simulator and
+ * RNG, every cell runs, and if several threw, the lowest-index
+ * model's exception is rethrown (deterministic).  `width` 0 means
+ * util::defaultJobCount() (the NVFS_JOBS width); width 1 (or a
+ * single model) replays every cell on the calling thread.
  */
 std::vector<Metrics>
 runClientGrid(const prep::OpStream &ops,

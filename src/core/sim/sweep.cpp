@@ -14,9 +14,8 @@ SweepRunner::runClientSweep(const prep::OpStream &ops,
                             const std::vector<ModelConfig> &models,
                             std::uint64_t seed) const
 {
-    // The shared-op-stream model grid IS the replay grid: run it on
-    // the grid scheduler (ambient pool claim loop) at this runner's
-    // width instead of spinning up a dedicated pool per call.
+    // The shared-op-stream model grid IS the replay grid: run it at
+    // this runner's width.
     return runClientGrid(ops, models, seed, jobs_);
 }
 

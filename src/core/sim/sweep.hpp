@@ -5,12 +5,13 @@
  *
  * Every paper reproduction runs dozens of *independent* simulator
  * configurations (cache size x model x policy grids).  SweepRunner
- * fans such a grid out across NVFS_JOBS worker threads and returns
- * the results in submission order, so a parallel sweep is
- * bit-identical to the serial loop it replaces: each task owns its
- * ClusterSim/FileServer instance and its own deterministic Rng, and
- * the only shared state — the memoized standardOps/standardLifetimes/
- * standardOracle caches — is mutex-guarded with stable references.
+ * fans such a grid out on the shared NVFS_JOBS pool's claim loop
+ * (util::ThreadPool::forEach) and returns the results in submission
+ * order, so a parallel sweep is bit-identical to the serial loop it
+ * replaces: each task owns its ClusterSim/FileServer instance and its
+ * own deterministic Rng, and the only shared state — the memoized
+ * standardOps/standardLifetimes/standardOracle caches — is
+ * mutex-guarded with stable references.
  */
 
 #pragma once
@@ -36,7 +37,7 @@ struct ServerSweepConfig
     std::uint64_t seed = 7;
 };
 
-/** Thread-pool-backed parallel experiment engine. */
+/** Parallel experiment engine on the shared worker pool. */
 class SweepRunner
 {
   public:
@@ -48,45 +49,22 @@ class SweepRunner
 
     /**
      * Run every task and return their results in submission order.
-     * R must be default-constructible.  With one worker (or one task)
-     * the tasks run inline on the calling thread.  If any task threw,
-     * the first exception (in submission order) is rethrown after all
-     * tasks finished.
+     * R must be default-constructible.  The tasks run on the shared
+     * NVFS_JOBS pool (util::ThreadPool::global()): the caller plus
+     * min(tasks - 1, pool size, jobs() - 1) helpers, so jobs() above
+     * NVFS_JOBS widens nothing beyond the pool.  Every task runs even
+     * if some throw; then the lowest-index error is rethrown as a
+     * util::TaskError naming its task ("sweep task 4: ...").
      */
     template <typename R>
     std::vector<R>
     map(const std::vector<std::function<R()>> &tasks) const
     {
         std::vector<R> results(tasks.size());
-        const auto worker_count =
-            std::min<std::size_t>(jobs_, tasks.size());
-        if (worker_count <= 1) {
-            for (std::size_t i = 0; i < tasks.size(); ++i)
-                results[i] = tasks[i]();
-            return results;
-        }
-        std::vector<std::exception_ptr> errors(tasks.size());
-        {
-            util::ThreadPool pool(
-                static_cast<unsigned>(worker_count));
-            for (std::size_t i = 0; i < tasks.size(); ++i) {
-                const util::TaskLabel label("sweep task " +
-                                            std::to_string(i));
-                pool.submit([&tasks, &results, &errors, i] {
-                    try {
-                        results[i] = tasks[i]();
-                    } catch (...) {
-                        errors[i] = util::wrapTaskContext(
-                            std::current_exception());
-                    }
-                });
-            }
-            pool.wait();
-        }
-        for (const std::exception_ptr &error : errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
+        util::ThreadPool::global().forEach(
+            tasks.size(), jobs_,
+            [](std::size_t i) { return "sweep task " + std::to_string(i); },
+            [&](std::size_t i) { results[i] = tasks[i](); });
         return results;
     }
 
@@ -96,10 +74,9 @@ class SweepRunner
      * `replay(prepared)` run on the calling thread.  An error from
      * either stage is rethrown as a util::TaskError naming the point
      * (its index, plus the point itself when it reads as a string).
-     * Parallelism lives inside the stages (parallel ingest, the
-     * replay grid): prepare is too small a share of a sweep for
-     * overlapping it with the previous point's replay to pay
-     * (DESIGN.md §12).
+     * Parallelism lives inside replay (the replay grid): prepare is
+     * too small a share of a sweep for overlapping it with the
+     * previous point's replay to pay (DESIGN.md §12).
      */
     template <typename P, typename Prepare, typename Replay>
     auto

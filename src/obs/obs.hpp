@@ -13,7 +13,7 @@
  * relaxed atomic store — no shared cache line, no lock, no contention.
  * Aggregation walks every live slab (plus the merged totals of exited
  * threads) under a registry mutex, so totals read at a quiescent
- * point — after a pool wait(), for example — are *exact*, not
+ * point — after a parallel loop returns, for example — are *exact*, not
  * approximately merged; obs_test proves this differentially against
  * serial runs.
  *

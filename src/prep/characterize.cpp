@@ -1,28 +1,15 @@
 #include "prep/characterize.hpp"
 
 #include <map>
-#include <sstream>
+#include <tuple>
 #include <unordered_map>
-#include <vector>
 
-#include "prep/file_shards.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace nvfs::prep {
 
 namespace {
-
-/** Per (client, pid, file) open bookkeeping. */
-struct OpenKey
-{
-    ClientId client;
-    ProcId pid;
-    FileId file;
-
-    auto operator<=>(const OpenKey &other) const = default;
-};
 
 struct OpenInfo
 {
@@ -31,86 +18,87 @@ struct OpenInfo
     bool sawWrite = false;
 };
 
-/**
- * Profile state of one file shard.  Every map is keyed by (or
- * includes) the file, so shards never share an entry and the scan
- * below is the serial loop verbatim, restricted to the shard's ops.
- */
-struct ShardProfile
+/** Open handles keyed (file, client, pid): one file's handles by one
+ *  client are adjacent, so a read or write marks them in one range. */
+using OpenMap = std::map<std::tuple<FileId, ClientId, ProcId>, OpenInfo>;
+
+/** Every open handle of `client` on `file`, whatever its pid. */
+template <typename Fn>
+void
+forEachHandle(OpenMap &open, FileId file, ClientId client, Fn &&fn)
+{
+    for (auto it = open.lower_bound({file, client, ProcId{0}});
+         it != open.end() && std::get<0>(it->first) == file &&
+         std::get<1>(it->first) == client;
+         ++it)
+        fn(it->second);
+}
+
+} // namespace
+
+WorkloadProfile
+characterize(const prep::OpStream &ops)
 {
     WorkloadProfile profile;
     std::unordered_map<FileId, Bytes> sizes;
     // Sequentiality: last end-offset per (file, client).
-    std::map<std::pair<FileId, ClientId>, Bytes> lastReadEnd;
-    std::map<std::pair<FileId, ClientId>, Bytes> lastWriteEnd;
-    std::map<OpenKey, OpenInfo> open;
+    std::map<std::pair<FileId, ClientId>, Bytes> last_read_end;
+    std::map<std::pair<FileId, ClientId>, Bytes> last_write_end;
+    OpenMap open;
+    std::uint64_t seq_reads = 0, reads = 0;
+    std::uint64_t seq_writes = 0, writes = 0;
+    std::uint64_t ro_opens = 0, wo_opens = 0, closes = 0;
 
-    std::uint64_t seqReads = 0, reads = 0;
-    std::uint64_t seqWrites = 0, writes = 0;
-    std::uint64_t roOpens = 0, woOpens = 0, closes = 0;
-};
-
-void
-scanShard(const OpColumns &col,
-          const std::vector<std::uint32_t> &shard_ops,
-          ShardProfile &shard)
-{
-    WorkloadProfile &profile = shard.profile;
-    for (const std::uint32_t index : shard_ops) {
-        const prep::Op op = col[index];
+    for (const prep::Op op : ops.ops) {
         switch (op.type) {
           case prep::OpType::Read: {
-            ++shard.reads;
+            ++reads;
             profile.readSize.add(static_cast<double>(op.length));
             profile.readBytes += op.length;
-            auto &last = shard.lastReadEnd[{op.file, op.client}];
+            auto &last = last_read_end[{op.file, op.client}];
             if (op.offset == last && last != 0)
-                ++shard.seqReads;
+                ++seq_reads;
             last = op.offset + op.length;
-            for (auto &[key, info] : shard.open) {
-                if (key.client == op.client && key.file == op.file)
-                    info.sawRead = true;
-            }
+            forEachHandle(open, op.file, op.client,
+                          [](OpenInfo &info) { info.sawRead = true; });
             break;
           }
           case prep::OpType::Write: {
-            ++shard.writes;
+            ++writes;
             profile.writeSize.add(static_cast<double>(op.length));
             profile.writeBytes += op.length;
-            auto &size = shard.sizes[op.file];
+            auto &size = sizes[op.file];
             size = std::max(size, op.offset + op.length);
-            auto &last = shard.lastWriteEnd[{op.file, op.client}];
+            auto &last = last_write_end[{op.file, op.client}];
             if (op.offset == last && last != 0)
-                ++shard.seqWrites;
+                ++seq_writes;
             last = op.offset + op.length;
-            for (auto &[key, info] : shard.open) {
-                if (key.client == op.client && key.file == op.file)
-                    info.sawWrite = true;
-            }
+            forEachHandle(open, op.file, op.client,
+                          [](OpenInfo &info) { info.sawWrite = true; });
             break;
           }
           case prep::OpType::Open:
             ++profile.opens;
-            shard.open[{op.client, op.pid, op.file}] = {op.time};
+            open[{op.file, op.client, op.pid}] = {op.time};
             break;
           case prep::OpType::Close: {
-            auto it = shard.open.find({op.client, op.pid, op.file});
-            if (it != shard.open.end()) {
-                ++shard.closes;
+            auto it = open.find({op.file, op.client, op.pid});
+            if (it != open.end()) {
+                ++closes;
                 profile.openSeconds.add(
                     static_cast<double>(op.time - it->second.openedAt) /
                     kUsPerSecond);
                 if (it->second.sawRead && !it->second.sawWrite)
-                    ++shard.roOpens;
+                    ++ro_opens;
                 if (it->second.sawWrite && !it->second.sawRead)
-                    ++shard.woOpens;
-                shard.open.erase(it);
+                    ++wo_opens;
+                open.erase(it);
             }
             break;
           }
           case prep::OpType::Delete:
             ++profile.deletes;
-            shard.sizes.erase(op.file);
+            sizes.erase(op.file);
             break;
           case prep::OpType::Fsync:
             ++profile.fsyncs;
@@ -119,52 +107,9 @@ scanShard(const OpColumns &col,
             break;
         }
     }
-}
-
-} // namespace
-
-WorkloadProfile
-characterize(const prep::OpStream &ops, util::ThreadPool *pool)
-{
-    util::ThreadPool &jobs =
-        pool != nullptr ? *pool : util::ThreadPool::ambient();
-    const FileShards shards = FileShards::build(ops.ops, jobs);
-
-    std::vector<ShardProfile> parts(FileShards::kShardCount);
-    jobs.parallelFor(
-        0, FileShards::kShardCount,
-        [&](std::size_t b, std::size_t e) {
-            for (std::size_t s = b; s < e; ++s)
-                scanShard(ops.ops, shards.indices[s], parts[s]);
-        },
-        1);
-
-    // Shard-ordered merge: accumulator merges and fileSize adds
-    // happen in shard order, so every float is bit-identical for any
-    // worker count.
-    WorkloadProfile profile;
-    std::uint64_t seq_reads = 0, reads = 0;
-    std::uint64_t seq_writes = 0, writes = 0;
-    std::uint64_t ro_opens = 0, wo_opens = 0, closes = 0;
-    for (const ShardProfile &part : parts) {
-        profile.readSize.merge(part.profile.readSize);
-        profile.writeSize.merge(part.profile.writeSize);
-        profile.openSeconds.merge(part.profile.openSeconds);
-        profile.readBytes += part.profile.readBytes;
-        profile.writeBytes += part.profile.writeBytes;
-        profile.opens += part.profile.opens;
-        profile.deletes += part.profile.deletes;
-        profile.fsyncs += part.profile.fsyncs;
-        for (const auto &[file, size] : part.sizes)
-            profile.fileSize.add(static_cast<double>(size));
-        seq_reads += part.seqReads;
-        reads += part.reads;
-        seq_writes += part.seqWrites;
-        writes += part.writes;
-        ro_opens += part.roOpens;
-        wo_opens += part.woOpens;
-        closes += part.closes;
-    }
+    // Sizes are whole bytes, so their sums are exact in any order.
+    for (const auto &[file, size] : sizes)
+        profile.fileSize.add(static_cast<double>(size));
 
     profile.sequentialReadFraction =
         reads ? static_cast<double>(seq_reads) /

@@ -16,10 +16,6 @@
 #include "prep/ops.hpp"
 #include "util/stats.hpp"
 
-namespace nvfs::util {
-class ThreadPool;
-}
-
 namespace nvfs::prep {
 
 /** Distribution summaries of one processed trace. */
@@ -59,14 +55,7 @@ struct WorkloadProfile
     std::string render(const std::string &title) const;
 };
 
-/**
- * Characterize a processed trace.  All profile state is keyed by
- * file, so the scan runs across FileShards::kShardCount file shards
- * on `pool` (nullptr = the ambient NVFS_JOBS pool) and merges the
- * per-shard statistics in shard order — identical output for any
- * worker count.
- */
-WorkloadProfile characterize(const prep::OpStream &ops,
-                             util::ThreadPool *pool = nullptr);
+/** Characterize a processed trace in one forward scan of its ops. */
+WorkloadProfile characterize(const prep::OpStream &ops);
 
 } // namespace nvfs::prep

@@ -1,43 +1,21 @@
 #include "trace/stream.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <utility>
 
 #include "util/log.hpp"
 #include "util/mapped_file.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nvfs::trace {
 namespace {
-
-/**
- * Raw byte span per text chunk.  Fixed (not derived from the worker
- * count) so the chunk structure — and therefore the output and any
- * error report — is identical for every NVFS_JOBS.
- */
-constexpr std::size_t kTextChunkBytes = 256 * 1024;
 
 std::string
 withErrno(const std::string &message)
 {
     return message + " (" + std::strerror(errno) + ")";
-}
-
-/** Record an error index with atomic-min semantics. */
-void
-noteFirst(std::atomic<std::size_t> &first, std::size_t index)
-{
-    std::size_t seen = first.load(std::memory_order_relaxed);
-    while (index < seen &&
-           !first.compare_exchange_weak(seen, index,
-                                        std::memory_order_relaxed)) {
-    }
 }
 
 } // namespace
@@ -59,7 +37,7 @@ writeTraceFile(const std::string &path, const TraceBuffer &buffer)
 }
 
 TraceBuffer
-readTraceFile(const std::string &path, util::ThreadPool *pool)
+readTraceFile(const std::string &path)
 {
     auto map = util::MappedFile::open(path);
     if (!map.has_value())
@@ -89,26 +67,15 @@ readTraceFile(const std::string &path, util::ThreadPool *pool)
 
     TraceBuffer buffer;
     buffer.header = *header;
-    buffer.events.resize(count); // exact: no reallocation, and the
-                                 // decode below fills disjoint slots
+    buffer.events.resize(count);
     const std::uint8_t *records = map->data() + kTraceHeaderSize;
-    // Workers must not fatal (exit from a worker thread leaves the
-    // others mid-run); they record the earliest corrupt record and
-    // the caller reports it deterministically after the join.
-    std::atomic<std::size_t> first_bad{count};
-    util::ThreadPool &jobs =
-        pool != nullptr ? *pool : util::ThreadPool::ambient();
-    jobs.parallelFor(0, count, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-            if (!decodeEventBytes(records + i * kRecordSize,
-                                  buffer.events[i]))
-                noteFirst(first_bad, i);
-        }
-    });
-    if (first_bad.load(std::memory_order_relaxed) < count)
-        util::fatal(util::format(
-            "corrupt trace record: bad event type (%s, record %zu)",
-            path.c_str(), first_bad.load(std::memory_order_relaxed)));
+    for (std::size_t i = 0; i < count; ++i) {
+        if (!decodeEventBytes(records + i * kRecordSize,
+                              buffer.events[i]))
+            util::fatal(util::format(
+                "corrupt trace record: bad event type (%s, record %zu)",
+                path.c_str(), i));
+    }
     return buffer;
 }
 
@@ -129,7 +96,7 @@ writeTraceText(const std::string &path, const TraceBuffer &buffer)
 }
 
 TraceBuffer
-readTraceText(const std::string &path, util::ThreadPool *pool)
+readTraceText(const std::string &path)
 {
     auto map = util::MappedFile::open(path);
     if (!map.has_value())
@@ -137,123 +104,25 @@ readTraceText(const std::string &path, util::ThreadPool *pool)
     TraceBuffer buffer;
     const auto *text = reinterpret_cast<const char *>(map->data());
     const std::size_t size = map->size();
-    if (size == 0)
-        return buffer;
-
-    const std::size_t chunk_count =
-        (size + kTextChunkBytes - 1) / kTextChunkBytes;
-    util::ThreadPool &jobs =
-        pool != nullptr ? *pool : util::ThreadPool::ambient();
-
-    // Phase 1: newlines per chunk.  The prefix sums give each chunk
-    // the line number of its first owned line (for error reports) and
-    // an upper bound on its event count (for the reserve).
-    std::vector<std::size_t> newlines(chunk_count, 0);
-    jobs.parallelFor(
-        0, chunk_count,
-        [&](std::size_t b, std::size_t e) {
-            for (std::size_t c = b; c < e; ++c) {
-                const std::size_t lo = c * kTextChunkBytes;
-                const std::size_t hi =
-                    std::min(size, lo + kTextChunkBytes);
-                newlines[c] = static_cast<std::size_t>(
-                    std::count(text + lo, text + hi, '\n'));
+    std::size_t line_number = 0;
+    for (std::size_t start = 0; start < size;) {
+        const char *nl = static_cast<const char *>(
+            std::memchr(text + start, '\n', size - start));
+        const std::size_t end =
+            nl == nullptr ? size : static_cast<std::size_t>(nl - text);
+        ++line_number;
+        if (start == end || text[start] != '#') {
+            try {
+                if (const auto event = parseTextEvent(
+                        std::string(text + start, end - start)))
+                    buffer.events.push_back(*event);
+            } catch (const ValidateError &e) {
+                util::fatal(path + ":" + std::to_string(line_number) +
+                            ": " + e.what());
             }
-        },
-        1);
-    std::vector<std::size_t> lines_before(chunk_count, 0);
-    for (std::size_t c = 1; c < chunk_count; ++c)
-        lines_before[c] = lines_before[c - 1] + newlines[c - 1];
-
-    // Phase 2: each chunk parses the lines that *begin* inside its
-    // byte range (a line spanning a boundary belongs to the chunk
-    // holding its first byte and is read through to its newline).
-    struct ChunkResult
-    {
-        std::vector<Event> events;
-        std::size_t errorLine = 0; ///< 0 = no error
-        std::string errorWhat;
-    };
-    std::vector<ChunkResult> parsed(chunk_count);
-    jobs.parallelFor(
-        0, chunk_count,
-        [&](std::size_t cb, std::size_t ce) {
-            for (std::size_t c = cb; c < ce; ++c) {
-                ChunkResult &result = parsed[c];
-                result.events.reserve(newlines[c] + 1);
-                const std::size_t lo = c * kTextChunkBytes;
-                const std::size_t hi =
-                    std::min(size, lo + kTextChunkBytes);
-                std::size_t start = lo;
-                std::size_t line_number = lines_before[c] + 1;
-                if (c > 0 && text[lo - 1] != '\n') {
-                    // Mid-line: the previous chunk owns this line.
-                    const char *next_nl = static_cast<const char *>(
-                        std::memchr(text + lo, '\n', size - lo));
-                    if (next_nl == nullptr)
-                        continue; // one line to EOF, not ours
-                    start = static_cast<std::size_t>(next_nl - text) +
-                            1;
-                    ++line_number;
-                }
-                while (start < hi) {
-                    const char *nl = static_cast<const char *>(
-                        std::memchr(text + start, '\n',
-                                    size - start));
-                    const std::size_t end =
-                        nl == nullptr
-                            ? size
-                            : static_cast<std::size_t>(nl - text);
-                    if (start == end || text[start] != '#') {
-                        const std::string line(text + start,
-                                               end - start);
-                        try {
-                            if (const auto event =
-                                    parseTextEvent(line))
-                                result.events.push_back(*event);
-                        } catch (const ValidateError &e) {
-                            if (result.errorLine == 0) {
-                                result.errorLine = line_number;
-                                result.errorWhat = e.what();
-                            }
-                        }
-                    }
-                    start = end + 1;
-                    ++line_number;
-                }
-            }
-        },
-        1);
-
-    // Errors are reported exactly as the serial loop would: chunks
-    // cover the file in order and each records only its first bad
-    // line, so the first chunk with an error holds the lowest line.
-    for (const ChunkResult &result : parsed) {
-        if (result.errorLine != 0)
-            util::fatal(path + ":" +
-                        std::to_string(result.errorLine) + ": " +
-                        result.errorWhat);
+        }
+        start = end + 1;
     }
-
-    // Phase 3: splice per-chunk runs back in file order.
-    std::vector<std::size_t> offsets(chunk_count, 0);
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < chunk_count; ++c) {
-        offsets[c] = total;
-        total += parsed[c].events.size();
-    }
-    buffer.events.resize(total);
-    jobs.parallelFor(
-        0, chunk_count,
-        [&](std::size_t b, std::size_t e) {
-            for (std::size_t c = b; c < e; ++c) {
-                std::copy(parsed[c].events.begin(),
-                          parsed[c].events.end(),
-                          buffer.events.begin() +
-                              static_cast<std::ptrdiff_t>(offsets[c]));
-            }
-        },
-        1);
     buffer.header.eventCount = buffer.events.size();
     return buffer;
 }

@@ -16,10 +16,6 @@
 #include "trace/codec.hpp"
 #include "trace/event.hpp"
 
-namespace nvfs::util {
-class ThreadPool;
-}
-
 namespace nvfs::trace {
 
 /** An in-memory trace: header metadata plus its events in time order. */
@@ -45,30 +41,20 @@ void writeTraceFile(const std::string &path, const TraceBuffer &buffer);
 
 /**
  * Read a binary trace file fully into memory.  Fatal on error, with
- * the path and errno/record context in the message.
- *
- * The file is mmapped, the event vector sized exactly from the
- * record count, and the fixed-width records decoded in parallel on
- * `pool` (nullptr = the ambient NVFS_JOBS pool) into disjoint slots
- * — the result is byte-identical to the serial loop for any width.
+ * the path and errno/record context in the message.  The file is
+ * mmapped and its fixed-width records decoded in one forward scan
+ * into an event vector sized exactly from the record count.
  */
-TraceBuffer readTraceFile(const std::string &path,
-                          util::ThreadPool *pool = nullptr);
+TraceBuffer readTraceFile(const std::string &path);
 
 /** Write a TraceBuffer as text, one event per line with a header. */
 void writeTraceText(const std::string &path, const TraceBuffer &buffer);
 
 /**
- * Read a text trace file (blank lines and '#' comments skipped).
- * Fatal on error, reporting path:line plus the offending field.
- *
- * The file is mmapped and split into fixed-size byte chunks (the
- * split depends only on the file size, never the worker count); each
- * chunk parses the lines *beginning* inside it, and the per-chunk
- * event runs are spliced back in file order, so the result is
- * byte-identical to the serial getline loop for any width.
+ * Read a text trace file (blank lines and '#' comments skipped) in
+ * one forward scan of the mmapped file.  Fatal on the first bad line,
+ * reporting path:line plus the offending field.
  */
-TraceBuffer readTraceText(const std::string &path,
-                          util::ThreadPool *pool = nullptr);
+TraceBuffer readTraceText(const std::string &path);
 
 } // namespace nvfs::trace

@@ -6,9 +6,9 @@
  * export paths must emit the documented formats, and the counters
  * wired into the sweep/grid/LFS layers must report identical values
  * for serial and parallel runs of the same work.  Also covers the
- * task-identity bugfix: exceptions rethrown from ThreadPool::wait(),
- * parallelFor, SweepRunner::map and runPipelined must name the task
- * that threw.
+ * task-identity bugfix: exceptions rethrown from the pool's claim
+ * loop, SweepRunner::map and runPipelined must name the task that
+ * threw.
  */
 
 #include <gtest/gtest.h>
@@ -99,18 +99,23 @@ TEST(Obs, CounterSumsExactlyAcrossThreads)
 
 TEST(Obs, PoolTaskCountersAreExact)
 {
+    // Each loop of 200 indices at width 4 on a 4-worker pool submits
+    // min(199, 4, 3) = 3 helpers.  Once the pool is gone (its
+    // destructor drains the queue) every helper has also executed.
     obs::resetAll();
     {
         util::ThreadPool pool(4);
         std::atomic<int> ran{0};
-        for (int i = 0; i < 200; ++i)
-            pool.submit([&ran] { ++ran; });
-        pool.wait();
-        EXPECT_EQ(ran.load(), 200);
+        for (int loop = 0; loop < 5; ++loop) {
+            pool.forEach(
+                200, 4, [](std::size_t) { return std::string(); },
+                [&ran](std::size_t) { ++ran; });
+        }
+        EXPECT_EQ(ran.load(), 1000);
     }
     const auto snap = obs::snapshot();
-    EXPECT_EQ(snap.value("pool.tasks_submitted"), 200u);
-    EXPECT_EQ(snap.value("pool.tasks_executed"), 200u);
+    EXPECT_EQ(snap.value("pool.tasks_submitted"), 15u);
+    EXPECT_EQ(snap.value("pool.tasks_executed"), 15u);
     EXPECT_GE(snap.value("pool.queue_depth_hwm"), 1u);
 }
 
@@ -287,8 +292,8 @@ TEST(Obs, LfsSealCountersMirrorLogStats)
 
 /**
  * The acceptance bar for the observability layer: a parallel sweep
- * (parallel ingest + wide grid replay) must report the *same*
- * deterministic counter totals as the serial run of the same work.
+ * (a wide grid replay) must report the *same* deterministic counter
+ * totals as the serial run of the same work.
  * Scheduling-dependent stats (pool.*) are excluded by design.
  */
 TEST(Obs, SweepCountersExactUnderParallelism)
@@ -332,12 +337,10 @@ TEST(Obs, SweepCountersExactUnderParallelism)
 
     auto runAndCollect = [&](unsigned width) {
         obs::resetAll();
-        util::ThreadPool pool(width);
         const auto results = core::SweepRunner(width).runPipelined(
             paths,
-            [&pool](const std::string &path) {
-                return prep::convertTrace(
-                    trace::readTraceFile(path, &pool));
+            [](const std::string &path) {
+                return prep::convertTrace(trace::readTraceFile(path));
             },
             [&models, width](const prep::OpStream &ops) {
                 return core::runClientGrid(ops, models, 42, width);
@@ -429,63 +432,72 @@ TEST(Obs, NoStatsBuildReportsNothing)
 
 // -------------------------------------- task identity on rethrow
 
-TEST(TaskError, PoolWaitNamesTheSubmittingTask)
+/** Labels nothing: bodies run under the caller's own TaskLabel. */
+std::string
+noLabel(std::size_t)
+{
+    return {};
+}
+
+TEST(TaskError, LoopNamesTheFailingIndex)
 {
     util::ThreadPool pool(2);
-    {
-        const util::TaskLabel label("ingest trace trace7.nvt");
-        pool.submit([] {
-            throw std::runtime_error("decode failed");
-        });
-    }
     try {
-        pool.wait();
-        FAIL() << "wait() must rethrow the task's exception";
+        pool.forEach(
+            3, 2,
+            [](std::size_t i) {
+                return "ingest trace trace" + std::to_string(i) + ".nvt";
+            },
+            [](std::size_t i) {
+                if (i == 2)
+                    throw std::runtime_error("decode failed");
+            });
+        FAIL() << "forEach must rethrow the body's exception";
     } catch (const util::TaskError &error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find("ingest trace trace7.nvt"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("decode failed"), std::string::npos)
-            << what;
+        EXPECT_STREQ(error.what(), "ingest trace trace2.nvt: decode failed");
     }
 }
 
 TEST(TaskError, UnlabeledTaskRethrowsOriginalType)
 {
-    // Without an ambient label there is no context to add, so the
-    // original exception type must survive unwrapped.
+    // Without a label or a caller label there is no context to add,
+    // so the original exception type must survive unwrapped.
     util::ThreadPool pool(2);
-    pool.submit([] { throw std::invalid_argument("plain"); });
-    EXPECT_THROW(pool.wait(), std::invalid_argument);
+    EXPECT_THROW(pool.forEach(4, 2, noLabel,
+                              [](std::size_t i) {
+                                  if (i == 1)
+                                      throw std::invalid_argument("plain");
+                              }),
+                 std::invalid_argument);
 }
 
-TEST(TaskError, ParallelForCarriesCallerContext)
+TEST(TaskError, LoopCarriesCallerContext)
 {
+    // Unlabeled bodies run under the caller's label on every thread,
+    // helpers included, so the error names the caller's context.
     util::ThreadPool pool(4);
     const util::TaskLabel label("sweep point 3 (trace3.nvt)");
-    try {
-        pool.parallelFor(std::size_t{0}, std::size_t{64},
-                         [](std::size_t b, std::size_t e) {
-                             for (std::size_t i = b; i < e; ++i) {
-                                 if (i == 17)
-                                     throw std::runtime_error(
-                                         "cell blew up");
-                             }
-                         });
-        FAIL() << "parallelFor must rethrow";
-    } catch (const util::TaskError &error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find("sweep point 3 (trace3.nvt)"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("cell blew up"), std::string::npos)
-            << what;
+    for (const unsigned width : {1u, 4u}) {
+        try {
+            pool.forEach(64, width, noLabel, [](std::size_t i) {
+                EXPECT_EQ(util::TaskLabel::current(),
+                          "sweep point 3 (trace3.nvt)");
+                if (i == 17)
+                    throw std::runtime_error("cell blew up");
+            });
+            FAIL() << "forEach must rethrow (width " << width << ")";
+        } catch (const util::TaskError &error) {
+            EXPECT_STREQ(error.what(),
+                         "sweep point 3 (trace3.nvt): cell blew up")
+                << "width " << width;
+        }
     }
 }
 
 TEST(TaskError, SweepMapNamesTheTaskIndex)
 {
+    // The same error at one worker as at four: map runs every task
+    // through the claim loop, which names the failing index.
     std::vector<std::function<int()>> tasks;
     for (int i = 0; i < 6; ++i) {
         tasks.push_back([i]() -> int {
@@ -494,15 +506,15 @@ TEST(TaskError, SweepMapNamesTheTaskIndex)
             return i;
         });
     }
-    try {
-        core::SweepRunner(4).map(tasks);
-        FAIL() << "map must rethrow the first task error";
-    } catch (const util::TaskError &error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find("sweep task 4"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("task body failed"), std::string::npos)
-            << what;
+    for (const unsigned jobs : {1u, 4u}) {
+        try {
+            core::SweepRunner(jobs).map(tasks);
+            FAIL() << "map must rethrow the first task error (jobs="
+                   << jobs << ")";
+        } catch (const util::TaskError &error) {
+            EXPECT_STREQ(error.what(), "sweep task 4: task body failed")
+                << "jobs=" << jobs;
+        }
     }
 }
 
@@ -535,40 +547,37 @@ TEST(TaskError, PipelinedPrepareNamesThePoint)
 
 TEST(TaskError, GridReplayNamesTheModel)
 {
-    // Mirror the runClientGrid pattern: each cell installs its own
-    // label and wraps before the label leaves scope, so the rethrown
-    // error nests "sweep point: grid model: what()".
-    const util::TaskLabel outer("sweep point 0 (trace3.nvt)");
-    util::ThreadPool pool(2);
-    const auto cellBody = [](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-            const util::TaskLabel cell("replay grid model " +
-                                       std::to_string(i) +
-                                       " (unified)");
-            try {
-                if (i == 2)
-                    throw std::runtime_error(
-                        "model rejected config");
-            } catch (...) {
-                std::rethrow_exception(util::wrapTaskContext(
-                    std::current_exception()));
-            }
+    // The runClientGrid shape inside a pipelined sweep: each cell is
+    // one loop index labelled with its model, and the sweep point
+    // adds its own context when the loop's error reaches it, so the
+    // message nests "sweep point: grid model: what()" at any width.
+    const std::vector<std::string> points{"trace3.nvt"};
+    for (const unsigned width : {1u, 4u}) {
+        try {
+            core::SweepRunner(width).runPipelined(
+                points, [](const std::string &point) { return point; },
+                [width](const std::string &) {
+                    util::ThreadPool::global().forEach(
+                        4, width,
+                        [](std::size_t i) {
+                            return "replay grid model " +
+                                   std::to_string(i) + " (unified)";
+                        },
+                        [](std::size_t i) {
+                            if (i == 2)
+                                throw std::runtime_error(
+                                    "model rejected config");
+                        });
+                    return 0;
+                });
+            FAIL() << "the grid error must reach the sweep (width "
+                   << width << ")";
+        } catch (const util::TaskError &error) {
+            EXPECT_STREQ(error.what(),
+                         "sweep point 0 (trace3.nvt): replay grid "
+                         "model 2 (unified): model rejected config")
+                << "width " << width;
         }
-    };
-    try {
-        pool.parallelFor(std::size_t{0}, std::size_t{4}, cellBody);
-        FAIL() << "parallelFor must rethrow";
-    } catch (const util::TaskError &error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find("sweep point 0 (trace3.nvt)"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("replay grid model 2 (unified)"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("model rejected config"),
-                  std::string::npos)
-            << what;
     }
 }
 

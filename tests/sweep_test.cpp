@@ -1,6 +1,6 @@
 /**
  * @file
- * SweepRunner determinism and thread-pool behavior: a parallel sweep
+ * SweepRunner determinism and the pool's claim loop: a parallel sweep
  * must return exactly what the serial loop it replaces would have,
  * in the same order, for any worker count — and the memoized
  * experiment caches must be safe to hit from concurrent tasks.
@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <numeric>
-#include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "check/reference.hpp"
 #include "core/sim/sweep.hpp"
@@ -49,27 +49,11 @@ standardGrid()
     return models;
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask)
+/** Labels nothing: bodies run under the caller's own TaskLabel. */
+std::string
+noLabel(std::size_t)
 {
-    util::ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    util::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { ++count; });
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
+    return {};
 }
 
 TEST(ThreadPool, DefaultJobCountIsPositive)
@@ -77,121 +61,122 @@ TEST(ThreadPool, DefaultJobCountIsPositive)
     EXPECT_GE(util::defaultJobCount(), 1u);
 }
 
-TEST(ThreadPool, WorkStealingNestedSubmissionStress)
+TEST(ThreadPool, RunsEverySubmittedTask)
 {
-    // A recursive fan-out of many tiny tasks: each task submits four
-    // children from inside the pool (landing on the executing
-    // worker's own deque), so completion requires idle workers to
-    // steal.  Total tasks: 1 + 4 + ... + 4^5 = 1365.
-    util::ThreadPool pool(4);
-    std::atomic<int> count{0};
-    std::function<void(int)> fan = [&](int depth) {
-        ++count;
-        if (depth == 0)
-            return;
-        for (int i = 0; i < 4; ++i)
-            pool.submit([&fan, depth] { fan(depth - 1); });
-    };
-    pool.submit([&fan] { fan(5); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1365);
-}
-
-TEST(ThreadPool, ThrowingTaskSurfacesToWaitAndPoolStaysUsable)
-{
-    // Regression: a task that throws must not deadlock shutdown or
-    // wedge the pool; the first exception reaches the next wait(),
-    // every other task still runs, and the pool is reusable after.
-    util::ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 32; ++i) {
-        pool.submit([&ran, i] {
-            ++ran;
-            if (i % 8 == 0)
-                throw std::runtime_error("task blew up");
-        });
+    // Pools of 1, 2 and 8 workers under a loop 16 wide: every body
+    // runs, however many helpers the pool can actually lend.
+    for (const unsigned jobs : {1u, 2u, 8u}) {
+        util::ThreadPool pool(jobs);
+        std::atomic<int> count{0};
+        pool.forEach(100, 16, noLabel,
+                     [&count](std::size_t) { ++count; });
+        EXPECT_EQ(count.load(), 100) << "at " << jobs << " jobs";
     }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 32);
-    pool.submit([&ran] { ++ran; });
-    pool.wait(); // error was consumed above; this must not throw
-    EXPECT_EQ(ran.load(), 33);
 }
 
-TEST(ThreadPool, ThrowingTasksDoNotDeadlockDestruction)
+TEST(ThreadPool, WaitIsReusable)
 {
-    // Destroying a pool with unobserved task exceptions (wait() never
-    // called) must join cleanly instead of terminating or hanging.
-    util::ThreadPool pool(4);
-    for (int i = 0; i < 64; ++i)
-        pool.submit([] { throw std::runtime_error("unobserved"); });
+    // forEach returns only once every body ran, so one pool serves
+    // loop after loop, a one-index loop (no helpers at all) included.
+    util::ThreadPool pool(2);
+    std::atomic<int> count{0};
+    pool.forEach(1, 2, noLabel, [&count](std::size_t) { ++count; });
+    EXPECT_EQ(count.load(), 1);
+    pool.forEach(2, 2, noLabel, [&count](std::size_t) { ++count; });
+    EXPECT_EQ(count.load(), 3);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 {
-    const std::size_t n = 10007; // prime: chunks never divide evenly
-    for (const unsigned jobs : {1u, 2u, 8u}) {
-        util::ThreadPool pool(jobs);
-        std::vector<int> touched(n, 0);
-        pool.parallelFor(0, n, [&touched](std::size_t b,
-                                          std::size_t e) {
-            for (std::size_t i = b; i < e; ++i)
-                ++touched[i]; // chunks are disjoint: no race
+    // forEach is the pool's parallel for.  Widths 1, 2 and 8 on a
+    // 4-worker pool, and 64, far above it: every index must run
+    // once, and only once, whoever claims it.
+    util::ThreadPool pool(4);
+    const std::size_t n = 1009;
+    for (const unsigned width : {1u, 2u, 8u, 64u}) {
+        std::vector<std::atomic<int>> touched(n);
+        pool.forEach(n, width, noLabel, [&touched](std::size_t i) {
+            touched[i].fetch_add(1, std::memory_order_relaxed);
         });
         for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(touched[i], 1) << "index " << i << " at "
-                                     << jobs << " jobs";
+            ASSERT_EQ(touched[i].load(), 1)
+                << "index " << i << " at width " << width;
     }
 }
 
-TEST(ThreadPool, ParallelReduceBitIdenticalAcrossWidths)
+TEST(ThreadPool, ForEachRethrowsLowestIndexException)
 {
-    // Floating-point reduction: the chunk structure and combine order
-    // depend only on the iteration count, so the sum must be
-    // *bit-identical* (EXPECT_EQ, not NEAR) for any worker count.
-    const std::size_t n = 4999;
-    const auto produce = [](std::size_t b, std::size_t e) {
-        double sum = 0.0;
-        for (std::size_t i = b; i < e; ++i)
-            sum += std::sin(static_cast<double>(i)) +
-                   1.0 / static_cast<double>(i + 1);
-        return sum;
-    };
-    const auto combine = [](double a, double b) { return a + b; };
-    std::optional<double> reference;
-    for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
-        util::ThreadPool pool(jobs);
-        const double value =
-            pool.parallelReduce(0, n, 0.0, produce, combine);
-        if (!reference)
-            reference = value;
-        else
-            EXPECT_EQ(*reference, value)
-                << "reduction diverged at " << jobs << " jobs";
-    }
-}
-
-TEST(ThreadPool, ParallelForRethrowsLowestChunkException)
-{
-    // Two chunks throw; the lowest-index chunk's exception must win
-    // regardless of which worker reached it first — that is what
-    // makes parallel error reporting match the serial loop.
-    for (const unsigned jobs : {1u, 4u}) {
-        util::ThreadPool pool(jobs);
+    // Two indices throw; every body still runs, and the lowest
+    // index's exception wins whichever thread reached it first — so
+    // the error matches the serial loop's at every width.
+    util::ThreadPool pool(4);
+    for (const unsigned width : {1u, 4u}) {
+        std::atomic<int> ran{0};
         std::string what;
         try {
-            pool.parallelFor(
-                0, 64,
-                [](std::size_t b, std::size_t) {
-                    if (b == 3 || b == 10)
-                        throw std::runtime_error(
-                            "chunk " + std::to_string(b));
-                },
-                1);
-        } catch (const std::runtime_error &error) {
+            pool.forEach(
+                64, width,
+                [](std::size_t i) { return "cell " + std::to_string(i); },
+                [&ran](std::size_t i) {
+                    ++ran;
+                    if (i == 3 || i == 10)
+                        throw std::runtime_error("failed");
+                });
+        } catch (const util::TaskError &error) {
             what = error.what();
         }
-        EXPECT_EQ(what, "chunk 3") << "at " << jobs << " jobs";
+        EXPECT_EQ(what, "cell 3: failed") << "at width " << width;
+        EXPECT_EQ(ran.load(), 64) << "at width " << width;
+    }
+}
+
+TEST(ThreadPool, NestedLoopsFinish)
+{
+    // The map -> grid shape, two levels deep on one small pool: every
+    // outer body runs an inner loop of its own.  Callers never wait
+    // on a queued helper, so the pool's two workers being busy with
+    // outer bodies cannot wedge the inner loops.
+    util::ThreadPool pool(2);
+    std::atomic<int> count{0};
+    pool.forEach(8, 8, noLabel, [&](std::size_t) {
+        pool.forEach(8, 8, noLabel, [&](std::size_t) {
+            pool.forEach(4, 4, noLabel, [&](std::size_t) { ++count; });
+        });
+    });
+    EXPECT_EQ(count.load(), 8 * 8 * 4);
+}
+
+TEST(ThreadPool, ThrowingTaskSurfacesToWaitAndPoolStaysUsable)
+{
+    // A loop whose bodies throw must still finish every body and
+    // surface the error when it returns; the next loops on the pool
+    // run normally.
+    util::ThreadPool pool(4);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.forEach(32, 4, noLabel,
+                              [&ran](std::size_t i) {
+                                  ++ran;
+                                  if (i % 8 == 0)
+                                      throw std::runtime_error("boom");
+                              }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 32);
+    for (int loop = 0; loop < 3; ++loop)
+        pool.forEach(8, 4, noLabel, [&ran](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 32 + 3 * 8);
+}
+
+TEST(ThreadPool, ThrowingTasksDoNotDeadlockDestruction)
+{
+    // Destroying a pool right after loops whose bodies all threw
+    // (helpers may still be queued) must join cleanly.
+    util::ThreadPool pool(4);
+    for (int loop = 0; loop < 16; ++loop) {
+        EXPECT_THROW(pool.forEach(64, 4, noLabel,
+                                  [](std::size_t) {
+                                      throw std::runtime_error("x");
+                                  }),
+                     std::runtime_error);
     }
 }
 
@@ -543,9 +528,9 @@ TEST(SweepRunner, GridJunkAuditKnobIsFatalOnWorkers)
 TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
 {
     // Full acceptance path: real trace files through runPipelined
-    // (parallel mmap ingest + prep) into replay grids of width 8 and
-    // width 1 (the TSan job runs this at NVFS_JOBS=8): the metric
-    // tables must be byte-identical.
+    // (mmap ingest + prep) into replay grids of width 8 and width 1
+    // (the TSan job runs this at NVFS_JOBS=8): the metric tables must
+    // be byte-identical.
     const std::string dir = testing::TempDir() + "nvfs_grid_sweep";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);

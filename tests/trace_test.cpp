@@ -1,19 +1,22 @@
 /**
  * @file
- * Unit tests for the trace library: codecs, file round-trips,
- * validation, and merging.
+ * Unit tests for the trace library: codecs, file round-trips (the
+ * bundled traces in both formats), validation, and merging.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "trace/codec.hpp"
 #include "trace/merge.hpp"
 #include "trace/stream.hpp"
 #include "trace/validate.hpp"
+#include "workload/generator.hpp"
 
 namespace nvfs::trace {
 namespace {
@@ -158,6 +161,71 @@ TEST(TraceFiles, TextRoundTrip)
     ASSERT_EQ(out.events.size(), 2u);
     EXPECT_EQ(out.events[0], in.events[0]);
     EXPECT_EQ(out.events[1], in.events[1]);
+}
+
+TEST(TraceFiles, BundledTracesRoundTripBinary)
+{
+    const auto dir = std::filesystem::temp_directory_path();
+    for (int t = 1; t <= 8; ++t) {
+        const TraceBuffer in = workload::generateStandardTrace(t, 0.01);
+        const std::string path =
+            (dir / ("nvfs_bundled_" + std::to_string(t) + ".nvt"))
+                .string();
+        writeTraceFile(path, in);
+        const TraceBuffer out = readTraceFile(path);
+        std::filesystem::remove(path);
+
+        TraceHeader want = in.header;
+        want.eventCount = in.events.size();
+        EXPECT_TRUE(out.header == want) << "trace " << t;
+        EXPECT_TRUE(out.events == in.events) << "trace " << t;
+    }
+}
+
+TEST(TraceFiles, BundledTracesRoundTripText)
+{
+    const auto dir = std::filesystem::temp_directory_path();
+    for (const int t : {1, 3, 7}) {
+        const TraceBuffer in = workload::generateStandardTrace(t, 0.01);
+        const std::string path =
+            (dir / ("nvfs_bundled_" + std::to_string(t) + ".txt"))
+                .string();
+        writeTraceText(path, in);
+        const TraceBuffer out = readTraceText(path);
+        std::filesystem::remove(path);
+
+        EXPECT_EQ(out.header.eventCount, in.events.size())
+            << "trace " << t;
+        EXPECT_TRUE(out.events == in.events) << "trace " << t;
+    }
+}
+
+TEST(TraceFiles, TextReaderSkipsLinesLongerThan256KiB)
+{
+    // Comment lines longer than 256 KiB, blank lines, and a last
+    // line without a newline must not disturb the events around them.
+    const Event open = makeEvent(1, EventType::Open, 0, 1, 0, 0, 0,
+                                 kOpenWrite);
+    const Event write = makeEvent(2, EventType::Write, 0, 1, 0, 0, 4096);
+    const Event close = makeEvent(3, EventType::Close, 0, 1, 0, 4096);
+    const auto path = std::filesystem::temp_directory_path() /
+                      "nvfs_trace_long_lines.txt";
+    {
+        std::ofstream out(path);
+        out << toString(open) << "\n";
+        out << "#" << std::string(300 * 1024, 'x') << "\n\n";
+        out << toString(write) << "\n";
+        out << "#" << std::string(600 * 1024, 'y') << "\n";
+        out << toString(close) << "\n\n# no newline at the end";
+    }
+    const TraceBuffer got = readTraceText(path.string());
+    std::filesystem::remove(path);
+
+    ASSERT_EQ(got.events.size(), 3u);
+    EXPECT_EQ(got.events[0], open);
+    EXPECT_EQ(got.events[1], write);
+    EXPECT_EQ(got.events[2], close);
+    EXPECT_EQ(got.header.eventCount, 3u);
 }
 
 // ---------------------------------------------------------- validate

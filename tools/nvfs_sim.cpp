@@ -15,17 +15,22 @@
  *                     [--nvram 0.5M,1M,2M,4M] [--volatile 8M]
  *                     [--policy lru]
  *   nvfs_sim check    [--runs 20] [--ops 2000] [--seed 1]
- *                     [--audit 64] [--max-seconds T] [--no-shrink]
+ *                     [--clients 4] [--files 48] [--audit 64]
+ *                     [--max-seconds T] [--no-shrink]
  *   nvfs_sim crashsweep --trace 3,4,7 [--scale S]
  *                     [--models volatile,write-aside,unified]
  *                     [--buffers 0,512K] [--seed 42] [--sample N]
  *                     [--no-shrink]
  *
- * Sizes accept K/M/G suffixes; durations accept s/min/h.  Sweeps run
- * --jobs experiments in parallel (default NVFS_JOBS, else all cores).
+ * Sizes accept K/M/G suffixes; durations accept s/min/h.  Numeric
+ * flags are range-checked (--trace 1..8, --jobs 0..65536, ...): a
+ * value outside its range is a fatal error naming the flag.  Sweeps
+ * run --jobs experiments in parallel (default NVFS_JOBS, else all
+ * cores).
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -103,33 +108,30 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
-    int
-    getInt(const std::string &key, int fallback) const
+    /**
+     * Integer flag in [min, max].  Junk or an out-of-range value is a
+     * fatal error naming the flag and the range, so no value is ever
+     * narrowed, wrapped or clamped into one the user did not ask for.
+     */
+    std::int64_t
+    getInt(const std::string &key, std::int64_t fallback,
+           std::int64_t min, std::int64_t max) const
     {
         if (!has(key))
             return fallback;
-        // Strict parse: "--jobs 4x" used to silently become 4 via
-        // atoi (and "--jobs x" became 0); reject it with the flag
-        // name instead.
-        const auto parsed = util::tryParseInt(get(key));
-        if (!parsed.has_value()) {
-            util::fatal("--" + key + " expects an integer, got '" +
-                        get(key) + "'");
-        }
-        return static_cast<int>(*parsed);
+        return util::argInt(("--" + key).c_str(), get(key).c_str(), min,
+                            max);
     }
 
+    /** Number flag in [min, max]; fatal otherwise, like getInt. */
     double
-    getDouble(const std::string &key, double fallback) const
+    getDouble(const std::string &key, double fallback, double min,
+              double max) const
     {
         if (!has(key))
             return fallback;
-        const auto parsed = util::tryParseDouble(get(key));
-        if (!parsed.has_value()) {
-            util::fatal("--" + key + " expects a number, got '" +
-                        get(key) + "'");
-        }
-        return *parsed;
+        return util::argDouble(("--" + key).c_str(), get(key).c_str(),
+                               min, max);
     }
 
     Bytes
@@ -141,6 +143,25 @@ class Args
   private:
     std::map<std::string, std::string> values_;
 };
+
+/** The paper's traces are numbered 1..8. */
+constexpr std::int64_t kTraceCount = 8;
+
+/** Largest value of an integer type, as a flag bound. */
+template <typename T>
+constexpr std::int64_t
+maxOf()
+{
+    return static_cast<std::int64_t>(std::numeric_limits<T>::max());
+}
+
+/** One entry of a --trace list, checked like --trace itself. */
+int
+parseTraceNumber(const std::string &text)
+{
+    return static_cast<int>(
+        util::argInt("--trace", text.c_str(), 1, kTraceCount));
+}
 
 /** Split a comma-separated option value. */
 std::vector<std::string>
@@ -192,8 +213,9 @@ loadOrGenerate(const Args &args)
                    ? trace::readTraceText(args.get("in"))
                    : trace::readTraceFile(args.get("in"));
     }
-    const int trace_number = args.getInt("trace", 7);
-    const double scale = args.getDouble("scale", 0.25);
+    const auto trace_number =
+        static_cast<int>(args.getInt("trace", 7, 1, kTraceCount));
+    const double scale = args.getDouble("scale", 0.25, 1e-6, 1e6);
     return workload::generateStandardTrace(trace_number, scale,
                                            args.has("compat"));
 }
@@ -338,8 +360,8 @@ cmdClient(const Args &args)
 int
 cmdServer(const Args &args)
 {
-    const double hours = args.getDouble("hours", 24.0);
-    const double scale = args.getDouble("scale", 1.0);
+    const double hours = args.getDouble("hours", 24.0, 1e-6, 1e6);
+    const double scale = args.getDouble("scale", 1.0, 1e-6, 1e6);
     const Bytes buffer = args.getBytes("buffer", 0);
     const auto result = core::runServerSim(
         static_cast<TimeUs>(hours * kUsPerHour), scale, buffer);
@@ -427,8 +449,9 @@ cmdSweep(const Args &args)
         }
     }
 
+    // 0 = NVFS_JOBS; the same bound as that variable.
     const core::SweepRunner runner(
-        static_cast<unsigned>(args.getInt("jobs", 0)));
+        static_cast<unsigned>(args.getInt("jobs", 0, 0, 65536)));
 
     // Comma lists (--trace 3,4,7 or --in a,b,c) run the pipelined
     // mode: one table per trace, each trace ingested, prepped and
@@ -437,10 +460,15 @@ cmdSweep(const Args &args)
                                 ? splitList(args.get("in"))
                                 : splitList(args.get("trace", ""));
     if (point_list.size() > 1) {
-        const double scale = args.getDouble("scale", 0.25);
+        const double scale = args.getDouble("scale", 0.25, 1e-6, 1e6);
         const bool from_files = args.has("in");
         const bool text = args.has("text");
         const bool compat = args.has("compat");
+        if (!from_files) {
+            // Every number checked before the first trace replays.
+            for (const std::string &point : point_list)
+                parseTraceNumber(point);
+        }
         const auto per_trace = runner.runPipelined(
             point_list,
             [&](const std::string &point) {
@@ -451,12 +479,8 @@ cmdSweep(const Args &args)
                         return text ? trace::readTraceText(point)
                                     : trace::readTraceFile(point);
                     }
-                    const auto number = util::tryParseInt(point);
-                    if (!number.has_value())
-                        util::fatal("--trace expects integers, got '" +
-                                    point + "'");
                     return workload::generateStandardTrace(
-                        static_cast<int>(*number), scale, compat);
+                        parseTraceNumber(point), scale, compat);
                 }();
                 const obs::StageTimer stage("sweep.prep", point);
                 return prep::convertTrace(buffer);
@@ -507,12 +531,16 @@ cmdCrashsweep(const Args &args)
     const auto model_names =
         splitList(args.get("models", "volatile,write-aside,unified"));
     const auto buffer_names = splitList(args.get("buffers", "0,512K"));
-    const double scale = args.getDouble("scale", 0.05);
-    const auto seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 42));
+    const double scale = args.getDouble("scale", 0.05, 1e-6, 1e6);
+    const auto seed = static_cast<std::uint64_t>(
+        args.getInt("seed", 42, 0, maxOf<std::int64_t>()));
     const auto point_list = args.has("in")
                                 ? splitList(args.get("in"))
                                 : splitList(args.get("trace", "3,4,7"));
+    if (!args.has("in")) {
+        for (const std::string &point : point_list)
+            parseTraceNumber(point);
+    }
 
     util::TextTable table({"trace", "model", "buffer", "sites",
                            "crashes", "violations", "quarantined",
@@ -525,12 +553,8 @@ cmdCrashsweep(const Args &args)
                 return args.has("text") ? trace::readTraceText(point)
                                         : trace::readTraceFile(point);
             }
-            const auto number = util::tryParseInt(point);
-            if (!number.has_value())
-                util::fatal("--trace expects integers, got '" + point +
-                            "'");
             return workload::generateStandardTrace(
-                static_cast<int>(*number), scale, args.has("compat"));
+                parseTraceNumber(point), scale, args.has("compat"));
         }();
         const auto ops = prep::convertTrace(buffer);
         for (const std::string &name : model_names) {
@@ -544,7 +568,7 @@ cmdCrashsweep(const Args &args)
                     util::parseBytes(size_text);
                 config.seed = seed;
                 config.sampleSites = static_cast<std::uint64_t>(
-                    args.getInt("sample", 0));
+                    args.getInt("sample", 0, 0, maxOf<std::int64_t>()));
                 config.shrinkOnFailure = !args.has("no-shrink");
                 const crash::ExploreResult result =
                     crash::explore(server_ops, config);
@@ -607,20 +631,22 @@ int
 cmdCheck(const Args &args)
 {
     check::FuzzConfig config;
-    config.seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
+    config.seed = static_cast<std::uint64_t>(
+        args.getInt("seed", 1, 0, maxOf<std::int64_t>()));
     config.opsPerRun = static_cast<std::size_t>(
-        args.getInt("ops", 2000));
+        args.getInt("ops", 2000, 1, maxOf<std::uint32_t>()));
+    // Client ids run 0..clients-1 and file ids 1..files, each short
+    // of its type's no-client/no-file sentinel.
     config.clients = static_cast<std::uint32_t>(
-        args.getInt("clients", 4));
+        args.getInt("clients", 4, 1, maxOf<ClientId>()));
     config.files = static_cast<std::uint32_t>(
-        args.getInt("files", 48));
+        args.getInt("files", 48, 1, maxOf<FileId>() - 1));
     config.auditEvery = static_cast<std::uint64_t>(
-        args.getInt("audit", 64));
-    config.maxSeconds = args.getDouble("max-seconds", 0.0);
+        args.getInt("audit", 64, 0, maxOf<std::int64_t>()));
+    config.maxSeconds = args.getDouble("max-seconds", 0.0, 0.0, 1e9);
     config.shrink = !args.has("no-shrink");
-    const auto runs =
-        static_cast<std::size_t>(args.getInt("runs", 20));
+    const auto runs = static_cast<std::size_t>(
+        args.getInt("runs", 20, 1, maxOf<std::uint32_t>()));
 
     const check::FuzzResult result = check::fuzz(config, runs);
     if (result.ok()) {
@@ -637,6 +663,12 @@ cmdCheck(const Args &args)
                  failure.what.c_str(), failure.ops.ops.size(),
                  failure.originalOps,
                  check::describeOps(failure.ops).c_str());
+    std::fprintf(stderr,
+                 "rerun: nvfs_sim check --runs 1 --seed %llu --ops %zu "
+                 "--clients %u --files %u --audit %llu\n",
+                 static_cast<unsigned long long>(failure.seed),
+                 failure.originalOps, config.clients, config.files,
+                 static_cast<unsigned long long>(config.auditEvery));
     return 1;
 }
 
