@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * interval-set updates, block-cache operations, policy victim
- * selection, LFS block appends, and whole-trace simulation throughput.
+ * selection, LFS block appends and roll-forward recovery, crash
+ * exploration, and whole-trace simulation throughput.
  */
 
 #include <cstdio>
@@ -17,7 +18,9 @@
 #include "cache/block_cache.hpp"
 #include "core/sim/experiments.hpp"
 #include "core/sim/sweep.hpp"
+#include "crash/explore.hpp"
 #include "lfs/log.hpp"
+#include "lfs/recovery.hpp"
 #include "obs/export.hpp"
 #include "prep/op_cache.hpp"
 #include "util/flat_map.hpp"
@@ -102,6 +105,58 @@ BM_LfsAppend(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LfsAppend);
+
+void
+BM_RollForward(benchmark::State &state)
+{
+    // Strict roll-forward of a log of 512 fsync-forced partial
+    // segments, 8 blocks each over 64 files, with rewrites.
+    lfs::LfsLog log;
+    for (std::uint32_t i = 0; i < 4096; ++i) {
+        log.writeBlock(i % 64, (i * 7) % 48, kBlockSize);
+        if (i % 8 == 7)
+            log.seal(lfs::SealCause::Fsync);
+    }
+    for (auto _ : state) {
+        const lfs::RecoveryResult result = lfs::rollForward(log);
+        benchmark::DoNotOptimize(result.blocksRecovered);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(log.segments().size()));
+}
+BENCHMARK(BM_RollForward);
+
+void
+BM_CrashExplore(benchmark::State &state)
+{
+    // One crash-exploration cell shaped like perfbench's: the first
+    // 800 server-bound ops of the unified model on trace 7, crashed at
+    // 100 seeded sites with a 512 KiB NVRAM write buffer.  The crashes
+    // fan out on the NVFS_JOBS pool, so process CPU above real time
+    // shows them running in parallel.
+    core::ModelConfig model;
+    model.kind = core::ModelKind::Unified;
+    auto ops = core::collectServerOps(core::standardOps(7, 0.2), model);
+    if (ops.size() > 800)
+        ops.resize(800);
+    crash::ExploreConfig config;
+    config.server.nvramBufferBytes = 512 * kKiB;
+    config.sampleSites = 100;
+    for (auto _ : state) {
+        const crash::ExploreResult result = crash::explore(ops, config);
+        if (!result.violations.empty())
+            state.SkipWithError("oracle violation");
+        benchmark::DoNotOptimize(result.blocksLost);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(config.sampleSites));
+}
+BENCHMARK(BM_CrashExplore)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ClientSimTrace7(benchmark::State &state)

@@ -11,6 +11,7 @@
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nvfs::crash {
 
@@ -285,10 +286,25 @@ explore(const std::vector<workload::ServerOp> &ops,
         result.sitesByKind = census.sitesByKind();
     }
 
-    // Crash once per selected site and oracle-check the recovery.
-    for (const std::uint64_t site :
-         selectSites(result.sitesTotal, config)) {
-        CrashVerdict verdict = exploreOne(ops, config, site);
+    // Crash once per selected site and oracle-check the recovery.  The
+    // replays are independent, so they fan out on the shared pool into
+    // per-site slots and merge below in site order: the result is the
+    // same at every NVFS_JOBS width.
+    const std::vector<std::uint64_t> sites =
+        selectSites(result.sitesTotal, config);
+    std::vector<CrashVerdict> verdicts(sites.size());
+    util::ThreadPool::global().forEach(
+        sites.size(), util::defaultJobCount(),
+        [&sites](std::size_t i) {
+            return util::format(
+                "crash site %llu",
+                static_cast<unsigned long long>(sites[i]));
+        },
+        [&](std::size_t i) {
+            verdicts[i] = exploreOne(ops, config, sites[i]);
+        });
+
+    for (CrashVerdict &verdict : verdicts) {
         ++result.crashesExplored;
         explored.add();
         result.segmentsQuarantined +=
@@ -303,14 +319,18 @@ explore(const std::vector<workload::ServerOp> &ops,
             // Minimize the op stream while the same crash site keeps
             // violating the oracle.  Dropping ops keeps the stream
             // legal (times stay sorted); the site numbering shifts,
-            // so the predicate re-runs the full crash replay.
+            // so the predicate re-runs the full crash replay.  A
+            // candidate too short to reach the site does not count:
+            // its "never reached" verdict would shrink any repro to
+            // nothing.
+            const std::uint64_t site = violation.site;
             violation.repro = check::deltaShrink(
                 ops,
                 [&](const std::vector<workload::ServerOp>
                         &candidate) {
                     const CrashVerdict probe =
                         exploreOne(candidate, config, site);
-                    return probe.violation.has_value();
+                    return probe.crashed && probe.violation.has_value();
                 },
                 config.shrinkBudget);
         }

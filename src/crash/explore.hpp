@@ -30,8 +30,15 @@
  *   NVFS_CRASH_SAMPLE=64       crash at a seeded uniform sample of
  *                              64 sites
  *
- * A violating schedule is shrunk with the fuzzer's delta-debugging
- * machinery to a minimal reproducing op stream.
+ * The crash replays are independent, so they run on the shared
+ * NVFS_JOBS pool (util::ThreadPool::global()).  Each verdict goes to
+ * its site's slot and the slots merge in site order, so the result
+ * is the same at every width.
+ *
+ * A violating schedule is then shrunk, serially and in site order,
+ * with the fuzzer's delta-debugging machinery to a minimal op stream
+ * that still reaches the crash site and still violates the oracle
+ * there.
  */
 
 #pragma once
@@ -120,7 +127,8 @@ CrashVerdict exploreOne(const std::vector<workload::ServerOp> &ops,
 /**
  * Census the workload's crash sites, then crash at every selected
  * site (all of them, or the NVFS_CRASH_SITES / NVFS_CRASH_SAMPLE
- * selection) and oracle-check each recovery.
+ * selection) on the shared pool and oracle-check each recovery.
+ * Violations come out in site order at every NVFS_JOBS width.
  */
 ExploreResult explore(const std::vector<workload::ServerOp> &ops,
                       const ExploreConfig &config);

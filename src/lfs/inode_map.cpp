@@ -1,31 +1,51 @@
 #include "lfs/inode_map.hpp"
 
+#include <algorithm>
+
 namespace nvfs::lfs {
+
+namespace {
+
+/** First entry of `blocks` at or past block index `block`. */
+template <typename Blocks>
+auto
+lowerBound(Blocks &blocks, std::uint32_t block)
+{
+    return std::lower_bound(
+        blocks.begin(), blocks.end(), block,
+        [](const auto &entry, std::uint32_t b) { return entry.block < b; });
+}
+
+} // namespace
 
 std::optional<SegmentAddress>
 InodeMap::locate(FileId file, std::uint32_t block) const
 {
-    auto fit = files_.find(file);
-    if (fit == files_.end())
+    const Blocks *blocks = files_.find(file);
+    if (blocks == nullptr)
         return std::nullopt;
-    auto bit = fit->second.find(block);
-    if (bit == fit->second.end())
+    const auto it = lowerBound(*blocks, block);
+    if (it == blocks->end() || it->block != block)
         return std::nullopt;
-    return bit->second;
+    return it->address;
 }
 
 std::optional<SegmentAddress>
 InodeMap::update(FileId file, std::uint32_t block,
                  SegmentAddress address)
 {
-    auto &blocks = files_[file];
-    auto it = blocks.find(block);
-    if (it == blocks.end()) {
-        blocks.emplace(block, address);
+    Blocks &blocks = files_[file];
+    if (blocks.empty() || blocks.back().block < block) {
+        blocks.push_back({block, address});
         return std::nullopt;
     }
-    const SegmentAddress old = it->second;
-    it->second = address;
+    const auto it = lowerBound(blocks, block);
+    if (it->block != block) {
+        blocks.insert(it, {block, address});
+        return std::nullopt;
+    }
+    const SegmentAddress old = it->address;
+    it->address = address;
     return old;
 }
 
@@ -33,13 +53,13 @@ std::vector<SegmentAddress>
 InodeMap::removeFile(FileId file)
 {
     std::vector<SegmentAddress> out;
-    auto fit = files_.find(file);
-    if (fit == files_.end())
+    const Blocks *blocks = files_.find(file);
+    if (blocks == nullptr)
         return out;
-    out.reserve(fit->second.size());
-    for (const auto &[block, address] : fit->second)
-        out.push_back(address);
-    files_.erase(fit);
+    out.reserve(blocks->size());
+    for (const Entry &entry : *blocks)
+        out.push_back(entry.address);
+    files_.erase(file);
     return out;
 }
 
@@ -47,16 +67,16 @@ std::vector<SegmentAddress>
 InodeMap::truncate(FileId file, std::uint32_t first_dead)
 {
     std::vector<SegmentAddress> out;
-    auto fit = files_.find(file);
-    if (fit == files_.end())
+    Blocks *blocks = files_.find(file);
+    if (blocks == nullptr)
         return out;
-    auto it = fit->second.lower_bound(first_dead);
-    while (it != fit->second.end()) {
-        out.push_back(it->second);
-        it = fit->second.erase(it);
-    }
-    if (fit->second.empty())
-        files_.erase(fit);
+    const auto first = lowerBound(*blocks, first_dead);
+    out.reserve(static_cast<std::size_t>(blocks->end() - first));
+    for (auto it = first; it != blocks->end(); ++it)
+        out.push_back(it->address);
+    blocks->erase(first, blocks->end());
+    if (blocks->empty())
+        files_.erase(file);
     return out;
 }
 
@@ -64,12 +84,12 @@ std::vector<std::pair<std::uint32_t, SegmentAddress>>
 InodeMap::blocksOf(FileId file) const
 {
     std::vector<std::pair<std::uint32_t, SegmentAddress>> out;
-    auto fit = files_.find(file);
-    if (fit == files_.end())
+    const Blocks *blocks = files_.find(file);
+    if (blocks == nullptr)
         return out;
-    out.reserve(fit->second.size());
-    for (const auto &[block, address] : fit->second)
-        out.emplace_back(block, address);
+    out.reserve(blocks->size());
+    for (const Entry &entry : *blocks)
+        out.emplace_back(entry.block, entry.address);
     return out;
 }
 
@@ -77,8 +97,8 @@ std::size_t
 InodeMap::blockCount() const
 {
     std::size_t count = 0;
-    for (const auto &[file, blocks] : files_)
-        count += blocks.size();
+    files_.forEach(
+        [&count](FileId, const Blocks &blocks) { count += blocks.size(); });
     return count;
 }
 
@@ -87,12 +107,14 @@ InodeMap::operator==(const InodeMap &other) const
 {
     if (files_.size() != other.files_.size())
         return false;
-    for (const auto &[file, blocks] : files_) {
-        auto it = other.files_.find(file);
-        if (it == other.files_.end() || it->second != blocks)
-            return false;
-    }
-    return true;
+    bool equal = true;
+    files_.forEach([&](FileId file, const Blocks &blocks) {
+        if (!equal)
+            return;
+        const Blocks *theirs = other.files_.find(file);
+        equal = theirs != nullptr && *theirs == blocks;
+    });
+    return equal;
 }
 
 } // namespace nvfs::lfs

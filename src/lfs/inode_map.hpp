@@ -4,16 +4,22 @@
  * the log.  (Sprite LFS keeps this in the "inode map" plus per-file
  * metadata blocks; we collapse both into one lookup structure and
  * charge the metadata blocks at segment-write time.)
+ *
+ * Each file's blocks sit in one vector sorted by block index.  Writes
+ * mostly extend a file, so an update is usually a push_back and any
+ * other lookup is a binary search.  The crash explorer copies the map
+ * at every seal commit; assigning into an existing map reuses its
+ * vectors, so such a copy is one memcpy per file, not one tree node
+ * per block.
  */
 
 #pragma once
 
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "lfs/segment.hpp"
+#include "util/flat_map.hpp"
 
 namespace nvfs::lfs {
 
@@ -58,8 +64,18 @@ class InodeMap
     bool operator==(const InodeMap &other) const;
 
   private:
-    std::unordered_map<FileId, std::map<std::uint32_t, SegmentAddress>>
-        files_;
+    struct Entry
+    {
+        std::uint32_t block = 0;
+        SegmentAddress address;
+
+        bool operator==(const Entry &other) const = default;
+    };
+
+    /** A file's blocks, ascending block index; never empty. */
+    using Blocks = std::vector<Entry>;
+
+    util::FlatMap<FileId, Blocks, util::SplitMix64Hash> files_;
 };
 
 } // namespace nvfs::lfs

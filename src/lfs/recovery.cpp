@@ -1,6 +1,8 @@
 #include "lfs/recovery.hpp"
 
-#include <map>
+#include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -8,18 +10,60 @@ namespace nvfs::lfs {
 
 namespace {
 
-/** Final location of each (file, block) within one segment. */
-std::map<std::pair<FileId, std::uint32_t>, std::uint32_t>
+/** Where a segment's last copy of one (file, block) sits. */
+struct FinalSlot
+{
+    std::uint64_t key = 0; ///< file in the high half, block in the low
+    std::uint32_t slot = 0;
+};
+
+std::uint64_t
+slotKey(FileId file, std::uint32_t block)
+{
+    return (static_cast<std::uint64_t>(file) << 32) | block;
+}
+
+/**
+ * Final location of each (file, block) within one segment, sorted by
+ * key.  A block the segment holds twice keeps its last slot.
+ */
+std::vector<FinalSlot>
 finalSlots(const Segment &segment)
 {
-    std::map<std::pair<FileId, std::uint32_t>, std::uint32_t> slots;
+    std::vector<FinalSlot> slots;
+    slots.reserve(segment.entries.size());
     for (std::uint32_t slot = 0; slot < segment.entries.size();
          ++slot) {
         const SegmentEntry &entry = segment.entries[slot];
         if (entry.kind == EntryKind::Data)
-            slots[{entry.file, entry.blockIndex}] = slot;
+            slots.push_back({slotKey(entry.file, entry.blockIndex), slot});
     }
+    // A repeated key's copies sort latest first, so unique() keeps the
+    // last one.
+    std::sort(slots.begin(), slots.end(),
+              [](const FinalSlot &a, const FinalSlot &b) {
+                  return a.key != b.key ? a.key < b.key : a.slot > b.slot;
+              });
+    slots.erase(std::unique(slots.begin(), slots.end(),
+                            [](const FinalSlot &a, const FinalSlot &b) {
+                                return a.key == b.key;
+                            }),
+                slots.end());
     return slots;
+}
+
+/** The segment slot holding (file, block), if the segment has it. */
+std::optional<std::uint32_t>
+slotOf(const std::vector<FinalSlot> &slots, FileId file,
+       std::uint32_t block)
+{
+    const std::uint64_t key = slotKey(file, block);
+    const auto it = std::lower_bound(
+        slots.begin(), slots.end(), key,
+        [](const FinalSlot &s, std::uint64_t k) { return s.key < k; });
+    if (it == slots.end() || it->key != key)
+        return std::nullopt;
+    return it->slot;
 }
 
 } // namespace
@@ -63,7 +107,7 @@ rollForward(const LfsLog &log, const Checkpoint *checkpoint,
                   case JournalRecord::Kind::Write:
                     // Only records whose data survived to the seal
                     // would have been replayed.
-                    if (slots.count({record.file, record.block}) != 0) {
+                    if (slotOf(slots, record.file, record.block)) {
                         ++result.report.blocksLost;
                         lostBlocks.add();
                     }
@@ -85,11 +129,12 @@ rollForward(const LfsLog &log, const Checkpoint *checkpoint,
         for (const JournalRecord &record : log.journalOf(id)) {
             switch (record.kind) {
               case JournalRecord::Kind::Write: {
-                auto it = slots.find({record.file, record.block});
-                if (it == slots.end())
+                const auto slot =
+                    slotOf(slots, record.file, record.block);
+                if (!slot)
                     break; // data died again before the seal
                 result.inodes.update(record.file, record.block,
-                                     {id, it->second});
+                                     {id, *slot});
                 ++result.blocksRecovered;
                 break;
               }

@@ -45,6 +45,8 @@ struct ServerOp
     Bytes offset = 0;
     Bytes length = 0; ///< Write only
     Kind kind = Kind::Write;
+
+    bool operator==(const ServerOp &other) const = default;
 };
 
 /** Activity parameters of one server file system. */

@@ -5,7 +5,8 @@
  * durability oracle (including the two deliberate-corruption tests
  * that prove it is not vacuous), recovery idempotence, quarantining
  * recovery's damage accounting, the NVRAM write-buffer ledger, env
- * knob parsing, and delta-debug shrinking.
+ * knob parsing, delta-debug shrinking, and the same explore() result
+ * at every NVFS_JOBS width.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "lfs/recovery.hpp"
 #include "nvram/crash_site.hpp"
 #include "nvram/device.hpp"
+#include "scoped_env.hpp"
 #include "server/file_server.hpp"
 
 namespace nvfs::lfs {
@@ -41,6 +43,22 @@ class CrashTestPeer
             }
         }
         FAIL() << "segment " << id << " has no Write journal record";
+    }
+
+    /** Append a second copy of segment `id`'s first data entry, as
+     *  if the segment held that block twice. */
+    static void
+    repeatFirstDataEntry(LfsLog &log, std::uint32_t id)
+    {
+        std::vector<SegmentEntry> &entries = log.segments_.at(id).entries;
+        for (const SegmentEntry &entry : entries) {
+            if (entry.kind == EntryKind::Data) {
+                const SegmentEntry copy = entry;
+                entries.push_back(copy);
+                return;
+            }
+        }
+        FAIL() << "segment " << id << " has no data entry";
     }
 
     /** Fail segment `id`'s summary checksum (media corruption). */
@@ -319,6 +337,22 @@ TEST(Recovery, RollForwardIsIdempotentOnACrashedLog)
     EXPECT_TRUE(q1.report == q2.report);
 }
 
+TEST(Recovery, RepeatedBlockInASegmentKeepsItsLastSlot)
+{
+    lfs::LfsLog log(smallConfig());
+    log.writeBlock(1, 0, kBlockSize);
+    log.writeBlock(1, 1, kBlockSize);
+    ASSERT_TRUE(log.seal(lfs::SealCause::Fsync));
+    CrashTestPeer::repeatFirstDataEntry(log, 0);
+    const auto last = static_cast<std::uint32_t>(
+        log.segments()[0].entries.size() - 1);
+
+    const auto result = lfs::rollForward(log);
+    ASSERT_TRUE(result.inodes.locate(1, 0).has_value());
+    EXPECT_EQ(*result.inodes.locate(1, 0), (lfs::SegmentAddress{0, last}));
+    EXPECT_EQ(*result.inodes.locate(1, 1), (lfs::SegmentAddress{0, 1}));
+}
+
 // ------------------------------------- quarantining recovery report
 
 TEST(Recovery, QuarantineSkipsDamagedSegmentAndReportsLoss)
@@ -465,6 +499,135 @@ TEST(Explore, UnreachedArmedSiteIsAViolation)
     ASSERT_TRUE(verdict.violation.has_value());
     EXPECT_NE(verdict.violation->what.find("never reached"),
               std::string::npos);
+}
+
+/** explore()'s settings for smallWorkload(), shrinking on. */
+crash::ExploreConfig
+smallExploreConfig(Bytes nvram_buffer)
+{
+    crash::ExploreConfig config;
+    config.server.nvramBufferBytes = nvram_buffer;
+    config.server.lfs.segmentBytes = 64 * kKiB;
+    return config;
+}
+
+/**
+ * What explore() must report, computed the slow way: a census, then
+ * exploreOne at every site in order, each violation shrunk while its
+ * crash still fires and still violates.
+ */
+crash::ExploreResult
+serialExplore(const std::vector<ServerOp> &ops,
+              const crash::ExploreConfig &config)
+{
+    crash::ExploreResult result;
+    {
+        CrashSiteRegistry census;
+        server::FileServer server(config.fsNames, config.server);
+        server.setCrashHook(&census);
+        for (std::size_t i = 0; i < server.fsCount(); ++i) {
+            const auto fs = static_cast<FsId>(i);
+            census.track(server.log(fs), server.nvramDevice(fs));
+        }
+        server.run(ops);
+        result.sitesTotal = census.sitesSeen();
+        result.sitesByKind = census.sitesByKind();
+    }
+    for (std::uint64_t site = 1; site <= result.sitesTotal; ++site) {
+        const crash::CrashVerdict verdict =
+            crash::exploreOne(ops, config, site);
+        ++result.crashesExplored;
+        result.segmentsQuarantined +=
+            verdict.quarantine.segmentsQuarantined;
+        result.blocksLost += verdict.quarantine.blocksLost;
+        result.metaOpsLost += verdict.quarantine.metaOpsLost;
+        if (!verdict.violation)
+            continue;
+        crash::Violation violation = *verdict.violation;
+        if (config.shrinkOnFailure) {
+            violation.repro = check::deltaShrink(
+                ops,
+                [&](const std::vector<ServerOp> &candidate) {
+                    const auto probe =
+                        crash::exploreOne(candidate, config, site);
+                    return probe.crashed && probe.violation.has_value();
+                },
+                config.shrinkBudget);
+        }
+        result.violations.push_back(std::move(violation));
+    }
+    return result;
+}
+
+void
+expectSameResult(const crash::ExploreResult &got,
+                 const crash::ExploreResult &want)
+{
+    EXPECT_EQ(got.sitesTotal, want.sitesTotal);
+    EXPECT_EQ(got.sitesByKind, want.sitesByKind);
+    EXPECT_EQ(got.crashesExplored, want.crashesExplored);
+    EXPECT_EQ(got.segmentsQuarantined, want.segmentsQuarantined);
+    EXPECT_EQ(got.blocksLost, want.blocksLost);
+    EXPECT_EQ(got.metaOpsLost, want.metaOpsLost);
+    ASSERT_EQ(got.violations.size(), want.violations.size());
+    for (std::size_t i = 0; i < got.violations.size(); ++i) {
+        const crash::Violation &g = got.violations[i];
+        const crash::Violation &w = want.violations[i];
+        EXPECT_EQ(g.site, w.site) << "violation " << i;
+        EXPECT_EQ(g.kind, w.kind) << "violation " << i;
+        EXPECT_EQ(g.what, w.what) << "violation " << i;
+        EXPECT_TRUE(g.repro == w.repro) << "violation " << i;
+    }
+}
+
+TEST(Explore, ShrunkReproReachesItsSite)
+{
+    // A torn first seal loses data the registry saw commit, so every
+    // later crash violates the oracle.
+    const ScopedEnv faults("NVFS_FAULTS", "torn-seal:1");
+    const crash::ExploreConfig config = smallExploreConfig(0);
+    const auto result = crash::explore(smallWorkload(), config);
+    ASSERT_FALSE(result.violations.empty());
+    for (const crash::Violation &violation : result.violations) {
+        EXPECT_FALSE(violation.repro.empty())
+            << "site " << violation.site;
+        const auto probe =
+            crash::exploreOne(violation.repro, config, violation.site);
+        EXPECT_TRUE(probe.crashed) << "site " << violation.site;
+        EXPECT_TRUE(probe.violation.has_value())
+            << "site " << violation.site;
+    }
+}
+
+TEST(Explore, SameResultAtEveryWidth)
+{
+    struct Case
+    {
+        const char *name;
+        Bytes nvramBuffer;
+        const char *faults; ///< NVFS_FAULTS, or nullptr
+    };
+    const Case cases[] = {
+        {"buffered", 256 * kKiB, nullptr},
+        {"unbuffered", 0, nullptr},
+        {"torn seal", 0, "torn-seal:1"},
+    };
+    const auto ops = smallWorkload();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const ScopedEnv faults("NVFS_FAULTS", c.faults);
+        const crash::ExploreConfig config =
+            smallExploreConfig(c.nvramBuffer);
+        const crash::ExploreResult want = serialExplore(ops, config);
+        ASSERT_GT(want.sitesTotal, 0u);
+        EXPECT_EQ(want.violations.empty(), c.faults == nullptr);
+        // Wide first, so a pool the test starts is wide too.
+        for (const char *jobs : {"4", "1"}) {
+            SCOPED_TRACE(std::string("NVFS_JOBS=") + jobs);
+            const ScopedEnv width("NVFS_JOBS", jobs);
+            expectSameResult(crash::explore(ops, config), want);
+        }
+    }
 }
 
 // -------------------------------------------------------- env knobs

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "lfs/cleaner.hpp"
 #include "lfs/log.hpp"
 #include "lfs/recovery.hpp"
+#include "util/rng.hpp"
 
 namespace nvfs::lfs {
 namespace {
@@ -64,6 +69,158 @@ TEST(InodeMap, Equality)
     EXPECT_FALSE(a == b);
     b.update(1, 0, {0, 0});
     EXPECT_TRUE(a == b);
+}
+
+/** The inode map as an ordered std::map over (file, block). */
+using ReferenceMap =
+    std::map<std::pair<FileId, std::uint32_t>, SegmentAddress>;
+
+/** The reference's addresses for `file`, ascending block index. */
+std::vector<std::pair<std::uint32_t, SegmentAddress>>
+referenceBlocks(const ReferenceMap &ref, FileId file)
+{
+    std::vector<std::pair<std::uint32_t, SegmentAddress>> out;
+    for (auto it = ref.lower_bound({file, 0});
+         it != ref.end() && it->first.first == file; ++it)
+        out.emplace_back(it->first.second, it->second);
+    return out;
+}
+
+/** Every observable of `map` agrees with `ref` over the key space. */
+void
+expectMatches(const InodeMap &map, const ReferenceMap &ref,
+              FileId files, std::uint32_t blocks)
+{
+    std::set<FileId> mapped;
+    for (const auto &[key, address] : ref)
+        mapped.insert(key.first);
+    EXPECT_EQ(map.blockCount(), ref.size());
+    EXPECT_EQ(map.fileCount(), mapped.size());
+    for (FileId file = 0; file < files; ++file) {
+        EXPECT_EQ(map.blocksOf(file), referenceBlocks(ref, file))
+            << "file " << file;
+        for (std::uint32_t block = 0; block < blocks; ++block) {
+            const auto it = ref.find({file, block});
+            const auto got = map.locate(file, block);
+            ASSERT_EQ(got.has_value(), it != ref.end())
+                << "file " << file << " block " << block;
+            if (got) {
+                EXPECT_EQ(*got, it->second);
+            }
+        }
+    }
+}
+
+TEST(InodeMap, MatchesOrderedReference)
+{
+    constexpr FileId kFiles = 6;
+    constexpr std::uint32_t kBlocks = 48;
+    util::Rng rng(2024);
+    InodeMap map;
+    InodeMap snapshot; // copy-assigned every third round, like a seal
+    ReferenceMap ref;
+    ReferenceMap snapshotRef;
+    std::uint32_t nextSegment = 0;
+
+    const auto pick = [&rng](std::uint64_t n) {
+        return static_cast<std::uint32_t>(rng.uniformInt(0, n - 1));
+    };
+    const auto update = [&](FileId file, std::uint32_t block) {
+        const SegmentAddress address{nextSegment, block};
+        const auto it = ref.find({file, block});
+        const auto old = map.update(file, block, address);
+        ASSERT_EQ(old.has_value(), it != ref.end());
+        if (old) {
+            EXPECT_EQ(*old, it->second);
+        }
+        ref[{file, block}] = address;
+    };
+
+    for (int round = 0; round < 400; ++round) {
+        ++nextSegment;
+        const FileId file = pick(kFiles);
+        switch (pick(6)) {
+          case 0:
+          case 1:
+          case 2: {
+            // A run of blocks written ascending, descending or in a
+            // random order.
+            const std::uint32_t lo = pick(kBlocks);
+            const std::uint32_t hi = lo + 1 + pick(kBlocks - lo);
+            std::vector<std::uint32_t> order;
+            for (std::uint32_t b = lo; b < hi; ++b)
+                order.push_back(b);
+            const std::uint32_t how = pick(3);
+            if (how == 1)
+                std::reverse(order.begin(), order.end());
+            for (std::size_t i = order.size(); how == 2 && i > 1; --i)
+                std::swap(order[i - 1], order[pick(i)]);
+            for (const std::uint32_t block : order)
+                update(file, block);
+            break;
+          }
+          case 3: {
+            const auto expected = referenceBlocks(ref, file);
+            const auto removed = map.removeFile(file);
+            ASSERT_EQ(removed.size(), expected.size());
+            for (std::size_t i = 0; i < removed.size(); ++i)
+                EXPECT_EQ(removed[i], expected[i].second);
+            ref.erase(ref.lower_bound({file, 0}),
+                      ref.lower_bound({file + 1, 0}));
+            break;
+          }
+          case 4: {
+            // Truncate at 0, mid-file or past the end.
+            const auto blocks = referenceBlocks(ref, file);
+            const std::uint32_t where = pick(3);
+            std::uint32_t first_dead = 0;
+            if (where == 1 && !blocks.empty())
+                first_dead = blocks[pick(blocks.size())].first;
+            else if (where == 2)
+                first_dead = kBlocks + pick(4);
+            const auto dropped = map.truncate(file, first_dead);
+            std::vector<SegmentAddress> expected;
+            for (const auto &[block, address] : blocks) {
+                if (block >= first_dead)
+                    expected.push_back(address);
+            }
+            EXPECT_EQ(dropped, expected);
+            ref.erase(ref.lower_bound({file, first_dead}),
+                      ref.lower_bound({file + 1, 0}));
+            break;
+          }
+          default:
+            update(file, pick(kBlocks));
+            break;
+        }
+        expectMatches(map, ref, kFiles, kBlocks);
+        expectMatches(snapshot, snapshotRef, kFiles, kBlocks);
+        if (round % 3 == 0) {
+            snapshot = map;
+            snapshotRef = ref;
+        }
+
+        // The same contents inserted in a different order compare
+        // equal; one moved block makes them differ.
+        std::vector<std::pair<FileId, std::uint32_t>> keys;
+        for (const auto &[key, address] : ref)
+            keys.push_back(key);
+        for (std::size_t i = keys.size(); i > 1; --i)
+            std::swap(keys[i - 1], keys[pick(i)]);
+        InodeMap shuffled;
+        for (const auto &[f, b] : keys)
+            shuffled.update(f, b, ref.at({f, b}));
+        EXPECT_TRUE(shuffled == map);
+        EXPECT_TRUE(map == shuffled);
+        if (!keys.empty()) {
+            const auto &[f, b] = keys.front();
+            shuffled.update(f, b, {nextSegment + 1, 0});
+            EXPECT_FALSE(shuffled == map);
+        } else {
+            shuffled.update(0, 0, {0, 0});
+            EXPECT_FALSE(shuffled == map);
+        }
+    }
 }
 
 TEST(LfsLog, ForcedSealIsPartial)

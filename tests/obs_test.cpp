@@ -28,43 +28,13 @@
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "prep/converter.hpp"
+#include "scoped_env.hpp"
 #include "trace/stream.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace nvfs {
 namespace {
-
-/** Scoped env var: set on construction, restore on destruction. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            hadOld_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool hadOld_ = false;
-    std::string old_;
-};
 
 #ifndef NVFS_NO_STATS
 
