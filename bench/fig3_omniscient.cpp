@@ -31,15 +31,34 @@ main()
         headers.push_back("trace " + std::to_string(t));
     util::TextTable table(std::move(headers));
 
-    // Warm the per-trace memoized caches serially, then fan the whole
-    // (size x trace) grid out across the workers.  The omniscient
-    // policy breaks the inclusion property, so this sweep stays on
-    // the per-size grid.
+    // Warm the per-trace memoized caches (each trace's op stream and
+    // oracle, built in parallel across traces), then run one flat
+    // task list, longest first: the eight single-pass LRU baseline
+    // curves, one per trace, and then the (size x trace) omniscient
+    // grid.  The omniscient policy breaks the inclusion property, so
+    // that sweep stays on per-size cells.
+    const core::SweepRunner runner;
+    std::vector<std::function<bool()>> warmups;
     for (int t = 1; t <= 8; ++t) {
-        core::standardOps(t, scale);
-        core::standardOracle(t, scale);
+        warmups.push_back([t, scale] {
+            core::standardOracle(t, scale);
+            return true;
+        });
     }
-    std::vector<std::function<core::Metrics()>> tasks;
+    runner.map(warmups);
+
+    std::vector<std::function<std::vector<core::Metrics>()>> tasks;
+    for (int t = 1; t <= 8; ++t) {
+        tasks.push_back([t, scale, &runner] {
+            core::CurveSpec spec;
+            spec.base.kind = core::ModelKind::Unified;
+            spec.base.volatileBytes = 8 * kMiB;
+            spec.axis = core::CurveAxis::NvramBytes;
+            spec.sizes = bench::nvramSizeGridBytes();
+            return runner.runCurveSweep(core::standardOps(t, scale),
+                                        spec);
+        });
+    }
     for (const double mb : bench::kNvramSizeGrid) {
         for (int t = 1; t <= 8; ++t) {
             tasks.push_back([t, mb, scale] {
@@ -50,47 +69,38 @@ main()
                 model.nvramBytes = static_cast<Bytes>(mb * kMiB);
                 model.nvramPolicy = cache::PolicyKind::Omniscient;
                 model.oracle = &core::standardOracle(t, scale);
-                return core::runClientSim(ops, model);
+                return std::vector<core::Metrics>{
+                    core::runClientSim(ops, model)};
             });
         }
     }
-    const core::SweepRunner runner;
     const auto results = runner.map(tasks);
+    const auto lru = results.begin();
+    const auto omniscient = results.begin() + 8;
 
     std::size_t next = 0;
     for (const double mb : bench::kNvramSizeGrid) {
         std::vector<std::string> row = {util::format("%g", mb)};
         for (int t = 1; t <= 8; ++t)
             row.push_back(
-                bench::pct(results[next++].netWriteTrafficPct()));
+                bench::pct(omniscient[next++][0].netWriteTrafficPct()));
         table.addRow(std::move(row));
     }
     std::printf("%s\n", table.render("net write traffic (%)").c_str());
 
-    // LRU baseline: the same sweep under the realistic policy, one
-    // single-pass curve replay per trace.
+    // LRU baseline: the same sweep under the realistic policy.
     std::vector<std::string> lru_headers = {"NVRAM (MB)"};
     for (int t = 1; t <= 8; ++t)
         lru_headers.push_back("trace " + std::to_string(t));
     util::TextTable lru_table(std::move(lru_headers));
 
-    std::vector<std::vector<core::Metrics>> lru_rows;
-    for (int t = 1; t <= 8; ++t) {
-        core::CurveSpec spec;
-        spec.base.kind = core::ModelKind::Unified;
-        spec.base.volatileBytes = 8 * kMiB;
-        spec.axis = core::CurveAxis::NvramBytes;
-        spec.sizes = bench::nvramSizeGridBytes();
-        lru_rows.push_back(
-            runner.runCurveSweep(core::standardOps(t, scale), spec));
-    }
     for (std::size_t s = 0; s < std::size(bench::kNvramSizeGrid);
          ++s) {
         std::vector<std::string> row = {
             util::format("%g", bench::kNvramSizeGrid[s])};
         for (int t = 1; t <= 8; ++t)
             row.push_back(
-                bench::pct(lru_rows[t - 1][s].netWriteTrafficPct()));
+                bench::pct(lru[t - 1][s].netWriteTrafficPct()));
         lru_table.addRow(std::move(row));
     }
     std::printf("%s\n",

@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * interval-set updates, block-cache operations, policy victim
  * selection, LFS block appends and roll-forward recovery, crash
- * exploration, and whole-trace simulation throughput.
+ * exploration, whole-trace simulation throughput and the pipelined
+ * multi-trace sweep.
  */
 
 #include <cstdio>
@@ -388,6 +389,75 @@ BENCHMARK(BM_CurveSweep)
     ->ArgNames({"nvram", "curve"})
     ->Args({0, 0})->Args({0, 1})
     ->Args({1, 0})->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_PipelinedSweep(benchmark::State &state)
+{
+    // perfbench's client_figures shape at runner width Arg(0): traces
+    // 3, 4 and 7 through runPipelined, each replaying the Fig 5 grid
+    // (three models, 0.5-4 MB of extra memory on an 8 MB volatile
+    // cache) and then the volatile and unified curves over the ten
+    // paper sizes.  Width 1 runs the points one after another; wider
+    // runs overlap them and share the pool with their grids.
+    const double scale = 0.05;
+    const std::vector<int> traces{3, 4, 7};
+    for (const int t : traces)
+        core::standardOps(t, scale);
+    std::vector<core::ModelConfig> grid;
+    for (const double mb : {0.5, 1.0, 2.0, 4.0}) {
+        const auto extra = static_cast<Bytes>(mb * kMiB);
+        for (const auto kind :
+             {core::ModelKind::Volatile, core::ModelKind::WriteAside,
+              core::ModelKind::Unified}) {
+            core::ModelConfig model;
+            model.kind = kind;
+            model.volatileBytes = 8 * kMiB;
+            if (kind == core::ModelKind::Volatile)
+                model.volatileBytes += extra;
+            else
+                model.nvramBytes = extra;
+            grid.push_back(model);
+        }
+    }
+    std::vector<core::CurveSpec> curves(2);
+    curves[0].base.kind = core::ModelKind::Volatile;
+    curves[0].axis = core::CurveAxis::VolatileBytes;
+    curves[1].base.kind = core::ModelKind::Unified;
+    curves[1].axis = core::CurveAxis::NvramBytes;
+    for (const Bytes size : bench::nvramSizeGridBytes()) {
+        curves[0].sizes.push_back(8 * kMiB + size);
+        curves[1].sizes.push_back(size);
+    }
+    const core::SweepRunner runner(
+        static_cast<unsigned>(state.range(0)));
+    for (auto _ : state) {
+        const auto tables = runner.runPipelined(
+            traces,
+            [scale](const int &t) -> const prep::OpStream & {
+                return core::standardOps(t, scale);
+            },
+            [&](const prep::OpStream &ops) {
+                std::vector<std::vector<core::Metrics>> rows{
+                    runner.runClientSweep(ops, grid)};
+                for (const core::CurveSpec &spec : curves)
+                    rows.push_back(runner.runCurveSweep(ops, spec));
+                return rows;
+            });
+        benchmark::DoNotOptimize(tables.front().front().front());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(
+            traces.size() *
+            (grid.size() + curves[0].sizes.size() +
+             curves[1].sizes.size())));
+}
+BENCHMARK(BM_PipelinedSweep)
+    ->ArgName("jobs")
+    ->Arg(1)->Arg(2)->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

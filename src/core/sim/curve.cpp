@@ -6,6 +6,10 @@
 #include <memory>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "cache/extent_index.hpp"
 #include "core/client/replay.hpp"
 #include "core/sim/experiments.hpp"
@@ -108,7 +112,13 @@ class VolatileCurveClient : public CurveClientBase
             NVFS_REQUIRE(s.capacity > 0,
                          "volatile cache too small for one block");
             per_.push_back(s);
+            slotBound_ = std::max(slotBound_, s.capacity);
         }
+        // Mattson inclusion: a block is live iff it is resident at the
+        // largest size, so that size's capacity bounds the live slots
+        // (auditInvariants checks it) and the arena never regrows.
+        arena_.reserve(slotBound_);
+        perSize_.reserve(slotBound_ * sizeCount_);
     }
 
     void
@@ -275,6 +285,10 @@ class VolatileCurveClient : public CurveClientBase
                 }
             }
         });
+        // The arena grows only when every slot in it is live, so its
+        // size is the most slots ever live at once.
+        NVFS_AUDIT_CHECK(arena_.size() <= slotBound_, "CurveSim",
+                         "more live slots than the largest size holds");
         for (std::uint32_t k = 0; k < sizeCount_; ++k) {
             NVFS_AUDIT_CHECK(occ[k] == per_[k].occupancy, "CurveSim",
                              "occupancy counter diverged");
@@ -589,6 +603,7 @@ class VolatileCurveClient : public CurveClientBase
     const std::uint32_t sizeCount_;
     std::uint32_t allMask_ = 0;
     std::vector<SizeState> per_;
+    std::uint64_t slotBound_ = 0; ///< the largest size's capacity
     std::vector<Slot> arena_;
     std::vector<PerSizeState> perSize_;
     std::uint32_t freeHead_ = kNil;
@@ -620,13 +635,23 @@ class UnifiedCurveClient : public CurveClientBase
           sizeCount_(static_cast<std::uint32_t>(sizes.size()))
     {
         NVFS_REQUIRE(volCapacity_ > 0, "volatile cache too small");
+        std::uint64_t nv_most = 0;
         per_.reserve(sizeCount_);
         for (const Bytes bytes : sizes) {
             SizeState s;
             s.nvCapacity = bytes / kBlockSize;
             NVFS_REQUIRE(s.nvCapacity > 0, "NVRAM too small");
             per_.push_back(s);
+            nv_most = std::max(nv_most, s.nvCapacity);
         }
+        // The most slots live at once, as measured: the volatile
+        // capacity plus the largest NVRAM, plus one because allocSlot
+        // runs before the eviction that makes room.  Volatile contents
+        // differ across sizes, so this is not proven; past it the
+        // vectors just grow.
+        const std::uint64_t slots = volCapacity_ + nv_most + 1;
+        arena_.reserve(slots);
+        perSize_.reserve(slots * sizeCount_);
     }
 
     void
@@ -1416,9 +1441,19 @@ runCurveSim(const prep::OpStream &ops, const CurveSpec &spec)
     passes.add();
     sizes.add(spec.sizes.size());
     const obs::StageTimer stage(replayTimer, "curve.replay");
-    if (spec.axis == CurveAxis::VolatileBytes)
-        return replayCurve<VolatileCurveClient>(ops, spec);
-    return replayCurve<UnifiedCurveClient>(ops, spec);
+    std::vector<Metrics> metrics =
+        spec.axis == CurveAxis::VolatileBytes
+            ? replayCurve<VolatileCurveClient>(ops, spec)
+            : replayCurve<UnifiedCurveClient>(ops, spec);
+#if defined(__GLIBC__)
+    // The pass just freed its clients' state, megabytes each, into the
+    // malloc arena of this thread.  Once large frees have raised glibc's
+    // trim threshold, an arena keeps what it frees, so with passes on
+    // several pool threads every arena would hold a pass's worth; hand
+    // the pages back instead.
+    ::malloc_trim(0);
+#endif
+    return metrics;
 }
 
 } // namespace nvfs::core

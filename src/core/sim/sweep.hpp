@@ -16,8 +16,8 @@
 
 #pragma once
 
-#include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -69,14 +69,17 @@ class SweepRunner
     }
 
     /**
-     * Sweep over a sequence of *points* (typically traces): for each
-     * point in order, `prepare(point)` (ingest + prep) and then
-     * `replay(prepared)` run on the calling thread.  An error from
-     * either stage is rethrown as a util::TaskError naming the point
-     * (its index, plus the point itself when it reads as a string).
-     * Parallelism lives inside replay (the replay grid): prepare is
-     * too small a share of a sweep for overlapping it with the
-     * previous point's replay to pay (DESIGN.md §12).
+     * Sweep over a sequence of *points* (typically traces): each
+     * point's `prepare(point)` (ingest + prep) and then
+     * `replay(prepared)` run as one index of the shared pool's claim
+     * loop, so up to jobs() points run concurrently and prepare and
+     * replay must be safe to call from several threads at once.  The
+     * results come back in point order.  A replay that runs a loop
+     * of its own (the replay grid) shares the pool with the other
+     * points in flight.  Every point runs even if some throw; then
+     * the lowest-index error is rethrown as a util::TaskError naming
+     * the point (its index, plus the point itself when it reads as a
+     * string), as map does.
      */
     template <typename P, typename Prepare, typename Replay>
     auto
@@ -87,24 +90,26 @@ class SweepRunner
     {
         using Prepared = std::invoke_result_t<Prepare &, const P &>;
         using R = std::invoke_result_t<Replay &, Prepared>;
+        std::vector<std::optional<R>> slots(points.size());
+        util::ThreadPool::global().forEach(
+            points.size(), jobs_,
+            [&points](std::size_t k) {
+                std::string context = "sweep point " + std::to_string(k);
+                if constexpr (std::is_convertible_v<const P &,
+                                                    std::string>) {
+                    context += " (";
+                    context += points[k];
+                    context += ")";
+                }
+                return context;
+            },
+            [&](std::size_t k) {
+                slots[k].emplace(replay(prepare(points[k])));
+            });
         std::vector<R> results;
         results.reserve(points.size());
-        for (std::size_t k = 0; k < points.size(); ++k) {
-            std::string context = "sweep point " + std::to_string(k);
-            if constexpr (std::is_convertible_v<const P &,
-                                                std::string>) {
-                context += " (";
-                context += points[k];
-                context += ")";
-            }
-            const util::TaskLabel label(std::move(context));
-            try {
-                results.push_back(replay(prepare(points[k])));
-            } catch (...) {
-                std::rethrow_exception(util::wrapTaskContext(
-                    std::current_exception()));
-            }
-        }
+        for (std::optional<R> &slot : slots)
+            results.push_back(std::move(*slot));
         return results;
     }
 

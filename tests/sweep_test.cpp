@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/reference.hpp"
@@ -391,50 +393,99 @@ TEST(SweepRunner, StressManyMoreTasksThanThreads)
 
 TEST(SweepRunner, PipelinedPreservesPointOrderAndResults)
 {
-    // replay runs on the calling thread in strict point order, each
-    // on its own point's prepared value.
+    // Points run concurrently, yet the results come back in point
+    // order, each replayed from its own point's prepared value, and
+    // every point is prepared and replayed exactly once.
     std::vector<int> points(9);
     std::iota(points.begin(), points.end(), 0);
-    std::vector<int> replay_order;
-    const SweepRunner runner(4);
-    const auto results = runner.runPipelined(
-        points, [](const int &p) { return p * 10; },
-        [&replay_order](int v) {
-            replay_order.push_back(v / 10);
-            return v + 1;
-        });
-    ASSERT_EQ(results.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        EXPECT_EQ(results[i], static_cast<int>(i) * 10 + 1);
-    ASSERT_EQ(replay_order.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        EXPECT_EQ(replay_order[i], static_cast<int>(i));
+    for (const unsigned width : {1u, 2u, 8u}) {
+        std::vector<std::atomic<int>> prepared(points.size());
+        std::vector<std::atomic<int>> replayed(points.size());
+        const auto results = SweepRunner(width).runPipelined(
+            points,
+            [&prepared](const int &p) {
+                prepared[static_cast<std::size_t>(p)].fetch_add(1);
+                return p * 10;
+            },
+            [&replayed](int v) {
+                replayed[static_cast<std::size_t>(v / 10)].fetch_add(1);
+                return v + 1;
+            });
+        ASSERT_EQ(results.size(), points.size()) << "width " << width;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            EXPECT_EQ(results[i], static_cast<int>(i) * 10 + 1)
+                << "width " << width;
+            EXPECT_EQ(prepared[i].load(), 1)
+                << "point " << i << ", width " << width;
+            EXPECT_EQ(replayed[i].load(), 1)
+                << "point " << i << ", width " << width;
+        }
+    }
 }
 
 TEST(SweepRunner, PipelinedRethrowsPrepareErrorAtItsPoint)
 {
-    // A prepare that throws must surface at its point's position in
-    // replay order: every earlier point replays, no later one does.
+    // Prepares at points 3 and 5 throw.  Every point still runs, the
+    // other six replay, and the lowest failing point's error surfaces
+    // named by its point, at every width.
     std::vector<int> points(8);
     std::iota(points.begin(), points.end(), 0);
-    std::vector<int> replayed;
-    const SweepRunner runner(4);
-    EXPECT_THROW(
-        runner.runPipelined(
-            points,
-            [](const int &p) {
-                if (p == 5)
-                    throw std::runtime_error("prepare 5 failed");
-                return p;
-            },
-            [&replayed](int v) {
-                replayed.push_back(v);
-                return v;
-            }),
-        std::runtime_error);
-    ASSERT_EQ(replayed.size(), 5u);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(replayed[i], i);
+    for (const unsigned width : {1u, 4u}) {
+        std::vector<std::atomic<int>> prepared(points.size());
+        std::vector<std::atomic<int>> replayed(points.size());
+        try {
+            SweepRunner(width).runPipelined(
+                points,
+                [&prepared](const int &p) {
+                    prepared[static_cast<std::size_t>(p)].fetch_add(1);
+                    if (p == 3 || p == 5)
+                        throw std::runtime_error(
+                            "prepare " + std::to_string(p) + " failed");
+                    return p;
+                },
+                [&replayed](int v) {
+                    replayed[static_cast<std::size_t>(v)].fetch_add(1);
+                    return v;
+                });
+            FAIL() << "runPipelined must rethrow (width " << width << ")";
+        } catch (const util::TaskError &error) {
+            EXPECT_STREQ(error.what(), "sweep point 3: prepare 3 failed")
+                << "width " << width;
+        }
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            EXPECT_EQ(prepared[i].load(), 1)
+                << "point " << i << ", width " << width;
+            EXPECT_EQ(replayed[i].load(), i == 3 || i == 5 ? 0 : 1)
+                << "point " << i << ", width " << width;
+        }
+    }
+}
+
+TEST(SweepRunner, PipelinedPointsOverlap)
+{
+    // At width 2, point 1 is prepared while point 0 replays: point
+    // 0's replay waits (up to 10 s) to see point 1's prepare start.
+    // A serial sweep prepares point 1 only after that replay returns.
+    std::atomic<bool> second_prepared{false};
+    const std::vector<int> points{0, 1};
+    const auto saw_second = SweepRunner(2).runPipelined(
+        points,
+        [&second_prepared](const int &p) {
+            if (p == 1)
+                second_prepared.store(true);
+            return p;
+        },
+        [&second_prepared](int p) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (p == 0 && !second_prepared.load() &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            return second_prepared.load();
+        });
+    ASSERT_EQ(saw_second.size(), points.size());
+    EXPECT_TRUE(saw_second[0])
+        << "point 1 was not prepared while point 0 replayed";
 }
 
 /** All three models at a 4 MB volatile / 512 KB NVRAM point. */
@@ -527,10 +578,12 @@ TEST(SweepRunner, GridJunkAuditKnobIsFatalOnWorkers)
 
 TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
 {
-    // Full acceptance path: real trace files through runPipelined
-    // (mmap ingest + prep) into replay grids of width 8 and width 1
-    // (the TSan job runs this at NVFS_JOBS=8): the metric tables must
-    // be byte-identical.
+    // Full acceptance path, in perfbench's client_figures shape: real
+    // trace files through runPipelined (mmap ingest + prep), each
+    // point replaying a model grid and then a volatile and a unified
+    // curve sweep, at runner width 8 (points and grid cells race; the
+    // TSan job runs this at NVFS_JOBS=8) and width 1: the metric
+    // tables must be byte-identical.
     const std::string dir = testing::TempDir() + "nvfs_grid_sweep";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -543,14 +596,30 @@ TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
         paths.push_back(path);
     }
     const auto models = gridModels();
+    std::vector<CurveSpec> curves(2);
+    curves[0].base.kind = ModelKind::Volatile;
+    curves[0].axis = CurveAxis::VolatileBytes;
+    curves[1].base.kind = ModelKind::Unified;
+    curves[1].base.volatileBytes = 4 * kMiB;
+    curves[1].axis = CurveAxis::NvramBytes;
+    for (const double mb : {0.25, 0.5, 1.0, 2.0}) {
+        const auto nvram = static_cast<Bytes>(mb * kMiB);
+        curves[0].sizes.push_back(4 * kMiB + nvram);
+        curves[1].sizes.push_back(nvram);
+    }
     auto sweep = [&](unsigned width) {
-        return SweepRunner().runPipelined(
+        const SweepRunner runner(width);
+        return runner.runPipelined(
             paths,
             [](const std::string &path) {
                 return prep::convertTrace(trace::readTraceFile(path));
             },
-            [&models, width](const prep::OpStream &ops) {
-                return runClientGrid(ops, models, 42, width);
+            [&](const prep::OpStream &ops) {
+                std::vector<std::vector<Metrics>> tables{
+                    runner.runClientSweep(ops, models)};
+                for (const CurveSpec &spec : curves)
+                    tables.push_back(runner.runCurveSweep(ops, spec));
+                return tables;
             });
     };
 
@@ -559,11 +628,15 @@ TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
     ASSERT_EQ(serial.size(), paths.size());
     ASSERT_EQ(wide.size(), paths.size());
     for (std::size_t r = 0; r < paths.size(); ++r) {
-        ASSERT_EQ(wide[r].size(), models.size());
-        for (std::size_t c = 0; c < models.size(); ++c)
-            EXPECT_EQ(wide[r][c], serial[r][c])
-                << "trace " << r << " model " << c
-                << " diverged under pipelined grid replay";
+        ASSERT_EQ(wide[r].size(), 1 + curves.size());
+        ASSERT_EQ(wide[r][0].size(), models.size());
+        for (std::size_t t = 0; t < wide[r].size(); ++t) {
+            ASSERT_EQ(wide[r][t].size(), serial[r][t].size());
+            for (std::size_t c = 0; c < wide[r][t].size(); ++c)
+                EXPECT_EQ(wide[r][t][c], serial[r][t][c])
+                    << "trace " << r << " table " << t << " cell " << c
+                    << " diverged under pipelined replay";
+        }
     }
 }
 

@@ -454,8 +454,8 @@ cmdSweep(const Args &args)
         static_cast<unsigned>(args.getInt("jobs", 0, 0, 65536)));
 
     // Comma lists (--trace 3,4,7 or --in a,b,c) run the pipelined
-    // mode: one table per trace, each trace ingested, prepped and
-    // replayed in turn.
+    // mode: one table per trace, the traces ingested, prepped and
+    // replayed concurrently and printed in list order.
     const auto point_list = args.has("in")
                                 ? splitList(args.get("in"))
                                 : splitList(args.get("trace", ""));
