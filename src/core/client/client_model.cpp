@@ -28,17 +28,6 @@ ClientModel::ClientModel(const ModelConfig &config, Metrics &metrics,
 }
 
 Bytes
-ClientModel::blockTransferBytes(const cache::BlockId &id) const
-{
-    const Bytes *found = sizes_.find(id.file);
-    const Bytes size = found == nullptr ? 0 : *found;
-    const Bytes start = id.byteOffset();
-    if (size <= start)
-        return kBlockSize; // size unknown/stale: charge a full block
-    return std::min<Bytes>(kBlockSize, size - start);
-}
-
-Bytes
 ClientModel::rangeTransferBytes(FileId file, std::uint32_t first,
                                 std::uint32_t last) const
 {
@@ -56,7 +45,7 @@ Bytes
 ClientModel::serverWriteBlock(const cache::BlockId &id,
                               WriteCause cause, TimeUs now)
 {
-    const Bytes bytes = blockTransferBytes(id);
+    const Bytes bytes = blockTransferBytes(id, sizes_);
     metrics_.addServerWrite(cause, bytes);
     if (config_.sink)
         config_.sink->onServerWrite(now, id.file, id.index, bytes,
@@ -75,7 +64,8 @@ ClientModel::serverWriteRun(FileId file, std::uint32_t first,
         for (std::uint32_t b = first; b <= last; ++b) {
             config_.sink->onServerWrite(
                 now, file, b,
-                blockTransferBytes(cache::BlockId{file, b}), cause);
+                blockTransferBytes(cache::BlockId{file, b}, sizes_),
+                cause);
         }
     }
     return bytes;

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <memory>
 
 #include "cache/block_cache.hpp"
@@ -23,6 +24,21 @@ namespace nvfs::core {
 
 /** Current size of every file (maintained by the cluster sim). */
 using FileSizeMap = util::FlatMap<FileId, Bytes, util::SplitMix64Hash>;
+
+/**
+ * Bytes a whole-block transfer of `id` moves: clipped at end of file,
+ * a full block when the file's size is unknown or stale.  The client
+ * models and the curve engine's clients all charge through it.
+ */
+inline Bytes
+blockTransferBytes(const cache::BlockId &id, const FileSizeMap &sizes)
+{
+    const Bytes *size = sizes.find(id.file);
+    const Bytes start = id.byteOffset();
+    if (size == nullptr || *size <= start)
+        return kBlockSize;
+    return std::min<Bytes>(kBlockSize, *size - start);
+}
 
 /** Which cache organization a client runs. */
 enum class ModelKind { Volatile, WriteAside, Unified };
@@ -136,9 +152,6 @@ class ClientModel
     virtual void auditInvariants() const = 0;
 
   protected:
-    /** Bytes a whole-block transfer of `id` moves (clipped at EOF). */
-    Bytes blockTransferBytes(const cache::BlockId &id) const;
-
     /**
      * Sum of blockTransferBytes over blocks [first, last] of `file`,
      * in closed form: one size lookup per run instead of one per

@@ -26,7 +26,7 @@ UnifiedModel::evictNvramVictim(TimeUs now)
 {
     const auto victim_id = nvram_.chooseVictim(now);
     NVFS_REQUIRE(victim_id.has_value(), "full NVRAM without victim");
-    const Bytes transfer = blockTransferBytes(*victim_id);
+    const Bytes transfer = blockTransferBytes(*victim_id, sizes_);
     const cache::CacheBlock victim = nvram_.remove(*victim_id);
     if (victim.isDirty())
         serverWriteBlock(*victim_id, WriteCause::Replacement, now);
@@ -99,7 +99,7 @@ UnifiedModel::readBlock(const cache::BlockId &id, TimeUs now)
         ++metrics_.nvramReadAccesses;
         return;
     }
-    const Bytes fetched = blockTransferBytes(id);
+    const Bytes fetched = blockTransferBytes(id, sizes_);
     metrics_.serverReadBytes += fetched;
     metrics_.busBytes += fetched;
     placeCleanBlock(id, now);
@@ -122,7 +122,7 @@ UnifiedModel::writeBlock(const cache::BlockId &id, Bytes begin,
         // Partial update of a block cached clean in volatile memory:
         // transfer it to the NVRAM and update it there (rare; Section
         // 2.6).
-        const Bytes transfer = blockTransferBytes(id);
+        const Bytes transfer = blockTransferBytes(id, sizes_);
         volatile_.remove(id);
         ensureNvramSpace(now);
         nvram_.insert(id, now);

@@ -79,7 +79,7 @@ VolatileModel::readBlock(const cache::BlockId &id, TimeUs now)
         cache_.touch(id, now);
         return;
     }
-    const Bytes fetched = blockTransferBytes(id);
+    const Bytes fetched = blockTransferBytes(id, sizes_);
     metrics_.serverReadBytes += fetched;
     metrics_.busBytes += fetched;
     ensureSpace(now);
@@ -247,7 +247,7 @@ VolatileModel::recallRange(FileId file, Bytes offset, Bytes length,
     for (const auto &[index, dirty] : recallScratch_) {
         const cache::BlockId id{file, index};
         if (dirty) {
-            flushed += blockTransferBytes(id);
+            flushed += blockTransferBytes(id, sizes_);
             flushBlock(id, cause, now);
         }
         cache_.remove(id);
@@ -336,7 +336,7 @@ VolatileModel::recallBlock(const cache::BlockId &id, WriteCause cause,
         return 0;
     Bytes flushed = 0;
     if (block->isDirty()) {
-        flushed = blockTransferBytes(id);
+        flushed = blockTransferBytes(id, sizes_);
         flushBlock(id, cause, now);
     }
     cache_.remove(id);

@@ -67,7 +67,7 @@ WriteAsideModel::readBlock(const cache::BlockId &id, TimeUs now)
         volatile_.touch(id, now);
         return;
     }
-    const Bytes fetched = blockTransferBytes(id);
+    const Bytes fetched = blockTransferBytes(id, sizes_);
     metrics_.serverReadBytes += fetched;
     metrics_.busBytes += fetched;
     ensureVolatileSpace(now);
@@ -274,7 +274,7 @@ WriteAsideModel::recallRange(FileId file, Bytes offset, Bytes length,
     for (const auto &[index, dirty] : recallScratch_) {
         (void)dirty;
         const cache::BlockId id{file, index};
-        flushed += blockTransferBytes(id);
+        flushed += blockTransferBytes(id, sizes_);
         flushNvramBlock(id, cause, now);
     }
     recallScratch_.clear();
@@ -373,7 +373,7 @@ WriteAsideModel::recallBlock(const cache::BlockId &id, WriteCause cause,
 {
     Bytes flushed = 0;
     if (nvram_.contains(id)) {
-        flushed = blockTransferBytes(id);
+        flushed = blockTransferBytes(id, sizes_);
         flushNvramBlock(id, cause, now);
     }
     if (volatile_.contains(id))

@@ -15,7 +15,6 @@
 #include "core/sim/experiments.hpp"
 #include "obs/obs.hpp"
 #include "util/audit.hpp"
-#include "util/fenwick.hpp"
 #include "util/interval_set.hpp"
 #include "util/log.hpp"
 
@@ -25,11 +24,86 @@ namespace {
 
 constexpr std::uint32_t kNil = 0xffffffffu;
 
-/** Per-(slot, size) intrusive list links. */
-struct SizeLink
+/** One slot's links on one intrusive list. */
+struct SlotLink
 {
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
+};
+
+/**
+ * Ends of an intrusive doubly linked list over arena slots.  The links
+ * live wherever `link(slot)` says — in a PerSizeState for the per-size
+ * lists, in the slot itself for the volatile recency list — so one
+ * implementation serves every list of both curve clients.
+ */
+struct SlotList
+{
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+
+    /** Link `slot` in before `at`; kNil appends it at the tail. */
+    template <typename LinkOf>
+    void
+    insertBefore(std::uint32_t slot, std::uint32_t at, LinkOf link)
+    {
+        SlotLink &l = link(slot);
+        l.prev = at == kNil ? tail : link(at).prev;
+        l.next = at;
+        (l.prev == kNil ? head : link(l.prev).next) = slot;
+        (at == kNil ? tail : link(at).prev) = slot;
+    }
+
+    template <typename LinkOf>
+    void
+    pushBack(std::uint32_t slot, LinkOf link)
+    {
+        insertBefore(slot, kNil, link);
+    }
+
+    template <typename LinkOf>
+    void
+    remove(std::uint32_t slot, LinkOf link)
+    {
+        SlotLink &l = link(slot);
+        (l.prev == kNil ? head : link(l.prev).next) = l.next;
+        (l.next == kNil ? tail : link(l.next).prev) = l.prev;
+        l = SlotLink{};
+    }
+
+    template <typename LinkOf>
+    void
+    moveToBack(std::uint32_t slot, LinkOf link)
+    {
+        if (tail == slot)
+            return;
+        remove(slot, link);
+        pushBack(slot, link);
+    }
+
+    /**
+     * nvfs::check: walk head to tail, checking the back-links, the
+     * tail and (with `bound`, the arena size) for a cycle; `visit`
+     * checks each entry.  Returns the length.
+     */
+    template <typename LinkOf, typename Visit>
+    std::uint64_t
+    audit(LinkOf link, std::uint64_t bound, Visit visit) const
+    {
+        std::uint64_t steps = 0;
+        std::uint32_t prev = kNil;
+        for (std::uint32_t slot = head; slot != kNil;
+             slot = link(slot).next) {
+            NVFS_AUDIT_CHECK(link(slot).prev == prev, "CurveSim",
+                             "list back-link broken");
+            NVFS_AUDIT_CHECK(++steps <= bound, "CurveSim",
+                             "list has a cycle");
+            visit(slot);
+            prev = slot;
+        }
+        NVFS_AUDIT_CHECK(tail == prev, "CurveSim", "list tail stale");
+        return steps;
+    }
 };
 
 /**
@@ -42,85 +116,33 @@ struct SizeLink
 struct PerSizeState
 {
     TimeUs dirtySince = kNoTime;
-    SizeLink link; ///< dirty FIFO (volatile) / vol-or-nv LRU (unified)
+    SlotLink link; ///< dirty FIFO (volatile) / vol-or-nv LRU (unified)
     util::IntervalSet dirty;
 };
 static_assert(sizeof(PerSizeState) <= 40,
               "one (slot, size) entry: stamp, links, inline dirty run");
 
-/** End-of-file clipping, shared with ClientModel::blockTransferBytes. */
-Bytes
-transferBytes(const cache::BlockId &id, const FileSizeMap &sizes)
+/** The size a mask's lowest set bit stands for. */
+std::uint32_t
+lowBit(std::uint32_t mask)
 {
-    const Bytes *size = sizes.find(id.file);
-    const Bytes start = Bytes{id.index} * kBlockSize;
-    if (size == nullptr || *size <= start)
-        return kBlockSize;
-    return std::min<Bytes>(kBlockSize, *size - start);
+    return static_cast<std::uint32_t>(std::countr_zero(mask));
 }
 
 /**
- * Protocol entry points replayOps requires but the curve engine never
- * receives: runCurveSim replays with no injected crashes and
- * whole-file callbacks only.
+ * What both multi-size clients are made of: the slot arena and its
+ * free list, the block and extent indexes, the flat PerSizeState
+ * array, the per-size dirty helpers, the file walks and the read/write
+ * fan-out.  `Client` (CRTP: no virtual call per op) supplies
+ * readBlock/writeBlock, recall (a dropFile with its write-back), unlink
+ * (take a slot off every list of its own before it is freed) and
+ * cleaned (size k's copy just went clean); `SlotExtra` holds its own
+ * per-slot fields.
  */
-struct CurveClientBase
-{
-    [[noreturn]] void
-    crash(TimeUs)
-    {
-        util::panic("curve engine: client crashes are not modelled");
-    }
-
-    [[noreturn]] Bytes
-    recallRange(FileId, Bytes, Bytes, WriteCause, TimeUs)
-    {
-        util::panic("curve engine: block-level callbacks are not "
-                    "modelled");
-    }
-};
-
-/**
- * Multi-size mirror of VolatileModel under pure LRU: one global
- * recency order (OrderStatIndex) serves every size.  The resident set
- * of size k is always the `occ[k]` most recently used blocks — LRU
- * caches of nested capacity keep nested contents (Mattson's inclusion
- * property) — so residency is one mask bit per slot and the eviction
- * victim of size k is selectFromMru(occ[k]).  Evictions happen
- * eagerly at touch time, exactly when the per-size model would evict,
- * so replacement write-backs see the same file sizes (and therefore
- * the same end-of-file clipping) as the per-size replay.
- */
-class VolatileCurveClient : public CurveClientBase
+template <typename Client, typename SlotExtra>
+class CurveCore
 {
   public:
-    VolatileCurveClient(const ModelConfig &base,
-                        const std::vector<Bytes> &sizes,
-                        std::vector<Metrics> &metrics,
-                        const FileSizeMap &file_sizes)
-        : metrics_(metrics), fileSizes_(file_sizes),
-          writeBackAge_(base.writeBackAge),
-          sizeCount_(static_cast<std::uint32_t>(sizes.size()))
-    {
-        allMask_ = sizeCount_ >= 32
-                       ? 0xffffffffu
-                       : ((1u << sizeCount_) - 1u);
-        per_.reserve(sizeCount_);
-        for (const Bytes bytes : sizes) {
-            SizeState s;
-            s.capacity = bytes / kBlockSize;
-            NVFS_REQUIRE(s.capacity > 0,
-                         "volatile cache too small for one block");
-            per_.push_back(s);
-            slotBound_ = std::max(slotBound_, s.capacity);
-        }
-        // Mattson inclusion: a block is live iff it is resident at the
-        // largest size, so that size's capacity bounds the live slots
-        // (auditInvariants checks it) and the arena never regrows.
-        arena_.reserve(slotBound_);
-        perSize_.reserve(slotBound_ * sizeCount_);
-    }
-
     void
     read(FileId file, Bytes offset, Bytes length, TimeUs now)
     {
@@ -130,7 +152,7 @@ class VolatileCurveClient : public CurveClientBase
             return;
         forEachBlock(file, offset, length,
                      [&](const cache::BlockId &id, Bytes, Bytes) {
-                         readBlock(id, now);
+                         self().readBlock(id, now);
                      });
     }
 
@@ -144,70 +166,30 @@ class VolatileCurveClient : public CurveClientBase
         forEachBlock(file, offset, length,
                      [&](const cache::BlockId &id, Bytes begin,
                          Bytes end) {
-                         writeBlock(id, begin, end, now);
+                         self().writeBlock(id, begin, end, now);
                      });
     }
 
     void
-    fsync(FileId file, TimeUs now)
+    removeFile(FileId file, TimeUs)
     {
-        extents_.forEachOfFile(
-            file, [&](std::uint32_t, std::uint32_t slot) {
-                flushDirtySizes(slot, WriteCause::Fsync, now);
-            });
+        dropFile(file,
+                 [&](std::uint32_t slot) { absorbDeletedSizes(slot); });
     }
 
     void
-    recall(FileId file, WriteCause cause, TimeUs now)
+    truncate(FileId file, Bytes new_size, TimeUs)
     {
-        scratch_.clear();
-        extents_.forEachOfFile(
-            file, [&](std::uint32_t, std::uint32_t slot) {
-                scratch_.push_back(slot);
-            });
-        for (const std::uint32_t slot : scratch_) {
-            flushDirtySizes(slot, cause, now);
-            dropResident(slot);
-        }
-        extents_.removeFile(file);
-    }
-
-    void
-    removeFile(FileId file, TimeUs now)
-    {
-        (void)now;
-        scratch_.clear();
-        extents_.forEachOfFile(
-            file, [&](std::uint32_t, std::uint32_t slot) {
-                scratch_.push_back(slot);
-            });
-        for (const std::uint32_t slot : scratch_) {
-            absorbDeletedSizes(slot);
-            dropResident(slot);
-        }
-        extents_.removeFile(file);
-    }
-
-    void
-    truncate(FileId file, Bytes new_size, TimeUs now)
-    {
-        (void)now;
         const auto first_dead =
             static_cast<std::uint32_t>(blocksCovering(new_size));
-        scratch_.clear();
-        scratchBlocks_.clear();
-        extents_.forEachOfFile(
-            file, [&](std::uint32_t block, std::uint32_t slot) {
-                scratch_.push_back(slot);
-                scratchBlocks_.push_back(block);
-            });
         const Bytes cut = new_size % kBlockSize;
+        snapshot(file);
         for (std::size_t i = 0; i < scratch_.size(); ++i) {
             const std::uint32_t block = scratchBlocks_[i];
             const std::uint32_t slot = scratch_[i];
             if (block >= first_dead) {
                 absorbDeletedSizes(slot);
-                dropResident(slot);
+                release(slot);
                 extents_.remove(file, block);
             } else if (block + 1 == first_dead && cut != 0) {
                 // Boundary block: dirty bytes past the new end die.
@@ -217,128 +199,53 @@ class VolatileCurveClient : public CurveClientBase
     }
 
     void
-    tick(TimeUs now)
+    finish(TimeUs)
     {
-        const TimeUs cutoff = now - writeBackAge_;
-        for (std::uint32_t k = 0; k < sizeCount_; ++k) {
-            // dirtySince ascends along the FIFO (set only on the
-            // clean->dirty transition), same as BlockCache's list.
-            while (per_[k].dirtyHead != kNil &&
-                   state(per_[k].dirtyHead, k).dirtySince <= cutoff) {
-                flushAt(per_[k].dirtyHead, k,
-                        WriteCause::DelayedWriteBack);
-            }
-        }
+        for (std::uint32_t slot = 0; slot < arena_.size(); ++slot)
+            flushDirtySizes(slot, WriteCause::EndOfTrace);
     }
 
-    void
-    finish(TimeUs now)
+    /**
+     * Protocol entry points replayOps requires but the curve engine
+     * never receives: runCurveSim replays with no injected crashes and
+     * whole-file callbacks only.
+     */
+    [[noreturn]] void
+    crash(TimeUs)
     {
-        (void)now;
-        for (std::uint32_t k = 0; k < sizeCount_; ++k) {
-            while (per_[k].dirtyHead != kNil)
-                flushAt(per_[k].dirtyHead, k, WriteCause::EndOfTrace);
-        }
+        util::panic("curve engine: client crashes are not modelled");
     }
 
-    /** nvfs::check: the threshold invariant and structure soundness. */
-    void
-    auditInvariants() const
+    [[noreturn]] Bytes
+    recallRange(FileId, Bytes, Bytes, WriteCause, TimeUs)
     {
-        recency_.auditInvariants();
-        NVFS_AUDIT_CHECK(index_.size() == recency_.size(), "CurveSim",
-                         "block index and recency order diverged");
-        std::vector<std::uint64_t> occ(sizeCount_, 0);
-        std::vector<std::uint64_t> dirty(sizeCount_, 0);
-        index_.forEach([&](const cache::BlockId &id,
-                           const std::uint32_t &slot) {
-            NVFS_AUDIT_CHECK(slot < arena_.size() &&
-                                 arena_[slot].id == id,
-                             "CurveSim", "index entry points astray");
-            const Slot &s = arena_[slot];
-            NVFS_AUDIT_CHECK(s.residentMask != 0, "CurveSim",
-                             "indexed block resident nowhere");
-            NVFS_AUDIT_CHECK((s.dirtyMask & ~s.residentMask) == 0,
-                             "CurveSim",
-                             "dirty at a size it is not resident at");
-            const std::uint32_t rank = recency_.rankFromMru(slot);
-            for (std::uint32_t k = 0; k < sizeCount_; ++k) {
-                const bool resident = (s.residentMask >> k & 1) != 0;
-                // The inclusion property, as maintained: resident at
-                // size k iff among the occ[k] most recent blocks.
-                NVFS_AUDIT_CHECK(
-                    resident == (rank <= per_[k].occupancy),
-                    "CurveSim",
-                    "resident mask violates the recency threshold");
-                occ[k] += resident ? 1 : 0;
-                if ((s.dirtyMask >> k & 1) != 0) {
-                    ++dirty[k];
-                    NVFS_AUDIT_CHECK(
-                        !state(slot, k).dirty.empty() &&
-                            state(slot, k).dirtySince != kNoTime,
-                        "CurveSim", "dirty bit without dirty bytes");
-                } else {
-                    NVFS_AUDIT_CHECK(
-                        state(slot, k).dirty.empty() &&
-                            state(slot, k).dirtySince == kNoTime,
-                        "CurveSim", "dirty bytes without dirty bit");
-                }
-            }
-        });
-        // The arena grows only when every slot in it is live, so its
-        // size is the most slots ever live at once.
-        NVFS_AUDIT_CHECK(arena_.size() <= slotBound_, "CurveSim",
-                         "more live slots than the largest size holds");
-        for (std::uint32_t k = 0; k < sizeCount_; ++k) {
-            NVFS_AUDIT_CHECK(occ[k] == per_[k].occupancy, "CurveSim",
-                             "occupancy counter diverged");
-            NVFS_AUDIT_CHECK(per_[k].occupancy <= per_[k].capacity,
-                             "CurveSim", "cache over capacity");
-            // Walk the dirty FIFO: live links, ascending dirtySince.
-            std::uint64_t steps = 0;
-            TimeUs last_since = std::numeric_limits<TimeUs>::min();
-            std::uint32_t prev = kNil;
-            for (std::uint32_t slot = per_[k].dirtyHead; slot != kNil;
-                 slot = state(slot, k).link.next) {
-                NVFS_AUDIT_CHECK(
-                    (arena_[slot].dirtyMask >> k & 1) != 0, "CurveSim",
-                    "dirty FIFO visits a clean slot");
-                NVFS_AUDIT_CHECK(state(slot, k).link.prev == prev,
-                                 "CurveSim",
-                                 "dirty FIFO back-link broken");
-                NVFS_AUDIT_CHECK(state(slot, k).dirtySince >=
-                                     last_since,
-                                 "CurveSim",
-                                 "dirty FIFO not time-ordered");
-                last_since = state(slot, k).dirtySince;
-                prev = slot;
-                NVFS_AUDIT_CHECK(++steps <= arena_.size(), "CurveSim",
-                                 "dirty FIFO has a cycle");
-            }
-            NVFS_AUDIT_CHECK(per_[k].dirtyTail == prev, "CurveSim",
-                             "dirty FIFO tail stale");
-            NVFS_AUDIT_CHECK(steps == dirty[k], "CurveSim",
-                             "dirty FIFO misses dirty slots");
-        }
-        extents_.auditInvariants();
+        util::panic("curve engine: block-level callbacks are not "
+                    "modelled");
     }
 
-  private:
-    struct Slot
+  protected:
+    struct Slot : SlotExtra
     {
         cache::BlockId id{};
-        std::uint32_t residentMask = 0;
-        std::uint32_t dirtyMask = 0;
+        std::uint32_t presentMask = 0; ///< sizes caching the block
+        std::uint32_t dirtyMask = 0;   ///< sizes holding it dirty
         std::uint32_t nextFree = kNil;
     };
 
-    struct SizeState
+    CurveCore(std::vector<Metrics> &metrics,
+              const FileSizeMap &file_sizes, std::size_t size_count)
+        : metrics_(metrics), fileSizes_(file_sizes),
+          sizeCount_(static_cast<std::uint32_t>(size_count)),
+          allMask_(sizeCount_ >= 32 ? 0xffffffffu
+                                    : (1u << sizeCount_) - 1u)
     {
-        std::uint64_t capacity = 0;
-        std::uint64_t occupancy = 0;
-        std::uint32_t dirtyHead = kNil;
-        std::uint32_t dirtyTail = kNil;
-    };
+    }
+
+    Client &
+    self()
+    {
+        return static_cast<Client &>(*this);
+    }
 
     PerSizeState &
     state(std::uint32_t slot, std::uint32_t k)
@@ -352,25 +259,410 @@ class VolatileCurveClient : public CurveClientBase
         return perSize_[std::size_t{slot} * sizeCount_ + k];
     }
 
+    /** Size k's links, for the SlotList calls. */
+    auto
+    linksAt(std::uint32_t k)
+    {
+        return [this, k](std::uint32_t slot) -> SlotLink & {
+            return state(slot, k).link;
+        };
+    }
+
+    auto
+    linksAt(std::uint32_t k) const
+    {
+        return [this, k](std::uint32_t slot) -> const SlotLink & {
+            return state(slot, k).link;
+        };
+    }
+
+    /** Reserve the arena and state for `slots` live slots at once. */
     void
-    readBlock(const cache::BlockId &id, TimeUs now)
+    reserveSlots(std::uint64_t slots)
+    {
+        arena_.reserve(slots);
+        perSize_.reserve(slots * sizeCount_);
+    }
+
+    /** A fresh slot for `id`, entered in both indexes. */
+    std::uint32_t
+    allocSlot(const cache::BlockId &id)
+    {
+        std::uint32_t slot;
+        if (freeHead_ != kNil) {
+            slot = freeHead_;
+            freeHead_ = arena_[slot].nextFree;
+            arena_[slot] = Slot{};
+        } else {
+            slot = static_cast<std::uint32_t>(arena_.size());
+            arena_.emplace_back();
+            perSize_.resize(std::size_t{slot + 1} * sizeCount_);
+        }
+        arena_[slot].id = id;
+        index_[id] = slot;
+        extents_.insert(id.file, id.index, slot);
+        return slot;
+    }
+
+    /** Free a slot its last size just evicted. */
+    void
+    dropSlot(std::uint32_t slot)
+    {
+        NVFS_REQUIRE(arena_[slot].dirtyMask == 0 &&
+                         arena_[slot].presentMask == 0,
+                     "dropping a live curve slot");
+        extents_.remove(arena_[slot].id.file, arena_[slot].id.index);
+        freeSlot(slot);
+    }
+
+    Bytes
+    transferBytes(std::uint32_t slot) const
+    {
+        return blockTransferBytes(arena_[slot].id, fileSizes_);
+    }
+
+    /** Replacement/recall/sweep write-back of size k's copy. */
+    void
+    flushAt(std::uint32_t slot, std::uint32_t k, WriteCause cause)
+    {
+        metrics_[k].addServerWrite(cause, transferBytes(slot));
+        clearDirtyAt(slot, k);
+    }
+
+    void
+    flushDirtySizes(std::uint32_t slot, WriteCause cause)
+    {
+        for (std::uint32_t m = arena_[slot].dirtyMask; m != 0; m &= m - 1)
+            flushAt(slot, lowBit(m), cause);
+    }
+
+    /** Deleted-file absorption: dirty bytes die without a transfer. */
+    void
+    absorbDeletedSizes(std::uint32_t slot)
+    {
+        for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
+             m &= m - 1) {
+            const std::uint32_t k = lowBit(m);
+            metrics_[k].absorbedDeletedBytes +=
+                state(slot, k).dirty.totalBytes();
+            clearDirtyAt(slot, k);
+        }
+    }
+
+    void
+    trimDirtySizes(std::uint32_t slot, Bytes cut)
+    {
+        for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
+             m &= m - 1) {
+            const std::uint32_t k = lowBit(m);
+            PerSizeState &d = state(slot, k);
+            const Bytes before = d.dirty.totalBytes();
+            d.dirty.erase(cut, kBlockSize);
+            metrics_[k].absorbedDeletedBytes +=
+                before - d.dirty.totalBytes();
+            if (d.dirty.empty())
+                clearDirtyAt(slot, k);
+        }
+    }
+
+    void
+    clearDirtyAt(std::uint32_t slot, std::uint32_t k)
+    {
+        PerSizeState &d = state(slot, k);
+        d.dirty.clear();
+        d.dirtySince = kNoTime;
+        arena_[slot].dirtyMask &= ~(1u << k);
+        self().cleaned(slot, k);
+    }
+
+    /**
+     * nvfs::check of the shared structures: every index entry names a
+     * live slot, and a size's dirty bit agrees with its dirty bytes and
+     * stamp; `visit(slot)` checks each live slot further.
+     */
+    template <typename Visit>
+    void
+    auditCore(Visit visit) const
+    {
+        index_.forEach([&](const cache::BlockId &id,
+                           const std::uint32_t &slot) {
+            NVFS_AUDIT_CHECK(slot < arena_.size() &&
+                                 arena_[slot].id == id,
+                             "CurveSim", "index entry points astray");
+            const Slot &s = arena_[slot];
+            NVFS_AUDIT_CHECK(s.presentMask != 0, "CurveSim",
+                             "indexed block resident nowhere");
+            NVFS_AUDIT_CHECK((s.dirtyMask & ~s.presentMask) == 0,
+                             "CurveSim",
+                             "dirty at a size it is not resident at");
+            for (std::uint32_t k = 0; k < sizeCount_; ++k) {
+                const PerSizeState &d = state(slot, k);
+                NVFS_AUDIT_CHECK(((s.dirtyMask >> k & 1) != 0) ==
+                                     !d.dirty.empty(),
+                                 "CurveSim",
+                                 "dirty bit disagrees with dirty bytes");
+                NVFS_AUDIT_CHECK(d.dirty.empty() ==
+                                     (d.dirtySince == kNoTime),
+                                 "CurveSim",
+                                 "dirty stamp disagrees with dirty bytes");
+            }
+            visit(slot);
+        });
+        extents_.auditInvariants();
+    }
+
+    /** Drop every block of the file; `clean(slot)` first flushes or
+     *  absorbs each block's dirty copies. */
+    template <typename Fn>
+    void
+    dropFile(FileId file, Fn &&clean)
+    {
+        snapshot(file);
+        for (const std::uint32_t slot : scratch_) {
+            clean(slot);
+            release(slot);
+        }
+        extents_.removeFile(file);
+    }
+
+    std::vector<Metrics> &metrics_;
+    const FileSizeMap &fileSizes_;
+    const std::uint32_t sizeCount_;
+    const std::uint32_t allMask_;
+    std::vector<Slot> arena_;
+    std::vector<PerSizeState> perSize_;
+    util::FlatMap<cache::BlockId, std::uint32_t, cache::BlockIdHash>
+        index_;
+    cache::ExtentIndex extents_;
+
+  private:
+    /** The file's cached blocks, kept apart from the extent index the
+     *  walks below edit. */
+    void
+    snapshot(FileId file)
+    {
+        scratch_.clear();
+        scratchBlocks_.clear();
+        extents_.forEachOfFile(
+            file, [&](std::uint32_t block, std::uint32_t slot) {
+                scratch_.push_back(slot);
+                scratchBlocks_.push_back(block);
+            });
+    }
+
+    /** Drop a clean slot from every size and free it (recall, delete,
+     *  truncate); the caller edits the extent index. */
+    void
+    release(std::uint32_t slot)
+    {
+        NVFS_REQUIRE(arena_[slot].dirtyMask == 0,
+                     "dropping a still-dirty curve slot");
+        self().unlink(slot);
+        freeSlot(slot);
+    }
+
+    void
+    freeSlot(std::uint32_t slot)
+    {
+        index_.erase(arena_[slot].id);
+        arena_[slot] = Slot{};
+        arena_[slot].nextFree = freeHead_;
+        freeHead_ = slot;
+    }
+
+    std::uint32_t freeHead_ = kNil;
+    std::vector<std::uint32_t> scratch_;
+    std::vector<std::uint32_t> scratchBlocks_;
+};
+
+/** The volatile client's per-slot fields. */
+struct RecencySlot
+{
+    SlotLink recency;               ///< the recency list, head = MRU
+    std::uint32_t boundaryMask = 0; ///< sizes whose LRU block this is
+};
+
+/**
+ * Multi-size mirror of VolatileModel under pure LRU: one recency list
+ * serves every size.  LRU caches of nested capacity keep nested
+ * contents (Mattson's inclusion property), so the resident set of size
+ * k is always the `occupancy(k)` most recent blocks: residency is one
+ * mask bit per slot, and size k's LRU block — its *boundary*, the
+ * block at rank occupancy(k) from the MRU end — is its eviction
+ * victim.  Each event moves a boundary by at most one neighbour
+ * (DESIGN.md §14 lists the rules), so every size costs O(1) per
+ * touch, eviction or removal.  Evictions happen eagerly at touch
+ * time, exactly when the per-size model would evict, so replacement
+ * write-backs see the same file sizes (and therefore the same
+ * end-of-file clipping) as the per-size replay.
+ */
+class VolatileCurveClient
+    : public CurveCore<VolatileCurveClient, RecencySlot>
+{
+    using Core = CurveCore<VolatileCurveClient, RecencySlot>;
+    friend Core;
+
+    /** The recency list's links, for the SlotList calls. */
+    auto
+    recencyLinks()
+    {
+        return [this](std::uint32_t slot) -> SlotLink & {
+            return arena_[slot].recency;
+        };
+    }
+
+    auto
+    recencyLinks() const
+    {
+        return [this](std::uint32_t slot) -> const SlotLink & {
+            return arena_[slot].recency;
+        };
+    }
+
+  public:
+    VolatileCurveClient(const ModelConfig &base,
+                        const std::vector<Bytes> &sizes,
+                        std::vector<Metrics> &metrics,
+                        const FileSizeMap &file_sizes)
+        : Core(metrics, file_sizes, sizes.size()),
+          writeBackAge_(base.writeBackAge)
+    {
+        per_.reserve(sizeCount_);
+        for (const Bytes bytes : sizes) {
+            SizeState s;
+            s.capacity = bytes / kBlockSize;
+            NVFS_REQUIRE(s.capacity > 0,
+                         "volatile cache too small for one block");
+            per_.push_back(s);
+            slotBound_ = std::max(slotBound_, s.capacity);
+        }
+        // Mattson inclusion: a block is live iff it is resident at the
+        // largest size, so that size's capacity bounds the live slots
+        // (auditInvariants checks it) and the arena never regrows.
+        reserveSlots(slotBound_);
+    }
+
+    void
+    recall(FileId file, WriteCause cause, TimeUs)
+    {
+        dropFile(file, [&](std::uint32_t slot) {
+            flushDirtySizes(slot, cause);
+        });
+    }
+
+    void
+    fsync(FileId file, TimeUs)
+    {
+        extents_.forEachOfFile(
+            file, [&](std::uint32_t, std::uint32_t slot) {
+                flushDirtySizes(slot, WriteCause::Fsync);
+            });
+    }
+
+    void
+    tick(TimeUs now)
+    {
+        const TimeUs cutoff = now - writeBackAge_;
+        for (std::uint32_t k = 0; k < sizeCount_; ++k) {
+            // dirtySince ascends along the FIFO (set only on the
+            // clean->dirty transition), same as BlockCache's list.
+            const SlotList &fifo = per_[k].dirty;
+            while (fifo.head != kNil &&
+                   state(fifo.head, k).dirtySince <= cutoff)
+                flushAt(fifo.head, k, WriteCause::DelayedWriteBack);
+        }
+    }
+
+    /** nvfs::check: the recency threshold, boundaries, dirty FIFOs. */
+    void
+    auditInvariants() const
+    {
+        std::vector<std::uint64_t> occ(sizeCount_, 0);
+        std::vector<std::uint64_t> dirty(sizeCount_, 0);
+        std::vector<std::uint32_t> at_boundary(sizeCount_, kNil);
+        std::uint64_t rank = 0;
+        const std::uint64_t listed = recency_.audit(
+            recencyLinks(), arena_.size(), [&](std::uint32_t slot) {
+                ++rank;
+                const Slot &s = arena_[slot];
+                for (std::uint32_t k = 0; k < sizeCount_; ++k) {
+                    const bool resident = (s.presentMask >> k & 1) != 0;
+                    // The inclusion property, as maintained: resident
+                    // at size k iff among its occupancy most recent.
+                    NVFS_AUDIT_CHECK(
+                        resident == (rank <= per_[k].occupancy),
+                        "CurveSim",
+                        "resident mask violates the recency threshold");
+                    NVFS_AUDIT_CHECK(
+                        ((s.boundaryMask >> k & 1) != 0) ==
+                            (per_[k].boundary == slot),
+                        "CurveSim", "boundary mask disagrees");
+                    if (rank == per_[k].occupancy)
+                        at_boundary[k] = slot;
+                    occ[k] += resident ? 1 : 0;
+                    dirty[k] += s.dirtyMask >> k & 1;
+                }
+            });
+        NVFS_AUDIT_CHECK(listed == index_.size(), "CurveSim",
+                         "block index and recency list diverged");
+        auditCore([](std::uint32_t) {});
+        // The arena grows only when every slot in it is live, so its
+        // size is the most slots ever live at once.
+        NVFS_AUDIT_CHECK(arena_.size() <= slotBound_, "CurveSim",
+                         "more live slots than the largest size holds");
+        for (std::uint32_t k = 0; k < sizeCount_; ++k) {
+            NVFS_AUDIT_CHECK(occ[k] == per_[k].occupancy, "CurveSim",
+                             "occupancy counter diverged");
+            NVFS_AUDIT_CHECK(per_[k].occupancy <= per_[k].capacity,
+                             "CurveSim", "cache over capacity");
+            // None iff empty: occ[k] == occupancy puts a block at
+            // every rank up to it.
+            NVFS_AUDIT_CHECK(per_[k].boundary == at_boundary[k],
+                             "CurveSim",
+                             "boundary is not the block at rank "
+                             "occupancy");
+            TimeUs last_since = std::numeric_limits<TimeUs>::min();
+            const std::uint64_t queued = per_[k].dirty.audit(
+                linksAt(k), arena_.size(), [&](std::uint32_t slot) {
+                    NVFS_AUDIT_CHECK(
+                        (arena_[slot].dirtyMask >> k & 1) != 0,
+                        "CurveSim", "dirty FIFO visits a clean slot");
+                    NVFS_AUDIT_CHECK(state(slot, k).dirtySince >=
+                                         last_since,
+                                     "CurveSim",
+                                     "dirty FIFO not time-ordered");
+                    last_since = state(slot, k).dirtySince;
+                });
+            NVFS_AUDIT_CHECK(queued == dirty[k], "CurveSim",
+                             "dirty FIFO misses dirty slots");
+        }
+    }
+
+  private:
+    struct SizeState
+    {
+        std::uint64_t capacity = 0;
+        std::uint64_t occupancy = 0;
+        SlotList dirty;                ///< dirty FIFO, oldest first
+        std::uint32_t boundary = kNil; ///< LRU block; kNil iff empty
+    };
+
+    void
+    readBlock(const cache::BlockId &id, TimeUs)
     {
         const std::uint32_t *found = index_.find(id);
         const std::uint32_t slot = found ? *found : kNil;
         const std::uint32_t miss =
-            allMask_ &
-            ~(slot == kNil ? 0u : arena_[slot].residentMask);
+            allMask_ & ~(slot == kNil ? 0u : arena_[slot].presentMask);
         if (miss != 0) {
-            const Bytes fetched = transferBytes(id, fileSizes_);
+            const Bytes fetched = blockTransferBytes(id, fileSizes_);
             for (std::uint32_t m = miss; m != 0; m &= m - 1) {
-                Metrics &out =
-                    metrics_[static_cast<std::uint32_t>(
-                        std::countr_zero(m))];
+                Metrics &out = metrics_[lowBit(m)];
                 out.serverReadBytes += fetched;
                 out.busBytes += fetched;
             }
         }
-        touchResident(id, slot, miss, now);
+        touchResident(id, slot, miss);
     }
 
     void
@@ -380,9 +672,8 @@ class VolatileCurveClient : public CurveClientBase
         const std::uint32_t *found = index_.find(id);
         std::uint32_t slot = found ? *found : kNil;
         const std::uint32_t miss =
-            allMask_ &
-            ~(slot == kNil ? 0u : arena_[slot].residentMask);
-        slot = touchResident(id, slot, miss, now);
+            allMask_ & ~(slot == kNil ? 0u : arena_[slot].presentMask);
+        slot = touchResident(id, slot, miss);
         Slot &s = arena_[slot];
         for (std::uint32_t k = 0; k < sizeCount_; ++k) {
             PerSizeState &d = state(slot, k);
@@ -402,237 +693,130 @@ class VolatileCurveClient : public CurveClientBase
             if ((s.dirtyMask >> k & 1) == 0) {
                 s.dirtyMask |= 1u << k;
                 d.dirtySince = now;
-                dirtyPush(slot, k);
+                per_[k].dirty.pushBack(slot, linksAt(k));
             }
         }
     }
 
     /**
-     * Make `id` resident and most-recent at every size: evict each
-     * missing size's LRU block first (exactly the per-size model's
-     * ensureSpace-then-insert schedule), then move `id` to the top of
-     * the shared recency order.
+     * Make `id` resident and most recent at every size: each missing
+     * size that is full first evicts its boundary (exactly the
+     * per-size model's ensureSpace-then-insert schedule), then the
+     * block moves to the MRU end of the recency list.
      */
     std::uint32_t
     touchResident(const cache::BlockId &id, std::uint32_t slot,
-                  std::uint32_t miss, TimeUs now)
+                  std::uint32_t miss)
     {
-        (void)now;
         for (std::uint32_t m = miss; m != 0; m &= m - 1) {
-            const auto k = static_cast<std::uint32_t>(
-                std::countr_zero(m));
+            const std::uint32_t k = lowBit(m);
             SizeState &s = per_[k];
-            if (s.occupancy == s.capacity) {
-                // The LRU block of size k is the occupancy-th most
-                // recent overall (threshold invariant).
-                const std::uint32_t victim = recency_.selectFromMru(
-                    static_cast<std::uint32_t>(s.occupancy));
-                if ((arena_[victim].dirtyMask >> k & 1) != 0)
-                    flushAt(victim, k, WriteCause::Replacement);
-                arena_[victim].residentMask &= ~(1u << k);
-                --s.occupancy;
-                if (arena_[victim].residentMask == 0)
-                    dropSlot(victim);
+            if (s.occupancy < s.capacity) {
+                // The boundary stays: it slides to rank occupancy + 1.
+                ++s.occupancy;
+                continue;
             }
-            ++s.occupancy;
+            const std::uint32_t victim = s.boundary;
+            if ((arena_[victim].dirtyMask >> k & 1) != 0)
+                flushAt(victim, k, WriteCause::Replacement);
+            passBoundary(k, victim);
+            arena_[victim].presentMask &= ~(1u << k);
+            if (arena_[victim].presentMask == 0) {
+                recency_.remove(victim, recencyLinks());
+                dropSlot(victim);
+            }
         }
         if (slot == kNil) {
             slot = allocSlot(id);
-            arena_[slot].residentMask = allMask_;
-            index_[id] = slot;
-            extents_.insert(id.file, id.index, slot);
-            recency_.push(slot);
-        } else {
-            arena_[slot].residentMask = allMask_;
-            recency_.touch(slot);
+            recency_.insertBefore(slot, recency_.head, recencyLinks());
+        } else if (recency_.head != slot) {
+            // Its boundaries pass to its more-recent neighbour.  An MRU
+            // block keeps them: those sizes hold it alone.
+            for (std::uint32_t m = arena_[slot].boundaryMask; m != 0;
+                 m &= m - 1)
+                passBoundary(lowBit(m), slot);
+            recency_.remove(slot, recencyLinks());
+            recency_.insertBefore(slot, recency_.head, recencyLinks());
+        }
+        arena_[slot].presentMask = allMask_;
+        // A size left without a boundary (it was empty, or its one
+        // block was just evicted) now holds this block alone.
+        for (std::uint32_t m = miss; m != 0; m &= m - 1) {
+            const std::uint32_t k = lowBit(m);
+            if (per_[k].boundary == kNil) {
+                per_[k].boundary = slot;
+                arena_[slot].boundaryMask |= 1u << k;
+            }
         }
         return slot;
     }
 
-    /** Replacement/recall/sweep write-back of size k's copy. */
+    /** Hand size k's boundary from `from` to its more-recent
+     *  neighbour (kNil when `from` is MRU). */
     void
-    flushAt(std::uint32_t slot, std::uint32_t k, WriteCause cause)
+    passBoundary(std::uint32_t k, std::uint32_t from)
     {
-        metrics_[k].addServerWrite(
-            cause, transferBytes(arena_[slot].id, fileSizes_));
-        clearDirtyAt(slot, k);
+        arena_[from].boundaryMask &= ~(1u << k);
+        const std::uint32_t to = arena_[from].recency.prev;
+        per_[k].boundary = to;
+        if (to != kNil)
+            arena_[to].boundaryMask |= 1u << k;
     }
 
+    /** Off every size: ranks below it move up one, so each of its
+     *  boundaries passes to its more-recent neighbour. */
     void
-    flushDirtySizes(std::uint32_t slot, WriteCause cause, TimeUs now)
+    unlink(std::uint32_t slot)
     {
-        (void)now;
-        for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
-             m &= m - 1) {
-            flushAt(slot,
-                    static_cast<std::uint32_t>(std::countr_zero(m)),
-                    cause);
-        }
-    }
-
-    /** Deleted-file absorption: dirty bytes die without a transfer. */
-    void
-    absorbDeletedSizes(std::uint32_t slot)
-    {
-        for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
-             m &= m - 1) {
-            const auto k = static_cast<std::uint32_t>(
-                std::countr_zero(m));
-            metrics_[k].absorbedDeletedBytes +=
-                state(slot, k).dirty.totalBytes();
-            clearDirtyAt(slot, k);
-        }
+        for (std::uint32_t m = arena_[slot].boundaryMask; m != 0;
+             m &= m - 1)
+            passBoundary(lowBit(m), slot);
+        for (std::uint32_t m = arena_[slot].presentMask; m != 0;
+             m &= m - 1)
+            --per_[lowBit(m)].occupancy;
+        recency_.remove(slot, recencyLinks());
     }
 
     void
-    trimDirtySizes(std::uint32_t slot, Bytes cut)
+    cleaned(std::uint32_t slot, std::uint32_t k)
     {
-        for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
-             m &= m - 1) {
-            const auto k = static_cast<std::uint32_t>(
-                std::countr_zero(m));
-            PerSizeState &d = state(slot, k);
-            const Bytes before = d.dirty.totalBytes();
-            d.dirty.erase(cut, kBlockSize);
-            metrics_[k].absorbedDeletedBytes +=
-                before - d.dirty.totalBytes();
-            if (d.dirty.empty())
-                clearDirtyAt(slot, k);
-        }
+        per_[k].dirty.remove(slot, linksAt(k));
     }
 
-    void
-    clearDirtyAt(std::uint32_t slot, std::uint32_t k)
-    {
-        PerSizeState &d = state(slot, k);
-        d.dirty.clear();
-        d.dirtySince = kNoTime;
-        dirtyRemove(slot, k);
-        arena_[slot].dirtyMask &= ~(1u << k);
-    }
-
-    /** Remove a block from every size's resident set (recall/delete).
-     *  The caller has already flushed or absorbed its dirty bytes and
-     *  handles the extent index. */
-    void
-    dropResident(std::uint32_t slot)
-    {
-        NVFS_REQUIRE(arena_[slot].dirtyMask == 0,
-                     "dropping a still-dirty curve slot");
-        for (std::uint32_t m = arena_[slot].residentMask; m != 0;
-             m &= m - 1) {
-            --per_[static_cast<std::uint32_t>(std::countr_zero(m))]
-                  .occupancy;
-        }
-        arena_[slot].residentMask = 0;
-        recency_.erase(slot);
-        index_.erase(arena_[slot].id);
-        freeSlot(slot);
-    }
-
-    /** Fully-evicted slot (resident nowhere): unindex and free. */
-    void
-    dropSlot(std::uint32_t slot)
-    {
-        NVFS_REQUIRE(arena_[slot].dirtyMask == 0,
-                     "dropping a still-dirty curve slot");
-        recency_.erase(slot);
-        index_.erase(arena_[slot].id);
-        extents_.remove(arena_[slot].id.file, arena_[slot].id.index);
-        freeSlot(slot);
-    }
-
-    void
-    dirtyPush(std::uint32_t slot, std::uint32_t k)
-    {
-        SizeState &s = per_[k];
-        SizeLink &link = state(slot, k).link;
-        link.prev = s.dirtyTail;
-        link.next = kNil;
-        if (s.dirtyTail != kNil)
-            state(s.dirtyTail, k).link.next = slot;
-        else
-            s.dirtyHead = slot;
-        s.dirtyTail = slot;
-    }
-
-    void
-    dirtyRemove(std::uint32_t slot, std::uint32_t k)
-    {
-        SizeState &s = per_[k];
-        SizeLink &link = state(slot, k).link;
-        if (link.prev != kNil)
-            state(link.prev, k).link.next = link.next;
-        else
-            s.dirtyHead = link.next;
-        if (link.next != kNil)
-            state(link.next, k).link.prev = link.prev;
-        else
-            s.dirtyTail = link.prev;
-        link = SizeLink{};
-    }
-
-    std::uint32_t
-    allocSlot(const cache::BlockId &id)
-    {
-        std::uint32_t slot;
-        if (freeHead_ != kNil) {
-            slot = freeHead_;
-            freeHead_ = arena_[slot].nextFree;
-            arena_[slot] = Slot{};
-        } else {
-            slot = static_cast<std::uint32_t>(arena_.size());
-            arena_.emplace_back();
-            perSize_.resize(std::size_t{slot + 1} * sizeCount_);
-        }
-        arena_[slot].id = id;
-        return slot;
-    }
-
-    void
-    freeSlot(std::uint32_t slot)
-    {
-        arena_[slot] = Slot{};
-        arena_[slot].nextFree = freeHead_;
-        freeHead_ = slot;
-    }
-
-    std::vector<Metrics> &metrics_;
-    const FileSizeMap &fileSizes_;
     const TimeUs writeBackAge_;
-    const std::uint32_t sizeCount_;
-    std::uint32_t allMask_ = 0;
     std::vector<SizeState> per_;
     std::uint64_t slotBound_ = 0; ///< the largest size's capacity
-    std::vector<Slot> arena_;
-    std::vector<PerSizeState> perSize_;
-    std::uint32_t freeHead_ = kNil;
-    util::FlatMap<cache::BlockId, std::uint32_t, cache::BlockIdHash>
-        index_;
-    cache::ExtentIndex extents_;
-    util::OrderStatIndex recency_;
-    std::vector<std::uint32_t> scratch_;
-    std::vector<std::uint32_t> scratchBlocks_;
+    SlotList recency_;            ///< head = most recently used
+};
+
+/** The unified client's per-slot fields. */
+struct UnifiedSlot
+{
+    TimeUs lastAccess = 0;
+    std::uint32_t nvramMask = 0; ///< sizes holding it in NVRAM
 };
 
 /**
- * Multi-size mirror of UnifiedModel (LRU NVRAM policy): one arena and
- * block index shared by every size, per-size volatile/NVRAM LRU lists
- * over it.  A block's lastAccess is size-independent — every
- * operation touching it stamps the same time at every size — so it is
- * stored once per slot; the per-size lists replicate each size's
- * placement/demotion decisions (which *do* diverge) exactly.
+ * Multi-size mirror of UnifiedModel (LRU NVRAM policy): per-size
+ * volatile/NVRAM LRU lists over the shared arena.  A block's
+ * lastAccess is size-independent — every operation touching it stamps
+ * the same time at every size — so it is stored once per slot; the
+ * per-size lists replicate each size's placement/demotion decisions
+ * (which *do* diverge) exactly.
  */
-class UnifiedCurveClient : public CurveClientBase
+class UnifiedCurveClient
+    : public CurveCore<UnifiedCurveClient, UnifiedSlot>
 {
+    using Core = CurveCore<UnifiedCurveClient, UnifiedSlot>;
+    friend Core;
+
   public:
     UnifiedCurveClient(const ModelConfig &base,
                        const std::vector<Bytes> &sizes,
                        std::vector<Metrics> &metrics,
                        const FileSizeMap &file_sizes)
-        : metrics_(metrics), fileSizes_(file_sizes),
-          volCapacity_(base.volatileBytes / kBlockSize),
-          sizeCount_(static_cast<std::uint32_t>(sizes.size()))
+        : Core(metrics, file_sizes, sizes.size()),
+          volCapacity_(base.volatileBytes / kBlockSize)
     {
         NVFS_REQUIRE(volCapacity_ > 0, "volatile cache too small");
         std::uint64_t nv_most = 0;
@@ -649,36 +833,19 @@ class UnifiedCurveClient : public CurveClientBase
         // runs before the eviction that makes room.  Volatile contents
         // differ across sizes, so this is not proven; past it the
         // vectors just grow.
-        const std::uint64_t slots = volCapacity_ + nv_most + 1;
-        arena_.reserve(slots);
-        perSize_.reserve(slots * sizeCount_);
+        reserveSlots(volCapacity_ + nv_most + 1);
     }
 
     void
-    read(FileId file, Bytes offset, Bytes length, TimeUs now)
+    recall(FileId file, WriteCause cause, TimeUs)
     {
-        for (Metrics &m : metrics_)
-            m.appReadBytes += length;
-        if (length == 0)
-            return;
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes, Bytes) {
-                         readBlock(id, now);
-                     });
-    }
-
-    void
-    write(FileId file, Bytes offset, Bytes length, TimeUs now)
-    {
-        for (Metrics &m : metrics_)
-            m.appWriteBytes += length;
-        if (length == 0)
-            return;
-        forEachBlock(file, offset, length,
-                     [&](const cache::BlockId &id, Bytes begin,
-                         Bytes end) {
-                         writeBlock(id, begin, end, now);
-                     });
+        dropFile(file, [&](std::uint32_t slot) {
+            // Each written-back copy is read out of the NVRAM.
+            for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
+                 m &= m - 1)
+                ++metrics_[lowBit(m)].nvramReadAccesses;
+            flushDirtySizes(slot, cause);
+        });
     }
 
     void
@@ -688,132 +855,16 @@ class UnifiedCurveClient : public CurveClientBase
     }
 
     void
-    recall(FileId file, WriteCause cause, TimeUs now)
-    {
-        (void)now;
-        scratch_.clear();
-        extents_.forEachOfFile(
-            file, [&](std::uint32_t, std::uint32_t slot) {
-                scratch_.push_back(slot);
-            });
-        for (const std::uint32_t slot : scratch_) {
-            for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
-                 m &= m - 1) {
-                const auto k = static_cast<std::uint32_t>(
-                    std::countr_zero(m));
-                metrics_[k].addServerWrite(
-                    cause, transferBytes(arena_[slot].id, fileSizes_));
-                ++metrics_[k].nvramReadAccesses;
-                clearDirtyAt(slot, k);
-            }
-            dropEverywhere(slot);
-        }
-        extents_.removeFile(file);
-    }
-
-    void
-    removeFile(FileId file, TimeUs now)
-    {
-        (void)now;
-        scratch_.clear();
-        extents_.forEachOfFile(
-            file, [&](std::uint32_t, std::uint32_t slot) {
-                scratch_.push_back(slot);
-            });
-        for (const std::uint32_t slot : scratch_) {
-            for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
-                 m &= m - 1) {
-                const auto k = static_cast<std::uint32_t>(
-                    std::countr_zero(m));
-                metrics_[k].absorbedDeletedBytes +=
-                    state(slot, k).dirty.totalBytes();
-                clearDirtyAt(slot, k);
-            }
-            dropEverywhere(slot);
-        }
-        extents_.removeFile(file);
-    }
-
-    void
-    truncate(FileId file, Bytes new_size, TimeUs now)
-    {
-        (void)now;
-        const auto first_dead =
-            static_cast<std::uint32_t>(blocksCovering(new_size));
-        scratch_.clear();
-        scratchBlocks_.clear();
-        extents_.forEachOfFile(
-            file, [&](std::uint32_t block, std::uint32_t slot) {
-                scratch_.push_back(slot);
-                scratchBlocks_.push_back(block);
-            });
-        const Bytes cut = new_size % kBlockSize;
-        for (std::size_t i = 0; i < scratch_.size(); ++i) {
-            const std::uint32_t block = scratchBlocks_[i];
-            const std::uint32_t slot = scratch_[i];
-            if (block >= first_dead) {
-                for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
-                     m &= m - 1) {
-                    const auto k = static_cast<std::uint32_t>(
-                        std::countr_zero(m));
-                    metrics_[k].absorbedDeletedBytes +=
-                        state(slot, k).dirty.totalBytes();
-                    clearDirtyAt(slot, k);
-                }
-                dropEverywhere(slot);
-                extents_.remove(file, block);
-            } else if (block + 1 == first_dead && cut != 0) {
-                for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
-                     m &= m - 1) {
-                    const auto k = static_cast<std::uint32_t>(
-                        std::countr_zero(m));
-                    PerSizeState &d = state(slot, k);
-                    const Bytes before = d.dirty.totalBytes();
-                    d.dirty.erase(cut, kBlockSize);
-                    metrics_[k].absorbedDeletedBytes +=
-                        before - d.dirty.totalBytes();
-                    if (d.dirty.empty())
-                        clearDirtyAt(slot, k);
-                }
-            }
-        }
-    }
-
-    void
     tick(TimeUs)
     {
         // NVRAM contents are permanent; no delayed write-back sweep.
     }
 
     void
-    finish(TimeUs now)
-    {
-        (void)now;
-        for (std::uint32_t slot = 0; slot < arena_.size(); ++slot) {
-            for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
-                 m &= m - 1) {
-                const auto k = static_cast<std::uint32_t>(
-                    std::countr_zero(m));
-                metrics_[k].addServerWrite(
-                    WriteCause::EndOfTrace,
-                    transferBytes(arena_[slot].id, fileSizes_));
-                clearDirtyAt(slot, k);
-            }
-        }
-    }
-
-    void
     auditInvariants() const
     {
-        std::uint64_t live = 0;
-        index_.forEach([&](const cache::BlockId &id,
-                           const std::uint32_t &slot) {
-            ++live;
+        auditCore([&](std::uint32_t slot) {
             const Slot &s = arena_[slot];
-            NVFS_AUDIT_CHECK(slot < arena_.size() && s.id == id,
-                             "CurveSim", "index entry points astray");
-            NVFS_AUDIT_CHECK(s.presentMask != 0, "CurveSim",
-                             "indexed block resident nowhere");
             NVFS_AUDIT_CHECK((s.nvramMask & ~s.presentMask) == 0,
                              "CurveSim", "NVRAM bit without presence");
             NVFS_AUDIT_CHECK((s.dirtyMask & ~s.nvramMask) == 0,
@@ -822,70 +873,43 @@ class UnifiedCurveClient : public CurveClientBase
         });
         for (std::uint32_t k = 0; k < sizeCount_; ++k) {
             const SizeState &st = per_[k];
-            const auto walk = [&](std::uint32_t head,
-                                  std::uint32_t tail, bool in_nvram,
-                                  std::uint64_t expected) {
-                std::uint64_t steps = 0;
-                TimeUs last_access =
-                    std::numeric_limits<TimeUs>::min();
-                std::uint32_t prev = kNil;
-                for (std::uint32_t slot = head; slot != kNil;
-                     slot = state(slot, k).link.next) {
-                    const Slot &s = arena_[slot];
-                    NVFS_AUDIT_CHECK((s.presentMask >> k & 1) != 0,
-                                     "CurveSim",
-                                     "LRU list visits absent block");
-                    NVFS_AUDIT_CHECK(((s.nvramMask >> k & 1) != 0) ==
-                                         in_nvram,
-                                     "CurveSim",
-                                     "block on the wrong memory list");
-                    NVFS_AUDIT_CHECK(state(slot, k).link.prev == prev,
-                                     "CurveSim",
-                                     "LRU back-link broken");
-                    NVFS_AUDIT_CHECK(s.lastAccess >= last_access,
-                                     "CurveSim",
-                                     "LRU list not time-ordered");
-                    last_access = s.lastAccess;
-                    prev = slot;
-                    NVFS_AUDIT_CHECK(++steps <= arena_.size(),
-                                     "CurveSim", "LRU list cycle");
-                }
-                NVFS_AUDIT_CHECK(tail == prev, "CurveSim",
-                                 "LRU tail pointer stale");
-                NVFS_AUDIT_CHECK(steps == expected, "CurveSim",
-                                 "occupancy counter diverged");
+            const auto walk = [&](const SlotList &list, bool in_nvram) {
+                TimeUs last_access = std::numeric_limits<TimeUs>::min();
+                return list.audit(
+                    linksAt(k), arena_.size(), [&](std::uint32_t slot) {
+                        const Slot &s = arena_[slot];
+                        NVFS_AUDIT_CHECK((s.presentMask >> k & 1) != 0,
+                                         "CurveSim",
+                                         "LRU list visits absent block");
+                        NVFS_AUDIT_CHECK(
+                            ((s.nvramMask >> k & 1) != 0) == in_nvram,
+                            "CurveSim",
+                            "block on the wrong memory list");
+                        NVFS_AUDIT_CHECK(s.lastAccess >= last_access,
+                                         "CurveSim",
+                                         "LRU list not time-ordered");
+                        last_access = s.lastAccess;
+                    });
             };
-            walk(st.volHead, st.volTail, false, st.volOccupancy);
-            walk(st.nvHead, st.nvTail, true, st.nvOccupancy);
+            NVFS_AUDIT_CHECK(walk(st.vol, false) == st.volOccupancy,
+                             "CurveSim", "occupancy counter diverged");
+            NVFS_AUDIT_CHECK(walk(st.nv, true) == st.nvOccupancy,
+                             "CurveSim", "occupancy counter diverged");
             NVFS_AUDIT_CHECK(st.volOccupancy <= volCapacity_,
                              "CurveSim", "volatile over capacity");
             NVFS_AUDIT_CHECK(st.nvOccupancy <= st.nvCapacity,
                              "CurveSim", "NVRAM over capacity");
         }
-        (void)live;
-        extents_.auditInvariants();
     }
 
   private:
-    struct Slot
-    {
-        cache::BlockId id{};
-        TimeUs lastAccess = 0;
-        std::uint32_t presentMask = 0;
-        std::uint32_t nvramMask = 0;
-        std::uint32_t dirtyMask = 0;
-        std::uint32_t nextFree = kNil;
-    };
-
     struct SizeState
     {
         std::uint64_t nvCapacity = 0;
         std::uint64_t nvOccupancy = 0;
         std::uint64_t volOccupancy = 0;
-        std::uint32_t volHead = kNil;
-        std::uint32_t volTail = kNil;
-        std::uint32_t nvHead = kNil;
-        std::uint32_t nvTail = kNil;
+        SlotList vol; ///< volatile LRU list, head = least recent
+        SlotList nv;  ///< NVRAM LRU list, head = least recent
         /** Last ordered-insert position (BlockCache::orderedHint_):
          *  demotions arrive in ascending age, so each boundary sits at
          *  or just past the previous one.  Any slot still on the
@@ -896,18 +920,6 @@ class UnifiedCurveClient : public CurveClientBase
         std::uint32_t volHint = kNil;
     };
 
-    PerSizeState &
-    state(std::uint32_t slot, std::uint32_t k)
-    {
-        return perSize_[std::size_t{slot} * sizeCount_ + k];
-    }
-
-    const PerSizeState &
-    state(std::uint32_t slot, std::uint32_t k) const
-    {
-        return perSize_[std::size_t{slot} * sizeCount_ + k];
-    }
-
     void
     readBlock(const cache::BlockId &id, TimeUs now)
     {
@@ -915,25 +927,23 @@ class UnifiedCurveClient : public CurveClientBase
         std::uint32_t slot = found ? *found : kNil;
         const std::uint32_t present =
             slot == kNil ? 0u : arena_[slot].presentMask;
-        const std::uint32_t miss = allMask() & ~present;
+        const std::uint32_t miss = allMask_ & ~present;
         // Hits: refresh each size's LRU position.
         for (std::uint32_t m = present; m != 0; m &= m - 1) {
-            const auto k = static_cast<std::uint32_t>(
-                std::countr_zero(m));
+            const std::uint32_t k = lowBit(m);
             if ((arena_[slot].nvramMask >> k & 1) != 0) {
-                moveToBack(per_[k].nvHead, per_[k].nvTail, k, slot);
+                per_[k].nv.moveToBack(slot, linksAt(k));
                 ++metrics_[k].nvramReadAccesses;
             } else {
-                moveToBack(per_[k].volHead, per_[k].volTail, k, slot);
+                per_[k].vol.moveToBack(slot, linksAt(k));
             }
         }
         if (miss != 0) {
-            const Bytes fetched = transferBytes(id, fileSizes_);
+            const Bytes fetched = blockTransferBytes(id, fileSizes_);
             if (slot == kNil)
                 slot = allocSlot(id);
             for (std::uint32_t m = miss; m != 0; m &= m - 1) {
-                const auto k = static_cast<std::uint32_t>(
-                    std::countr_zero(m));
+                const std::uint32_t k = lowBit(m);
                 metrics_[k].serverReadBytes += fetched;
                 metrics_[k].busBytes += fetched;
                 placeCleanBlock(slot, k, now);
@@ -962,10 +972,8 @@ class UnifiedCurveClient : public CurveClientBase
             } else if ((s.presentMask >> k & 1) != 0) {
                 // Clean in the volatile cache: transfer to the NVRAM
                 // and update it there (Section 2.6).
-                const Bytes transfer = transferBytes(id, fileSizes_);
-                removeLink(per_[k].volHead, per_[k].volTail, k, slot);
-                clearVolHint(k, slot);
-                --per_[k].volOccupancy;
+                const Bytes transfer = blockTransferBytes(id, fileSizes_);
+                leaveVolatile(slot, k);
                 s.presentMask &= ~(1u << k);
                 ensureNvramSpace(k, now);
                 insertNvram(slot, k);
@@ -1003,28 +1011,20 @@ class UnifiedCurveClient : public CurveClientBase
             ++metrics_[k].nvramWriteAccesses;
             return;
         }
-        const TimeUs nvram_lru = arena_[st.nvHead].lastAccess;
-        const TimeUs volatile_lru = arena_[st.volHead].lastAccess;
+        const TimeUs nvram_lru = arena_[st.nv.head].lastAccess;
+        const TimeUs volatile_lru = arena_[st.vol.head].lastAccess;
         if (nvram_lru < volatile_lru) {
             // The globally least-recent block sits in NVRAM.
-            const std::uint32_t victim = st.nvHead;
-            removeLink(st.nvHead, st.nvTail, k, victim);
-            --st.nvOccupancy;
-            arena_[victim].nvramMask &= ~(1u << k);
-            if ((arena_[victim].dirtyMask >> k & 1) != 0) {
-                metrics_[k].addServerWrite(
-                    WriteCause::Replacement,
-                    transferBytes(arena_[victim].id, fileSizes_));
-                clearDirtyAt(victim, k);
-            }
+            const std::uint32_t victim = st.nv.head;
+            leaveNvram(victim, k);
+            if ((arena_[victim].dirtyMask >> k & 1) != 0)
+                flushAt(victim, k, WriteCause::Replacement);
             evictFromSize(victim, k);
             insertNvram(slot, k);
             ++metrics_[k].nvramWriteAccesses;
         } else {
-            const std::uint32_t victim = st.volHead;
-            removeLink(st.volHead, st.volTail, k, victim);
-            clearVolHint(k, victim);
-            --st.volOccupancy;
+            const std::uint32_t victim = st.vol.head;
+            leaveVolatile(victim, k);
             evictFromSize(victim, k);
             insertVolatileMru(slot, k);
         }
@@ -1040,13 +1040,10 @@ class UnifiedCurveClient : public CurveClientBase
     {
         (void)now;
         SizeState &st = per_[k];
-        const std::uint32_t victim = st.nvHead;
+        const std::uint32_t victim = st.nv.head;
         NVFS_REQUIRE(victim != kNil, "full NVRAM without victim");
-        const Bytes transfer =
-            transferBytes(arena_[victim].id, fileSizes_);
-        removeLink(st.nvHead, st.nvTail, k, victim);
-        --st.nvOccupancy;
-        arena_[victim].nvramMask &= ~(1u << k);
+        const Bytes transfer = transferBytes(victim);
+        leaveNvram(victim, k);
         if ((arena_[victim].dirtyMask >> k & 1) != 0) {
             metrics_[k].addServerWrite(WriteCause::Replacement,
                                        transfer);
@@ -1056,13 +1053,11 @@ class UnifiedCurveClient : public CurveClientBase
         if (st.volOccupancy < volCapacity_) {
             demote = true;
         } else {
-            demote = arena_[st.volHead].lastAccess <
+            demote = arena_[st.vol.head].lastAccess <
                      arena_[victim].lastAccess;
             if (demote) {
-                const std::uint32_t out = st.volHead;
-                removeLink(st.volHead, st.volTail, k, out);
-                clearVolHint(k, out);
-                --st.volOccupancy;
+                const std::uint32_t out = st.vol.head;
+                leaveVolatile(out, k);
                 evictFromSize(out, k);
             }
         }
@@ -1095,18 +1090,31 @@ class UnifiedCurveClient : public CurveClientBase
     void
     insertVolatileMru(std::uint32_t slot, std::uint32_t k)
     {
-        pushBack(per_[k].volHead, per_[k].volTail, k, slot);
+        per_[k].vol.pushBack(slot, linksAt(k));
         ++per_[k].volOccupancy;
         arena_[slot].presentMask |= 1u << k;
     }
 
-    /** The hint must stay on size k's volatile list: drop it when its
-     *  slot leaves (a repositioning moveToBack keeps it valid). */
+    /** Off size k's volatile list.  The hint must stay on that list:
+     *  drop it with its slot (a repositioning moveToBack keeps it
+     *  valid). */
     void
-    clearVolHint(std::uint32_t k, std::uint32_t slot)
+    leaveVolatile(std::uint32_t slot, std::uint32_t k)
     {
-        if (per_[k].volHint == slot)
-            per_[k].volHint = kNil;
+        SizeState &st = per_[k];
+        st.vol.remove(slot, linksAt(k));
+        if (st.volHint == slot)
+            st.volHint = kNil;
+        --st.volOccupancy;
+    }
+
+    /** Off size k's NVRAM list, still present (the caller decides). */
+    void
+    leaveNvram(std::uint32_t slot, std::uint32_t k)
+    {
+        per_[k].nv.remove(slot, linksAt(k));
+        --per_[k].nvOccupancy;
+        arena_[slot].nvramMask &= ~(1u << k);
     }
 
     /**
@@ -1120,14 +1128,14 @@ class UnifiedCurveClient : public CurveClientBase
         SizeState &st = per_[k];
         const TimeUs access = arena_[slot].lastAccess;
         std::uint32_t before = kNil; // kNil = MRU end
-        if (st.volTail == kNil ||
-            arena_[st.volTail].lastAccess <= access) {
+        if (st.vol.tail == kNil ||
+            arena_[st.vol.tail].lastAccess <= access) {
             // Younger than everything: plain MRU insert.
-        } else if (access <= arena_[st.volHead].lastAccess) {
+        } else if (access <= arena_[st.vol.head].lastAccess) {
             // At or below the LRU head: insertOrdered's head guard
             // places the block *before* an equal-aged head (unlike the
             // interior boundary, which lands after equals).
-            before = st.volHead;
+            before = st.vol.head;
         } else if (st.volHint != kNil) {
             // Resume from the previous ordered insert; the boundary
             // between the <= prefix and the > suffix is unique, so
@@ -1151,8 +1159,8 @@ class UnifiedCurveClient : public CurveClientBase
         } else {
             // No hint yet: walk towards the boundary from both ends
             // at once (head <= access < tail, so it is interior).
-            std::uint32_t front = st.volHead; // known <= access
-            std::uint32_t back = st.volTail;  // known  > access
+            std::uint32_t front = st.vol.head; // known <= access
+            std::uint32_t back = st.vol.tail;  // known  > access
             for (;;) {
                 const std::uint32_t next = state(front, k).link.next;
                 if (arena_[next].lastAccess > access) {
@@ -1168,7 +1176,7 @@ class UnifiedCurveClient : public CurveClientBase
                 back = prev;
             }
         }
-        insertBefore(st.volHead, st.volTail, k, slot, before);
+        st.vol.insertBefore(slot, before, linksAt(k));
         st.volHint = slot;
         ++st.volOccupancy;
         arena_[slot].presentMask |= 1u << k;
@@ -1177,7 +1185,7 @@ class UnifiedCurveClient : public CurveClientBase
     void
     insertNvram(std::uint32_t slot, std::uint32_t k)
     {
-        pushBack(per_[k].nvHead, per_[k].nvTail, k, slot);
+        per_[k].nv.pushBack(slot, linksAt(k));
         ++per_[k].nvOccupancy;
         arena_[slot].presentMask |= 1u << k;
         arena_[slot].nvramMask |= 1u << k;
@@ -1199,162 +1207,31 @@ class UnifiedCurveClient : public CurveClientBase
             d.dirtySince = now;
         }
         // The write also refreshes the block's NVRAM LRU position.
-        moveToBack(per_[k].nvHead, per_[k].nvTail, k, slot);
+        per_[k].nv.moveToBack(slot, linksAt(k));
     }
 
+    /** Off whichever list holds it at each size it is present at. */
     void
-    clearDirtyAt(std::uint32_t slot, std::uint32_t k)
+    unlink(std::uint32_t slot)
     {
-        PerSizeState &d = state(slot, k);
-        d.dirty.clear();
-        d.dirtySince = kNoTime;
-        arena_[slot].dirtyMask &= ~(1u << k);
-    }
-
-    /** Remove from whatever lists the slot is on, then free it. */
-    void
-    dropEverywhere(std::uint32_t slot)
-    {
-        NVFS_REQUIRE(arena_[slot].dirtyMask == 0,
-                     "dropping a still-dirty curve slot");
         for (std::uint32_t m = arena_[slot].presentMask; m != 0;
              m &= m - 1) {
-            const auto k = static_cast<std::uint32_t>(
-                std::countr_zero(m));
-            if ((arena_[slot].nvramMask >> k & 1) != 0) {
-                removeLink(per_[k].nvHead, per_[k].nvTail, k, slot);
-                --per_[k].nvOccupancy;
-            } else {
-                removeLink(per_[k].volHead, per_[k].volTail, k, slot);
-                clearVolHint(k, slot);
-                --per_[k].volOccupancy;
-            }
+            const std::uint32_t k = lowBit(m);
+            if ((arena_[slot].nvramMask >> k & 1) != 0)
+                leaveNvram(slot, k);
+            else
+                leaveVolatile(slot, k);
         }
-        arena_[slot].presentMask = 0;
-        arena_[slot].nvramMask = 0;
-        index_.erase(arena_[slot].id);
-        freeSlot(slot);
     }
 
-    /** Fully-evicted slot: presence already cleared per size. */
+    /** Dirty copies sit on the NVRAM list, which cleaning keeps. */
     void
-    dropSlot(std::uint32_t slot)
+    cleaned(std::uint32_t, std::uint32_t)
     {
-        NVFS_REQUIRE(arena_[slot].dirtyMask == 0 &&
-                         arena_[slot].presentMask == 0,
-                     "dropping a live curve slot");
-        index_.erase(arena_[slot].id);
-        extents_.remove(arena_[slot].id.file, arena_[slot].id.index);
-        freeSlot(slot);
     }
 
-    void
-    pushBack(std::uint32_t &head, std::uint32_t &tail, std::uint32_t k,
-             std::uint32_t slot)
-    {
-        SizeLink &link = state(slot, k).link;
-        link.prev = tail;
-        link.next = kNil;
-        if (tail != kNil)
-            state(tail, k).link.next = slot;
-        else
-            head = slot;
-        tail = slot;
-    }
-
-    void
-    removeLink(std::uint32_t &head, std::uint32_t &tail,
-               std::uint32_t k, std::uint32_t slot)
-    {
-        SizeLink &link = state(slot, k).link;
-        if (link.prev != kNil)
-            state(link.prev, k).link.next = link.next;
-        else
-            head = link.next;
-        if (link.next != kNil)
-            state(link.next, k).link.prev = link.prev;
-        else
-            tail = link.prev;
-        link = SizeLink{};
-    }
-
-    void
-    moveToBack(std::uint32_t &head, std::uint32_t &tail,
-               std::uint32_t k, std::uint32_t slot)
-    {
-        if (tail == slot)
-            return;
-        removeLink(head, tail, k, slot);
-        pushBack(head, tail, k, slot);
-    }
-
-    void
-    insertBefore(std::uint32_t &head, std::uint32_t &tail,
-                 std::uint32_t k, std::uint32_t slot,
-                 std::uint32_t before)
-    {
-        if (before == kNil) {
-            pushBack(head, tail, k, slot);
-            return;
-        }
-        SizeLink &link = state(slot, k).link;
-        SizeLink &at = state(before, k).link;
-        link.prev = at.prev;
-        link.next = before;
-        if (at.prev != kNil)
-            state(at.prev, k).link.next = slot;
-        else
-            head = slot;
-        at.prev = slot;
-    }
-
-    std::uint32_t
-    allMask() const
-    {
-        return sizeCount_ >= 32 ? 0xffffffffu
-                                : ((1u << sizeCount_) - 1u);
-    }
-
-    std::uint32_t
-    allocSlot(const cache::BlockId &id)
-    {
-        std::uint32_t slot;
-        if (freeHead_ != kNil) {
-            slot = freeHead_;
-            freeHead_ = arena_[slot].nextFree;
-            arena_[slot] = Slot{};
-        } else {
-            slot = static_cast<std::uint32_t>(arena_.size());
-            arena_.emplace_back();
-            perSize_.resize(std::size_t{slot + 1} * sizeCount_);
-        }
-        arena_[slot].id = id;
-        index_[id] = slot;
-        extents_.insert(id.file, id.index, slot);
-        return slot;
-    }
-
-    void
-    freeSlot(std::uint32_t slot)
-    {
-        arena_[slot] = Slot{};
-        arena_[slot].nextFree = freeHead_;
-        freeHead_ = slot;
-    }
-
-    std::vector<Metrics> &metrics_;
-    const FileSizeMap &fileSizes_;
     const std::uint64_t volCapacity_;
-    const std::uint32_t sizeCount_;
     std::vector<SizeState> per_;
-    std::vector<Slot> arena_;
-    std::vector<PerSizeState> perSize_;
-    std::uint32_t freeHead_ = kNil;
-    util::FlatMap<cache::BlockId, std::uint32_t, cache::BlockIdHash>
-        index_;
-    cache::ExtentIndex extents_;
-    std::vector<std::uint32_t> scratch_;
-    std::vector<std::uint32_t> scratchBlocks_;
 };
 
 /**

@@ -7,13 +7,15 @@
  * a per-size replay re-simulates the same op stream once per point.
  * For LRU-managed memories the inclusion property holds: the resident
  * set of a smaller cache is always a subset of a larger one's, so a
- * single replay that maintains one global recency order (a Mattson
- * stack, indexed by util::OrderStatIndex) can classify every event —
- * absorption, eviction write-back, callback recall, 30 s sync flush —
- * against *all* configured sizes at once by threshold comparison, and
- * accumulate a full Metrics vector per size in one pass.  The replay
- * itself is core::replayOps, the protocol driver ClusterSim runs too;
- * the curve engine contributes only its multi-size client set.
+ * single replay can classify every event — absorption, eviction
+ * write-back, callback recall, 30 s sync flush — against *all*
+ * configured sizes at once and accumulate a full Metrics vector per
+ * size in one pass.  The volatile axis keeps one recency list with a
+ * per-size LRU boundary on it; the unified NVRAM axis keeps each
+ * size's volatile and NVRAM LRU lists over one shared slot arena.  The
+ * replay itself is core::replayOps, the protocol driver ClusterSim
+ * runs too; the curve engine contributes only its multi-size client
+ * set.
  *
  * Results are bit-identical to running the per-size replay grid
  * (core::runClientGrid) point by point; the curve_sim_test

@@ -1,7 +1,5 @@
 #include "core/sim/sweep.hpp"
 
-#include "core/client/cluster_sim.hpp"
-
 namespace nvfs::core {
 
 SweepRunner::SweepRunner(unsigned jobs)
@@ -28,23 +26,6 @@ SweepRunner::runCurveSweep(const prep::OpStream &ops,
     // Per-size fallback: the exact grid the curve engine replaces.
     return runClientGrid(ops, curveGridModels(spec), spec.seed,
                          jobs_);
-}
-
-std::vector<Metrics>
-SweepRunner::runClusterSweep(
-    const prep::OpStream &ops,
-    const std::vector<ClusterConfig> &configs) const
-{
-    std::vector<std::function<Metrics()>> tasks;
-    tasks.reserve(configs.size());
-    for (const ClusterConfig &config : configs) {
-        tasks.push_back([&ops, config] {
-            ClusterSim sim(config, std::max<std::uint32_t>(
-                                       1, ops.clientCount));
-            return sim.run(ops);
-        });
-    }
-    return map(tasks);
 }
 
 std::vector<ServerRunResult>

@@ -136,14 +136,6 @@ class SweepRunner
     runCurveSweep(const prep::OpStream &ops,
                   const CurveSpec &spec) const;
 
-    /**
-     * Run one full cluster simulation per config (for sweeps that
-     * vary more than the model: callbacks, crashes, seeds).
-     */
-    std::vector<Metrics>
-    runClusterSweep(const prep::OpStream &ops,
-                    const std::vector<ClusterConfig> &configs) const;
-
     /** Run one Section 3 server study per config. */
     std::vector<ServerRunResult>
     runServerSweep(const std::vector<ServerSweepConfig> &configs) const;

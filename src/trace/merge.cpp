@@ -1,65 +1,8 @@
 #include "trace/merge.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace nvfs::trace {
-
-namespace {
-
-struct HeapItem
-{
-    TimeUs time;
-    std::size_t stream;
-    std::size_t index;
-
-    // Min-heap by (time, stream) via greater-than comparison.
-    bool
-    operator>(const HeapItem &other) const
-    {
-        if (time != other.time)
-            return time > other.time;
-        return stream > other.stream;
-    }
-};
-
-} // namespace
-
-TraceBuffer
-mergeTraces(const std::vector<TraceBuffer> &inputs)
-{
-    TraceBuffer out;
-    std::size_t total = 0;
-    for (const auto &input : inputs) {
-        total += input.events.size();
-        out.header.clientCount = std::max(out.header.clientCount,
-                                          input.header.clientCount);
-        out.header.duration = std::max(out.header.duration,
-                                       input.header.duration);
-    }
-    if (!inputs.empty())
-        out.header.traceIndex = inputs.front().header.traceIndex;
-    out.events.reserve(total);
-
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<>> heap;
-    for (std::size_t s = 0; s < inputs.size(); ++s) {
-        if (!inputs[s].events.empty())
-            heap.push({inputs[s].events[0].time, s, 0});
-    }
-    while (!heap.empty()) {
-        const HeapItem item = heap.top();
-        heap.pop();
-        out.events.push_back(inputs[item.stream].events[item.index]);
-        const std::size_t next = item.index + 1;
-        if (next < inputs[item.stream].events.size()) {
-            heap.push({inputs[item.stream].events[next].time,
-                       item.stream, next});
-        }
-    }
-    out.header.eventCount = out.events.size();
-    return out;
-}
 
 void
 stableSortByTime(TraceBuffer &buffer)

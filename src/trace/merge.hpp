@@ -1,24 +1,15 @@
 /**
  * @file
- * K-way merge of trace streams by timestamp, used to combine per-client
- * generator output into one cluster-wide trace (what the Sprite tracing
- * infrastructure produced) and to splice auxiliary event streams.
+ * Time ordering of a trace: the generator emits each client's events
+ * in turn and sorts the whole buffer into one cluster-wide stream
+ * (what the Sprite tracing infrastructure produced).
  */
 
 #pragma once
 
-#include <vector>
-
 #include "trace/stream.hpp"
 
 namespace nvfs::trace {
-
-/**
- * Merge several time-sorted traces into one, stable for equal
- * timestamps (earlier input stream wins).  Headers: clientCount is the
- * max over inputs, duration the max, traceIndex from the first input.
- */
-TraceBuffer mergeTraces(const std::vector<TraceBuffer> &inputs);
 
 /** Sort a single trace's events by (time, original order). */
 void stableSortByTime(TraceBuffer &buffer);

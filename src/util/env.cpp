@@ -6,6 +6,7 @@
 
 #include "util/log.hpp"
 #include "util/table.hpp"
+#include "util/units.hpp"
 
 namespace nvfs::util {
 
@@ -82,6 +83,22 @@ argDouble(const char *what, const char *text, double min, double max)
     if (!value || *value < min || *value > max) {
         fatal(format("%s='%s' is not a number in [%g, %g]", what, text,
                      min, max));
+    }
+    return *value;
+}
+
+std::uint64_t
+argBytes(const char *what, const char *text, std::uint64_t min,
+         std::uint64_t max)
+{
+    std::string why;
+    const auto value = tryParseBytes(text, why);
+    if (!value || *value < min || *value > max) {
+        const std::string reason = value ? "" : ": " + why;
+        fatal(format("%s='%s' is not a byte size in [%llu, %llu]%s", what,
+                     text, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max),
+                     reason.c_str()));
     }
     return *value;
 }

@@ -55,4 +55,8 @@ std::int64_t argInt(const char *what, const char *text,
 double argDouble(const char *what, const char *text, double min,
                  double max);
 
+/** Byte-size flavour of argInt: "512K", "4M" as util::parseBytes. */
+std::uint64_t argBytes(const char *what, const char *text,
+                       std::uint64_t min, std::uint64_t max);
+
 } // namespace nvfs::util

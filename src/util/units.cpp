@@ -47,14 +47,17 @@ formatDuration(TimeUs us)
 
 namespace {
 
-// Parses leading float and returns suffix start.
-double
-parseNumber(const std::string &text, std::size_t &pos)
+// Parses a leading float and returns the suffix start; nullopt, with
+// the reason in `why`, when the text starts with no number (or NaN).
+std::optional<double>
+parseNumber(const std::string &text, std::size_t &pos, std::string &why)
 {
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str())
-        fatal("cannot parse number from '" + text + "'");
+    if (end == text.c_str() || std::isnan(value)) {
+        why = "cannot parse number from '" + text + "'";
+        return std::nullopt;
+    }
     pos = static_cast<std::size_t>(end - text.c_str());
     return value;
 }
@@ -75,11 +78,13 @@ lowerSuffix(const std::string &text, std::size_t pos)
 
 } // namespace
 
-Bytes
-parseBytes(const std::string &text)
+std::optional<Bytes>
+tryParseBytes(const std::string &text, std::string &why)
 {
     std::size_t pos = 0;
-    const double value = parseNumber(text, pos);
+    const auto value = parseNumber(text, pos, why);
+    if (!value)
+        return std::nullopt;
     const std::string suffix = lowerSuffix(text, pos);
     double scale = 1.0;
     if (suffix.empty() || suffix == "b") {
@@ -91,19 +96,40 @@ parseBytes(const std::string &text)
     } else if (suffix == "g" || suffix == "gb" || suffix == "gib") {
         scale = static_cast<double>(kMiB) * 1024.0;
     } else {
-        fatal("unknown byte suffix '" + suffix + "'");
+        why = "unknown byte suffix '" + suffix + "'";
+        return std::nullopt;
     }
-    const double bytes = value * scale;
-    if (bytes < 0.0)
-        fatal("negative byte size '" + text + "'");
+    const double bytes = *value * scale;
+    if (bytes < 0.0) {
+        why = "negative byte size '" + text + "'";
+        return std::nullopt;
+    }
+    // llround is defined only below 2^63.
+    if (bytes >= 0x1p63) {
+        why = "byte size '" + text + "' too large";
+        return std::nullopt;
+    }
     return static_cast<Bytes>(std::llround(bytes));
+}
+
+Bytes
+parseBytes(const std::string &text)
+{
+    std::string why;
+    const auto bytes = tryParseBytes(text, why);
+    if (!bytes)
+        fatal(why);
+    return *bytes;
 }
 
 TimeUs
 parseDuration(const std::string &text)
 {
     std::size_t pos = 0;
-    const double value = parseNumber(text, pos);
+    std::string why;
+    const auto value = parseNumber(text, pos, why);
+    if (!value)
+        fatal(why);
     const std::string suffix = lowerSuffix(text, pos);
     double scale = static_cast<double>(kUsPerSecond);
     if (suffix.empty() || suffix == "s" || suffix == "sec") {
@@ -119,7 +145,7 @@ parseDuration(const std::string &text)
     } else {
         fatal("unknown duration suffix '" + suffix + "'");
     }
-    return static_cast<TimeUs>(std::llround(value * scale));
+    return static_cast<TimeUs>(std::llround(*value * scale));
 }
 
 } // namespace nvfs::util

@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "util/types.hpp"
@@ -18,9 +19,14 @@ std::string formatBytes(Bytes bytes);
 std::string formatDuration(TimeUs us);
 
 /**
- * Parse "512K", "4M", "1.5MB", "4096" (bytes).
- * Fatal on malformed input.
+ * Parse "512K", "4M", "1.5MB", "4096" (bytes).  Nullopt on malformed,
+ * negative or unrepresentable (2^63 bytes or more) input, with the
+ * reason in `why`.
  */
+std::optional<Bytes> tryParseBytes(const std::string &text,
+                                   std::string &why);
+
+/** tryParseBytes, fatal on failure. */
 Bytes parseBytes(const std::string &text);
 
 /**

@@ -1,12 +1,12 @@
 /**
  * @file
  * Differential tests of the single-pass multi-size curve engine
- * (core::CurveSim) against the per-size replay grid.  The curve
- * engine must be *bit-identical* — every Metrics counter, including
- * the per-cause server-write histogram and both absorbed counters,
- * must match runClientGrid on every trace and size — plus unit tests
- * of util::OrderStatIndex (the Fenwick stack-distance structure)
- * under churn, and of the per-size grid fallback path.
+ * (core::CurveSim) against the per-size replay grid, with the engine's
+ * invariant audits on.  The curve engine must be *bit-identical* —
+ * every Metrics counter, including the per-cause server-write
+ * histogram and both absorbed counters, must match runClientGrid on
+ * every trace and size.  Also tests of the spec checks and of the
+ * per-size grid fallback path.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +17,6 @@
 
 #include "core/sim/curve.hpp"
 #include "core/sim/sweep.hpp"
-#include "util/audit.hpp"
-#include "util/fenwick.hpp"
-#include "util/rng.hpp"
 #include "multi_run_ops.hpp"
 
 namespace nvfs::core {
@@ -145,17 +142,34 @@ TEST(CurveDifferential, MatchesGridOnPaperSizes)
     }
 }
 
+// Sizes in any order, and the volatile axis's boundary edge cases:
+// one-block sizes (the boundary is the MRU block, evicted on every
+// miss), repeated sizes (two sizes share one boundary block) and one
+// large size beside them, audited after every op.
 TEST(CurveDifferential, SizesInArbitraryOrder)
 {
-    const auto &ops = standardOps(3, kScale);
+    const auto compare = [](int trace, const CurveSpec &spec) {
+        const auto &ops = standardOps(trace, kScale);
+        const std::vector<Metrics> curve = runCurveSim(ops, spec);
+        const std::vector<Metrics> grid =
+            runClientGrid(ops, curveGridModels(spec), spec.seed);
+        ASSERT_EQ(curve.size(), grid.size());
+        for (std::size_t k = 0; k < curve.size(); ++k) {
+            EXPECT_EQ(curve[k], grid[k])
+                << "trace " << trace << " size " << spec.sizes[k];
+        }
+    };
     CurveSpec spec = volatileSpec();
     std::reverse(spec.sizes.begin(), spec.sizes.end());
     spec.sizes.push_back(12 * kBlockSize); // unsorted tail
-    const std::vector<Metrics> curve = runCurveSim(ops, spec);
-    const std::vector<Metrics> grid =
-        runClientGrid(ops, curveGridModels(spec), spec.seed);
-    for (std::size_t k = 0; k < curve.size(); ++k)
-        EXPECT_EQ(curve[k], grid[k]) << "size " << spec.sizes[k];
+    compare(3, spec);
+
+    spec.sizes.clear();
+    for (const Bytes blocks : {1, 2, 1, 3, 2, 64, 5})
+        spec.sizes.push_back(blocks * kBlockSize);
+    spec.auditEvery = 1;
+    for (const int trace : {1, 3, 4, 7})
+        compare(trace, spec);
 }
 
 TEST(CurveSupport, RejectsInclusionBreakers)
@@ -208,89 +222,6 @@ TEST(CurveFallback, UnsupportedSpecFallsBack)
     ASSERT_EQ(rows.size(), grid.size());
     for (std::size_t k = 0; k < rows.size(); ++k)
         EXPECT_EQ(rows[k], grid[k]);
-}
-
-// ---------------------------------------------------------------
-// util::OrderStatIndex: the Fenwick stack-distance structure.
-// ---------------------------------------------------------------
-
-TEST(OrderStatIndex, RankAndSelectBasics)
-{
-    util::OrderStatIndex index;
-    index.push(10);
-    index.push(20);
-    index.push(30); // recency (MRU first): 30, 20, 10
-    EXPECT_EQ(index.size(), 3u);
-    EXPECT_EQ(index.rankFromMru(30), 1u);
-    EXPECT_EQ(index.rankFromMru(20), 2u);
-    EXPECT_EQ(index.rankFromMru(10), 3u);
-    EXPECT_EQ(index.selectFromMru(1), 30u);
-    EXPECT_EQ(index.selectFromMru(3), 10u);
-
-    index.touch(10); // 10, 30, 20
-    EXPECT_EQ(index.rankFromMru(10), 1u);
-    EXPECT_EQ(index.rankFromMru(20), 3u);
-    EXPECT_EQ(index.selectFromMru(2), 30u);
-
-    index.erase(30); // 10, 20
-    EXPECT_EQ(index.size(), 2u);
-    EXPECT_FALSE(index.contains(30));
-    EXPECT_EQ(index.selectFromMru(2), 20u);
-    index.auditInvariants();
-}
-
-// Deterministic churn against a reference list: every rank and every
-// select must agree, through enough touches to force several
-// position-space compactions.
-TEST(OrderStatIndex, ChurnMatchesReferenceModel)
-{
-    util::OrderStatIndex index;
-    std::vector<std::uint32_t> mru; // front = most recent
-    util::Rng rng(12345);
-    for (int step = 0; step < 20000; ++step) {
-        const auto slot =
-            static_cast<std::uint32_t>(rng.uniformInt(0, 127));
-        const auto it = std::find(mru.begin(), mru.end(), slot);
-        const double action = rng.uniform(0.0, 1.0);
-        if (it == mru.end()) {
-            index.push(slot);
-            mru.insert(mru.begin(), slot);
-        } else if (action < 0.25) {
-            index.erase(slot);
-            mru.erase(it);
-        } else {
-            index.touch(slot);
-            mru.erase(it);
-            mru.insert(mru.begin(), slot);
-        }
-        ASSERT_EQ(index.size(), mru.size());
-        if (step % 100 == 0) {
-            index.auditInvariants();
-            for (std::size_t r = 0; r < mru.size(); ++r) {
-                ASSERT_EQ(index.rankFromMru(mru[r]), r + 1);
-                ASSERT_EQ(index.selectFromMru(
-                              static_cast<std::uint32_t>(r + 1)),
-                          mru[r]);
-            }
-        }
-    }
-}
-
-TEST(OrderStatIndex, AuditThrowsOnMisuse)
-{
-    util::OrderStatIndex index;
-    index.push(1);
-    index.push(2);
-    index.auditInvariants(); // healthy
-    EXPECT_EQ(index.rankFromMru(2), 1u);
-    // Misuse (rank of a non-member) is a hard REQUIRE, death not
-    // worth a test; the audit itself must pass after heavy reuse of
-    // the same slot id.
-    for (int i = 0; i < 1000; ++i)
-        index.touch(1);
-    index.auditInvariants();
-    EXPECT_EQ(index.selectFromMru(1), 1u);
-    EXPECT_EQ(index.selectFromMru(2), 2u);
 }
 
 } // namespace

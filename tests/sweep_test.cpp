@@ -245,33 +245,6 @@ TEST(SweepRunner, ClientSweepMatchesSerialForAnyWorkerCount)
     }
 }
 
-TEST(SweepRunner, ClusterSweepMatchesSerial)
-{
-    const auto &ops = standardOps(2, kScale);
-    std::vector<ClusterConfig> configs;
-    for (const bool block_level : {false, true}) {
-        ClusterConfig config;
-        config.model.kind = ModelKind::Unified;
-        config.model.volatileBytes = 4 * kMiB;
-        config.model.nvramBytes = kMiB;
-        config.blockLevelCallbacks = block_level;
-        configs.push_back(config);
-    }
-
-    std::vector<Metrics> serial;
-    for (const ClusterConfig &config : configs) {
-        ClusterSim sim(config,
-                       std::max<std::uint32_t>(1, ops.clientCount));
-        serial.push_back(sim.run(ops));
-    }
-
-    const SweepRunner runner(2);
-    const auto parallel = runner.runClusterSweep(ops, configs);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(parallel[i], serial[i]);
-}
-
 TEST(SweepRunner, ServerSweepMatchesSerial)
 {
     const TimeUs duration = kUsPerHour / 2;

@@ -311,39 +311,7 @@ TEST(Validate, FlagsEventAfterEnd)
     EXPECT_FALSE(validateTrace(buffer).ok());
 }
 
-// -------------------------------------------------------------- merge
-
-TEST(Merge, InterleavesByTime)
-{
-    TraceBuffer a, b;
-    a.push(makeEvent(1, EventType::Delete, 0));
-    a.push(makeEvent(5, EventType::Delete, 0));
-    b.push(makeEvent(3, EventType::Delete, 1));
-
-    const TraceBuffer merged = mergeTraces({a, b});
-    ASSERT_EQ(merged.events.size(), 3u);
-    EXPECT_EQ(merged.events[0].time, 1);
-    EXPECT_EQ(merged.events[1].time, 3);
-    EXPECT_EQ(merged.events[2].time, 5);
-}
-
-TEST(Merge, StableForEqualTimes)
-{
-    TraceBuffer a, b;
-    a.push(makeEvent(1, EventType::Delete, 0));
-    b.push(makeEvent(1, EventType::Delete, 1));
-    const TraceBuffer merged = mergeTraces({a, b});
-    ASSERT_EQ(merged.events.size(), 2u);
-    EXPECT_EQ(merged.events[0].client, 0); // earlier stream wins ties
-    EXPECT_EQ(merged.events[1].client, 1);
-}
-
-TEST(Merge, EmptyInputs)
-{
-    EXPECT_EQ(mergeTraces({}).events.size(), 0u);
-    TraceBuffer empty;
-    EXPECT_EQ(mergeTraces({empty, empty}).events.size(), 0u);
-}
+// -------------------------------------------------------------- sort
 
 TEST(Merge, StableSortByTime)
 {

@@ -398,6 +398,18 @@ TEST(Units, ParseBytesRoundTrips)
     EXPECT_EQ(parseBytes("2 GiB"), 2048 * kMiB);
 }
 
+TEST(Units, TryParseBytesRejectsWithAReason)
+{
+    std::string why;
+    EXPECT_EQ(tryParseBytes("512K", why), 512 * kKiB);
+    for (const char *bad : {"99999999999999999999", "1e19", "-1K", "nan",
+                            "8Q", "x"}) {
+        why.clear();
+        EXPECT_FALSE(tryParseBytes(bad, why).has_value()) << bad;
+        EXPECT_FALSE(why.empty()) << bad;
+    }
+}
+
 TEST(Units, ParseDuration)
 {
     EXPECT_EQ(parseDuration("30s"), 30 * kUsPerSecond);

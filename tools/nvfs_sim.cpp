@@ -23,10 +23,11 @@
  *                     [--no-shrink]
  *
  * Sizes accept K/M/G suffixes; durations accept s/min/h.  Numeric
- * flags are range-checked (--trace 1..8, --jobs 0..65536, ...): a
- * value outside its range is a fatal error naming the flag.  Sweeps
- * run --jobs experiments in parallel (default NVFS_JOBS, else all
- * cores).
+ * flags are range-checked (--trace 1..8, --jobs 0..65536, --volatile
+ * and a write-aside or unified model's --nvram at least one 4K block,
+ * ...): a value outside its range is a fatal error naming the flag.
+ * Sweeps run --jobs experiments in parallel (default NVFS_JOBS, else
+ * all cores).
  */
 
 #include <algorithm>
@@ -134,10 +135,15 @@ class Args
                                min, max);
     }
 
+    /** Byte-size flag ("512K", "4M") in [min, max]; fatal otherwise. */
     Bytes
-    getBytes(const std::string &key, Bytes fallback) const
+    getBytes(const std::string &key, Bytes fallback, Bytes min,
+             Bytes max) const
     {
-        return has(key) ? util::parseBytes(get(key)) : fallback;
+        if (!has(key))
+            return fallback;
+        return util::argBytes(("--" + key).c_str(), get(key).c_str(),
+                              min, max);
     }
 
   private:
@@ -146,6 +152,9 @@ class Args
 
 /** The paper's traces are numbered 1..8. */
 constexpr std::int64_t kTraceCount = 8;
+
+/** Largest byte-size flag: far past the paper's megabyte caches. */
+constexpr Bytes kMaxFlagBytes = 64 * 1024 * kMiB;
 
 /** Largest value of an integer type, as a flag bound. */
 template <typename T>
@@ -191,6 +200,17 @@ parseModelKind(const std::string &name)
     if (name == "unified")
         return core::ModelKind::Unified;
     util::fatal("unknown model '" + name + "'");
+}
+
+/**
+ * --nvram's floor for a model: one block where an NVRAM holds it, none
+ * for the volatile model, which has no NVRAM (sweep adds the amount to
+ * its volatile memory instead).
+ */
+Bytes
+nvramFloor(core::ModelKind kind)
+{
+    return kind == core::ModelKind::Volatile ? 0 : kBlockSize;
 }
 
 cache::PolicyKind
@@ -299,13 +319,12 @@ cmdProfile(const Args &args)
 int
 cmdClient(const Args &args)
 {
-    const auto buffer = loadOrGenerate(args);
-    const auto ops = prep::convertTrace(buffer);
-
     core::ClusterConfig config;
     config.model.kind = parseModelKind(args.get("model", "unified"));
-    config.model.volatileBytes = args.getBytes("volatile", 8 * kMiB);
-    config.model.nvramBytes = args.getBytes("nvram", kMiB);
+    config.model.volatileBytes =
+        args.getBytes("volatile", 8 * kMiB, kBlockSize, kMaxFlagBytes);
+    config.model.nvramBytes = args.getBytes(
+        "nvram", kMiB, nvramFloor(config.model.kind), kMaxFlagBytes);
     config.model.nvramPolicy = parsePolicy(args.get("policy", "lru"));
     config.blockLevelCallbacks = args.has("block-callbacks");
     if (args.has("crash")) {
@@ -325,6 +344,9 @@ cmdClient(const Args &args)
             util::parseDuration(spec.substr(0, colon)),
             static_cast<ClientId>(*client));
     }
+
+    const auto buffer = loadOrGenerate(args);
+    const auto ops = prep::convertTrace(buffer);
 
     core::ClusterSim sim(config, std::max<std::uint32_t>(
                                      1, ops.clientCount));
@@ -362,7 +384,7 @@ cmdServer(const Args &args)
 {
     const double hours = args.getDouble("hours", 24.0, 1e-6, 1e6);
     const double scale = args.getDouble("scale", 1.0, 1e-6, 1e6);
-    const Bytes buffer = args.getBytes("buffer", 0);
+    const Bytes buffer = args.getBytes("buffer", 0, 0, kMaxFlagBytes);
     const auto result = core::runServerSim(
         static_cast<TimeUs>(hours * kUsPerHour), scale, buffer);
 
@@ -424,9 +446,16 @@ cmdSweep(const Args &args)
 {
     const auto model_names =
         splitList(args.get("models", "volatile,write-aside,unified"));
+    std::vector<core::ModelKind> kinds;
+    Bytes nvram_min = 0;
+    for (const std::string &name : model_names) {
+        kinds.push_back(parseModelKind(name));
+        nvram_min = std::max(nvram_min, nvramFloor(kinds.back()));
+    }
     const auto nvram_sizes =
         splitList(args.get("nvram", "0.5M,1M,2M,4M"));
-    const Bytes volatile_bytes = args.getBytes("volatile", 8 * kMiB);
+    const Bytes volatile_bytes =
+        args.getBytes("volatile", 8 * kMiB, kBlockSize, kMaxFlagBytes);
     const auto policy = parsePolicy(args.get("policy", "lru"));
 
     // The (model x NVRAM size) grid, row-major by NVRAM size.  The
@@ -434,10 +463,11 @@ cmdSweep(const Args &args)
     // size with the NVRAM budget added as volatile memory instead.
     std::vector<core::ModelConfig> models;
     for (const std::string &size_text : nvram_sizes) {
-        const Bytes nvram = util::parseBytes(size_text);
-        for (const std::string &name : model_names) {
+        const Bytes nvram = util::argBytes("--nvram", size_text.c_str(),
+                                           nvram_min, kMaxFlagBytes);
+        for (const core::ModelKind kind : kinds) {
             core::ModelConfig model;
-            model.kind = parseModelKind(name);
+            model.kind = kind;
             model.nvramPolicy = policy;
             if (model.kind == core::ModelKind::Volatile) {
                 model.volatileBytes = volatile_bytes + nvram;
@@ -531,6 +561,11 @@ cmdCrashsweep(const Args &args)
     const auto model_names =
         splitList(args.get("models", "volatile,write-aside,unified"));
     const auto buffer_names = splitList(args.get("buffers", "0,512K"));
+    std::vector<Bytes> buffer_bytes;
+    for (const std::string &size_text : buffer_names) {
+        buffer_bytes.push_back(util::argBytes(
+            "--buffers", size_text.c_str(), 0, kMaxFlagBytes));
+    }
     const double scale = args.getDouble("scale", 0.05, 1e-6, 1e6);
     const auto seed = static_cast<std::uint64_t>(
         args.getInt("seed", 42, 0, maxOf<std::int64_t>()));
@@ -562,10 +597,10 @@ cmdCrashsweep(const Args &args)
             model.kind = parseModelKind(name);
             const auto server_ops =
                 core::collectServerOps(ops, model, seed);
-            for (const std::string &size_text : buffer_names) {
+            for (std::size_t b = 0; b < buffer_names.size(); ++b) {
+                const std::string &size_text = buffer_names[b];
                 crash::ExploreConfig config;
-                config.server.nvramBufferBytes =
-                    util::parseBytes(size_text);
+                config.server.nvramBufferBytes = buffer_bytes[b];
                 config.seed = seed;
                 config.sampleSites = static_cast<std::uint64_t>(
                     args.getInt("sample", 0, 0, maxOf<std::int64_t>()));
