@@ -14,12 +14,12 @@
 #include "bench_util.hpp"
 #include "core/sim/sweep.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+ablation_block_callbacks()
 {
-    bench::header(
+    std::string out = bench::header(
         "consistency-protocol ablation: whole-file vs. block-level "
         "callbacks",
         "block-level invalidation should cut the callback share of "
@@ -31,7 +31,7 @@ main()
                            "net write % (block-level)",
                            "callback MB (whole-file)",
                            "callback MB (block-level)"});
-    // One task per (trace, protocol) pair; warm the trace cache
+    // One task per (trace, protocol) pair; warm the memoized traces
     // serially so worker time is all simulation.
     std::vector<std::function<core::Metrics()>> tasks;
     for (int t = 1; t <= 8; ++t) {
@@ -70,9 +70,11 @@ main()
                           toMiB(block_metrics.serverWrites(
                               core::WriteCause::Callback)))});
     }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("block-level callbacks defer flushes until data is "
-                "actually read; bytes the\nreader never touches can "
-                "still die in the writer's NVRAM.\n");
-    return 0;
+    out += table.render() + "\n";
+    out += "block-level callbacks defer flushes until data is "
+           "actually read; bytes the\nreader never touches can "
+           "still die in the writer's NVRAM.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

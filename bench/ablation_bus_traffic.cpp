@@ -11,12 +11,12 @@
 
 #include "bench_util.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+ablation_bus_traffic()
 {
-    bench::header(
+    std::string out = bench::header(
         "Section 2.6: memory bus traffic and NVRAM accesses "
         "(Trace 7, 8 MB + 8 MB)",
         "unified does >= 25% less bus traffic; 2-2.5x more NVRAM "
@@ -72,17 +72,19 @@ main()
     table.addRow({"net total traffic %",
                   bench::pct(wa.netTotalTrafficPct()),
                   bench::pct(un.netTotalTrafficPct()), ""});
-    std::printf("%s\n", table.render().c_str());
+    out += table.render() + "\n";
 
-    std::printf("unified cache->NVRAM promotion traffic: %.2f%% of "
-                "application write bytes (paper: < 1%%)\n",
-                util::percent(
-                    static_cast<double>(un.cacheToNvramBytes),
-                    static_cast<double>(un.appWriteBytes)));
-    std::printf("unified bus saving vs write-aside: %.1f%% (paper: "
-                ">= 25%%)\n",
-                util::percent(static_cast<double>(wa.busBytes) -
-                                  static_cast<double>(un.busBytes),
-                              static_cast<double>(wa.busBytes)));
-    return 0;
+    out += util::format("unified cache->NVRAM promotion traffic: %.2f%% of "
+                        "application write bytes (paper: < 1%%)\n",
+                        util::percent(
+                            static_cast<double>(un.cacheToNvramBytes),
+                            static_cast<double>(un.appWriteBytes)));
+    out += util::format("unified bus saving vs write-aside: %.1f%% (paper: "
+                        ">= 25%%)\n",
+                        util::percent(static_cast<double>(wa.busBytes) -
+                                          static_cast<double>(un.busBytes),
+                                      static_cast<double>(wa.busBytes)));
+    return out;
 }
+
+} // namespace nvfs::bench

@@ -51,10 +51,12 @@ runBounded(double scale, Bytes buffer)
 
 } // namespace
 
-int
-main()
+namespace nvfs::bench {
+
+std::string
+ablation_cleaner_load()
 {
-    bench::header(
+    std::string out = bench::header(
         "garbage-collection load and disk-space overhead, bounded "
         "disk",
         "eliminating partial segments cuts metadata overhead from up "
@@ -89,7 +91,7 @@ main()
              util::format("%.1f", toMiB(base.cleanerCopiedBytes)),
              util::format("%.1f", toMiB(buf.cleanerCopiedBytes))});
     }
-    std::printf("%s\n", table.render().c_str());
+    out += table.render() + "\n";
 
     Bytes base_meta = 0, base_disk = 0, buf_meta = 0, buf_disk = 0;
     std::uint64_t base_clean = 0, buf_clean = 0;
@@ -103,13 +105,15 @@ main()
         buf_disk += buffered.fs[i].log.diskBytes();
         buf_clean += buffered.fs[i].log.cleanerSegments;
     }
-    std::printf("server-wide: overhead %.1f%% -> %.1f%% of disk "
-                "bytes; cleaner segment writes %llu -> %llu\n",
-                util::percent(static_cast<double>(base_meta),
-                              static_cast<double>(base_disk)),
-                util::percent(static_cast<double>(buf_meta),
-                              static_cast<double>(buf_disk)),
-                static_cast<unsigned long long>(base_clean),
-                static_cast<unsigned long long>(buf_clean));
-    return 0;
+    out += util::format("server-wide: overhead %.1f%% -> %.1f%% of disk "
+                        "bytes; cleaner segment writes %llu -> %llu\n",
+                        util::percent(static_cast<double>(base_meta),
+                                      static_cast<double>(base_disk)),
+                        util::percent(static_cast<double>(buf_meta),
+                                      static_cast<double>(buf_disk)),
+                        static_cast<unsigned long long>(base_clean),
+                        static_cast<unsigned long long>(buf_clean));
+    return out;
 }
+
+} // namespace nvfs::bench

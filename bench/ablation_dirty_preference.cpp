@@ -10,12 +10,12 @@
 #include "bench_util.hpp"
 #include "core/sim/sweep.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+ablation_dirty_preference()
 {
-    bench::header(
+    std::string out = bench::header(
         "volatile-model ablation: dirty-block preference in "
         "replacement",
         "preferring dirty blocks trades read traffic for write "
@@ -67,10 +67,12 @@ main()
                  bench::pct(pref.netTotalTrafficPct())});
         }
     }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("at 30 s the columns match (the paper's "
-                "simplification is harmless); with longer\ndelays "
-                "the preference buys write traffic at the cost of "
-                "extra read misses.\n");
-    return 0;
+    out += table.render() + "\n";
+    out += "at 30 s the columns match (the paper's "
+           "simplification is harmless); with longer\ndelays "
+           "the preference buys write traffic at the cost of "
+           "extra read misses.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

@@ -12,12 +12,12 @@
 
 #include "bench_util.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+ablation_dynamic_sizing()
 {
-    bench::header(
+    std::string out = bench::header(
         "volatile-model ablation: static vs. dynamic cache sizing "
         "(Trace 7, 8 MB)",
         "the paper simulated a static cache; real Sprite caches "
@@ -54,9 +54,11 @@ main()
                       util::format("%.1f",
                                    toMiB(metrics.serverReadBytes))});
     }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("shrink phases evict blocks early (read misses and "
-                "forced write-backs);\nthe static simplification is "
-                "therefore a slightly optimistic baseline.\n");
-    return 0;
+    out += table.render() + "\n";
+    out += "shrink phases evict blocks early (read misses and "
+           "forced write-backs);\nthe static simplification is "
+           "therefore a slightly optimistic baseline.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

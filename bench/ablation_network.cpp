@@ -15,12 +15,12 @@
 #include "core/sim/sweep.hpp"
 #include "net/network_model.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+ablation_network()
 {
-    bench::header(
+    std::string out = bench::header(
         "network ablation: writes become the bottleneck as caches "
         "grow",
         "client caches absorb ~60% of reads but only ~10% of writes; "
@@ -72,9 +72,11 @@ main()
              bench::pct(util::percent(base_ms - nvram_ms, base_ms))});
         (void)day;
     }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("as the volatile cache grows, reads vanish from the "
-                "wire and the write share rises —\nexactly the trend "
-                "that motivates client NVRAM.\n");
-    return 0;
+    out += table.render() + "\n";
+    out += "as the volatile cache grows, reads vanish from the "
+           "wire and the write share rises —\nexactly the trend "
+           "that motivates client NVRAM.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

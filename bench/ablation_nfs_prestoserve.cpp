@@ -13,12 +13,12 @@
 #include "bench_util.hpp"
 #include "ffs/ffs_server.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+ablation_nfs_prestoserve()
 {
-    bench::header(
+    std::string out = bench::header(
         "NFS + FFS vs. LFS, with and without NVRAM",
         "NVRAM helps the synchronous NFS/FFS world most (up to ~50%); "
         "write-optimized LFS still gains, but less");
@@ -61,33 +61,36 @@ main()
     addRow("NFS + FFS + Prestoserve (1 MB)", nfs_presto);
     addRow("local FFS (30 s write-back)", ffs_plain);
     addRow("local FFS + Prestoserve", ffs_presto);
-    std::printf("%s\n", table.render().c_str());
+    out += table.render() + "\n";
 
-    std::printf("NFS latency improvement with Prestoserve: %.1f%% "
-                "(paper: up to ~50%% system-level)\n",
-                100.0 * (nfs_plain.meanSyncLatencyMs() -
-                         nfs_presto.meanSyncLatencyMs()) /
-                    nfs_plain.meanSyncLatencyMs());
-    std::printf("NFS disk-time reduction with Prestoserve: %.1f%%\n",
-                100.0 * (nfs_plain.diskTimeMs - nfs_presto.diskTimeMs) /
-                    nfs_plain.diskTimeMs);
+    out += util::format("NFS latency improvement with Prestoserve: %.1f%% "
+                        "(paper: up to ~50%% system-level)\n",
+                        100.0 * (nfs_plain.meanSyncLatencyMs() -
+                                 nfs_presto.meanSyncLatencyMs()) /
+                            nfs_plain.meanSyncLatencyMs());
+    out += util::format(
+        "NFS disk-time reduction with Prestoserve: %.1f%%\n",
+        100.0 * (nfs_plain.diskTimeMs - nfs_presto.diskTimeMs) /
+            nfs_plain.diskTimeMs);
 
     // The LFS comparison from the main study.
     const auto lfs_base = core::runServerSim(duration, scale, 0, 7);
     const auto lfs_buf =
         core::runServerSim(duration, scale, 512 * kKiB, 7);
-    std::printf("\nLFS (all 8 file systems): %llu -> %llu disk write "
-                "accesses with a 1/2 MB buffer (%.1f%% fewer)\n",
-                static_cast<unsigned long long>(
-                    lfs_base.totalDiskWrites),
-                static_cast<unsigned long long>(
-                    lfs_buf.totalDiskWrites),
-                100.0 *
-                    (static_cast<double>(lfs_base.totalDiskWrites) -
-                     static_cast<double>(lfs_buf.totalDiskWrites)) /
-                    static_cast<double>(lfs_base.totalDiskWrites));
-    std::printf("note LFS needs far fewer disk writes than NFS+FFS "
-                "to begin with:\nthe log amortizes seeks that FFS "
-                "pays per block.\n");
-    return 0;
+    out += util::format("\nLFS (all 8 file systems): %llu -> %llu disk write "
+                        "accesses with a 1/2 MB buffer (%.1f%% fewer)\n",
+                        static_cast<unsigned long long>(
+                            lfs_base.totalDiskWrites),
+                        static_cast<unsigned long long>(
+                            lfs_buf.totalDiskWrites),
+                        100.0 *
+                            (static_cast<double>(lfs_base.totalDiskWrites) -
+                             static_cast<double>(lfs_buf.totalDiskWrites)) /
+                            static_cast<double>(lfs_base.totalDiskWrites));
+    out += "note LFS needs far fewer disk writes than NFS+FFS "
+           "to begin with:\nthe log amortizes seeks that FFS "
+           "pays per block.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

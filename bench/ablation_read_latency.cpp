@@ -11,12 +11,12 @@
 #include "bench_util.hpp"
 #include "disk/queue_sim.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+ablation_read_latency()
 {
-    bench::header(
+    std::string out = bench::header(
         "read response time vs. LFS write size ([3] cross-check)",
         "full 512 KB segments raise mean read response ~14% "
         "(sometimes 37%) over ~2-track writes");
@@ -51,10 +51,12 @@ main()
              util::format("%.2f", run.meanWriteResponseMs),
              util::format("%.1f", 100.0 * run.diskUtilization)});
     }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("the effect matters only for reads that miss the "
-                "server cache; an NVRAM write\nbuffer lets LFS choose "
-                "its write size freely instead of being forced by "
-                "fsyncs.\n");
-    return 0;
+    out += table.render() + "\n";
+    out += "the effect matters only for reads that miss the "
+           "server cache; an NVRAM write\nbuffer lets LFS choose "
+           "its write size freely instead of being forced by "
+           "fsyncs.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

@@ -25,10 +25,12 @@ struct SeedResult
 
 } // namespace
 
-int
-main()
+namespace nvfs::bench {
+
+std::string
+ablation_seed_sensitivity()
 {
-    bench::header(
+    std::string out = bench::header(
         "seed sensitivity of the headline client results (Trace 7)",
         "conclusions must survive workload re-randomization: spreads "
         "should be a point or two, orderings never flip");
@@ -97,11 +99,11 @@ main()
     addRow("unified (1 MB) net write %", unified_write);
     addRow("volatile net total %", volatile_total);
     addRow("unified (1 MB) net total %", unified_total);
-    std::printf("%s\n",
-                table.render(util::format("%zu seeds",
-                                          std::size(seeds)))
-                    .c_str());
-    std::printf("unified < volatile in every realization: %s\n",
-                ordering_held ? "yes" : "NO — investigate!");
-    return 0;
+    out += table.render(util::format("%zu seeds", std::size(seeds))) +
+           "\n";
+    out += util::format("unified < volatile in every realization: %s\n",
+                        ordering_held ? "yes" : "NO — investigate!");
+    return out;
 }
+
+} // namespace nvfs::bench

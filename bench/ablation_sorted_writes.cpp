@@ -10,12 +10,12 @@
 #include "bench_util.hpp"
 #include "disk/scheduler.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+ablation_sorted_writes()
 {
-    bench::header(
+    std::string out = bench::header(
         "[20] cross-check: disk bandwidth utilization of random vs. "
         "sorted buffered writes",
         "random 4 KB writes ~7% utilization; 1000 sorted buffered "
@@ -24,9 +24,10 @@ main()
     const disk::DiskModel model;
     util::Rng rng(99);
 
-    std::printf("unbuffered random 4 KB writes: %.1f%% utilization "
-                "(paper cites ~7%%)\n\n",
-                100.0 * disk::unbufferedUtilization(model, kBlockSize));
+    out += util::format(
+        "unbuffered random 4 KB writes: %.1f%% utilization (paper cites "
+        "~7%%)\n\n",
+        100.0 * disk::unbufferedUtilization(model, kBlockSize));
 
     util::TextTable table({"batch size", "FIFO util %",
                            "elevator util %", "speedup"});
@@ -50,11 +51,13 @@ main()
                       util::format("%.2fx",
                                    fifo.totalMs() / sorted.totalMs())});
     }
-    std::printf("%s\n", table.render().c_str());
+    out += table.render() + "\n";
 
     const auto segment = model.serviceSequential(512 * kKiB);
-    std::printf("one full LFS segment write (512 KB, one seek): "
-                "%.1f%% utilization\n",
-                100.0 * segment.utilization());
-    return 0;
+    out += util::format("one full LFS segment write (512 KB, one seek): "
+                        "%.1f%% utilization\n",
+                        100.0 * segment.utilization());
+    return out;
 }
+
+} // namespace nvfs::bench

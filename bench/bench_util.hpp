@@ -1,9 +1,8 @@
 /**
  * @file
- * Shared helpers for the benchmark harnesses that regenerate the
- * paper's tables and figures.  Each bench binary prints the paper's
- * published values next to the measured ones so the shape comparison
- * is immediate.
+ * Shared helpers for the figures nvfs_bench regenerates.  Each
+ * figure's report prints the paper's published values next to the
+ * measured ones so the shape comparison is immediate.
  */
 
 #pragma once
@@ -39,18 +38,16 @@ nvramSizeGridBytes()
     return sizes;
 }
 
-/** Print a standard header for a bench binary. */
-inline void
+/** The standard header that opens every figure's report. */
+inline std::string
 header(const std::string &experiment, const std::string &paper_claim)
 {
-    std::printf("==============================================="
-                "=================\n");
-    std::printf("%s\n", experiment.c_str());
-    std::printf("paper: %s\n", paper_claim.c_str());
-    std::printf("(shape comparison — absolute numbers depend on the "
-                "synthetic traces)\n");
-    std::printf("==============================================="
-                "=================\n\n");
+    const std::string rule = "==============================================="
+                             "=================\n";
+    return rule + experiment + "\npaper: " + paper_claim +
+           "\n(shape comparison — absolute numbers depend on the "
+           "synthetic traces)\n" +
+           rule + "\n";
 }
 
 /** Format a percentage cell. */

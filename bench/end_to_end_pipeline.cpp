@@ -13,12 +13,12 @@
 
 #include "bench_util.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+end_to_end_pipeline()
 {
-    bench::header(
+    std::string out = bench::header(
         "end-to-end: client NVRAM -> server traffic -> disk accesses "
         "(Trace 7)",
         "NVRAM anywhere in the path cuts disk writes; client NVRAM "
@@ -73,13 +73,14 @@ main()
              util::format("%.1f",
                           toMiB(result.server.log.diskBytes()))});
     }
-    std::printf("%s\n", table.render().c_str());
-    std::printf(
-        "client NVRAM absorbs fsyncs and ~40%% of the bytes before "
-        "they cross the wire,\nhalving disk accesses; the server "
-        "buffer then only helps the volatile clients\n(their fsyncs "
-        "coalesce).  The remaining partials are light-load timeout "
-        "flushes,\nwhich the paper notes do not impact disk "
-        "bandwidth.\n");
-    return 0;
+    out += table.render() + "\n";
+    out += "client NVRAM absorbs fsyncs and ~40% of the bytes before "
+           "they cross the wire,\nhalving disk accesses; the server "
+           "buffer then only helps the volatile clients\n(their fsyncs "
+           "coalesce).  The remaining partials are light-load timeout "
+           "flushes,\nwhich the paper notes do not impact disk "
+           "bandwidth.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

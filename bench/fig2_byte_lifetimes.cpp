@@ -10,12 +10,12 @@
 
 #include "bench_util.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+fig2_byte_lifetimes()
 {
-    bench::header(
+    std::string out = bench::header(
         "Figure 2: byte lifetimes (net write traffic vs. write-back "
         "delay, infinite cache)",
         "for typical traces 35-50% of bytes die within 30 s, ~60% "
@@ -40,11 +40,13 @@ main()
         }
         table.addRow(std::move(row));
     }
-    std::printf("%s\n", table.render("net write traffic (%)").c_str());
+    out += table.render("net write traffic (%)") + "\n";
 
-    std::printf("checkpoints: at 30 s typical traces should read "
-                "50-65%%, traces 3 and 4 should read 90-95%%;\n"
-                "at 30 min traces 3 and 4 should have dropped below "
-                "20%%.\n");
-    return 0;
+    out += "checkpoints: at 30 s typical traces should read "
+           "50-65%, traces 3 and 4 should read 90-95%;\n"
+           "at 30 min traces 3 and 4 should have dropped below "
+           "20%.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

@@ -12,12 +12,12 @@
 #include "bench_util.hpp"
 #include "core/sim/sweep.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+fig3_omniscient()
 {
-    bench::header(
+    std::string out = bench::header(
         "Figure 3: omniscient replacement policy (net write traffic "
         "vs. NVRAM size)",
         "1/8 MB of NVRAM eliminates 30-50% of server write traffic "
@@ -38,12 +38,10 @@ main()
     // grid.  The omniscient policy breaks the inclusion property, so
     // that sweep stays on per-size cells.
     const core::SweepRunner runner;
-    std::vector<std::function<bool()>> warmups;
+    std::vector<std::function<const core::NextModifyIndex *()>> warmups;
     for (int t = 1; t <= 8; ++t) {
-        warmups.push_back([t, scale] {
-            core::standardOracle(t, scale);
-            return true;
-        });
+        warmups.push_back(
+            [t, scale] { return &core::standardOracle(t, scale); });
     }
     runner.map(warmups);
 
@@ -86,7 +84,7 @@ main()
                 bench::pct(omniscient[next++][0].netWriteTrafficPct()));
         table.addRow(std::move(row));
     }
-    std::printf("%s\n", table.render("net write traffic (%)").c_str());
+    out += table.render("net write traffic (%)") + "\n";
 
     // LRU baseline: the same sweep under the realistic policy.
     std::vector<std::string> lru_headers = {"NVRAM (MB)"};
@@ -103,8 +101,8 @@ main()
                 bench::pct(lru[t - 1][s].netWriteTrafficPct()));
         lru_table.addRow(std::move(row));
     }
-    std::printf("%s\n",
-                lru_table.render("LRU baseline (net write traffic %)")
-                    .c_str());
-    return 0;
+    out += lru_table.render("LRU baseline (net write traffic %)") + "\n";
+    return out;
 }
+
+} // namespace nvfs::bench

@@ -12,12 +12,12 @@
 #include "bench_util.hpp"
 #include "core/sim/sweep.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+fig4_replacement_policies()
 {
-    bench::header(
+    std::string out = bench::header(
         "Figure 4: replacement policies (Trace 7, net write traffic "
         "vs. NVRAM size)",
         "random behaves almost as well as LRU; omniscient is only "
@@ -66,6 +66,8 @@ main()
                 bench::pct(results[next++].netWriteTrafficPct()));
         table.addRow(std::move(row));
     }
-    std::printf("%s\n", table.render("net write traffic (%)").c_str());
-    return 0;
+    out += table.render("net write traffic (%)") + "\n";
+    return out;
 }
+
+} // namespace nvfs::bench

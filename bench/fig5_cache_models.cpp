@@ -9,12 +9,12 @@
 #include "bench_util.hpp"
 #include "core/sim/sweep.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+fig5_cache_models()
 {
-    bench::header(
+    std::string out = bench::header(
         "Figure 5: effect of cache models on net total traffic "
         "(Trace 7, 8 MB base)",
         "with +4 MB the unified model is ~8% better than volatile and "
@@ -61,10 +61,12 @@ main()
                 bench::pct(results[next++].netTotalTrafficPct()));
         table.addRow(std::move(row));
     }
-    std::printf("%s\n", table.render("net total traffic (%)").c_str());
-    std::printf("expected ordering for larger additions: unified < "
-                "volatile < write-aside\n(the unified model also "
-                "caches clean blocks in NVRAM; write-aside only "
-                "duplicates dirty ones).\n");
-    return 0;
+    out += table.render("net total traffic (%)") + "\n";
+    out += "expected ordering for larger additions: unified < "
+           "volatile < write-aside\n(the unified model also "
+           "caches clean blocks in NVRAM; write-aside only "
+           "duplicates dirty ones).\n";
+    return out;
 }
+
+} // namespace nvfs::bench

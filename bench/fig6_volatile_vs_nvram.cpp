@@ -12,12 +12,12 @@
 #include "bench_util.hpp"
 #include "core/sim/sweep.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+fig6_volatile_vs_nvram()
 {
-    bench::header(
+    std::string out = bench::header(
         "Figure 6: benefits of additional memory (Trace 7)",
         "on an 8 MB base, 2 MB of NVRAM ~= 4 MB of volatile memory; "
         "on a 16 MB base, 1/2 MB of NVRAM ~= 6 MB of volatile memory");
@@ -61,6 +61,8 @@ main()
                 bench::pct(column[row_index].netTotalTrafficPct()));
         table.addRow(std::move(row));
     }
-    std::printf("%s\n", table.render("net total traffic (%)").c_str());
-    return 0;
+    out += table.render("net total traffic (%)") + "\n";
+    return out;
 }
+
+} // namespace nvfs::bench

@@ -7,13 +7,10 @@
  * multi-trace sweep.
  */
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
-
-#include <unistd.h>
 
 #include "bench_util.hpp"
 #include "cache/block_cache.hpp"
@@ -23,7 +20,6 @@
 #include "lfs/log.hpp"
 #include "lfs/recovery.hpp"
 #include "obs/export.hpp"
-#include "prep/op_cache.hpp"
 #include "util/flat_map.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
@@ -259,30 +255,6 @@ BM_OpStreamReplay(benchmark::State &state)
         static_cast<std::int64_t>(col.size()));
 }
 BENCHMARK(BM_OpStreamReplay);
-
-void
-BM_TraceCacheHit(benchmark::State &state)
-{
-    // Persistent-cache hit path: mmap + validate + column copy of a
-    // real cache file, i.e. what standardOps() costs on a warm cache.
-    const auto &ops = core::standardOps(7, 0.05);
-    const std::uint64_t hash = 0x1234abcdu;
-    const std::string path = "/tmp/nvfs_bench_ops_cache_" +
-                             std::to_string(::getpid()) + ".nvfsops";
-    if (!prep::storeCachedOps(path, ops, hash)) {
-        state.SkipWithError("cannot write bench cache file");
-        return;
-    }
-    for (auto _ : state) {
-        auto loaded = prep::loadCachedOps(path, hash);
-        benchmark::DoNotOptimize(loaded->ops.size());
-    }
-    std::remove(path.c_str());
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(ops.ops.size()));
-}
-BENCHMARK(BM_TraceCacheHit);
 
 void
 BM_SweepRunner(benchmark::State &state)

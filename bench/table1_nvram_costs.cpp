@@ -8,14 +8,15 @@
 #include "bench_util.hpp"
 #include "nvram/cost.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+table1_nvram_costs()
 {
-    bench::header("Table 1: current (1992) NVRAM costs",
-                  "NVRAM is 4-6x the per-megabyte cost of DRAM; "
-                  "16 MB boards amortize battery overhead");
+    std::string out = bench::header(
+        "Table 1: current (1992) NVRAM costs",
+        "NVRAM is 4-6x the per-megabyte cost of DRAM; "
+        "16 MB boards amortize battery overhead");
 
     util::TextTable table({"Component", "Bus", "Speed (ns)",
                            "Batteries", "$/MB", "Min config (MB)"});
@@ -26,18 +27,20 @@ main()
                       util::format("%.0f", row.pricePerMB),
                       util::format("%.1f", row.minConfigMB)});
     }
-    std::printf("%s\n", table.render().c_str());
+    out += table.render() + "\n";
 
-    std::printf("derived: DRAM = $%.0f/MB; cheapest NVRAM at 1 MB = "
-                "$%.0f/MB (%.1fx DRAM);\n"
-                "         cheapest NVRAM at 16 MB = $%.0f/MB (%.1fx "
-                "DRAM)\n",
-                nvram::dramPricePerMB(),
-                nvram::cheapestNvramPricePerMB(1.0),
-                nvram::cheapestNvramPricePerMB(1.0) /
-                    nvram::dramPricePerMB(),
-                nvram::cheapestNvramPricePerMB(16.0),
-                nvram::cheapestNvramPricePerMB(16.0) /
-                    nvram::dramPricePerMB());
-    return 0;
+    out += util::format("derived: DRAM = $%.0f/MB; cheapest NVRAM at 1 MB = "
+                        "$%.0f/MB (%.1fx DRAM);\n"
+                        "         cheapest NVRAM at 16 MB = $%.0f/MB (%.1fx "
+                        "DRAM)\n",
+                        nvram::dramPricePerMB(),
+                        nvram::cheapestNvramPricePerMB(1.0),
+                        nvram::cheapestNvramPricePerMB(1.0) /
+                            nvram::dramPricePerMB(),
+                        nvram::cheapestNvramPricePerMB(16.0),
+                        nvram::cheapestNvramPricePerMB(16.0) /
+                            nvram::dramPricePerMB());
+    return out;
 }
+
+} // namespace nvfs::bench

@@ -41,10 +41,12 @@ mb(Bytes bytes)
 
 } // namespace
 
-int
-main()
+namespace nvfs::bench {
+
+std::string
+table2_byte_fate()
 {
-    bench::header(
+    std::string out = bench::header(
         "Table 2: summary of types of write traffic (infinite NVRAM)",
         "all traces: 85% absorbed, 8% called back; excluding 3 and 4: "
         "66% absorbed, 17% called back, 20% remaining");
@@ -98,6 +100,8 @@ main()
            paper_no34[5]);
     table.addRow({"Total application writes", mb(all.written), "100.0",
                   "100.0", mb(typical.written), "100.0", "100.0"});
-    std::printf("%s\n", table.render().c_str());
-    return 0;
+    out += table.render() + "\n";
+    return out;
 }
+
+} // namespace nvfs::bench

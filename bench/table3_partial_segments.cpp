@@ -6,8 +6,6 @@
 
 #include "bench_util.hpp"
 
-using namespace nvfs;
-
 namespace {
 
 /** Published Table 3 values, same order as standardFsProfiles(). */
@@ -31,10 +29,12 @@ constexpr PaperRow kPaper[] = {
 
 } // namespace
 
-int
-main()
+namespace nvfs::bench {
+
+std::string
+table3_partial_segments()
 {
-    bench::header(
+    std::string out = bench::header(
         "Table 3: percent of forced partial segments on LFS file "
         "systems",
         "10-25% of segments are fsync-forced partials on most file "
@@ -67,8 +67,10 @@ main()
                           segs, static_cast<double>(total_segments))),
                       bench::pct(kPaper[i].sharePct)});
     }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("total segment writes: %llu\n",
-                static_cast<unsigned long long>(total_segments));
-    return 0;
+    out += table.render() + "\n";
+    out += util::format("total segment writes: %llu\n",
+                        static_cast<unsigned long long>(total_segments));
+    return out;
 }
+
+} // namespace nvfs::bench

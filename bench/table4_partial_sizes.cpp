@@ -45,10 +45,12 @@ paperKb(double value)
 
 } // namespace
 
-int
-main()
+namespace nvfs::bench {
+
+std::string
+table4_partial_sizes()
 {
-    bench::header(
+    std::string out = bench::header(
         "Table 4: average file data per partial segment and share of "
         "write traffic",
         "partial segments average 8 KB (/user6) to 55 KB "
@@ -89,9 +91,11 @@ main()
                       bench::pct(kPaper[i].totalPct),
                       bench::pct(overhead)});
     }
-    std::printf("%s\n", table.render().c_str());
-    std::printf("paper: metadata overhead approaches one third of each "
-                "partial segment on /user6\nand ~8%% on "
-                "/sprite/src/kernel; full segments cost < 1%%.\n");
-    return 0;
+    out += table.render() + "\n";
+    out += "paper: metadata overhead approaches one third of each "
+           "partial segment on /user6\nand ~8% on "
+           "/sprite/src/kernel; full segments cost < 1%.\n";
+    return out;
 }
+
+} // namespace nvfs::bench

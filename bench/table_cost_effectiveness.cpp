@@ -47,10 +47,12 @@ buildCurve(const core::SweepRunner &runner, const prep::OpStream &ops,
 
 } // namespace
 
-int
-main()
+namespace nvfs::bench {
+
+std::string
+table_cost_effectiveness()
 {
-    bench::header(
+    std::string out = bench::header(
         "Section 2.7: cost-effectiveness of NVRAM vs. volatile memory "
         "(Trace 7)",
         "with 8 MB volatile, NVRAM wins if priced < ~2x DRAM (not yet "
@@ -70,8 +72,7 @@ main()
         const auto uni_curve = buildCurve(
             runner, ops, core::ModelKind::Unified, base, extras);
 
-        std::printf("base volatile cache: %s\n",
-                    util::formatBytes(base).c_str());
+        out += "base volatile cache: " + util::formatBytes(base) + "\n";
         util::TextTable table({"NVRAM MB", "traffic %",
                                "equivalent volatile MB",
                                "break-even price ratio",
@@ -96,11 +97,13 @@ main()
                           util::format("%.1fx", ratio),
                           wins ? "buy NVRAM" : "buy DRAM"});
         }
-        std::printf("%s\n", table.render().c_str());
+        out += table.render() + "\n";
     }
-    std::printf("1992 prices: DRAM $%.0f/MB; cheapest small-config "
-                "NVRAM $%.0f/MB (%.1fx)\n",
-                dram, nvram::cheapestNvramPricePerMB(1.0),
-                nvram::cheapestNvramPricePerMB(1.0) / dram);
-    return 0;
+    out += util::format("1992 prices: DRAM $%.0f/MB; cheapest small-config "
+                        "NVRAM $%.0f/MB (%.1fx)\n",
+                        dram, nvram::cheapestNvramPricePerMB(1.0),
+                        nvram::cheapestNvramPricePerMB(1.0) / dram);
+    return out;
 }
+
+} // namespace nvfs::bench

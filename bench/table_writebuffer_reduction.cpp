@@ -10,12 +10,12 @@
 #include "bench_util.hpp"
 #include "core/sim/sweep.hpp"
 
-using namespace nvfs;
+namespace nvfs::bench {
 
-int
-main()
+std::string
+table_writebuffer_reduction()
 {
-    bench::header(
+    std::string out = bench::header(
         "NVRAM write buffer: reduction in disk write accesses",
         "1/2 MB buffer: ~20% fewer disk accesses on most LFS file "
         "systems, ~90% on /user6");
@@ -62,11 +62,11 @@ main()
                       buf.fsyncs ? bench::pct(absorbed)
                                  : std::string("n/a")});
     }
-    std::printf("%s\n", table.render().c_str());
+    out += table.render() + "\n";
 
     // Ablation: buffer size sweep (server-wide totals).
-    std::printf("ablation: buffer size sweep (total disk write "
-                "accesses across all file systems)\n");
+    out += "ablation: buffer size sweep (total disk write "
+           "accesses across all file systems)\n";
     util::TextTable sweep({"buffer", "disk writes", "reduction %"});
     sweep.addRow({"none",
                   util::format("%llu",
@@ -87,6 +87,8 @@ main()
                           static_cast<double>(
                               baseline.totalDiskWrites)))});
     }
-    std::printf("%s\n", sweep.render().c_str());
-    return 0;
+    out += sweep.render() + "\n";
+    return out;
 }
+
+} // namespace nvfs::bench

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Convert nvfs bench output tables to CSV for plotting.
 
-The bench binaries print fixed-width tables bounded by dashed rules.
+nvfs_bench prints fixed-width tables bounded by dashed rules.
 This script extracts every such table from stdin (or the files given
 as arguments) and writes one CSV per table next to the input (or to
 stdout with --stdout).
 
 Usage:
-    ./build/bench/fig2_byte_lifetimes | scripts/tables_to_csv.py --stdout
+    ./build/bench/nvfs_bench fig2_byte_lifetimes \
+        | scripts/tables_to_csv.py --stdout
     scripts/tables_to_csv.py bench_output.txt      # writes *.csv
 """
 

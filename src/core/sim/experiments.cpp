@@ -12,8 +12,6 @@
 
 #include "obs/obs.hpp"
 #include "prep/converter.hpp"
-#include "prep/op_cache.hpp"
-#include "trace/codec.hpp"
 #include "trace/validate.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
@@ -27,13 +25,6 @@ namespace nvfs::core {
 namespace {
 
 using TraceKey = std::tuple<int, double, bool>;
-
-/**
- * Bump when the generator, converter, or standard-seed formula
- * changes behaviour: it feeds the trace-cache fingerprint, so a bump
- * invalidates every cache file built by older code.
- */
-constexpr std::uint32_t kTraceGenSchema = 1;
 
 /**
  * Per-key memoization with per-key generation.  The first caller of a
@@ -123,88 +114,25 @@ generateOps(int paper_number, double scale, bool sprite_compat)
     return prep::convertTrace(buffer);
 }
 
-/** Cache-aware build: try the persistent cache, else generate+store. */
-prep::OpStream
-buildStandardOps(int paper_number, double scale, bool sprite_compat)
-{
-    const auto dir = prep::traceCacheDir();
-    std::string path;
-    std::uint64_t fingerprint = 0;
-    if (dir) {
-        fingerprint =
-            standardOpsFingerprint(paper_number, scale, sprite_compat);
-        path = *dir + "/" +
-               prep::opsCacheFileName(
-                   static_cast<std::uint16_t>(paper_number - 1),
-                   fingerprint);
-        if (auto cached = prep::loadCachedOps(path, fingerprint))
-            return std::move(*cached);
-    }
-    prep::OpStream ops =
-        generateOps(paper_number, scale, sprite_compat);
-    if (dir)
-        prep::storeCachedOps(path, ops, fingerprint);
-    return ops;
-}
-
 } // namespace
-
-std::uint64_t
-standardOpsFingerprint(int paper_number, double scale,
-                       bool sprite_compat)
-{
-    const workload::TraceProfile profile =
-        workload::standardProfile(paper_number, scale);
-    std::string fp = workload::profileFingerprint(profile);
-    fp += util::format("|paper=%d|compat=%d|schema=%u|codec=%u",
-                       paper_number, sprite_compat ? 1 : 0,
-                       kTraceGenSchema,
-                       static_cast<unsigned>(prep::kOpsCacheVersion));
-    return trace::fnv1a(fp.data(), fp.size());
-}
 
 const prep::OpStream &
 standardOps(int paper_number, double scale, bool sprite_compat)
 {
     return traceCache().get(
         TraceKey{paper_number, scale, sprite_compat}, [&] {
-            return buildStandardOps(paper_number, scale,
-                                    sprite_compat);
+            return generateOps(paper_number, scale, sprite_compat);
         });
 }
 
 prep::OpStream
 opsWithSeed(int paper_number, double scale, std::uint64_t seed)
 {
-    const workload::TraceProfile profile =
-        workload::standardProfile(paper_number, scale);
-    // Same persistent-cache protocol as buildStandardOps, with the
-    // seed folded into the fingerprint so each seed variant gets its
-    // own cache file (reseeded sweeps used to bypass the cache).
-    const auto dir = prep::traceCacheDir();
-    std::string path;
-    std::uint64_t fingerprint = 0;
-    if (dir) {
-        std::string fp = workload::profileFingerprint(profile);
-        fp += util::format(
-            "|paper=%d|seed=%llu|schema=%u|codec=%u", paper_number,
-            static_cast<unsigned long long>(seed), kTraceGenSchema,
-            static_cast<unsigned>(prep::kOpsCacheVersion));
-        fingerprint = trace::fnv1a(fp.data(), fp.size());
-        path = *dir + "/" +
-               prep::opsCacheFileName(
-                   static_cast<std::uint16_t>(paper_number - 1),
-                   fingerprint);
-        if (auto cached = prep::loadCachedOps(path, fingerprint))
-            return std::move(*cached);
-    }
     workload::GeneratorOptions options;
     options.seed = seed;
-    workload::ClientTraceGenerator generator(profile, options);
-    prep::OpStream ops = prep::convertTrace(generator.generate());
-    if (dir)
-        prep::storeCachedOps(path, ops, fingerprint);
-    return ops;
+    workload::ClientTraceGenerator generator(
+        workload::standardProfile(paper_number, scale), options);
+    return prep::convertTrace(generator.generate());
 }
 
 const LifetimeResult &

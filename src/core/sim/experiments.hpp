@@ -9,14 +9,6 @@
  * build concurrently, so SweepRunner tasks never serialize on an
  * unrelated trace's generation.  References stay valid for the
  * process lifetime.
- *
- * When the NVFS_TRACE_CACHE environment variable names a directory,
- * standardOps() additionally persists each processed trace there (see
- * prep/op_cache.hpp) and later processes mmap it back instead of
- * regenerating — a large speedup for bench/CI runs that replay the
- * same traces.  Cache files are validated by checksum, format
- * version, and a profile fingerprint hash, so stale or corrupt
- * entries fall back to regeneration.
  */
 
 #pragma once
@@ -38,16 +30,6 @@ namespace nvfs::core {
  */
 const prep::OpStream &standardOps(int paper_number, double scale = 1.0,
                                   bool sprite_compat = false);
-
-/**
- * The fingerprint hash standardOps() uses to key its persistent cache
- * entry for these parameters: FNV-1a over the profile fingerprint
- * plus the generator dialect and schema versions.  Exposed so tests
- * can plant or corrupt cache files at the exact path standardOps()
- * will probe.
- */
-std::uint64_t standardOpsFingerprint(int paper_number, double scale,
-                                     bool sprite_compat = false);
 
 /**
  * Non-memoized variant with an explicit generator seed, for

@@ -49,7 +49,9 @@ class SweepRunner
 
     /**
      * Run every task and return their results in submission order.
-     * R must be default-constructible.  The tasks run on the shared
+     * R must be default-constructible and not bool (std::vector<bool>
+     * packs results into shared words, so concurrent tasks would race
+     * writing them).  The tasks run on the shared
      * NVFS_JOBS pool (util::ThreadPool::global()): the caller plus
      * min(tasks - 1, pool size, jobs() - 1) helpers, so jobs() above
      * NVFS_JOBS widens nothing beyond the pool.  Every task runs even
@@ -60,6 +62,7 @@ class SweepRunner
     std::vector<R>
     map(const std::vector<std::function<R()>> &tasks) const
     {
+        static_assert(!std::is_same_v<R, bool>);
         std::vector<R> results(tasks.size());
         util::ThreadPool::global().forEach(
             tasks.size(), jobs_,

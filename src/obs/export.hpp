@@ -53,8 +53,8 @@ std::string spansToChromeTrace(const std::vector<TraceSpan> &spans);
  * Read NVFS_STATS_OUT / NVFS_TRACE_OUT once: enable span buffering
  * when NVFS_TRACE_OUT is set, and register an atexit hook that writes
  * both files when the process ends.  Call early in main() of any
- * binary that should honour the variables (nvfs_sim, the perf
- * harness); safe to call more than once.
+ * binary that should honour the variables (nvfs_bench, nvfs_sim, the
+ * perf harness); safe to call more than once.
  */
 void autoExportFromEnv();
 

@@ -13,8 +13,7 @@
  * Storage is structure-of-arrays: OpColumns keeps one contiguous
  * column per field, so the sequential replay loops stream through
  * homogeneous cache lines (a replay that only needs time/type/file
- * never loads offsets or pids) and the persistent trace cache can
- * read/write whole columns with memcpy.  Op remains the convenient
+ * never loads offsets or pids).  Op remains the convenient
  * row-wise view: push_back() accepts one, operator[] and the iterator
  * materialize one, so row-oriented callers (tests, converters,
  * characterization) keep their shape.
@@ -66,8 +65,7 @@ inline constexpr std::uint8_t kOpenForRead = 1u << 1;
 
 /**
  * Structure-of-arrays op storage.  The columns are public and must be
- * kept the same length; mutate through push_back()/clear()/resize()
- * unless doing bulk column I/O (the trace cache codec).
+ * kept the same length; mutate through push_back()/clear()/resize().
  */
 class OpColumns
 {

@@ -75,27 +75,6 @@ getLE(const std::uint8_t *&cursor)
     return static_cast<T>(value);
 }
 
-/**
- * FNV-1a 64-bit checksum/hash.  Used as the payload checksum of the
- * persistent op-stream cache and as the profile fingerprint hash; it
- * is an integrity check against torn writes and stale parameters, not
- * a cryptographic signature.
- */
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-
-inline std::uint64_t
-fnv1a(const void *data, std::size_t bytes,
-      std::uint64_t seed = kFnvOffsetBasis)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    std::uint64_t hash = seed;
-    for (std::size_t i = 0; i < bytes; ++i) {
-        hash ^= p[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
 /** Metadata stored in the binary header. */
 struct TraceHeader
 {

@@ -2,11 +2,8 @@
  * @file
  * RAII read-only memory mapping of a whole file.
  *
- * Shared by the trace readers (chunked parallel parsing wants the
- * whole file addressable so chunk boundaries can be found without
- * seeking) and the persistent op-stream cache.  open() preserves
- * errno on failure so callers can report *why* — the old readers
- * reported "cannot open" with no reason.
+ * trace/stream.cpp maps a whole trace file to read it.  open()
+ * preserves errno on failure so callers can report *why* it failed.
  */
 
 #pragma once

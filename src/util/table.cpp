@@ -84,10 +84,21 @@ format(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
+    va_list again;
+    va_copy(again, args);
     char buf[1024];
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
+    const int length = std::vsnprintf(buf, sizeof(buf), fmt, args);
     va_end(args);
-    return buf;
+    std::string out;
+    if (length >= static_cast<int>(sizeof(buf))) {
+        // Too long for the stack buffer: format again at full size.
+        out.resize(static_cast<std::size_t>(length));
+        std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+    } else if (length > 0) {
+        out.assign(buf, static_cast<std::size_t>(length));
+    }
+    va_end(again);
+    return out;
 }
 
 } // namespace nvfs::util

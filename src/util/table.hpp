@@ -43,7 +43,7 @@ class TextTable
     std::vector<std::vector<std::string>> rows_; // empty row = separator
 };
 
-/** printf-style helper returning std::string. */
+/** printf-style helper returning std::string (of any length). */
 std::string format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace nvfs::util

@@ -134,58 +134,4 @@ standardProfile(int paper_number, double scale)
     return p;
 }
 
-std::string
-profileFingerprint(const TraceProfile &p)
-{
-    std::string out = p.name;
-    auto num = [&out](double v) { out += util::format("|%a", v); };
-    auto integer = [&out](std::uint64_t v) {
-        out += util::format("|%llu",
-                            static_cast<unsigned long long>(v));
-    };
-    auto activity = [&](const ActivityParams &a) {
-        num(a.bytesShare);
-        num(a.meanFileBytes);
-        num(a.sigmaFile);
-    };
-    integer(p.index);
-    integer(p.clients);
-    integer(static_cast<std::uint64_t>(p.duration));
-    integer(p.totalWriteBytes);
-    num(p.readWriteRatio);
-    activity(p.temp);
-    activity(p.edited);
-    activity(p.log);
-    activity(p.output);
-    activity(p.shared);
-    activity(p.bigSim);
-    num(p.tempFastWeight);
-    num(p.tempFastMeanS);
-    num(p.tempMediumWeight);
-    num(p.tempMediumMeanS);
-    num(p.tempSlowWeight);
-    num(p.tempSlowMeanS);
-    num(p.editSaveMuLnS);
-    num(p.editSaveSigmaLnS);
-    num(p.editMeanSaves);
-    num(p.editFsyncProb);
-    num(p.sharedReadDelayS);
-    num(p.bigSimMuLnS);
-    num(p.bigSimSigmaLnS);
-    num(p.bigSimDeleteProb);
-    num(p.jobMeanFiles);
-    num(p.jobSpreadS);
-    num(p.miscFsyncProb);
-    num(p.concurrentShare);
-    num(p.migrationsPerClientDay);
-    integer(p.systemFiles);
-    num(p.systemFileMeanBytes);
-    integer(p.systemWorkingSetFiles);
-    integer(p.systemSliceStride);
-    num(p.systemZipf);
-    num(p.selfReadFraction);
-    num(p.scale);
-    return out;
-}
-
 } // namespace nvfs::workload

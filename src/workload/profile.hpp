@@ -128,15 +128,4 @@ TraceProfile standardProfile(int paper_number, double scale = 1.0);
 /** True for the two atypical traces (paper numbers 3 and 4). */
 bool isBigSimTrace(int paper_number);
 
-/**
- * Canonical textual fingerprint of every field that shapes a
- * generated trace.  The persistent trace cache hashes this (together
- * with the generator seed and dialect) to detect stale cache files:
- * any profile change — a tuned parameter, a new field appended here —
- * changes the fingerprint and invalidates prior entries.  Floats are
- * rendered in hex (%a) so the fingerprint is exact, not
- * rounding-dependent.
- */
-std::string profileFingerprint(const TraceProfile &profile);
-
 } // namespace nvfs::workload

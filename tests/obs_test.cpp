@@ -28,7 +28,6 @@
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "prep/converter.hpp"
-#include "scoped_env.hpp"
 #include "trace/stream.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
@@ -268,8 +267,6 @@ TEST(Obs, LfsSealCountersMirrorLogStats)
  */
 TEST(Obs, SweepCountersExactUnderParallelism)
 {
-    const ScopedEnv noCache("NVFS_TRACE_CACHE", nullptr);
-
     const std::string dir = testing::TempDir() + "nvfs_obs_sweep";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -301,8 +298,6 @@ TEST(Obs, SweepCountersExactUnderParallelism)
         "cache.extent_run_blocks",
         "cache.range_inserts",
         "lfs.segments_sealed",
-        "trace_cache.hit",
-        "trace_cache.miss",
     };
 
     auto runAndCollect = [&](unsigned width) {
@@ -347,37 +342,7 @@ TEST(Obs, SweepCountersExactUnderParallelism)
     };
     EXPECT_EQ(snapValue("grid.cells"), paths.size() * models.size());
     EXPECT_GT(snapValue("cache.extent_probes"), 0u);
-    EXPECT_EQ(snapValue("trace_cache.hit"), 0u);
-    EXPECT_EQ(snapValue("trace_cache.miss"), 0u);
     std::filesystem::remove_all(dir);
-}
-
-TEST(Obs, TraceCacheCountersCountHitsAndMisses)
-{
-    // The persistent cache keys *synthetic* traces (opsWithSeed /
-    // standardOps), so drive it through the non-memoized seeded
-    // entry point: first build misses and stores, rebuild hits.
-    const std::string cacheDir =
-        testing::TempDir() + "nvfs_obs_trace_cache";
-    std::filesystem::remove_all(cacheDir);
-    std::filesystem::create_directories(cacheDir);
-    const ScopedEnv cache("NVFS_TRACE_CACHE", cacheDir.c_str());
-
-    obs::resetAll();
-    const auto first = core::opsWithSeed(5, 0.01, 1234);
-    auto snap = obs::snapshot();
-    EXPECT_EQ(snap.value("trace_cache.miss"), 1u);
-    EXPECT_EQ(snap.value("trace_cache.store"), 1u);
-    EXPECT_EQ(snap.value("trace_cache.hit"), 0u);
-
-    obs::resetAll();
-    const auto second = core::opsWithSeed(5, 0.01, 1234);
-    snap = obs::snapshot();
-    EXPECT_EQ(snap.value("trace_cache.hit"), 1u);
-    EXPECT_EQ(snap.value("trace_cache.miss"), 0u);
-    EXPECT_EQ(second.ops.size(), first.ops.size());
-
-    std::filesystem::remove_all(cacheDir);
 }
 
 #else // NVFS_NO_STATS

@@ -22,7 +22,6 @@
 #include "check/reference.hpp"
 #include "core/sim/sweep.hpp"
 #include "prep/converter.hpp"
-#include "prep/op_cache.hpp"
 #include "trace/stream.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
@@ -307,42 +306,6 @@ TEST(SweepRunner, ConcurrentFirstTouchOfMemoizedCaches)
         EXPECT_EQ(stable[i], stable[0]);
     for (int i = 9; i < 16; ++i)
         EXPECT_EQ(stable[i], stable[8]);
-}
-
-TEST(SweepRunner, TraceCacheRoundTripKeepsMetricsIdentical)
-{
-    // A trace that went through the persistent cache (encode, store,
-    // mmap, decode) must replay to byte-identical metrics, serially
-    // and in parallel — the cache changes where ops come from, never
-    // what the simulator computes.
-    const auto &ops = standardOps(7, kScale);
-    const auto models = standardGrid();
-    std::vector<Metrics> serial;
-    for (const ModelConfig &model : models)
-        serial.push_back(runClientSim(ops, model));
-
-    const std::string dir =
-        testing::TempDir() + "nvfs_sweep_trace_cache";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const std::uint64_t hash = standardOpsFingerprint(7, kScale);
-    const std::string path =
-        dir + "/" + prep::opsCacheFileName(ops.traceIndex, hash);
-    ASSERT_TRUE(prep::storeCachedOps(path, ops, hash));
-    const auto reloaded = prep::loadCachedOps(path, hash);
-    ASSERT_TRUE(reloaded.has_value());
-    ASSERT_TRUE(reloaded->ops == ops.ops)
-        << "cache round-trip altered the op stream";
-
-    for (const unsigned jobs : {1u, 4u}) {
-        const SweepRunner runner(jobs);
-        const auto parallel = runner.runClientSweep(*reloaded, models);
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i)
-            EXPECT_EQ(parallel[i], serial[i])
-                << "config " << i << " diverged at " << jobs
-                << " jobs after a cache round-trip";
-    }
 }
 
 TEST(SweepRunner, StressManyMoreTasksThanThreads)

@@ -379,6 +379,9 @@ TEST(TextTable, SeparatorRows)
 TEST(Format, PrintfStyle)
 {
     EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
+    // Past the 1 KiB stack buffer: nothing is cut off.
+    const std::string long_text(5000, 'y');
+    EXPECT_EQ(format("<%s>", long_text.c_str()), "<" + long_text + ">");
 }
 
 // --------------------------------------------------------------- Units
