@@ -203,7 +203,8 @@ void
 BM_FlatMapLookup(benchmark::State &state)
 {
     // Mixed hit/miss point lookups against a loaded table — the
-    // access pattern of the BlockCache index and ClusterSim maps.
+    // access pattern of the extent index's file table and the
+    // per-file maps of core::replayOps.
     const auto n = static_cast<std::uint64_t>(state.range(0));
     util::FlatMap<std::uint64_t, std::uint64_t, util::SplitMix64Hash>
         map;

@@ -10,46 +10,39 @@
 namespace nvfs::cache {
 
 BlockCache::BlockCache(std::uint64_t capacity_blocks,
-                       std::unique_ptr<ReplacementPolicy> policy,
-                       bool native_lru)
-    : capacity_(capacity_blocks),
-      policy_(policy ? std::move(policy) : makePolicy(PolicyKind::Lru)),
-      nativeLru_(native_lru)
+                       std::unique_ptr<ReplacementPolicy> policy)
+    : capacity_(capacity_blocks), policy_(std::move(policy))
 {
-    NVFS_REQUIRE(!nativeLru_ || policy_->kind() == PolicyKind::Lru,
-                 "native LRU mode requires an LRU policy");
     if (capacity_ != 0 && capacity_ < (1u << 20)) {
         // Bounded caches are hot (one per simulated client): size the
-        // arena and index up front so the steady state never rehashes
-        // or reallocates.
+        // arena up front so the steady state never reallocates.
         arena_.reserve(capacity_);
-        index_.reserve(capacity_);
     }
 }
 
 bool
 BlockCache::contains(const BlockId &id) const
 {
-    return index_.contains(id);
+    return extents_.find(id.file, id.index) != kNil;
 }
 
 const CacheBlock *
 BlockCache::peek(const BlockId &id) const
 {
-    const std::uint32_t *idx = index_.find(id);
-    return idx == nullptr ? nullptr : &arena_[*idx].block;
+    const std::uint32_t idx = extents_.find(id.file, id.index);
+    return idx == kNil ? nullptr : &arena_[idx].block;
 }
 
 std::uint32_t
 BlockCache::slotOf(const BlockId &id, const char *what) const
 {
-    const std::uint32_t *idx = index_.find(id);
-    if (idx == nullptr) {
+    const std::uint32_t idx = extents_.find(id.file, id.index);
+    if (idx == kNil) {
         util::panic(util::format("%s: block file=%u idx=%u not resident",
                                  what, static_cast<unsigned>(id.file),
                                  id.index));
     }
-    return *idx;
+    return idx;
 }
 
 std::uint32_t
@@ -147,9 +140,11 @@ BlockCache::listMoveToBack(ListHead &list, Link Entry::*link,
 CacheBlock &
 BlockCache::finishInsert(const BlockId &id, std::uint32_t idx)
 {
-    NVFS_REQUIRE(index_.tryEmplace(id, idx).second,
-                 "double insert of cache block");
+    // The extent index panics on a block already resident.
     extents_.insert(id.file, id.index, idx);
+    ++size_;
+    if (policy_)
+        policy_->onInsert(id, arena_[idx].block.lastAccess);
     return arena_[idx].block;
 }
 
@@ -164,10 +159,7 @@ BlockCache::insert(const BlockId &id, TimeUs now)
     listPushBack(lru_, &Entry::lru, idx);
     if (cleanTracking_)
         listPushBack(cleanLru_, &Entry::clean, idx);
-    CacheBlock &block = finishInsert(id, idx);
-    if (!nativeLru_)
-        policy_->onInsert(id, now);
-    return block;
+    return finishInsert(id, idx);
 }
 
 void
@@ -178,7 +170,7 @@ BlockCache::touchSlot(std::uint32_t idx, TimeUs now)
     listMoveToBack(lru_, &Entry::lru, idx);
     if (cleanTracking_ && !entry.block.isDirty())
         listMoveToBack(cleanLru_, &Entry::clean, idx);
-    if (!nativeLru_)
+    if (policy_)
         policy_->onAccess(entry.block.id, now);
 }
 
@@ -220,7 +212,7 @@ BlockCache::markDirtySlot(std::uint32_t idx, Bytes begin, Bytes end,
     block.lastModify = now;
     block.lastAccess = now;
     listMoveToBack(lru_, &Entry::lru, idx);
-    if (!nativeLru_)
+    if (policy_)
         policy_->onAccess(block.id, now);
     return absorbed;
 }
@@ -287,9 +279,9 @@ BlockCache::remove(const BlockId &id)
     }
     listRemove(lru_, &Entry::lru, idx);
     extents_.remove(id.file, id.index);
-    index_.erase(id);
     freeEntry(idx);
-    if (!nativeLru_)
+    --size_;
+    if (policy_)
         policy_->onRemove(id);
     return out;
 }
@@ -297,9 +289,9 @@ BlockCache::remove(const BlockId &id)
 std::optional<BlockId>
 BlockCache::chooseVictim(TimeUs now)
 {
-    if (nativeLru_)
-        return lruBlock();
-    return policy_->chooseVictim(now);
+    if (policy_)
+        return policy_->chooseVictim(now);
+    return lruBlock();
 }
 
 void
@@ -413,10 +405,7 @@ BlockCache::insertOrdered(const BlockId &id, TimeUs access_time)
     orderedHint_ = idx;
     if (cleanTracking_)
         linkClean(idx);
-    CacheBlock &block = finishInsert(id, idx);
-    if (!nativeLru_)
-        policy_->onInsert(id, access_time);
-    return block;
+    return finishInsert(id, idx);
 }
 
 std::optional<BlockId>
@@ -452,14 +441,14 @@ BlockCache::insertRange(FileId file, std::uint32_t first,
         listPushBack(lru_, &Entry::lru, idx);
         if (cleanTracking_)
             listPushBack(cleanLru_, &Entry::clean, idx);
-        NVFS_REQUIRE(index_.tryEmplace(id, idx).second,
-                     "insertRange over resident block");
         slotScratch_.push_back(idx);
-        if (!nativeLru_)
+        if (policy_)
             policy_->onInsert(id, now);
     }
-    // One splice into the per-file runs for the whole span.
+    // One splice into the per-file runs for the whole span; it panics
+    // on a run overlapping resident blocks.
     extents_.insertRun(file, first, slotScratch_.data(), count);
+    size_ += count;
 }
 
 void
@@ -551,9 +540,9 @@ std::vector<BlockId>
 BlockCache::allBlocks() const
 {
     std::vector<BlockId> out;
-    out.reserve(index_.size());
-    index_.forEach([&](const BlockId &id, const std::uint32_t &) {
-        out.push_back(id);
+    out.reserve(size_);
+    extents_.forEach([&](FileId file, std::uint32_t block, std::uint32_t) {
+        out.push_back(BlockId{file, block});
     });
     std::sort(out.begin(), out.end());
     return out;
@@ -563,7 +552,7 @@ std::vector<BlockId>
 BlockCache::lruOrder() const
 {
     std::vector<BlockId> out;
-    out.reserve(index_.size());
+    out.reserve(size_);
     for (std::uint32_t idx = lru_.head; idx != kNil;
          idx = arena_[idx].lru.next) {
         out.push_back(arena_[idx].block.id);
@@ -574,20 +563,20 @@ BlockCache::lruOrder() const
 void
 BlockCache::auditInvariants() const
 {
-    index_.auditInvariants();
-
-    // Index ↔ arena: every indexed slot in range, unshared, and
-    // holding the block the index says it holds.
-    std::vector<char> live(arena_.size(), 0);
-    index_.forEach([&](const BlockId &id, const std::uint32_t &slot) {
-        NVFS_AUDIT_CHECK(slot < arena_.size(), "BlockCache",
-                         "index maps a block outside the arena");
-        NVFS_AUDIT_CHECK(live[slot] == 0, "BlockCache",
-                         "two index entries share one arena slot");
-        live[slot] = 1;
-        NVFS_AUDIT_CHECK(arena_[slot].block.id == id, "BlockCache",
-                         "arena entry id disagrees with the index");
-    });
+    // Extent entry ↔ arena slot: every entry names its own slot, which
+    // holds the block the entry names; the LRU and free-list walks
+    // below then check that the named slots are exactly the resident
+    // population.
+    std::vector<char> live = extents_.auditInvariants(
+        arena_.size(), "BlockCache",
+        [&](std::uint32_t slot, FileId file, std::uint32_t block) {
+            return arena_[slot].block.id == BlockId{file, block};
+        });
+    const auto named = static_cast<std::uint64_t>(
+        std::count(live.begin(), live.end(), 1));
+    NVFS_AUDIT_CHECK(named == size_, "BlockCache",
+                     "resident-block counter diverged from the extent "
+                     "index");
 
     // Per-block dirty state, with a ground-truth recount of the
     // incremental byte/block counters.
@@ -643,7 +632,7 @@ BlockCache::auditInvariants() const
 
     const std::size_t lru_count =
         walkList(lru_, &Entry::lru, "lru", [](std::uint32_t) {});
-    NVFS_AUDIT_CHECK(lru_count == index_.size(), "BlockCache",
+    NVFS_AUDIT_CHECK(lru_count == size_, "BlockCache",
                      "LRU list does not cover the resident blocks");
 
     TimeUs prev_since = 0;
@@ -691,7 +680,7 @@ BlockCache::auditInvariants() const
         live[idx] = 2;
         ++free_count;
     }
-    NVFS_AUDIT_CHECK(index_.size() + free_count == arena_.size(),
+    NVFS_AUDIT_CHECK(size_ + free_count == arena_.size(),
                      "BlockCache",
                      "arena slots leaked (neither resident nor free)");
 
@@ -700,23 +689,6 @@ BlockCache::auditInvariants() const
                           live[orderedHint_] == 1),
                      "BlockCache",
                      "ordered-insert hint points at a vacant slot");
-
-    // Extents ↔ index: same population (the count match plus the
-    // per-block probe below make it a bijection), same slots.
-    const std::size_t extent_entries = extents_.auditInvariants();
-    NVFS_AUDIT_CHECK(extent_entries == index_.size(), "BlockCache",
-                     "extent index population diverged from the "
-                     "block index");
-    index_.forEach([&](const BlockId &id, const std::uint32_t &slot) {
-        bool found = false;
-        extents_.forEachInRange(id.file, id.index, id.index,
-                                [&](std::uint32_t, std::uint32_t s) {
-                                    found = s == slot;
-                                });
-        NVFS_AUDIT_CHECK(found, "BlockCache",
-                         "extent index missing or mismapping a "
-                         "resident block");
-    });
 }
 
 } // namespace nvfs::cache

@@ -12,25 +12,24 @@
  * block in the volatile cache" as a comparison point even when the
  * NVRAM runs a different policy.
  *
- * Layout: all resident blocks live in one contiguous arena indexed by
- * a flat open-addressing map, and the recency/dirty/clean orderings
- * are intrusive doubly-linked lists of 32-bit arena indices inside the
- * entries themselves.  Per-file membership lives in an ExtentIndex:
- * sorted (block, slot) runs that let a (file, first..last) span
- * resolve to runs of consecutive resident blocks with one probe.  On
- * top of that sit the range operations — insertRange / touchRange /
- * markDirtyRange / peekRange — which walk arena slots directly
- * instead of doing one hash probe per block.  Pointers and references
- * returned by insert()/peek() are invalidated by a later insert (the
- * arena may grow); use them before the next mutation, as all callers
- * do.
+ * Layout: all resident blocks live in one contiguous arena, and the
+ * recency/dirty/clean orderings are intrusive doubly-linked lists of
+ * 32-bit arena indices inside the entries themselves.  The one block ->
+ * slot map is an ExtentIndex: per-file sorted (block, slot) runs that
+ * resolve one block with a file probe plus a hinted binary search, and
+ * a (file, first..last) span to runs of consecutive resident blocks
+ * with one probe.  On top of that sit the range operations —
+ * insertRange / touchRange / markDirtyRange / peekRange — which walk
+ * arena slots directly instead of resolving each block.  Pointers and
+ * references returned by insert()/peek() are invalidated by a later
+ * insert (the arena may grow); use them before the next mutation, as
+ * all callers do.
  *
- * Native-LRU mode: when the replacement policy is LRU, the policy
- * object's bookkeeping (its own list plus a hash probe per event)
- * exactly mirrors the lru_ list this cache maintains anyway.  A cache
- * constructed with native_lru skips every policy notification and
- * serves chooseVictim() from the head of lru_.  The client models
- * enable it exactly when their policy is LRU.
+ * LRU needs no policy object: a cache built without one serves
+ * chooseVictim() from the head of the lru_ list it maintains anyway
+ * and sends no notifications (makePolicy(PolicyKind::Lru) returns
+ * none, so every LRU cache in the simulator runs this way).  A policy
+ * object is told of every insert, access and removal.
  */
 
 #pragma once
@@ -42,7 +41,6 @@
 #include "cache/block.hpp"
 #include "cache/extent_index.hpp"
 #include "cache/policy.hpp"
-#include "util/flat_map.hpp"
 
 namespace nvfs::cache {
 
@@ -53,14 +51,11 @@ class BlockCache
     /**
      * @param capacity_blocks maximum resident blocks (0 = unbounded,
      *        used by the infinite-cache lifetime pass)
-     * @param policy victim selection; defaults to LRU
-     * @param native_lru serve victims straight from the internal LRU
-     *        list and skip policy notifications (requires an LRU
-     *        policy; behaviourally identical, much cheaper)
+     * @param policy victim selection; none (the default) is LRU from
+     *        the cache's own recency list
      */
     explicit BlockCache(std::uint64_t capacity_blocks,
-                        std::unique_ptr<ReplacementPolicy> policy = nullptr,
-                        bool native_lru = false);
+                        std::unique_ptr<ReplacementPolicy> policy = nullptr);
 
     BlockCache(const BlockCache &) = delete;
     BlockCache &operator=(const BlockCache &) = delete;
@@ -68,7 +63,7 @@ class BlockCache
     BlockCache &operator=(BlockCache &&) = default;
 
     /** Resident block count. */
-    std::uint64_t size() const { return index_.size(); }
+    std::uint64_t size() const { return size_; }
 
     /** Capacity in blocks (0 = unbounded). */
     std::uint64_t capacityBlocks() const { return capacity_; }
@@ -98,9 +93,6 @@ class BlockCache
             return ~std::uint64_t{0};
         return size() >= capacity_ ? 0 : capacity_ - size();
     }
-
-    /** True when victims come straight from the internal LRU list. */
-    bool nativeLru() const { return nativeLru_; }
 
     /** True when the block is resident. */
     bool contains(const BlockId &id) const;
@@ -170,8 +162,8 @@ class BlockCache
     // ------------------------------------------------------------------
     // Range operations (the extent engine's hot path).  Each resolves
     // a (file, first..last) block span through the per-file extent
-    // index: one file probe + binary search instead of a hash probe
-    // per block.  Semantically each is exactly the per-block loop over
+    // index: one file probe + binary search instead of one lookup per
+    // block.  Semantically each is exactly the per-block loop over
     // the same blocks in ascending order.
     // ------------------------------------------------------------------
 
@@ -233,9 +225,8 @@ class BlockCache
      * Remove every resident block of `file` in ascending block order,
      * invoking fn on each block's final metadata first.  Exactly
      * remove() over blocksOfFile(), but with one extent-index erase
-     * for the whole file instead of a snapshot vector plus a hash
-     * probe and extent binary search per block.  The callback must not
-     * mutate this cache.
+     * for the whole file instead of a snapshot vector plus an extent
+     * search per block.  The callback must not mutate this cache.
      */
     template <typename Fn>
     void
@@ -254,10 +245,10 @@ class BlockCache
                     listRemove(cleanLru_, &Entry::clean, slot);
                 }
                 listRemove(lru_, &Entry::lru, slot);
-                index_.erase(block.id);
-                if (!nativeLru_)
+                if (policy_)
                     policy_->onRemove(block.id);
                 freeEntry(slot);
+                --size_;
             });
         extents_.removeFile(file);
     }
@@ -296,12 +287,9 @@ class BlockCache
     /** Count of resident dirty blocks. */
     std::uint64_t dirtyBlockCount() const { return dirtyBlocks_; }
 
-    /** The policy in use. */
-    PolicyKind policyKind() const { return policy_->kind(); }
-
     /**
-     * Full structural audit (nvfs::check): index ↔ arena ↔ extent
-     * cross-consistency, intrusive-list link soundness (LRU, dirty
+     * Full structural audit (nvfs::check): extent entry ↔ arena slot
+     * ↔ LRU population, intrusive-list link soundness (LRU, dirty
      * order, clean subsequence, freelist), per-block dirty-state
      * sanity, and the incremental dirty-byte/dirty-block counters
      * against a ground-truth rescan.  O(n log n) in resident blocks —
@@ -314,7 +302,7 @@ class BlockCache
     friend class AuditTestPeer;
 
     /** Arena-index sentinel: "no entry" / list end. */
-    static constexpr std::uint32_t kNil = 0xffffffffu;
+    static constexpr std::uint32_t kNil = ExtentIndex::kNoSlot;
 
     /** Intrusive (prev, next) link pair of one list membership. */
     struct Link
@@ -359,7 +347,7 @@ class BlockCache
     void listMoveToBack(ListHead &list, Link Entry::*link,
                         std::uint32_t idx);
 
-    /** touch() body for a known arena slot (no hash probe). */
+    /** touch() body for a known arena slot. */
     void touchSlot(std::uint32_t idx, TimeUs now);
 
     /** markDirty() body for a known arena slot; returns absorbed. */
@@ -376,10 +364,10 @@ class BlockCache
     void linkClean(std::uint32_t idx);
 
     std::uint64_t capacity_;
+    /** Victim choice; none = the head of lru_. */
     std::unique_ptr<ReplacementPolicy> policy_;
-    bool nativeLru_ = false;
-    /** BlockId -> arena index. */
-    util::FlatMap<BlockId, std::uint32_t, BlockIdHash> index_;
+    /** Resident blocks. */
+    std::uint64_t size_ = 0;
     /** Contiguous block arena; vacant slots chain through nextFree. */
     std::vector<Entry> arena_;
     std::uint32_t freeHead_ = kNil;
@@ -398,7 +386,7 @@ class BlockCache
      *  resuming the boundary walk here is amortized O(1); any resident
      *  slot is a correct start because the list is globally sorted. */
     std::uint32_t orderedHint_ = kNil;
-    /** Per-file sorted (block, slot) runs. */
+    /** Per-file sorted (block, slot) runs: the block -> slot map. */
     ExtentIndex extents_;
     Bytes dirtyBytes_ = 0;
     std::uint64_t dirtyBlocks_ = 0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-file extent index over the block-cache arena.
+ * Per-file extent index over the block-cache arena: the one block ->
+ * slot map of BlockCache and of the curve engine.
  *
  * For every file with resident blocks, keeps a sorted vector of
  * (block index, arena slot) pairs.  Because the simulator's traces are
@@ -15,7 +16,10 @@
  * index (hash the file, binary-search the first block), instead of one
  * hash-map probe per 4 KB block.  The monotone quantity
  * `entry[j].block - j` makes finding the end of a consecutive run a
- * second binary search rather than a scan.
+ * second binary search rather than a scan.  A single-block find() is
+ * the same file probe plus a search that starts at the file's last
+ * answer, so a sequential stream resolves each block in a comparison
+ * or two.
  */
 
 #pragma once
@@ -63,6 +67,10 @@ class ExtentIndex
 
     ExtentIndex(ExtentIndex &&) = default;
     ExtentIndex &operator=(ExtentIndex &&) = default;
+
+    /** find()'s answer for a block that is not resident. */
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
     /** One resident block of a file. */
     struct Entry
     {
@@ -78,9 +86,6 @@ class ExtentIndex
         bool resident = false;
         std::uint32_t end = 0;
     };
-
-    /** Number of files with resident blocks. */
-    std::size_t fileCount() const { return files_.size(); }
 
     /** Record `block` of `file` living at arena `slot`. */
     void
@@ -162,6 +167,19 @@ class ExtentIndex
     /** Forget every block of `file` at once. */
     void removeFile(FileId file) { files_.erase(file); }
 
+    /** Arena slot of `block` of `file`; kNoSlot when not resident. */
+    std::uint32_t
+    find(FileId file, std::uint32_t block) const
+    {
+        const FileExtents *fx = files_.find(file);
+        if (fx == nullptr)
+            return kNoSlot;
+        const std::size_t pos = fx->lowerBound(block);
+        return pos < fx->v.size() && fx->v[pos].block == block
+                   ? fx->v[pos].slot
+                   : kNoSlot;
+    }
+
     /**
      * Residency of `block` and the end of its same-state run within
      * [block, last].  One binary search for the position, one for the
@@ -237,32 +255,62 @@ class ExtentIndex
     }
 
     /**
+     * Visit (file, block, slot) of every resident block: files in
+     * table order (arbitrary), each file's blocks ascending.
+     */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        files_.forEach([&](FileId file, const FileExtents &fx) {
+            for (std::size_t pos = fx.begin; pos < fx.v.size(); ++pos)
+                fn(file, fx.v[pos].block, fx.v[pos].slot);
+        });
+    }
+
+    /**
      * Structural audit (nvfs::check): the underlying file map sound,
      * no file retained without live entries, every file's live region
      * sorted by strictly increasing block, and the front gap inside
-     * the vector.  Returns the total live (block, slot) entry count so
-     * the owning cache can cross-check it against its resident-block
-     * population.  Throws AuditError on violation.
+     * the vector; then the map into the owner's arena of `arena_size`
+     * slots: every entry names a slot inside it that no other entry
+     * names and that holds the entry's block (`holds(slot, file,
+     * block)`; those violations name `owner`).  Returns, per arena
+     * slot, 1 when an entry names it, so the owner can check that its
+     * lists and free list cover exactly the named and unnamed slots.
+     * Throws AuditError on violation.
      */
-    std::size_t
-    auditInvariants() const
+    template <typename Holds>
+    std::vector<char>
+    auditInvariants(std::size_t arena_size, const char *owner,
+                    Holds &&holds) const
     {
         files_.auditInvariants();
-        std::size_t total = 0;
-        files_.forEach([&](FileId, const FileExtents &fx) {
+        std::vector<char> named(arena_size, 0);
+        files_.forEach([&](FileId file, const FileExtents &fx) {
             NVFS_AUDIT_CHECK(fx.begin < fx.v.size(), "ExtentIndex",
                              "file retained with no live entries "
                              "(front gap swallowed the vector)");
             for (std::size_t pos = fx.begin; pos < fx.v.size(); ++pos) {
+                const Entry &entry = fx.v[pos];
                 NVFS_AUDIT_CHECK(
-                    pos == fx.begin ||
-                        fx.v[pos - 1].block < fx.v[pos].block,
+                    pos == fx.begin || fx.v[pos - 1].block < entry.block,
                     "ExtentIndex",
                     "live entries not strictly increasing by block");
-                ++total;
+                NVFS_AUDIT_CHECK(entry.slot < arena_size, owner,
+                                 "extent entry names a slot outside the "
+                                 "arena");
+                NVFS_AUDIT_CHECK(named[entry.slot] == 0, owner,
+                                 "two extent entries name one arena "
+                                 "slot");
+                named[entry.slot] = 1;
+                NVFS_AUDIT_CHECK(holds(entry.slot, file, entry.block),
+                                 owner,
+                                 "arena slot holds another block than "
+                                 "its extent entry names");
             }
         });
-        return total;
+        return named;
     }
 
   private:

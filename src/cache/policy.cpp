@@ -22,107 +22,6 @@ policyName(PolicyKind kind)
 
 namespace {
 
-/**
- * Classic LRU via an index-based intrusive list: nodes live in a
- * contiguous arena (vacant slots chained through a freelist) and a
- * flat map resolves BlockId -> node index, so the per-access path is
- * allocation-free and pointer-chase-free.
- */
-class LruPolicy : public ReplacementPolicy
-{
-  public:
-    void
-    onInsert(const BlockId &id, TimeUs) override
-    {
-        std::uint32_t idx;
-        if (freeHead_ != kNil) {
-            idx = freeHead_;
-            freeHead_ = nodes_[idx].next;
-        } else {
-            nodes_.emplace_back();
-            idx = static_cast<std::uint32_t>(nodes_.size() - 1);
-        }
-        nodes_[idx].id = id;
-        where_.insertOrAssign(id, idx);
-        pushBack(idx);
-    }
-
-    void
-    onAccess(const BlockId &id, TimeUs) override
-    {
-        const std::uint32_t *idx = where_.find(id);
-        NVFS_REQUIRE(idx != nullptr, "LRU access to absent block");
-        if (tail_ == *idx)
-            return;
-        unlink(*idx);
-        pushBack(*idx);
-    }
-
-    void
-    onRemove(const BlockId &id) override
-    {
-        const std::uint32_t *found = where_.find(id);
-        NVFS_REQUIRE(found != nullptr, "LRU remove of absent block");
-        const std::uint32_t idx = *found;
-        unlink(idx);
-        nodes_[idx].next = freeHead_;
-        freeHead_ = idx;
-        where_.erase(id);
-    }
-
-    std::optional<BlockId>
-    chooseVictim(TimeUs) override
-    {
-        if (head_ == kNil)
-            return std::nullopt;
-        return nodes_[head_].id;
-    }
-
-    PolicyKind kind() const override { return PolicyKind::Lru; }
-
-  private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    struct Node
-    {
-        BlockId id;
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
-    };
-
-    void
-    pushBack(std::uint32_t idx)
-    {
-        nodes_[idx].prev = tail_;
-        nodes_[idx].next = kNil;
-        if (tail_ != kNil)
-            nodes_[tail_].next = idx;
-        else
-            head_ = idx;
-        tail_ = idx;
-    }
-
-    void
-    unlink(std::uint32_t idx)
-    {
-        Node &node = nodes_[idx];
-        if (node.prev != kNil)
-            nodes_[node.prev].next = node.next;
-        else
-            head_ = node.next;
-        if (node.next != kNil)
-            nodes_[node.next].prev = node.prev;
-        else
-            tail_ = node.prev;
-    }
-
-    std::vector<Node> nodes_;
-    std::uint32_t head_ = kNil; // least recently used
-    std::uint32_t tail_ = kNil; // most recently used
-    std::uint32_t freeHead_ = kNil;
-    util::FlatMap<BlockId, std::uint32_t, BlockIdHash> where_;
-};
-
 /** Uniform-random victim via swap-remove vector. */
 class RandomPolicy : public ReplacementPolicy
 {
@@ -161,8 +60,6 @@ class RandomPolicy : public ReplacementPolicy
             return std::nullopt;
         return blocks_[rng_->uniformInt(0, blocks_.size() - 1)];
     }
-
-    PolicyKind kind() const override { return PolicyKind::Random; }
 
   private:
     util::Rng *rng_;
@@ -220,8 +117,6 @@ class ClockPolicy : public ReplacementPolicy
         // All referenced and re-referenced: fall back to the hand.
         return frames_[hand_].id;
     }
-
-    PolicyKind kind() const override { return PolicyKind::Clock; }
 
   private:
     struct Frame
@@ -287,8 +182,6 @@ class OmniscientPolicy : public ReplacementPolicy
         return std::prev(byKey_.end())->second; // furthest next modify
     }
 
-    PolicyKind kind() const override { return PolicyKind::Omniscient; }
-
   private:
     const NextModifyOracle *oracle_;
     util::FlatMap<BlockId, TimeUs, BlockIdHash> keys_;
@@ -303,7 +196,7 @@ makePolicy(PolicyKind kind, util::Rng *rng,
 {
     switch (kind) {
       case PolicyKind::Lru:
-        return std::make_unique<LruPolicy>();
+        return nullptr; // BlockCache's own recency list
       case PolicyKind::Random:
         return std::make_unique<RandomPolicy>(rng);
       case PolicyKind::Clock:

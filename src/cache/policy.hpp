@@ -62,13 +62,12 @@ class ReplacementPolicy
 
     /** Pick a victim; nullopt when the resident set is empty. */
     virtual std::optional<BlockId> chooseVictim(TimeUs now) = 0;
-
-    /** Policy identity, for reporting. */
-    virtual PolicyKind kind() const = 0;
 };
 
 /**
- * Create a policy.
+ * Create a policy.  LRU has no policy object: the result is nullptr,
+ * and a BlockCache without a policy serves LRU victims from its own
+ * recency list.
  *
  * @param kind which policy
  * @param rng required for Random (seeds victim choice)

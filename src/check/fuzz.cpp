@@ -175,7 +175,11 @@ generateOps(const FuzzConfig &config, std::uint64_t seed)
             op.type = OpType::Delete;
         } else if (roll < 86) {
             op.type = OpType::Truncate;
+            // Half the cuts land inside a block, where the boundary
+            // block keeps only its dirty bytes below the cut.
             op.length = rng.uniformInt(0, 64) * kBlockSize;
+            if (rng.chance(0.5))
+                op.length += rng.uniformInt(1, kBlockSize - 1);
         } else if (roll < 93) {
             op.type = OpType::Open;
             op.openForRead = true;

@@ -1,6 +1,6 @@
 #include "core/client/server_state.hpp"
 
-#include "util/log.hpp"
+#include <algorithm>
 
 namespace nvfs::core {
 
@@ -17,10 +17,16 @@ ConsistencyEngine::onOpen(ClientId client, ProcId pid, FileId file,
         state.lastWriter = kNoClient;
     }
 
-    state.openers[client] += 1;
+    const auto opener = std::find_if(
+        state.openers.begin(), state.openers.end(),
+        [&](const auto &entry) { return entry.first == client; });
+    if (opener != state.openers.end())
+        ++opener->second;
+    else
+        state.openers.emplace_back(client, 1);
     if (for_write)
         ++state.writeHandles;
-    openModes_[{client, pid, file}].push_back(for_write);
+    state.handles.push_back({client, pid, for_write});
 
     // Concurrent write-sharing: >= 2 clients, >= 1 writer.
     if (!state.cachingDisabled && state.openers.size() >= 2 &&
@@ -34,25 +40,27 @@ ConsistencyEngine::onOpen(ClientId client, ProcId pid, FileId file,
 void
 ConsistencyEngine::onClose(ClientId client, ProcId pid, FileId file)
 {
-    auto fit = files_.find(file);
-    if (fit == files_.end())
+    FileState *found = files_.find(file);
+    if (found == nullptr)
         return;
-    FileState &state = fit->second;
+    FileState &state = *found;
 
-    const OpenKey key{client, pid, file};
-    auto mit = openModes_.find(key);
+    // Pop this process's most recent open of the file.
     bool was_writer = false;
-    if (mit != openModes_.end() && !mit->second.empty()) {
-        was_writer = mit->second.back();
-        mit->second.pop_back();
-        if (mit->second.empty())
-            openModes_.erase(mit);
+    const auto handle = std::find_if(
+        state.handles.rbegin(), state.handles.rend(),
+        [&](const Handle &h) { return h.client == client && h.pid == pid; });
+    if (handle != state.handles.rend()) {
+        was_writer = handle->forWrite;
+        state.handles.erase(std::next(handle).base());
     }
 
-    auto oit = state.openers.find(client);
-    if (oit != state.openers.end()) {
-        if (--oit->second <= 0)
-            state.openers.erase(oit);
+    const auto opener = std::find_if(
+        state.openers.begin(), state.openers.end(),
+        [&](const auto &entry) { return entry.first == client; });
+    if (opener != state.openers.end() && --opener->second <= 0) {
+        *opener = state.openers.back();
+        state.openers.pop_back();
     }
     if (was_writer && state.writeHandles > 0)
         --state.writeHandles;
@@ -76,34 +84,34 @@ ConsistencyEngine::onWrite(ClientId client, FileId file)
 void
 ConsistencyEngine::clearWriter(FileId file, ClientId client)
 {
-    auto it = files_.find(file);
-    if (it != files_.end() && it->second.lastWriter == client)
-        it->second.lastWriter = kNoClient;
+    FileState *state = files_.find(file);
+    if (state != nullptr && state->lastWriter == client)
+        state->lastWriter = kNoClient;
 }
 
 void
 ConsistencyEngine::onDelete(FileId file)
 {
-    auto it = files_.find(file);
-    if (it == files_.end())
+    FileState *state = files_.find(file);
+    if (state == nullptr)
         return;
     // Openers may legitimately still hold handles to a deleted file;
     // keep the open bookkeeping, just forget the writer.
-    it->second.lastWriter = kNoClient;
+    state->lastWriter = kNoClient;
 }
 
 bool
 ConsistencyEngine::cachingDisabled(FileId file) const
 {
-    auto it = files_.find(file);
-    return it != files_.end() && it->second.cachingDisabled;
+    const FileState *state = files_.find(file);
+    return state != nullptr && state->cachingDisabled;
 }
 
 ClientId
 ConsistencyEngine::lastWriter(FileId file) const
 {
-    auto it = files_.find(file);
-    return it == files_.end() ? kNoClient : it->second.lastWriter;
+    const FileState *state = files_.find(file);
+    return state == nullptr ? kNoClient : state->lastWriter;
 }
 
 } // namespace nvfs::core

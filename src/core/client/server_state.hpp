@@ -13,10 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "util/flat_map.hpp"
 #include "util/types.hpp"
 
 namespace nvfs::core {
@@ -66,27 +66,33 @@ class ConsistencyEngine
     ClientId lastWriter(FileId file) const;
 
   private:
-    struct FileState
-    {
-        ClientId lastWriter = kNoClient;
-        /** Open handle counts per client. */
-        std::map<ClientId, int> openers;
-        int writeHandles = 0;
-        bool cachingDisabled = false;
-    };
-
-    struct OpenKey
+    /** One open of the file, for close() to pop. */
+    struct Handle
     {
         ClientId client;
         ProcId pid;
-        FileId file;
-
-        auto operator<=>(const OpenKey &other) const = default;
+        bool forWrite;
     };
 
-    std::unordered_map<FileId, FileState> files_;
-    /** Stack of open modes per (client, pid, file) for close(). */
-    std::map<OpenKey, std::vector<bool>> openModes_;
+    /**
+     * Entries are never erased, so the vectors keep their capacity and
+     * an open or close allocates nothing once a file's concurrency has
+     * been seen.  Both hold only the file's outstanding opens and are
+     * scanned linearly.
+     */
+    struct FileState
+    {
+        ClientId lastWriter = kNoClient;
+        bool cachingDisabled = false;
+        int writeHandles = 0;
+        /** Open handle counts per client, each positive, any order. */
+        std::vector<std::pair<ClientId, int>> openers;
+        /** Open handles in open order; a (client, pid)'s handles in
+         *  it are that process's stack of open modes. */
+        std::vector<Handle> handles;
+    };
+
+    util::FlatMap<FileId, FileState, util::SplitMix64Hash> files_;
 };
 
 } // namespace nvfs::core

@@ -8,13 +8,9 @@ namespace nvfs::core {
 UnifiedModel::UnifiedModel(const ModelConfig &config, Metrics &metrics,
                            const FileSizeMap &sizes, util::Rng &rng)
     : ClientModel(config, metrics, sizes, rng),
-      // The volatile cache's policy object is never consulted (victims
-      // come from lruBlock() directly), so native-LRU mode is safe
-      // here regardless of batching.
-      volatile_(config.volatileBytes / kBlockSize, nullptr, true),
+      volatile_(config.volatileBytes / kBlockSize),
       nvram_(config.nvramBytes / kBlockSize,
-             cache::makePolicy(config.nvramPolicy, &rng, config.oracle),
-             config.nvramPolicy == cache::PolicyKind::Lru)
+             cache::makePolicy(config.nvramPolicy, &rng, config.oracle))
 {
     NVFS_REQUIRE(volatile_.capacityBlocks() > 0,
                  "volatile cache too small");
@@ -191,6 +187,7 @@ UnifiedModel::write(FileId file, Bytes offset, Bytes length, TimeUs now)
     if (length == 0)
         return;
     const Bytes op_end = offset + length;
+    const bool lru_nvram = config_.nvramPolicy == cache::PolicyKind::Lru;
     const std::uint32_t last = lastBlockOf(offset, length);
     std::uint32_t b = firstBlockOf(offset);
     while (b <= last) {
@@ -199,7 +196,7 @@ UnifiedModel::write(FileId file, Bytes offset, Bytes length, TimeUs now)
         std::uint32_t end = std::min(rv.end, rn.end);
         // Chunk double-miss runs at the NVRAM capacity so the batched
         // fill below keeps applying to runs longer than the cache.
-        if (!rn.resident && !rv.resident && nvram_.nativeLru())
+        if (!rn.resident && !rv.resident && lru_nvram)
             end = clampRunEnd(b, end, nvram_.capacityBlocks());
         const auto count = std::uint64_t{end - b};
         const Bytes run_begin =
@@ -211,7 +208,7 @@ UnifiedModel::write(FileId file, Bytes offset, Bytes length, TimeUs now)
                 file, run_begin, run_end - run_begin, now);
             metrics_.nvramWriteAccesses += count;
             metrics_.busBytes += run_end - run_begin;
-        } else if (!rv.resident && nvram_.nativeLru() &&
+        } else if (!rv.resident && lru_nvram &&
                    count <= nvram_.capacityBlocks()) {
             // Whole-run NVRAM fill.  Victims are successive LRU heads
             // and demotion decisions only read volatile-cache state,

@@ -9,7 +9,7 @@ namespace nvfs::core {
 VolatileModel::VolatileModel(const ModelConfig &config, Metrics &metrics,
                              const FileSizeMap &sizes, util::Rng &rng)
     : ClientModel(config, metrics, sizes, rng),
-      cache_(config.volatileBytes / kBlockSize, nullptr, true),
+      cache_(config.volatileBytes / kBlockSize),
       sizingPhase_(rng.uniform(0.0, 2.0 * M_PI))
 {
     NVFS_REQUIRE(cache_.capacityBlocks() > 0,
@@ -125,8 +125,8 @@ VolatileModel::fillRun(FileId file, std::uint32_t first,
         return;
     }
     // Evicting the whole deficit up front matches the per-block
-    // interleaving exactly when victims come from the native LRU list
-    // (always, for this cache), replacement ignores dirtiness, and the
+    // interleaving exactly when victims come from the LRU list (always,
+    // for this cache), replacement ignores dirtiness, and the
     // run fits in the cache: inserted blocks sit at the MRU end, so
     // the per-block schedule's victims are the same `count - free`
     // oldest pre-existing blocks in the same order.

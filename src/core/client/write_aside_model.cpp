@@ -10,10 +10,9 @@ WriteAsideModel::WriteAsideModel(const ModelConfig &config,
                                  const FileSizeMap &sizes,
                                  util::Rng &rng)
     : ClientModel(config, metrics, sizes, rng),
-      volatile_(config.volatileBytes / kBlockSize, nullptr, true),
+      volatile_(config.volatileBytes / kBlockSize),
       nvram_(config.nvramBytes / kBlockSize,
-             cache::makePolicy(config.nvramPolicy, &rng, config.oracle),
-             config.nvramPolicy == cache::PolicyKind::Lru)
+             cache::makePolicy(config.nvramPolicy, &rng, config.oracle))
 {
     NVFS_REQUIRE(volatile_.capacityBlocks() > 0,
                  "volatile cache too small");
@@ -158,6 +157,7 @@ WriteAsideModel::write(FileId file, Bytes offset, Bytes length,
     if (length == 0)
         return;
     const Bytes op_end = offset + length;
+    const bool lru_nvram = config_.nvramPolicy == cache::PolicyKind::Lru;
     const std::uint32_t last = lastBlockOf(offset, length);
     std::uint32_t b = firstBlockOf(offset);
     while (b <= last) {
@@ -167,13 +167,12 @@ WriteAsideModel::write(FileId file, Bytes offset, Bytes length,
         std::uint32_t end = std::min(rv.end, rn.end);
         // Chunk the run so the batched path below keeps applying: a
         // volatile miss must fit in the volatile cache, and an NVRAM
-        // fill must fit in the NVRAM (native LRU) or in its free space
-        // (non-native policies, which cannot absorb regrouped eviction
-        // notifications).
+        // fill must fit in the NVRAM (LRU) or in its free space (policy
+        // objects, which cannot absorb regrouped eviction notifications).
         if (!rv.resident)
             end = clampRunEnd(b, end, volatile_.capacityBlocks());
         if (!rn.resident) {
-            if (nvram_.nativeLru())
+            if (lru_nvram)
                 end = clampRunEnd(b, end, nvram_.capacityBlocks());
             else if (nvram_.freeBlocks() > 0)
                 end = clampRunEnd(b, end, nvram_.freeBlocks());
@@ -185,9 +184,9 @@ WriteAsideModel::write(FileId file, Bytes offset, Bytes length,
             std::min<Bytes>(op_end, Bytes{end} * kBlockSize);
         // Batching is only the per-block schedule when each cache's
         // victim choices cannot observe the regrouped state:
-        //  - volatile fill: native-LRU victims (the volatile cache is
-        //    always native LRU), run fits in the cache;
-        //  - nvram fill with evictions: native LRU, run fits in the
+        //  - volatile fill: LRU victims (the volatile cache is always
+        //    LRU), run fits in the cache;
+        //  - nvram fill with evictions: LRU, run fits in the
         //    NVRAM, and the volatile side evicts *nothing* — a dirty
         //    volatile victim's flush would interleave with the NVRAM
         //    victims' flushes in the per-block schedule, and an NVRAM
@@ -196,7 +195,7 @@ WriteAsideModel::write(FileId file, Bytes offset, Bytes length,
         //    events are the NVRAM victim flushes, in LRU order in both
         //    schedules, and the victims' volatile copies are disjoint
         //    from the run's blocks.
-        // A non-native NVRAM policy further requires zero NVRAM
+        // Any other NVRAM policy further requires zero NVRAM
         // evictions AND the no-volatile-evict condition: dirty
         // volatile victims remove their NVRAM duplicates, and
         // regrouping those policy notifications around the run's
@@ -209,7 +208,7 @@ WriteAsideModel::write(FileId file, Bytes offset, Bytes length,
             no_volatile_evict || count <= volatile_.capacityBlocks();
         const bool fill_n_ok =
             rn.resident ||
-            (nvram_.nativeLru()
+            (lru_nvram
                  ? nvram_.freeBlocks() >= count ||
                        (no_volatile_evict &&
                         count <= nvram_.capacityBlocks())
@@ -334,6 +333,11 @@ WriteAsideModel::truncate(FileId file, Bytes new_size, TimeUs now)
                    new_size % kBlockSize != 0) {
             metrics_.absorbedDeletedBytes += nvram_.trimDirty(
                 id, new_size % kBlockSize, kBlockSize);
+            // The NVRAM holds dirty blocks only: a block the cut left
+            // clean goes, or it would later leave as a phantom
+            // write-back.
+            if (!nvram_.peek(id)->isDirty())
+                nvram_.remove(id);
         }
     }
     for (const cache::BlockId &id : volatile_.blocksOfFile(file)) {

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "cache/block_cache.hpp"
 #include "cache/policy.hpp"
+#include "util/rng.hpp"
 
 namespace nvfs::cache {
 namespace {
@@ -285,6 +289,131 @@ TEST(BlockCache, InsertOrderedKeepsAccessOrder)
     cache.remove(id(2));
     cache.remove(id(3));
     EXPECT_EQ(*cache.lruBlock(), id(6));
+}
+
+// The extent index is the cache's only block -> slot map.  Drive it
+// through every way blocks enter and leave — single, ranged and
+// ordered inserts, runs drained from the front past the extent
+// vector's 64-entry compaction, middle removals, whole-file removal
+// and re-insert — and compare contains, peek, size and allBlocks with
+// a std::map model after every step.
+TEST(BlockCache, IndexMatchesMapModelUnderChurn)
+{
+    constexpr FileId kFiles = 3;
+    constexpr std::uint32_t kBlocks = 512;
+    BlockCache cache(0);
+    std::map<BlockId, TimeUs> model; // resident block -> lastAccess
+    util::Rng rng(0x5eedULL);
+    TimeUs now = 0;
+
+    const auto check = [&](int step) {
+        ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+        std::vector<BlockId> expected;
+        for (const auto &entry : model)
+            expected.push_back(entry.first);
+        ASSERT_EQ(cache.allBlocks(), expected) << "step " << step;
+        for (const auto &[bid, access] : model) {
+            ASSERT_TRUE(cache.contains(bid)) << "step " << step;
+            const CacheBlock *block = cache.peek(bid);
+            ASSERT_NE(block, nullptr) << "step " << step;
+            ASSERT_EQ(block->id, bid) << "step " << step;
+            ASSERT_EQ(block->lastAccess, access) << "step " << step;
+        }
+        for (int probe = 0; probe < 16; ++probe) {
+            const BlockId bid{
+                static_cast<FileId>(rng.uniformInt(1, kFiles + 1)),
+                static_cast<std::uint32_t>(rng.uniformInt(0, kBlocks))};
+            if (model.count(bid) == 0) {
+                ASSERT_FALSE(cache.contains(bid)) << "step " << step;
+                ASSERT_EQ(cache.peek(bid), nullptr) << "step " << step;
+            }
+        }
+        if (step % 16 == 0)
+            cache.auditInvariants();
+    };
+    const auto insert_range = [&](FileId file, std::uint32_t first,
+                                  std::uint32_t last) {
+        cache.insertRange(file, first, last, now);
+        for (std::uint32_t b = first; b <= last; ++b)
+            model[{file, b}] = now;
+    };
+    const auto remove = [&](const BlockId &bid) {
+        EXPECT_EQ(cache.remove(bid).id, bid);
+        model.erase(bid);
+    };
+    const auto drain_front = [&](FileId file, std::size_t count) {
+        const std::vector<BlockId> blocks = cache.blocksOfFile(file);
+        for (std::size_t i = 0; i < count && i < blocks.size(); ++i)
+            remove(blocks[i]);
+    };
+
+    // A 300-block run drained from the front: the gap passes 64
+    // entries and half the vector, so the extent vector compacts.
+    insert_range(1, 0, 299);
+    drain_front(1, 200);
+    check(-1);
+
+    for (int step = 0; step < 3000; ++step) {
+        now += rng.uniformInt(1, 3);
+        const auto file = static_cast<FileId>(rng.uniformInt(1, kFiles));
+        const auto block =
+            static_cast<std::uint32_t>(rng.uniformInt(0, kBlocks - 1));
+        const BlockId bid{file, block};
+        switch (rng.uniformInt(0, 6)) {
+          case 0: // single insert
+            if (model.count(bid) == 0) {
+                cache.insert(bid, now);
+                model[bid] = now;
+            }
+            break;
+          case 1: { // ranged insert over the absent run at `block`
+            const std::uint32_t last = std::min<std::uint32_t>(
+                kBlocks - 1, block + rng.uniformInt(0, 199));
+            const auto run = cache.probeRange(file, block, last);
+            if (!run.resident)
+                insert_range(file, block, run.end - 1);
+            break;
+          }
+          case 2: // ordered insert at an older access time
+            if (model.count(bid) == 0) {
+                const TimeUs access = rng.uniformInt(0, now);
+                cache.insertOrdered(bid, access);
+                model[bid] = access;
+            }
+            break;
+          case 3: // front removals
+            drain_front(file, rng.uniformInt(1, 100));
+            break;
+          case 4: // a removal anywhere
+            if (!model.empty()) {
+                auto it = model.begin();
+                std::advance(it, rng.uniformInt(0, model.size() - 1));
+                remove(it->first);
+            }
+            break;
+          case 5: { // whole file out, then part of it back in
+            std::size_t dropped = 0;
+            cache.removeFileBlocks(file, [&](const CacheBlock &gone) {
+                EXPECT_EQ(gone.id.file, file);
+                EXPECT_EQ(model.erase(gone.id), 1u);
+                ++dropped;
+            });
+            EXPECT_EQ(cache.blocksOfFile(file).size(), 0u);
+            if (dropped > 0)
+                insert_range(file, block,
+                             std::min<std::uint32_t>(kBlocks - 1,
+                                                     block + 7));
+            break;
+          }
+          case 6: // touch
+            if (model.count(bid) != 0) {
+                cache.touch(bid, now);
+                model[bid] = now;
+            }
+            break;
+        }
+        check(step);
+    }
 }
 
 // ------------------------------------------------------------ policies

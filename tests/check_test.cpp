@@ -32,10 +32,11 @@ class AuditTestPeer
         cache.lru_.tail = cache.lru_.head;
     }
 
+    /** An extent entry for a block that is not resident, naming the
+     *  arena slot of one that is. */
     static void leakIndexEntry(BlockCache &cache)
     {
-        const BlockId bogus{kNoFile - 1, 12345};
-        cache.index_[bogus] = 0;
+        cache.extents_.insert(kNoFile - 1, 12345, 0);
     }
 };
 

@@ -264,6 +264,22 @@ TEST_F(ModelTest, WriteAsideRecallFlushesAndInvalidates)
     EXPECT_FALSE(model.nvramCache().contains({1, 0}));
 }
 
+// A cut below every dirty byte of the boundary block leaves it clean;
+// the write-aside NVRAM holds dirty blocks only, so its copy must go.
+TEST_F(ModelTest, WriteAsideTruncateDropsBoundaryBlockItCleans)
+{
+    file(1, 73360 + 8192);
+    WriteAsideModel model(config(ModelKind::WriteAside), metrics,
+                          sizes, rng);
+    model.write(1, 73360, 8192, 1);
+    model.truncate(1, 71568, 2);
+    file(1, 71568);
+    EXPECT_EQ(model.nvramCache().size(), 0u);
+    EXPECT_NO_THROW(model.auditInvariants());
+    model.finish(3);
+    EXPECT_EQ(metrics.totalServerWrites(), 0u);
+}
+
 // ------------------------------------------------------- unified model
 
 TEST_F(ModelTest, UnifiedWriteGoesOnlyToNvram)

@@ -5,8 +5,9 @@
  * invariant audits on.  The curve engine must be *bit-identical* —
  * every Metrics counter, including the per-cause server-write
  * histogram and both absorbed counters, must match runClientGrid on
- * every trace and size.  Also tests of the spec checks and of the
- * per-size grid fallback path.
+ * every trace and size.  Also tests of the spec checks, of the
+ * per-size grid fallback path, and that the engine's audits catch a
+ * corrupted block -> slot map.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,31 @@
 #include <vector>
 
 #include "core/sim/curve.hpp"
+#include "core/sim/curve_clients.hpp"
 #include "core/sim/sweep.hpp"
+#include "util/audit.hpp"
 #include "multi_run_ops.hpp"
+
+namespace nvfs::core::curve {
+
+/** Test-only peer: corrupts a curve client's internals to prove its
+ *  audits fire. */
+class CurveAuditTestPeer
+{
+  public:
+    /** Point `from`'s extent entry at the slot holding `to`. */
+    template <typename Client>
+    static void
+    pointExtentAt(Client &client, const cache::BlockId &from,
+                  const cache::BlockId &to)
+    {
+        const std::uint32_t slot = client.slotOf(to);
+        client.extents_.remove(from.file, from.index);
+        client.extents_.insert(from.file, from.index, slot);
+    }
+};
+
+} // namespace nvfs::core::curve
 
 namespace nvfs::core {
 namespace {
@@ -206,6 +230,37 @@ TEST(CurveSupport, RejectsInclusionBreakers)
     vol = volatileSpec();
     vol.base.kind = ModelKind::Unified; // axis/kind mismatch
     EXPECT_FALSE(curveSupported(vol));
+}
+
+// The extent index is the engine's only block -> slot map, so an
+// entry naming another block's slot must fail either client's audit.
+TEST(CurveAudit, ExtentEntryNamingAnotherBlocksSlotThrows)
+{
+    FileSizeMap file_sizes;
+    file_sizes[1] = 4 * kBlockSize;
+    const auto corrupt_and_audit = [](auto &client) {
+        client.write(1, 0, 4 * kBlockSize, 1);
+        client.read(1, 0, kBlockSize, 2);
+        EXPECT_NO_THROW(client.auditInvariants());
+        curve::CurveAuditTestPeer::pointExtentAt(client, {1, 0}, {1, 2});
+        try {
+            client.auditInvariants();
+            ADD_FAILURE() << "audit should have thrown";
+        } catch (const util::AuditError &e) {
+            EXPECT_EQ(e.where(), "CurveSim");
+        }
+    };
+    const CurveSpec vol = volatileSpec();
+    std::vector<Metrics> vol_metrics(vol.sizes.size());
+    curve::VolatileCurveClient volatile_client(vol.base, vol.sizes,
+                                               vol_metrics, file_sizes);
+    corrupt_and_audit(volatile_client);
+
+    const CurveSpec uni = unifiedSpec();
+    std::vector<Metrics> uni_metrics(uni.sizes.size());
+    curve::UnifiedCurveClient unified_client(uni.base, uni.sizes,
+                                             uni_metrics, file_sizes);
+    corrupt_and_audit(unified_client);
 }
 
 // Unsupported specs silently take the grid path through the sweep

@@ -195,6 +195,26 @@ TEST(ErrorHandling, CacheMisusePanics)
         "not resident");
 }
 
+TEST(ErrorHandling, DuplicateCacheInsertPanics)
+{
+    // The extent index, the cache's only block -> slot map, refuses a
+    // block that is already resident.
+    EXPECT_DEATH(
+        {
+            cache::BlockCache cache(4);
+            cache.insert({1, 0}, 1);
+            cache.insert({1, 0}, 2);
+        },
+        "duplicate block");
+    EXPECT_DEATH(
+        {
+            cache::BlockCache cache(8);
+            cache.insert({1, 2}, 1);
+            cache.insertRange(1, 0, 3, 2);
+        },
+        "overlaps resident blocks");
+}
+
 TEST(ErrorHandling, BadTraceNumberPanics)
 {
     EXPECT_DEATH(workload::standardProfile(9, 1.0), "out of range");

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -222,19 +224,67 @@ snapshot(const BlockCache &cache)
     return state;
 }
 
+/**
+ * LRU as a policy object.  The simulator's LRU caches have none (a
+ * BlockCache without a policy takes victims from its own recency
+ * list); this one drives the policy-notification path under LRU so
+ * the twins below can check both against each other.
+ */
+class LruPolicy final : public cache::ReplacementPolicy
+{
+  public:
+    void
+    onInsert(const BlockId &id, TimeUs) override
+    {
+        where_[id] = order_.insert(order_.end(), id);
+    }
+
+    void
+    onAccess(const BlockId &id, TimeUs) override
+    {
+        const auto it = where_.find(id);
+        ASSERT_NE(it, where_.end()) << "LRU access to absent block";
+        order_.splice(order_.end(), order_, it->second);
+    }
+
+    void
+    onRemove(const BlockId &id) override
+    {
+        const auto it = where_.find(id);
+        ASSERT_NE(it, where_.end()) << "LRU remove of absent block";
+        order_.erase(it->second);
+        where_.erase(it);
+    }
+
+    std::optional<BlockId>
+    chooseVictim(TimeUs) override
+    {
+        if (order_.empty())
+            return std::nullopt;
+        return order_.front();
+    }
+
+  private:
+    std::list<BlockId> order_; ///< front = least recently used
+    std::map<BlockId, std::list<BlockId>::iterator> where_;
+};
+
 // Randomized equivalence: drive one cache through the range
 // operations and a twin through the per-block calls, and require the
 // same resident set, LRU order, per-block dirty runs, absorbed-byte
 // returns, and victim sequence at every step.
 TEST(BlockCacheRangeOps, RandomizedEquivalenceWithPerBlock)
 {
-    for (bool native : {false, true}) {
+    for (bool with_policy : {true, false}) {
         constexpr std::uint64_t kCapacity = 24;
-        // The per-block twin always drives the LRU policy object, so
-        // the native pass also checks native-LRU victims against it.
-        BlockCache ranged(kCapacity, nullptr, native);
-        BlockCache blocked(kCapacity, nullptr, false);
-        util::Rng rng(native ? 0xfeedULL : 0xbeefULL);
+        // The per-block twin always drives an LRU policy object, so
+        // one pass checks the range operations' policy notifications
+        // and the other the policy-free cache's own LRU victims.
+        BlockCache ranged(kCapacity, with_policy
+                                         ? std::make_unique<LruPolicy>()
+                                         : nullptr);
+        BlockCache blocked(kCapacity, std::make_unique<LruPolicy>());
+        util::Rng rng(with_policy ? 0xbeefULL : 0xfeedULL);
         TimeUs now = 0;
 
         for (int step = 0; step < 4000; ++step) {
