@@ -4,9 +4,12 @@
  * interval-set updates, block-cache operations, policy victim
  * selection, LFS block appends and roll-forward recovery, crash
  * exploration, whole-trace simulation throughput and the pipelined
- * multi-trace sweep.
+ * multi-trace sweep, plus a host reference the whole-trace timings
+ * are read against.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -326,17 +329,20 @@ BM_CurveSweep(benchmark::State &state)
 {
     // The multi-size sweep both ways: curve=1 is one single-pass
     // replay classifying every event against all sizes at once;
-    // curve=0 is the per-size replay grid pinned to one worker.  The
-    // grid:curve time ratio at equal (single-threaded) width is the
-    // curve_speedups entry in BENCH_e2e.json.  axis=1 sweeps NVRAM
-    // sizes under the unified model (the Fig 3-4 grid); axis=0 sweeps
-    // volatile cache sizes (the Fig 6 volatile series).
-    const bool nvram_axis = state.range(0) != 0;
+    // curve=0 is one runClientSim per size, one after another (the
+    // replay grid would group those cells into a curve pass itself).
+    // The per-size:curve time ratio is the curve_speedups entry in
+    // BENCH_e2e.json.  nvram=1 sweeps NVRAM sizes under the unified
+    // model (the Fig 3-4 grid), nvram=2 under the write-aside model
+    // (Fig 5's write-aside column), and nvram=0 sweeps volatile cache
+    // sizes (the Fig 6 volatile series).
+    const auto nvram_axis = state.range(0);
     const bool curve = state.range(1) != 0;
     const auto &ops = core::standardOps(7, core::benchScale());
     core::CurveSpec spec;
-    if (nvram_axis) {
-        spec.base.kind = core::ModelKind::Unified;
+    if (nvram_axis != 0) {
+        spec.base.kind = nvram_axis == 1 ? core::ModelKind::Unified
+                                         : core::ModelKind::WriteAside;
         spec.base.volatileBytes = 8 * kMiB;
         spec.axis = core::CurveAxis::NvramBytes;
         spec.sizes = bench::nvramSizeGridBytes();
@@ -347,12 +353,19 @@ BM_CurveSweep(benchmark::State &state)
             spec.sizes.push_back(
                 8 * kMiB + static_cast<Bytes>(extra * kMiB));
     }
+    const std::vector<core::ModelConfig> models =
+        core::curveGridModels(spec);
     for (auto _ : state) {
-        const auto rows =
-            curve ? core::runCurveSim(ops, spec)
-                  : core::runClientGrid(ops, core::curveGridModels(spec),
-                                        spec.seed, 1);
-        benchmark::DoNotOptimize(rows.front().appWriteBytes);
+        if (curve) {
+            const auto rows = core::runCurveSim(ops, spec);
+            benchmark::DoNotOptimize(rows.front().appWriteBytes);
+            continue;
+        }
+        for (const core::ModelConfig &model : models) {
+            const core::Metrics row =
+                core::runClientSim(ops, model, spec.seed);
+            benchmark::DoNotOptimize(row.appWriteBytes);
+        }
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
@@ -362,7 +375,28 @@ BENCHMARK(BM_CurveSweep)
     ->ArgNames({"nvram", "curve"})
     ->Args({0, 0})->Args({0, 1})
     ->Args({1, 0})->Args({1, 1})
+    ->Args({2, 0})->Args({2, 1})
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_HostReference(benchmark::State &state)
+{
+    // Fixed work apart from the simulator, perfbench's host reference:
+    // sort 64K fresh pseudo-random keys on one thread.  bench_compare.py
+    // divides every whole-trace replay by it, so the e2e gate compares
+    // the simulator's speed, not the host's.
+    std::vector<std::uint32_t> keys(std::size_t{1} << 16);
+    std::uint64_t lcg = 7;
+    for (auto _ : state) {
+        for (std::uint32_t &key : keys) {
+            lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+            key = static_cast<std::uint32_t>(lcg >> 32);
+        }
+        std::sort(keys.begin(), keys.end());
+        benchmark::DoNotOptimize(keys.front());
+    }
+}
+BENCHMARK(BM_HostReference)->Unit(benchmark::kMillisecond);
 
 void
 BM_PipelinedSweep(benchmark::State &state)

@@ -5,19 +5,22 @@ Runs ``perf_microbench`` with google-benchmark's JSON reporter and
 normalizes the result into compact {benchmark: {real_time_ns, ...}}
 summaries.  The whole-trace macrobenchmarks — BM_ClusterSimReplay,
 the BM_ReplayGrid scheduler, and the BM_CurveSweep size-sweep pairs —
-go to BENCH_e2e.json, which additionally pairs each multi-job grid
+and the BM_HostReference sort they are read against go to
+BENCH_e2e.json, which additionally pairs each multi-job grid
 run with its jobs:1 baseline (and each single-pass curve sweep with
-its per-size grid twin) and records the speedup ratios in both real
+its per-size twin) and records the speedup ratios in both real
 and cpu time, plus host metadata (hardware_concurrency, NVFS_JOBS);
 everything else goes to BENCH_microbench.json so CI can archive a
 perf snapshot per commit.  With ``--baseline
 previous.json`` it also prints a per-benchmark comparison and (with
 ``--max-regression``) fails when any microbenchmark slowed down beyond
 the allowed ratio.  With ``--e2e-baseline BENCH_e2e.json`` the
-whole-trace replays are diffed against the committed snapshot: a run
-more than ``--e2e-warn-regression`` (default 10%) slower in real time
-gets a WARNING, and with ``--e2e-max-regression`` (the CI gate) a cpu
-median past the cap fails the run with exit 1.
+whole-trace replays are diffed against the committed snapshot, each
+median in units of the host reference's median of its own run (so a
+slower or faster host moves nothing): a run more than
+``--e2e-warn-regression`` (default 10%) slower in real time gets a
+WARNING, and with ``--e2e-max-regression`` (the CI gate) a cpu median
+past the cap fails the run with exit 1.
 
 Usage:
     bench_compare.py --bench build/bench/perf_microbench \
@@ -37,12 +40,15 @@ import subprocess
 import sys
 import tempfile
 
-E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_ReplayGrid", "BM_CurveSweep")
+HOST_REFERENCE = "BM_HostReference"
+E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_ReplayGrid", "BM_CurveSweep",
+                HOST_REFERENCE)
 GRID_NAME = re.compile(
     r"^BM_ReplayGrid/jobs:(\d+)(?:/process_time)?(?:/real_time)?$")
 CURVE_NAME = re.compile(
     r"^BM_CurveSweep/nvram:(\d+)/curve:(\d+)$")
-CURVE_AXIS_NAMES = {0: "volatile_axis", 1: "nvram_axis"}
+CURVE_AXIS_NAMES = {0: "volatile_axis", 1: "nvram_axis",
+                    2: "write_aside_axis"}
 
 # The single-pass curve engine must beat the per-size grid by at least
 # this factor single-threaded; the CI gate fails a run below the floor.
@@ -332,54 +338,88 @@ def baseline_times(base, name):
     return before, before_cpu
 
 
+def host_speed(current, base):
+    """(real, cpu) time of this run's host reference over the record's.
+
+    Every ratio check_e2e_regressions reads is divided by these, so
+    the gate compares medians in units of the host reference.  Returns
+    (1.0, 1.0) with a warning when either side has no usable
+    reference (a record made before BM_HostReference existed): the
+    comparison then falls back to raw medians.
+    """
+    def medians(entry):
+        """(real, cpu) of a reference entry, None where unusable."""
+        if not isinstance(entry, dict):
+            return None, None
+        return tuple(t if isinstance(t, (int, float)) and t > 0 else None
+                     for t in (entry.get("real_time_ns"),
+                               entry.get("cpu_time_ns")))
+
+    now_real, now_cpu = medians(current.get(HOST_REFERENCE))
+    before_real, before_cpu = medians(base.get(HOST_REFERENCE))
+    if now_real is None or before_real is None:
+        print(f"WARNING: no {HOST_REFERENCE} median in this run or in "
+              f"the committed record; comparing raw medians, so host "
+              f"speed counts as simulator speed", file=sys.stderr)
+        return 1.0, 1.0
+    real = now_real / before_real
+    cpu = now_cpu / before_cpu if now_cpu and before_cpu else real
+    print(f"host reference: {cpu:.2f}x the committed record's cpu "
+          f"median; medians are compared in units of it")
+    return real, cpu
+
+
 def check_e2e_regressions(current, baseline, baseline_path,
                           warn_ratio, max_ratio):
     """Diff whole-trace replays against the committed snapshot.
 
-    Both real and cpu medians are reported.  Real-time slowdowns past
-    ``warn_ratio`` only warn — the committed BENCH_e2e.json was
-    recorded on some other machine, and real time on a shared runner
-    absorbs scheduler noise the benchmark never executed (the old
+    Both real and cpu medians are reported, each divided by the host
+    reference's median of the same run (host_speed), so a host that
+    runs everything 1.6x slower reads 1.0x.  Real-time slowdowns past
+    ``warn_ratio`` only warn — real time on a shared runner absorbs
+    scheduler noise the benchmark never executed (the old
     trace:3/model:2 replay snapshot ran ~1.6x its cpu time that
     way).  With ``max_ratio`` set (the CI gate), a *cpu*-time median
     past the cap is a genuine slowdown and returns the offending
     names for a hard failure.
     """
     base = baseline.get("benchmarks", {})
+    host_real, host_cpu = host_speed(current["benchmarks"], base)
     warned = 0
     failed = []
     for name, entry in sorted(current["benchmarks"].items()):
+        if name == HOST_REFERENCE:
+            continue
         times = baseline_times(base, name)
         if times is None:
             continue
         before, before_cpu = times
         now = entry.get("real_time_ns")
         now_cpu = entry.get("cpu_time_ns")
-        cpu_ratio = (now_cpu / before_cpu
+        ratio = now / before / host_real if now and before else None
+        cpu_ratio = (now_cpu / before_cpu / host_cpu
                      if now_cpu and before_cpu else None)
-        if now and before:
-            ratio = now / before
-            if ratio > warn_ratio:
-                warned += 1
-                cpu_s = (f", cpu {cpu_ratio:.2f}x"
-                         if cpu_ratio is not None else "")
-                print(f"WARNING: {name} is {ratio:.2f}x the committed "
-                      f"baseline ({before / 1e6:.1f}ms -> "
-                      f"{now / 1e6:.1f}ms{cpu_s})", file=sys.stderr)
+        if ratio is not None and ratio > warn_ratio:
+            warned += 1
+            cpu_s = (f", cpu {cpu_ratio:.2f}x"
+                     if cpu_ratio is not None else "")
+            print(f"WARNING: {name} is {ratio:.2f}x the committed "
+                  f"baseline ({before / 1e6:.1f}ms -> "
+                  f"{now / 1e6:.1f}ms raw{cpu_s})", file=sys.stderr)
         if (max_ratio is not None and cpu_ratio is not None
                 and cpu_ratio > max_ratio):
             failed.append((name, cpu_ratio))
             print(f"REGRESSION: {name} cpu median is {cpu_ratio:.2f}x "
                   f"the committed baseline "
-                  f"({before_cpu / 1e6:.1f}ms -> {now_cpu / 1e6:.1f}ms,"
-                  f" cap {max_ratio:.2f}x)", file=sys.stderr)
+                  f"({before_cpu / 1e6:.1f}ms -> {now_cpu / 1e6:.1f}ms"
+                  f" raw, cap {max_ratio:.2f}x)", file=sys.stderr)
         elif (max_ratio is not None and cpu_ratio is None
-              and now and before and now / before > max_ratio):
+              and ratio is not None and ratio > max_ratio):
             # No cpu column to fall back on: gate on real time.
-            failed.append((name, now / before))
-            print(f"REGRESSION: {name} is {now / before:.2f}x the "
-                  f"committed baseline (cap {max_ratio:.2f}x, no cpu "
-                  f"median recorded)", file=sys.stderr)
+            failed.append((name, ratio))
+            print(f"REGRESSION: {name} is {ratio:.2f}x the committed "
+                  f"baseline (cap {max_ratio:.2f}x, no cpu median "
+                  f"recorded)", file=sys.stderr)
     if warned == 0 and not failed:
         print(f"e2e replays within {warn_ratio:.2f}x of "
               f"{baseline_path}")

@@ -139,6 +139,46 @@ class CheckE2eRegressionsTest(unittest.TestCase):
                                cap=1.10)
         self.assertEqual(failed, [])
 
+    def with_reference(self, benchmarks, reference_ns):
+        out = dict(benchmarks)
+        out[bench_compare.HOST_REFERENCE] = entry(reference_ns,
+                                                  reference_ns)
+        return out
+
+    def test_slower_host_passes(self):
+        # Everything, the host reference included, 1.6x slower: the
+        # simulator did not change, the host did.
+        baseline = self.with_reference(
+            {"BM_X": entry(100.0, 100.0), "BM_Y": entry(50.0, 50.0)},
+            4.0)
+        current = self.with_reference(
+            {"BM_X": entry(160.0, 160.0), "BM_Y": entry(80.0, 80.0)},
+            6.4)
+        failed, err = self.check(current, baseline, cap=1.10)
+        self.assertEqual(failed, [])
+        self.assertNotIn("WARNING", err)
+
+    def test_slower_entry_on_unchanged_host_fails(self):
+        baseline = self.with_reference(
+            {"BM_X": entry(100.0, 100.0), "BM_Y": entry(50.0, 50.0)},
+            4.0)
+        current = self.with_reference(
+            {"BM_X": entry(120.0, 120.0), "BM_Y": entry(50.0, 50.0)},
+            4.0)
+        failed, err = self.check(current, baseline, cap=1.10)
+        self.assertEqual([name for name, _ in failed], ["BM_X"])
+        self.assertIn("REGRESSION", err)
+
+    def test_record_without_reference_falls_back_to_raw(self):
+        # A record made before the reference existed: raw ratios, and
+        # a warning that host speed now counts.
+        current = self.with_reference({"BM_X": entry(160.0, 160.0)},
+                                      6.4)
+        failed, err = self.check(current, {"BM_X": entry(100.0, 100.0)},
+                                 cap=1.10)
+        self.assertEqual([name for name, _ in failed], ["BM_X"])
+        self.assertIn("comparing raw medians", err)
+
 
 class CompareTest(unittest.TestCase):
     def test_malformed_baseline_reads_as_new(self):
@@ -183,6 +223,19 @@ class AddSpeedupsTest(unittest.TestCase):
             e2e["grid_speedups"]["jobs2"]["speedup"], 1.5)
         self.assertAlmostEqual(
             e2e["curve_speedups"]["nvram_axis"]["speedup"], 2.0)
+
+    def test_write_aside_pair_is_named_and_floored(self):
+        e2e = bench_compare.add_speedups({"benchmarks": {
+            "BM_CurveSweep/nvram:2/curve:0": entry(300.0, 300.0),
+            "BM_CurveSweep/nvram:2/curve:1": entry(250.0, 250.0),
+        }})
+        pair = e2e["curve_speedups"]["write_aside_axis"]
+        self.assertAlmostEqual(pair["speedup"], 1.2)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            failed = bench_compare.check_curve_floor(e2e, 1.10)
+        self.assertEqual([key for key, _ in failed],
+                         ["write_aside_axis"])
 
     def test_pairs_process_time_grid_runs(self):
         # Threaded benches measure process CPU time, which

@@ -1,5 +1,6 @@
 #include "check/fuzz.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <sstream>
@@ -8,6 +9,7 @@
 #include "check/reference.hpp"
 #include "check/shrink.hpp"
 #include "core/client/cluster_sim.hpp"
+#include "core/sim/curve.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
 
@@ -64,6 +66,77 @@ runOne(const OpStream &ops, ModelKind kind, bool reference,
         error = out.str();
         return std::nullopt;
     }
+}
+
+/** The headline counters of two disagreeing legs, "a vs b". */
+std::string
+describeMismatch(const Metrics &a, const Metrics &b)
+{
+    std::ostringstream out;
+    out << "(appWrite " << a.appWriteBytes << " vs " << b.appWriteBytes
+        << ", serverRead " << a.serverReadBytes << " vs "
+        << b.serverReadBytes << ", serverWrite " << a.totalServerWrites()
+        << " vs " << b.totalServerWrites() << ", absorbed "
+        << a.absorbedOverwrittenBytes + a.absorbedDeletedBytes << " vs "
+        << b.absorbedOverwrittenBytes + b.absorbedDeletedBytes << ", bus "
+        << a.busBytes << " vs " << b.busBytes << ")";
+    return out.str();
+}
+
+/**
+ * The curve arm: one curve pass of `kind` over sizes around the
+ * configured memory (one block, half, the configured size and
+ * double), each row bit-compared with the production replay at that
+ * size; `configured` is the production replay already run at the
+ * configured size.
+ */
+std::optional<std::string>
+runCurveArm(const OpStream &ops, ModelKind kind, const FuzzConfig &config,
+            const Metrics &configured)
+{
+    core::CurveSpec spec;
+    spec.base.kind = kind;
+    spec.base.volatileBytes = config.volatileBytes;
+    spec.base.nvramBytes = config.nvramBytes;
+    spec.axis = kind == ModelKind::Volatile ? core::CurveAxis::VolatileBytes
+                                            : core::CurveAxis::NvramBytes;
+    const bool volatile_axis = spec.axis == core::CurveAxis::VolatileBytes;
+    const Bytes size =
+        volatile_axis ? config.volatileBytes : config.nvramBytes;
+    spec.sizes = {kBlockSize, std::max<Bytes>(kBlockSize, size / 2), size,
+                  2 * size};
+    spec.seed = config.seed;
+    spec.auditEvery = config.auditEvery;
+    if (!core::curveSupported(spec))
+        return std::nullopt;
+    std::vector<Metrics> rows;
+    try {
+        rows = core::runCurveSim(ops, spec);
+    } catch (const std::exception &e) {
+        return core::modelKindName(kind) + "/curve: " + e.what();
+    }
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        std::optional<Metrics> production = configured;
+        if (spec.sizes[k] != size) {
+            FuzzConfig at_size = config;
+            (volatile_axis ? at_size.volatileBytes : at_size.nvramBytes) =
+                spec.sizes[k];
+            std::string error;
+            production = runOne(ops, kind, false, at_size, error);
+            if (!production.has_value())
+                return error;
+        }
+        if (!(rows[k] == *production)) {
+            std::ostringstream out;
+            out << core::modelKindName(kind)
+                << ": curve pass and production replay disagree at "
+                << (volatile_axis ? "volatile" : "NVRAM") << " size "
+                << spec.sizes[k] << " "
+                << describeMismatch(rows[k], *production);
+            return out.str();
+        }
+    }
+    return std::nullopt;
 }
 
 /** Rebuild a stream from a row-wise op vector (shrink candidates). */
@@ -232,17 +305,12 @@ runDifferential(const OpStream &ops, const FuzzConfig &config)
         if (!reference.has_value())
             return error;
         if (!(*production == *reference)) {
-            std::ostringstream out;
-            out << core::modelKindName(kind)
-                << ": production and per-block reference disagree"
-                << " (appWrite " << production->appWriteBytes << " vs "
-                << reference->appWriteBytes << ", serverRead "
-                << production->serverReadBytes << " vs "
-                << reference->serverReadBytes << ", bus "
-                << production->busBytes << " vs "
-                << reference->busBytes << ")";
-            return out.str();
+            return core::modelKindName(kind) +
+                   ": production and per-block reference disagree " +
+                   describeMismatch(*production, *reference);
         }
+        if (auto failure = runCurveArm(ops, kind, config, *production))
+            return failure;
     }
     return std::nullopt;
 }

@@ -6,10 +6,12 @@
  * streams and replays each one through the production cluster
  * simulator and the per-block reference (check::runPerBlockReference),
  * across all three client cache models, with structural audits
- * enabled.  A run fails when an audit throws util::AuditError, a
- * simulator invariant panics, or the two disagree on any Metrics
- * counter.  Failures are shrunk to a minimal reproducing op stream
- * before being reported.
+ * enabled, and through one curve pass per model (core::runCurveSim)
+ * over sizes around the configured memory.  A run fails when an audit
+ * throws util::AuditError, a simulator invariant panics, or any leg
+ * disagrees with the production replay on any Metrics counter.
+ * Failures are shrunk to a minimal reproducing op stream before being
+ * reported.
  */
 
 #pragma once
@@ -55,7 +57,9 @@ struct FuzzFailure
 /** Outcome of a fuzz campaign. */
 struct FuzzResult
 {
-    std::size_t runs = 0;        ///< streams fully replayed
+    /** Streams fully replayed; with no failure, fewer than the runs
+     *  asked for means maxSeconds cut the campaign short. */
+    std::size_t runs = 0;
     std::size_t opsExecuted = 0; ///< generated ops across those runs
     std::optional<FuzzFailure> failure;
 
@@ -73,9 +77,12 @@ prep::OpStream generateOps(const FuzzConfig &config,
 /**
  * Replay `ops` through the production simulator and the per-block
  * reference for each of the three models (audits every
- * config.auditEvery ops) and compare the Metrics.  Returns a
- * description of the first failure, or nullopt when every pairing
- * agrees and no audit fires.
+ * config.auditEvery ops) and compare the Metrics; then run one curve
+ * pass per model over one block, half, the configured size and double
+ * (the volatile cache for the volatile model, the NVRAM for the
+ * others) and compare each row with the production replay at that
+ * size.  Returns a description of the first failure, or nullopt when
+ * every pairing agrees and no audit fires.
  */
 std::optional<std::string>
 runDifferential(const prep::OpStream &ops, const FuzzConfig &config);

@@ -81,6 +81,9 @@ struct ModelConfig
     bool dynamicSizing = false;
     double dynamicMinFraction = 0.5;
     TimeUs dynamicPeriod = 20 * kUsPerMinute;
+
+    /** Field-for-field equality (the replay grid's curve groups). */
+    bool operator==(const ModelConfig &other) const = default;
 };
 
 /** One client's cache state. */

@@ -59,14 +59,14 @@ curveSupported(const CurveSpec &spec)
     // Per-replay side channels see one interleaved stream per size.
     if (spec.base.sink != nullptr)
         return false;
-    // Inclusion-property breakers (see DESIGN.md §14).
+    // Ablations the clients do not mirror (see DESIGN.md §14).
     if (spec.base.dirtyPreference || spec.base.dynamicSizing)
         return false;
     switch (spec.axis) {
       case CurveAxis::VolatileBytes:
         return spec.base.kind == ModelKind::Volatile;
       case CurveAxis::NvramBytes:
-        return spec.base.kind == ModelKind::Unified &&
+        return spec.base.kind != ModelKind::Volatile &&
                spec.base.nvramPolicy == cache::PolicyKind::Lru &&
                spec.base.volatileBytes / kBlockSize > 0;
     }
@@ -94,7 +94,7 @@ runCurveSim(const prep::OpStream &ops, const CurveSpec &spec)
 {
     NVFS_REQUIRE(curveSupported(spec),
                  "runCurveSim on an unsupported spec (use "
-                 "runCurveSweep for automatic fallback)");
+                 "runClientGrid for automatic fallback)");
     static const obs::Counter passes("curve.passes");
     static const obs::Counter sizes("curve.sizes");
     static const obs::Timer replayTimer("curve.replay");
@@ -104,6 +104,8 @@ runCurveSim(const prep::OpStream &ops, const CurveSpec &spec)
     std::vector<Metrics> metrics =
         spec.axis == CurveAxis::VolatileBytes
             ? replayCurve<curve::VolatileCurveClient>(ops, spec)
+        : spec.base.kind == ModelKind::WriteAside
+            ? replayCurve<curve::WriteAsideCurveClient>(ops, spec)
             : replayCurve<curve::UnifiedCurveClient>(ops, spec);
 #if defined(__GLIBC__)
     // The pass just freed its clients' state, megabytes each, into the

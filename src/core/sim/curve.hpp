@@ -1,29 +1,32 @@
 /**
  * @file
- * CurveSim: the single-pass multi-size curve engine behind the
- * NVRAM-size sweeps (Figures 3-6, cost-effectiveness table).
+ * CurveSim: the single-pass multi-size curve engine behind the size
+ * sweeps (Figures 3-6, cost-effectiveness table).
  *
  * Every headline figure of the paper is a curve over cache size, and
  * a per-size replay re-simulates the same op stream once per point.
- * For LRU-managed memories the inclusion property holds: the resident
- * set of a smaller cache is always a subset of a larger one's, so a
- * single replay can classify every event — absorption, eviction
+ * One replay can instead classify every event — absorption, eviction
  * write-back, callback recall, 30 s sync flush — against *all*
  * configured sizes at once and accumulate a full Metrics vector per
- * size in one pass.  The volatile axis keeps one recency list with a
- * per-size LRU boundary on it; the unified NVRAM axis keeps each
- * size's volatile and NVRAM LRU lists over one shared slot arena.  The
- * replay itself is core::replayOps, the protocol driver ClusterSim
- * runs too; the curve engine contributes only its multi-size client
- * set.
+ * size in one pass.  The volatile axis rests on the inclusion
+ * property of LRU (a smaller cache holds a subset of a larger one's
+ * blocks) and keeps one recency list with a per-size LRU boundary on
+ * it.  The NVRAM axis needs no inclusion: the unified client keeps
+ * each size's volatile and NVRAM LRU lists over one shared slot
+ * arena, and the write-aside client keeps one volatile LRU list (the
+ * same at every NVRAM size) and per size an NVRAM LRU list of that
+ * size's dirty blocks.  The replay itself is core::replayOps, the
+ * protocol driver ClusterSim runs too; the curve engine contributes
+ * only its multi-size client set.
  *
- * Results are bit-identical to running the per-size replay grid
- * (core::runClientGrid) point by point; the curve_sim_test
- * differential matrix enforces this over all eight paper traces.
- * Configurations whose semantics break the inclusion property —
- * write-aside mirroring, random/clock/omniscient NVRAM policies,
- * dirty-preferring replacement, dynamic cache sizing, end-to-end
- * sinks — automatically fall back to the per-size grid.
+ * Results are bit-identical to one runClientSim per size; the
+ * curve_sim_test differential matrix enforces this over all eight
+ * paper traces, and nvfs_sim check on random streams.  The engine is
+ * reached through core::runClientGrid, which replays each group of
+ * cells that differ only in the swept size as one pass when
+ * curveSupported accepts it, and every other cell alone: random,
+ * clock and omniscient NVRAM policies, dirty-preferring replacement,
+ * dynamic cache sizing and end-to-end sinks replay per cell.
  */
 
 #pragma once
@@ -39,7 +42,7 @@ namespace nvfs::core {
 enum class CurveAxis
 {
     VolatileBytes, ///< volatile-model cache-size sweep
-    NvramBytes,    ///< unified-model NVRAM-size sweep
+    NvramBytes,    ///< unified or write-aside NVRAM-size sweep
 };
 
 /** One multi-size sweep: a base configuration and the swept sizes. */
@@ -60,24 +63,26 @@ constexpr std::size_t kCurveMaxSizes = 32;
 
 /**
  * True when the single-pass engine reproduces this spec exactly: the
- * swept memory is LRU-managed (inclusion property), every size holds
- * at least one block, at most kCurveMaxSizes sizes, and no
- * per-replay side channel (sink) or inclusion-breaking ablation
- * (dirty preference, dynamic sizing) is configured.
+ * volatile model on the volatile axis, or the unified or write-aside
+ * model with an LRU NVRAM on the NVRAM axis; every size holds at
+ * least one block, at most kCurveMaxSizes sizes, and no per-replay
+ * side channel (sink) or unmirrored ablation (dirty preference,
+ * dynamic sizing) is configured.
  */
 bool curveSupported(const CurveSpec &spec);
 
 /**
  * The per-size model grid equivalent to `spec`: one ModelConfig per
- * size with the swept field substituted.  This is both the fallback
- * path and the differential-test oracle.
+ * size with the swept field substituted.  runClientGrid groups it
+ * back into one pass when curveSupported(spec) holds.
  */
 std::vector<ModelConfig> curveGridModels(const CurveSpec &spec);
 
 /**
  * Run the single-pass engine: one replay of `ops`, one Metrics row
  * per spec.sizes entry (in order).  Requires curveSupported(spec).
- * Bit-identical to runClientGrid(ops, curveGridModels(spec), seed).
+ * Bit-identical to runClientSim(ops, model, seed) for each model of
+ * curveGridModels(spec).
  */
 std::vector<Metrics> runCurveSim(const prep::OpStream &ops,
                                  const CurveSpec &spec);

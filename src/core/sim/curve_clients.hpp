@@ -2,7 +2,8 @@
  * @file
  * The curve engine's multi-size client set, which runCurveSim
  * (core/sim/curve.hpp) replays through core::replayOps: CurveCore, the
- * state both clients share, and the volatile and unified clients.
+ * state the clients share, and the volatile, unified and write-aside
+ * clients.
  * Only curve.cpp and the tests include it; CurveAuditTestPeer, which
  * only the tests define, corrupts a client's internals to prove its
  * audits fire.
@@ -41,8 +42,8 @@ struct SlotLink
 /**
  * Ends of an intrusive doubly linked list over arena slots.  The links
  * live wherever `link(slot)` says — in a PerSizeState for the per-size
- * lists, in the slot itself for the volatile recency list — so one
- * implementation serves every list of both curve clients.
+ * lists, in the slot itself for the recency lists — so one
+ * implementation serves every list of every curve client.
  */
 struct SlotList
 {
@@ -114,8 +115,8 @@ struct SlotList
 };
 
 /**
- * Flat per-(slot, size) state: entry `slot * sizeCount + k`.  Both
- * engines key dirty intervals this way because dirty sets are *not*
+ * Flat per-(slot, size) state: entry `slot * sizeCount + k`.  The
+ * clients key dirty intervals this way because dirty sets are *not*
  * nested across sizes (a large cache can flush a block on the 30 s
  * sweep while a small one evicted and re-dirtied it), so one shared
  * interval set cannot reproduce the per-size grid bit-for-bit.
@@ -123,7 +124,9 @@ struct SlotList
 struct PerSizeState
 {
     TimeUs dirtySince = kNoTime;
-    SlotLink link; ///< dirty FIFO (volatile) / vol-or-nv LRU (unified)
+    /** Dirty FIFO (volatile), volatile or NVRAM LRU (unified), NVRAM
+     *  LRU (write-aside). */
+    SlotLink link;
     util::IntervalSet dirty;
 };
 static_assert(sizeof(PerSizeState) <= 40,
@@ -137,7 +140,7 @@ lowBit(std::uint32_t mask)
 }
 
 /**
- * What both multi-size clients are made of: the slot arena and its
+ * What the multi-size clients are made of: the slot arena and its
  * free list, the extent index (the one block -> slot map), the flat
  * PerSizeState array, the per-size dirty helpers, the file walks and
  * the read/write fan-out.  `Client` (CRTP: no virtual call per op) supplies
@@ -282,6 +285,24 @@ class CurveCore
     {
         return [this, k](std::uint32_t slot) -> const SlotLink & {
             return state(slot, k).link;
+        };
+    }
+
+    /** The links of a list threaded through each slot's own `field`
+     *  (a recency list), for the SlotList calls. */
+    auto
+    slotLinks(SlotLink SlotExtra::*field)
+    {
+        return [this, field](std::uint32_t slot) -> SlotLink & {
+            return arena_[slot].*field;
+        };
+    }
+
+    auto
+    slotLinks(SlotLink SlotExtra::*field) const
+    {
+        return [this, field](std::uint32_t slot) -> const SlotLink & {
+            return arena_[slot].*field;
         };
     }
 
@@ -535,22 +556,8 @@ class VolatileCurveClient
     using Core = CurveCore<VolatileCurveClient, RecencySlot>;
     friend Core;
 
-    /** The recency list's links, for the SlotList calls. */
-    auto
-    recencyLinks()
-    {
-        return [this](std::uint32_t slot) -> SlotLink & {
-            return arena_[slot].recency;
-        };
-    }
-
-    auto
-    recencyLinks() const
-    {
-        return [this](std::uint32_t slot) -> const SlotLink & {
-            return arena_[slot].recency;
-        };
-    }
+    auto recencyLinks() { return slotLinks(&RecencySlot::recency); }
+    auto recencyLinks() const { return slotLinks(&RecencySlot::recency); }
 
   public:
     VolatileCurveClient(const ModelConfig &base,
@@ -1267,6 +1274,219 @@ class UnifiedCurveClient
 
     const std::uint64_t volCapacity_;
     std::vector<SizeState> per_;
+};
+
+/** The write-aside client's per-slot fields. */
+struct WriteAsideSlot
+{
+    SlotLink recency; ///< the volatile LRU list, head = least recent
+};
+
+/**
+ * Multi-size mirror of WriteAsideModel (LRU NVRAM policy) on the NVRAM
+ * axis.  The volatile cache is the same at every size: its victims
+ * ignore dirtiness, and the reads, writes, recalls, deletes and
+ * truncates that edit it do not depend on the NVRAM.  So one volatile
+ * LRU list holds every live slot, resident at every size.  Only NVRAM
+ * membership differs by size, and the write-aside invariant ties it to
+ * dirtiness: a block is in size k's NVRAM iff its volatile copy is
+ * dirty at size k, with the same dirty bytes.  The dirty bit is
+ * therefore the NVRAM bit, and per size an NVRAM LRU list orders
+ * exactly that size's dirty blocks.
+ */
+class WriteAsideCurveClient
+    : public CurveCore<WriteAsideCurveClient, WriteAsideSlot>
+{
+    using Core = CurveCore<WriteAsideCurveClient, WriteAsideSlot>;
+    friend Core;
+
+    auto recencyLinks() { return slotLinks(&WriteAsideSlot::recency); }
+    auto recencyLinks() const { return slotLinks(&WriteAsideSlot::recency); }
+
+  public:
+    WriteAsideCurveClient(const ModelConfig &base,
+                          const std::vector<Bytes> &sizes,
+                          std::vector<Metrics> &metrics,
+                          const FileSizeMap &file_sizes)
+        : Core(metrics, file_sizes, sizes.size()),
+          volCapacity_(base.volatileBytes / kBlockSize)
+    {
+        NVFS_REQUIRE(volCapacity_ > 0, "volatile cache too small");
+        per_.reserve(sizeCount_);
+        for (const Bytes bytes : sizes) {
+            SizeState s;
+            s.nvCapacity = bytes / kBlockSize;
+            NVFS_REQUIRE(s.nvCapacity > 0, "NVRAM too small");
+            per_.push_back(s);
+        }
+        // Every live slot is in the volatile cache, which is full
+        // before a slot is allocated only after its victim is freed.
+        reserveSlots(volCapacity_);
+    }
+
+    void
+    recall(FileId file, WriteCause cause, TimeUs)
+    {
+        dropFile(file, [&](std::uint32_t slot) {
+            flushDirtySizes(slot, cause);
+        });
+    }
+
+    void
+    fsync(FileId, TimeUs)
+    {
+        // Absorbed: the data is already permanent in the NVRAM.
+    }
+
+    void
+    tick(TimeUs)
+    {
+        // No delayed write-back: dirty blocks wait in the NVRAM.
+    }
+
+    /** nvfs::check: the volatile list, the NVRAM lists, capacities. */
+    void
+    auditInvariants() const
+    {
+        std::vector<std::uint64_t> held(sizeCount_, 0);
+        const std::uint64_t listed = volatile_.audit(
+            recencyLinks(), arena_.size(), [&](std::uint32_t slot) {
+                const Slot &s = arena_[slot];
+                NVFS_AUDIT_CHECK(s.presentMask == allMask_, "CurveSim",
+                                 "volatile block absent at a size");
+                for (std::uint32_t m = s.dirtyMask; m != 0; m &= m - 1)
+                    ++held[lowBit(m)];
+            });
+        NVFS_AUDIT_CHECK(listed == auditCore([](std::uint32_t) {}),
+                         "CurveSim",
+                         "volatile list does not cover the live slots");
+        NVFS_AUDIT_CHECK(listed == volOccupancy_ &&
+                             listed <= volCapacity_,
+                         "CurveSim", "volatile occupancy diverged");
+        for (std::uint32_t k = 0; k < sizeCount_; ++k) {
+            const std::uint64_t queued = per_[k].nv.audit(
+                linksAt(k), arena_.size(), [&](std::uint32_t slot) {
+                    NVFS_AUDIT_CHECK(
+                        (arena_[slot].dirtyMask >> k & 1) != 0,
+                        "CurveSim", "clean block in the NVRAM");
+                });
+            NVFS_AUDIT_CHECK(queued == per_[k].nvOccupancy &&
+                                 queued == held[k],
+                             "CurveSim",
+                             "NVRAM list misses dirty blocks");
+            NVFS_AUDIT_CHECK(per_[k].nvOccupancy <= per_[k].nvCapacity,
+                             "CurveSim", "NVRAM over capacity");
+        }
+    }
+
+  private:
+    struct SizeState
+    {
+        std::uint64_t nvCapacity = 0;
+        std::uint64_t nvOccupancy = 0;
+        SlotList nv; ///< NVRAM LRU list, head = least recent
+    };
+
+    void
+    readBlock(const cache::BlockId &id, TimeUs)
+    {
+        // The NVRAM is never read during normal operation.
+        const std::uint32_t slot = slotOf(id);
+        if (slot != kNil) {
+            volatile_.moveToBack(slot, recencyLinks());
+            return;
+        }
+        const Bytes fetched = blockTransferBytes(id, fileSizes_);
+        for (Metrics &m : metrics_) {
+            m.serverReadBytes += fetched;
+            m.busBytes += fetched;
+        }
+        insertVolatile(id);
+    }
+
+    void
+    writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
+               TimeUs now)
+    {
+        const Bytes n = end - begin;
+        std::uint32_t slot = slotOf(id);
+        if (slot == kNil)
+            slot = insertVolatile(id);
+        else
+            volatile_.moveToBack(slot, recencyLinks());
+        for (std::uint32_t k = 0; k < sizeCount_; ++k) {
+            SizeState &st = per_[k];
+            PerSizeState &d = state(slot, k);
+            if ((arena_[slot].dirtyMask >> k & 1) != 0) {
+                metrics_[k].absorbedOverwrittenBytes +=
+                    d.dirty.overlapBytes(begin, end);
+                // The rewrite refreshes the block's NVRAM position.
+                st.nv.moveToBack(slot, linksAt(k));
+            } else {
+                // A full NVRAM writes its LRU block back; that block's
+                // volatile copy goes clean with it.
+                while (st.nvOccupancy >= st.nvCapacity)
+                    flushAt(st.nv.head, k, WriteCause::Replacement);
+                st.nv.pushBack(slot, linksAt(k));
+                ++st.nvOccupancy;
+                arena_[slot].dirtyMask |= 1u << k;
+                d.dirtySince = now;
+            }
+            if (begin == 0 && end == kBlockSize) {
+                d.dirty.clear();
+                d.dirty.insert(0, kBlockSize);
+            } else {
+                d.dirty.insert(begin, end);
+            }
+            ++metrics_[k].nvramWriteAccesses;
+            metrics_[k].busBytes += 2 * n; // both memories
+        }
+    }
+
+    /**
+     * WriteAsideModel's volatile miss: a full cache evicts its LRU
+     * block, which each size holding it dirty writes back and drops
+     * from its NVRAM, then the block enters at the MRU end.
+     */
+    std::uint32_t
+    insertVolatile(const cache::BlockId &id)
+    {
+        if (volOccupancy_ == volCapacity_) {
+            const std::uint32_t victim = volatile_.head;
+            flushDirtySizes(victim, WriteCause::Replacement);
+            volatile_.remove(victim, recencyLinks());
+            --volOccupancy_;
+            arena_[victim].presentMask = 0;
+            dropSlot(victim);
+        }
+        const std::uint32_t slot = allocSlot(id);
+        arena_[slot].presentMask = allMask_;
+        volatile_.pushBack(slot, recencyLinks());
+        ++volOccupancy_;
+        return slot;
+    }
+
+    /** Off the volatile list; release cleaned it out of every NVRAM
+     *  first. */
+    void
+    unlink(std::uint32_t slot)
+    {
+        volatile_.remove(slot, recencyLinks());
+        --volOccupancy_;
+    }
+
+    /** Clean at size k means out of size k's NVRAM. */
+    void
+    cleaned(std::uint32_t slot, std::uint32_t k)
+    {
+        per_[k].nv.remove(slot, linksAt(k));
+        --per_[k].nvOccupancy;
+    }
+
+    const std::uint64_t volCapacity_;
+    std::uint64_t volOccupancy_ = 0;
+    std::vector<SizeState> per_;
+    SlotList volatile_; ///< head = least recently used
 };
 
 } // namespace nvfs::core::curve

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <tuple>
 
+#include "core/sim/curve.hpp"
 #include "obs/obs.hpp"
 #include "prep/converter.hpp"
 #include "trace/validate.hpp"
@@ -166,12 +167,96 @@ runClientSim(const prep::OpStream &ops, const ModelConfig &model,
 
 namespace {
 
-/** TaskError context for one replay-grid cell. */
-std::string
-gridCellContext(std::size_t i, const ModelConfig &model)
+/**
+ * One task of the replay grid: cells of one curve group replayed as
+ * one curve pass (`spec` sweeps their sizes, one row per cell, in
+ * `cells` order), or one cell replayed alone (`spec.sizes` empty).
+ */
+struct GridTask
 {
-    return "replay grid model " + std::to_string(i) + " (" +
-           modelKindName(model.kind) + ")";
+    std::vector<std::size_t> cells;
+    CurveSpec spec;
+};
+
+/** The size a model's grid axis sweeps: the volatile model's cache,
+ *  the NVRAM models' NVRAM. */
+template <typename Model>
+auto &
+sweptBytes(Model &model)
+{
+    return model.kind == ModelKind::Volatile ? model.volatileBytes
+                                             : model.nvramBytes;
+}
+
+/**
+ * Split a grid into tasks.  Cells equal in every ModelConfig field but
+ * the swept size form a group (first appearance first).  A group of
+ * two or more whose spec curveSupported accepts runs as curve passes
+ * of at most kCurveMaxSizes sizes, in even chunks; every other cell
+ * runs alone.
+ */
+std::vector<GridTask>
+planGrid(const std::vector<ModelConfig> &models, std::uint64_t seed)
+{
+    std::vector<ModelConfig> bases;
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        ModelConfig base = models[i];
+        sweptBytes(base) = 0;
+        const auto found = std::find(bases.begin(), bases.end(), base);
+        if (found == bases.end()) {
+            bases.push_back(base);
+            groups.emplace_back(1, i);
+        } else {
+            groups[static_cast<std::size_t>(found - bases.begin())]
+                .push_back(i);
+        }
+    }
+    std::vector<GridTask> tasks;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        const std::vector<std::size_t> &group = groups[g];
+        const std::size_t n = group.size();
+        const std::size_t chunks =
+            (n + kCurveMaxSizes - 1) / kCurveMaxSizes;
+        for (std::size_t c = 0; c < chunks; ++c) {
+            GridTask pass;
+            pass.cells.assign(
+                group.begin() + static_cast<std::ptrdiff_t>(c * n / chunks),
+                group.begin() +
+                    static_cast<std::ptrdiff_t>((c + 1) * n / chunks));
+            pass.spec.base = bases[g];
+            pass.spec.axis = bases[g].kind == ModelKind::Volatile
+                                 ? CurveAxis::VolatileBytes
+                                 : CurveAxis::NvramBytes;
+            pass.spec.seed = seed;
+            for (const std::size_t i : pass.cells)
+                pass.spec.sizes.push_back(sweptBytes(models[i]));
+            if (n >= 2 && curveSupported(pass.spec)) {
+                tasks.push_back(std::move(pass));
+                continue;
+            }
+            for (const std::size_t i : pass.cells)
+                tasks.push_back(GridTask{{i}, {}});
+        }
+    }
+    return tasks;
+}
+
+/** TaskError context for one grid task. */
+std::string
+gridTaskContext(const GridTask &task,
+                const std::vector<ModelConfig> &models)
+{
+    const std::string kind = modelKindName(models[task.cells[0]].kind);
+    if (task.spec.sizes.empty()) {
+        return "replay grid model " + std::to_string(task.cells[0]) +
+               " (" + kind + ")";
+    }
+    std::string cells;
+    for (const std::size_t i : task.cells)
+        cells += (cells.empty() ? "" : ", ") + std::to_string(i);
+    return "replay grid models " + cells + " (" + kind +
+           ", one curve pass)";
 }
 
 } // namespace
@@ -183,19 +268,41 @@ runClientGrid(const prep::OpStream &ops,
 {
     static const obs::Counter cells("grid.cells");
     static const obs::Timer cellTimer("grid.cell");
-    // Each cell is self-contained (runClientSim constructs a fresh
-    // ClusterSim/Metrics/Rng per call), so the result vector is the
-    // same whichever thread replays which cell.
+    const std::vector<GridTask> tasks = planGrid(models, seed);
+    // A grid that is all one curve group (every runCurveSweep) is a
+    // curve sweep: curve.passes and curve.sizes count it, and the
+    // grid counters count the other grids' cells and tasks.
+    const bool curve_sweep =
+        std::all_of(tasks.begin(), tasks.end(), [&](const GridTask &t) {
+            return !t.spec.sizes.empty() &&
+                   t.spec.base == tasks.front().spec.base;
+        });
+    if (!curve_sweep)
+        cells.add(models.size());
+    // Each task is self-contained (a fresh simulator, Metrics and Rng
+    // per replay) and writes only its own cells' rows, so the result
+    // vector is the same whichever thread replays which task.
     std::vector<Metrics> results(models.size());
+    const auto replay = [&](const GridTask &task) {
+        if (task.spec.sizes.empty()) {
+            results[task.cells[0]] =
+                runClientSim(ops, models[task.cells[0]], seed);
+            return;
+        }
+        std::vector<Metrics> rows = runCurveSim(ops, task.spec);
+        for (std::size_t r = 0; r < rows.size(); ++r)
+            results[task.cells[r]] = rows[r];
+    };
     util::ThreadPool::global().forEach(
-        models.size(), width == 0 ? util::defaultJobCount() : width,
-        [&models](std::size_t i) {
-            return gridCellContext(i, models[i]);
-        },
-        [&](std::size_t i) {
+        tasks.size(), width == 0 ? util::defaultJobCount() : width,
+        [&](std::size_t t) { return gridTaskContext(tasks[t], models); },
+        [&](std::size_t t) {
+            if (curve_sweep) {
+                replay(tasks[t]);
+                return;
+            }
             const obs::StageTimer stage(cellTimer, "grid.cell");
-            cells.add();
-            results[i] = runClientSim(ops, models[i], seed);
+            replay(tasks[t]);
         });
     return results;
 }

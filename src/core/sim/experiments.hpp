@@ -51,16 +51,21 @@ Metrics runClientSim(const prep::OpStream &ops, const ModelConfig &model,
                      std::uint64_t seed = 42);
 
 /**
- * Replay one op stream through every model concurrently: each model
- * is one index of the shared pool's claim loop
- * (util::ThreadPool::forEach), with per-cell ClusterSim/Metrics
- * state, and the results come back in model order.  Bit-identical to
- * calling runClientSim on each model in sequence for any width: cells
- * share only the read-only op stream, each owns its simulator and
- * RNG, every cell runs, and if several threw, the lowest-index
- * model's exception is rethrown (deterministic).  `width` 0 means
- * util::defaultJobCount() (the NVFS_JOBS width); width 1 (or a
- * single model) replays every cell on the calling thread.
+ * Replay one op stream through every model concurrently.  Cells equal
+ * in every ModelConfig field but the swept size (volatileBytes for
+ * the volatile model, nvramBytes for the NVRAM models) form a group,
+ * and each group of two or more that curveSupported accepts replays
+ * as one runCurveSim pass (at most kCurveMaxSizes sizes per pass);
+ * every other cell replays alone.  Each pass or lone cell is one
+ * index of the shared pool's claim loop (util::ThreadPool::forEach)
+ * with its own simulator and Metrics, and the results come back in
+ * model order.  Bit-identical to calling runClientSim on each model
+ * in sequence for any width: tasks share only the read-only op
+ * stream, each owns its simulator and RNG, every task runs, and if
+ * several threw, the lowest-index task's exception is rethrown
+ * (deterministic).  `width` 0 means util::defaultJobCount() (the
+ * NVFS_JOBS width); width 1 (or a single task) replays every task on
+ * the calling thread.
  */
 std::vector<Metrics>
 runClientGrid(const prep::OpStream &ops,

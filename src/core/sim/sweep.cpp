@@ -21,11 +21,7 @@ std::vector<Metrics>
 SweepRunner::runCurveSweep(const prep::OpStream &ops,
                            const CurveSpec &spec) const
 {
-    if (curveSupported(spec))
-        return runCurveSim(ops, spec);
-    // Per-size fallback: the exact grid the curve engine replaces.
-    return runClientGrid(ops, curveGridModels(spec), spec.seed,
-                         jobs_);
+    return runClientGrid(ops, curveGridModels(spec), spec.seed, jobs_);
 }
 
 std::vector<ServerRunResult>

@@ -128,12 +128,12 @@ class SweepRunner
 
     /**
      * Multi-size curve sweep: one Metrics row per spec.sizes entry,
-     * in order.  Uses the single-pass CurveSim engine when the spec
-     * supports it (LRU-managed sizes, no inclusion-breaking
-     * ablation); otherwise falls back to the per-size replay grid
-     * (curveGridModels + runClientGrid).
-     * Both paths are bit-identical by construction and by the
-     * curve_sim_test differential matrix.
+     * in order.  It is the replay grid of curveGridModels(spec), which
+     * runs as one single-pass CurveSim replay when curveSupported(spec)
+     * holds and cell by cell otherwise; both are bit-identical to one
+     * runClientSim per size (the curve_sim_test differential matrix).
+     * spec.auditEvery is not used: the pass audits at the NVFS_AUDIT
+     * cadence, as per-cell replays do.
      */
     std::vector<Metrics>
     runCurveSweep(const prep::OpStream &ops,

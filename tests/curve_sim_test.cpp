@@ -1,13 +1,14 @@
 /**
  * @file
  * Differential tests of the single-pass multi-size curve engine
- * (core::CurveSim) against the per-size replay grid, with the engine's
+ * (core::CurveSim) against per-size replays, with the engine's
  * invariant audits on.  The curve engine must be *bit-identical* —
  * every Metrics counter, including the per-cause server-write
- * histogram and both absorbed counters, must match runClientGrid on
- * every trace and size.  Also tests of the spec checks, of the
- * per-size grid fallback path, and that the engine's audits catch a
- * corrupted block -> slot map.
+ * histogram and both absorbed counters, must match one runClientSim
+ * per size on every trace and size.  The oracle is that plain loop,
+ * not runClientGrid, which runs the curve engine itself.  Also tests
+ * of the spec checks, of the per-cell fallback path, and that the
+ * engine's audits catch a corrupted block -> slot map.
  */
 
 #include <gtest/gtest.h>
@@ -72,8 +73,47 @@ unifiedSpec()
     return spec;
 }
 
-// The tentpole acceptance check: all 8 traces x both curveable
-// models, curve engine vs per-size replay grid, identical Metrics
+/** One-block and repeated NVRAM sizes, and one larger than the
+ *  volatile cache (the NVRAM then never fills). */
+CurveSpec
+writeAsideSpec()
+{
+    CurveSpec spec;
+    spec.base.kind = ModelKind::WriteAside;
+    spec.base.volatileBytes = 48 * kBlockSize;
+    spec.axis = CurveAxis::NvramBytes;
+    spec.sizes = {kBlockSize, 16 * kBlockSize, 4 * kBlockSize,
+                  16 * kBlockSize, 64 * kBlockSize};
+    return spec;
+}
+
+/** The oracle: one runClientSim per size, the swept field set here. */
+std::vector<Metrics>
+perSizeReplay(const prep::OpStream &ops, const CurveSpec &spec)
+{
+    std::vector<Metrics> rows;
+    for (const Bytes size : spec.sizes) {
+        ModelConfig model = spec.base;
+        if (spec.axis == CurveAxis::VolatileBytes)
+            model.volatileBytes = size;
+        else
+            model.nvramBytes = size;
+        rows.push_back(runClientSim(ops, model, spec.seed));
+    }
+    return rows;
+}
+
+/** Row k's label in failure messages. */
+std::string
+describe(const CurveSpec &spec, std::size_t k)
+{
+    return modelKindName(spec.base.kind) + " volatile " +
+           std::to_string(spec.base.volatileBytes) + " size " +
+           std::to_string(spec.sizes[k]);
+}
+
+// The tentpole acceptance check: all 8 traces x the three curveable
+// models, curve engine vs per-size replays, identical Metrics
 // (operator== covers the per-cause byte histogram and both absorbed
 // counters).  Audits stay on inside the curve engine so the
 // threshold/inclusion invariants are checked throughout the replay.
@@ -84,20 +124,16 @@ TEST(CurveDifferential, MatchesGridOnStandardTraces)
 {
     const auto compare = [](const std::string &input,
                             const prep::OpStream &ops) {
-        for (CurveSpec spec : {volatileSpec(), unifiedSpec()}) {
+        for (CurveSpec spec :
+             {volatileSpec(), unifiedSpec(), writeAsideSpec()}) {
             spec.auditEvery = 997;
             ASSERT_TRUE(curveSupported(spec));
             const std::vector<Metrics> curve = runCurveSim(ops, spec);
-            const std::vector<Metrics> grid =
-                runClientGrid(ops, curveGridModels(spec), spec.seed);
-            ASSERT_EQ(curve.size(), grid.size());
+            const std::vector<Metrics> oracle = perSizeReplay(ops, spec);
+            ASSERT_EQ(curve.size(), oracle.size());
             for (std::size_t k = 0; k < curve.size(); ++k) {
-                EXPECT_EQ(curve[k], grid[k])
-                    << input << " axis "
-                    << (spec.axis == CurveAxis::VolatileBytes
-                            ? "volatile"
-                            : "nvram")
-                    << " size " << spec.sizes[k];
+                EXPECT_EQ(curve[k], oracle[k])
+                    << input << ": " << describe(spec, k);
             }
         }
     };
@@ -109,12 +145,14 @@ TEST(CurveDifferential, MatchesGridOnStandardTraces)
     compare("multi-run stream", multi_run);
 }
 
-// Every spec shape the figure benches pass to runCurveSweep, through
-// that entry point, bit-compared against the per-size grid: the Fig
-// 3/4 unified NVRAM grid (8 MiB volatile, the ten paper sizes) on all
-// eight traces, and the Fig 6 / Section 2.7 cost-table series on
-// trace 7 — volatile on 8 and 16 MiB bases plus 0-8 MiB of extra
-// memory, and unified at 8 and 16 MiB whose first point is one block.
+// Every spec shape the figure benches pass to runCurveSweep or
+// runClientGrid as one group, through runCurveSweep, bit-compared
+// against per-size replays: the Fig 3/4 unified NVRAM grid (8 MiB
+// volatile, the ten paper sizes) on all eight traces, and on trace 7
+// the Fig 6 / Section 2.7 cost-table series — volatile on 8 and
+// 16 MiB bases plus 0-8 MiB of extra memory, unified at 8 and 16 MiB
+// whose first point is one block — and the Fig 5 write-aside column
+// on the same sizes.
 TEST(CurveDifferential, MatchesGridOnPaperSizes)
 {
     const SweepRunner runner(1);
@@ -122,16 +160,11 @@ TEST(CurveDifferential, MatchesGridOnPaperSizes)
         ASSERT_TRUE(curveSupported(spec));
         const auto &ops = standardOps(trace, kScale);
         const std::vector<Metrics> curve = runner.runCurveSweep(ops, spec);
-        const std::vector<Metrics> grid =
-            runClientGrid(ops, curveGridModels(spec), spec.seed);
-        ASSERT_EQ(curve.size(), grid.size());
+        const std::vector<Metrics> oracle = perSizeReplay(ops, spec);
+        ASSERT_EQ(curve.size(), oracle.size());
         for (std::size_t k = 0; k < curve.size(); ++k) {
-            EXPECT_EQ(curve[k], grid[k])
-                << "trace " << trace << " axis "
-                << (spec.axis == CurveAxis::VolatileBytes ? "volatile"
-                                                          : "nvram")
-                << " volatile base " << spec.base.volatileBytes
-                << " size " << spec.sizes[k];
+            EXPECT_EQ(curve[k], oracle[k])
+                << "trace " << trace << ": " << describe(spec, k);
         }
     };
 
@@ -161,8 +194,11 @@ TEST(CurveDifferential, MatchesGridOnPaperSizes)
             vol.sizes.push_back(base + extra_bytes);
             uni.sizes.push_back(extra == 0 ? kBlockSize : extra_bytes);
         }
+        CurveSpec aside = uni;
+        aside.base.kind = ModelKind::WriteAside;
         check(7, vol);
         check(7, uni);
+        check(7, aside);
     }
 }
 
@@ -175,12 +211,11 @@ TEST(CurveDifferential, SizesInArbitraryOrder)
     const auto compare = [](int trace, const CurveSpec &spec) {
         const auto &ops = standardOps(trace, kScale);
         const std::vector<Metrics> curve = runCurveSim(ops, spec);
-        const std::vector<Metrics> grid =
-            runClientGrid(ops, curveGridModels(spec), spec.seed);
-        ASSERT_EQ(curve.size(), grid.size());
+        const std::vector<Metrics> oracle = perSizeReplay(ops, spec);
+        ASSERT_EQ(curve.size(), oracle.size());
         for (std::size_t k = 0; k < curve.size(); ++k) {
-            EXPECT_EQ(curve[k], grid[k])
-                << "trace " << trace << " size " << spec.sizes[k];
+            EXPECT_EQ(curve[k], oracle[k])
+                << "trace " << trace << ": " << describe(spec, k);
         }
     };
     CurveSpec spec = volatileSpec();
@@ -208,9 +243,6 @@ TEST(CurveSupport, RejectsInclusionBreakers)
     bad.base.nvramPolicy = cache::PolicyKind::Omniscient;
     EXPECT_FALSE(curveSupported(bad));
     bad = spec;
-    bad.base.kind = ModelKind::WriteAside;
-    EXPECT_FALSE(curveSupported(bad));
-    bad = spec;
     bad.base.dynamicSizing = true;
     EXPECT_FALSE(curveSupported(bad));
     bad = spec;
@@ -230,10 +262,25 @@ TEST(CurveSupport, RejectsInclusionBreakers)
     vol = volatileSpec();
     vol.base.kind = ModelKind::Unified; // axis/kind mismatch
     EXPECT_FALSE(curveSupported(vol));
+
+    // Write-aside needs no inclusion either, but only its LRU NVRAM
+    // has a per-size mirror.
+    CurveSpec aside = writeAsideSpec();
+    EXPECT_TRUE(curveSupported(aside));
+    for (const auto policy :
+         {cache::PolicyKind::Random, cache::PolicyKind::Clock,
+          cache::PolicyKind::Omniscient}) {
+        bad = aside;
+        bad.base.nvramPolicy = policy;
+        EXPECT_FALSE(curveSupported(bad));
+    }
+    bad = aside;
+    bad.axis = CurveAxis::VolatileBytes;
+    EXPECT_FALSE(curveSupported(bad));
 }
 
 // The extent index is the engine's only block -> slot map, so an
-// entry naming another block's slot must fail either client's audit.
+// entry naming another block's slot must fail every client's audit.
 TEST(CurveAudit, ExtentEntryNamingAnotherBlocksSlotThrows)
 {
     FileSizeMap file_sizes;
@@ -261,9 +308,15 @@ TEST(CurveAudit, ExtentEntryNamingAnotherBlocksSlotThrows)
     curve::UnifiedCurveClient unified_client(uni.base, uni.sizes,
                                              uni_metrics, file_sizes);
     corrupt_and_audit(unified_client);
+
+    const CurveSpec aside = writeAsideSpec();
+    std::vector<Metrics> aside_metrics(aside.sizes.size());
+    curve::WriteAsideCurveClient aside_client(aside.base, aside.sizes,
+                                              aside_metrics, file_sizes);
+    corrupt_and_audit(aside_client);
 }
 
-// Unsupported specs silently take the grid path through the sweep
+// Unsupported specs silently replay cell by cell through the sweep
 // API (the bench wiring relies on this).
 TEST(CurveFallback, UnsupportedSpecFallsBack)
 {
@@ -272,11 +325,10 @@ TEST(CurveFallback, UnsupportedSpecFallsBack)
     spec.base.nvramPolicy = cache::PolicyKind::Clock;
     SweepRunner runner(1);
     const std::vector<Metrics> rows = runner.runCurveSweep(ops, spec);
-    const std::vector<Metrics> grid =
-        runClientGrid(ops, curveGridModels(spec), spec.seed);
-    ASSERT_EQ(rows.size(), grid.size());
+    const std::vector<Metrics> oracle = perSizeReplay(ops, spec);
+    ASSERT_EQ(rows.size(), oracle.size());
     for (std::size_t k = 0; k < rows.size(); ++k)
-        EXPECT_EQ(rows[k], grid[k]);
+        EXPECT_EQ(rows[k], oracle[k]) << describe(spec, k);
 }
 
 } // namespace

@@ -315,7 +315,7 @@ TEST(Obs, SweepCountersExactUnderParallelism)
         for (const char *name : kDeterministic)
             values.push_back(snap.value(name));
         // Stage-timer *counts* are deterministic too (durations are
-        // not): one cell per (trace, model) pair.
+        // not): one per grid task, a curve pass or a lone cell.
         const auto *cell = snap.find("grid.cell");
         values.push_back(cell != nullptr ? cell->count : 0);
         return std::make_pair(results, values);

@@ -315,6 +315,8 @@ TEST(SweepRunner, StressManyMoreTasksThanThreads)
     model.kind = ModelKind::Unified;
     model.volatileBytes = 4 * kMiB;
     model.nvramBytes = kMiB;
+    // Clock has no curve pass, so the grid replays every cell alone.
+    model.nvramPolicy = cache::PolicyKind::Clock;
     const Metrics expected = runClientSim(ops, model);
 
     // 32 identical sims through 4 threads: every slot must hold the
@@ -479,6 +481,66 @@ TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
         }
     }
     ::unsetenv("NVFS_AUDIT");
+}
+
+TEST(SweepRunner, GridGroupsMatchPerCellReplay)
+{
+    // runClientGrid replays each group of cells that differ only in
+    // the swept size as one curve pass and every other cell alone; at
+    // any width every row must still be its cell's own runClientSim.
+    // The grid holds Fig 5's three columns (a curve pass each), a Clock
+    // group (no curve pass: its cells replay alone), a lone cell, and
+    // unified cells on a second volatile size, which share NVRAM sizes
+    // with the Fig 5 column but not its volatile cache.
+    std::vector<ModelConfig> models;
+    for (const double mb : {0.0, 0.5, 1.0, 2.0}) {
+        const auto extra = static_cast<Bytes>(mb * kMiB);
+        for (const auto kind : {ModelKind::Volatile, ModelKind::WriteAside,
+                                ModelKind::Unified}) {
+            ModelConfig model;
+            model.kind = kind;
+            model.volatileBytes = 4 * kMiB;
+            if (kind == ModelKind::Volatile)
+                model.volatileBytes += extra;
+            else
+                model.nvramBytes = extra == 0 ? kBlockSize : extra;
+            models.push_back(model);
+        }
+    }
+    for (const Bytes nvram : {kMiB / 2, kMiB}) {
+        ModelConfig clock;
+        clock.kind = ModelKind::Unified;
+        clock.volatileBytes = 4 * kMiB;
+        clock.nvramBytes = nvram;
+        clock.nvramPolicy = cache::PolicyKind::Clock;
+        models.push_back(clock);
+        ModelConfig smaller = clock;
+        smaller.nvramPolicy = cache::PolicyKind::Lru;
+        smaller.volatileBytes = 2 * kMiB;
+        models.push_back(smaller);
+    }
+    ModelConfig lone;
+    lone.kind = ModelKind::WriteAside;
+    lone.volatileBytes = 2 * kMiB;
+    lone.nvramBytes = kMiB;
+    models.push_back(lone);
+
+    for (const int t : {3, 7}) {
+        const auto &ops = standardOps(t, kScale);
+        std::vector<Metrics> serial;
+        for (const ModelConfig &model : models)
+            serial.push_back(runClientSim(ops, model));
+        for (const unsigned width : {1u, 8u}) {
+            const auto grid = runClientGrid(ops, models, 42, width);
+            ASSERT_EQ(grid.size(), models.size());
+            for (std::size_t c = 0; c < models.size(); ++c) {
+                EXPECT_EQ(grid[c], serial[c])
+                    << "trace " << t << " model " << c << " ("
+                    << modelKindName(models[c].kind)
+                    << ") diverged at grid width " << width;
+            }
+        }
+    }
 }
 
 TEST(SweepRunner, GridExplicitWidthMatchesSerial)

@@ -684,9 +684,18 @@ cmdCheck(const Args &args)
         args.getInt("runs", 20, 1, maxOf<std::uint32_t>()));
 
     const check::FuzzResult result = check::fuzz(config, runs);
+    if (result.ok() && result.runs < runs) {
+        // The budget ran out first: the skipped seeds were not checked.
+        std::fprintf(stderr,
+                     "check: stopped by --max-seconds after %zu of %zu "
+                     "runs\n",
+                     result.runs, runs);
+        return 1;
+    }
     if (result.ok()) {
         std::printf("check: %zu runs, %zu ops, production == "
-                    "per-block reference, all audits clean\n",
+                    "per-block reference == curve passes, all audits "
+                    "clean\n",
                     result.runs, result.opsExecuted);
         return 0;
     }
