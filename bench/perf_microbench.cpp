@@ -3,9 +3,9 @@
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * interval-set updates, block-cache operations, policy victim
  * selection, LFS block appends and roll-forward recovery, crash
- * exploration, whole-trace simulation throughput and the pipelined
- * multi-trace sweep, plus a host reference the whole-trace timings
- * are read against.
+ * exploration, the Section 3 file-server replay, whole-trace
+ * simulation throughput and the pipelined multi-trace sweep, plus a
+ * host reference the whole-trace timings are read against.
  */
 
 #include <algorithm>
@@ -23,9 +23,11 @@
 #include "lfs/log.hpp"
 #include "lfs/recovery.hpp"
 #include "obs/export.hpp"
+#include "server/file_server.hpp"
 #include "util/flat_map.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
+#include "workload/server_workload.hpp"
 
 using namespace nvfs;
 
@@ -156,6 +158,36 @@ BM_CrashExplore(benchmark::State &state)
 BENCHMARK(BM_CrashExplore)
     ->MeasureProcessCPUTime()
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_FileServerRun(benchmark::State &state)
+{
+    // One Section 3 cell shaped like perfbench's server fan-out: the
+    // eight file systems' day of arrivals (generateServerOps at the
+    // bench scale) through a fresh FileServer with a write buffer of
+    // buffer_kib KiB (0 = none), then the structural audit.
+    const auto profiles = workload::standardFsProfiles(core::benchScale());
+    const auto ops =
+        workload::generateServerOps(profiles, 24 * kUsPerHour, 1);
+    std::vector<std::string> names;
+    for (const workload::FsProfile &profile : profiles)
+        names.push_back(profile.name);
+    server::ServerConfig config;
+    config.nvramBufferBytes = static_cast<Bytes>(state.range(0)) * kKiB;
+    for (auto _ : state) {
+        server::FileServer server(names, config);
+        server.run(ops);
+        server.auditInvariants();
+        benchmark::DoNotOptimize(server.totalDiskWrites());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(ops.size()));
+}
+BENCHMARK(BM_FileServerRun)
+    ->ArgName("buffer_kib")
+    ->Arg(0)
+    ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -4,8 +4,9 @@
 Runs ``perf_microbench`` with google-benchmark's JSON reporter and
 normalizes the result into compact {benchmark: {real_time_ns, ...}}
 summaries.  The whole-trace macrobenchmarks — BM_ClusterSimReplay,
-the BM_ReplayGrid scheduler, and the BM_CurveSweep size-sweep pairs —
-and the BM_HostReference sort they are read against go to
+the BM_ReplayGrid scheduler, the BM_CurveSweep size-sweep pairs and
+the BM_FileServerRun Section 3 server replay — and the
+BM_HostReference sort they are read against go to
 BENCH_e2e.json, which additionally pairs each multi-job grid
 run with its jobs:1 baseline (and each single-pass curve sweep with
 its per-size twin) and records the speedup ratios in both real
@@ -20,7 +21,11 @@ median in units of the host reference's median of its own run (so a
 slower or faster host moves nothing): a run more than
 ``--e2e-warn-regression`` (default 10%) slower in real time gets a
 WARNING, and with ``--e2e-max-regression`` (the CI gate) a cpu median
-past the cap fails the run with exit 1.
+past the cap fails the run with exit 1.  A threaded whole-trace entry
+(``jobs:N``, N > 1) whose cpu median is under 1.2x its real median ran
+on one vCPU (the guest kernel sometimes holds a whole process there);
+like bench_repro.py, it is measured again, up to two more times, and
+the last attempt is recorded and judged.
 
 Usage:
     bench_compare.py --bench build/bench/perf_microbench \
@@ -42,13 +47,20 @@ import tempfile
 
 HOST_REFERENCE = "BM_HostReference"
 E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_ReplayGrid", "BM_CurveSweep",
-                HOST_REFERENCE)
+                "BM_FileServerRun", HOST_REFERENCE)
 GRID_NAME = re.compile(
     r"^BM_ReplayGrid/jobs:(\d+)(?:/process_time)?(?:/real_time)?$")
 CURVE_NAME = re.compile(
     r"^BM_CurveSweep/nvram:(\d+)/curve:(\d+)$")
 CURVE_AXIS_NAMES = {0: "volatile_axis", 1: "nvram_axis",
                     2: "write_aside_axis"}
+JOBS_NAME = re.compile(r"/jobs:(\d+)(?:/|$)")
+
+# A threaded entry whose cpu median is under this multiple of its real
+# median ran on one vCPU; it gets up to ATTEMPTS measurements in all
+# (the bench_repro.py rule).
+SERIAL_CPU_RATIO = 1.2
+ATTEMPTS = 3
 
 # The single-pass curve engine must beat the per-size grid by at least
 # this factor single-threaded; the CI gate fails a run below the floor.
@@ -138,6 +150,57 @@ def counter_deltas(current, baseline):
                 isinstance(value, (int, float)):
             deltas[name] = value - before
     return deltas
+
+
+def jobs_of(name):
+    """N of a jobs:N benchmark name; 1 when the name has none."""
+    match = JOBS_NAME.search(name)
+    return int(match.group(1)) if match else 1
+
+
+def held_on_one_cpu(name, entry):
+    """True for a jobs:N (N > 1) entry whose cpu is not above real."""
+    if jobs_of(name) <= 1:
+        return False
+    real = entry.get("real_time_ns")
+    cpu = entry.get("cpu_time_ns")
+    return bool(real) and bool(cpu) and cpu < SERIAL_CPU_RATIO * real
+
+
+def exact_filter(names):
+    """A --benchmark_filter regex selecting exactly these benchmarks."""
+    return "^(" + "|".join(re.escape(name) for name in names) + ")$"
+
+
+def rerun_one_cpu_entries(summary, run):
+    """Measure threaded entries that ran on one vCPU again.
+
+    ``run(names)`` returns a fresh google-benchmark report for just
+    those benchmarks.  Each rerun entry is replaced by its last
+    attempt, which records the attempt count; returns {name: attempts}
+    for every threaded entry.
+    """
+    benchmarks = summary["benchmarks"]
+    attempts = {name: 1 for name in benchmarks if jobs_of(name) > 1}
+    pending = sorted(name for name in attempts
+                     if held_on_one_cpu(name, benchmarks[name]))
+    for attempt in range(2, ATTEMPTS + 1):
+        if not pending:
+            break
+        print(f"bench_compare: cpu ~ real on {', '.join(pending)}; "
+              f"attempt {attempt} of {ATTEMPTS}", file=sys.stderr)
+        wanted = set(pending)
+        fresh = summarize(run(pending),
+                          lambda name: name in wanted)["benchmarks"]
+        for name in pending:
+            if name in fresh:
+                benchmarks[name] = fresh[name]
+                attempts[name] = attempt
+        pending = [name for name in pending
+                   if held_on_one_cpu(name, benchmarks[name])]
+    for name, count in attempts.items():
+        benchmarks[name]["attempts"] = count
+    return attempts
 
 
 def summarize(raw, keep):
@@ -406,6 +469,12 @@ def check_e2e_regressions(current, baseline, baseline_path,
             print(f"WARNING: {name} is {ratio:.2f}x the committed "
                   f"baseline ({before / 1e6:.1f}ms -> "
                   f"{now / 1e6:.1f}ms raw{cpu_s})", file=sys.stderr)
+        attempts = entry.get("attempts")
+        if attempts is not None:
+            cpu_s = (f"cpu {cpu_ratio:.2f}x"
+                     if cpu_ratio is not None else "no cpu median")
+            print(f"{name}: judged on attempt {attempts} of at most "
+                  f"{ATTEMPTS} ({cpu_s})")
         if (max_ratio is not None and cpu_ratio is not None
                 and cpu_ratio > max_ratio):
             failed.append((name, cpu_ratio))
@@ -516,7 +585,12 @@ def main():
 
     e2e_baseline = (load_e2e_baseline(args.e2e_baseline)
                     if args.e2e_baseline else None)
-    e2e = add_speedups(summarize(raw, is_e2e))
+    e2e = summarize(raw, is_e2e)
+    rerun_one_cpu_entries(
+        e2e, lambda names: run_benchmarks(
+            args.bench, exact_filter(names), args.min_time,
+            args.repetitions)[0])
+    e2e = add_speedups(e2e)
     e2e["metadata"] = host_metadata(raw)
     e2e["counters"] = counters
     e2e["counter_deltas"] = counter_deltas(counters, e2e_baseline)

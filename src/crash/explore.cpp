@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "check/shrink.hpp"
 #include "obs/obs.hpp"
@@ -196,10 +195,14 @@ verifyDurability(const CrashSiteRegistry &registry,
         // the crash caught outside a durable segment — acked data
         // survives any crash, the paper's central claim.
         if (fs.device != nullptr) {
-            const std::unordered_set<std::uint64_t> staged(
-                fs.stagedAtCrash.begin(), fs.stagedAtCrash.end());
+            // NvramDevice::tags() is ascending.
+            const std::vector<std::uint64_t> &staged = fs.stagedAtCrash;
+            const auto is_staged = [&staged](std::uint64_t tag) {
+                return std::binary_search(staged.begin(), staged.end(),
+                                          tag);
+            };
             for (const auto &[file, block] : fs.pendingAtCrash) {
-                if (staged.count(blockTag(file, block)) == 0) {
+                if (!is_staged(blockTag(file, block))) {
                     return util::format(
                         "block (file %u, block %u) was pending at "
                         "the crash but not staged in NVRAM",
@@ -214,8 +217,8 @@ verifyDurability(const CrashSiteRegistry &registry,
                      segment.entries) {
                     if (entry.kind != lfs::EntryKind::Data)
                         continue;
-                    if (staged.count(blockTag(
-                            entry.file, entry.blockIndex)) == 0) {
+                    if (!is_staged(
+                            blockTag(entry.file, entry.blockIndex))) {
                         return util::format(
                             "block (file %u, block %u) was lost with "
                             "torn segment %u and is not staged in "

@@ -59,7 +59,7 @@ class CrashSiteRegistry : public nvram::CrashSiteHook
         /** The log's pending (acked, unsealed) blocks at the crash
          *  instant; a power failure loses exactly these from disk. */
         std::vector<std::pair<FileId, std::uint32_t>> pendingAtCrash;
-        /** The device's staged tags at the crash instant. */
+        /** The device's staged tags at the crash instant, ascending. */
         std::vector<std::uint64_t> stagedAtCrash;
     };
 

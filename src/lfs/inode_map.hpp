@@ -54,6 +54,20 @@ class InodeMap
     std::vector<std::pair<std::uint32_t, SegmentAddress>>
     blocksOf(FileId file) const;
 
+    /**
+     * Visit every mapped block as fn(file, block, address): files in
+     * the map's (arbitrary) order, each file's blocks ascending.
+     */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        files_.forEach([&fn](FileId file, const Blocks &blocks) {
+            for (const Entry &entry : blocks)
+                fn(file, entry.block, entry.address);
+        });
+    }
+
     /** Number of mapped blocks across all files. */
     std::size_t blockCount() const;
 

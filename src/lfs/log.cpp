@@ -1,6 +1,7 @@
 #include "lfs/log.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "nvram/crash_site.hpp"
 #include "nvram/fault.hpp"
@@ -10,6 +11,17 @@
 #include "util/table.hpp"
 
 namespace nvfs::lfs {
+
+namespace {
+
+/** pendingIndex_ key of one file block. */
+std::uint64_t
+pendingKey(FileId file, std::uint32_t block)
+{
+    return (static_cast<std::uint64_t>(file) << 32) | block;
+}
+
+} // namespace
 
 std::string
 sealCauseName(SealCause cause)
@@ -79,10 +91,9 @@ LfsLog::appendInternal(FileId file, std::uint32_t block, Bytes begin,
 
     // Rewriting a block already in the open segment unions the dirty
     // ranges: the block occupies one slot in the segment buffer.
-    const auto key = std::make_pair(file, block);
-    auto it = pendingIndex_.find(key);
-    if (it != pendingIndex_.end()) {
-        PendingBlock &pb = pending_[it->second];
+    const std::uint64_t key = pendingKey(file, block);
+    if (const std::size_t *at = pendingIndex_.find(key)) {
+        PendingBlock &pb = pending_[*at];
         const Bytes before = pb.bytes();
         pb.ranges.insert(begin, end);
         pendingData_ += pb.bytes() - before;
@@ -95,7 +106,7 @@ LfsLog::appendInternal(FileId file, std::uint32_t block, Bytes begin,
 
     // Seal first if this block would overflow the segment.
     const Bytes bytes = end - begin;
-    const bool new_file = pendingFiles_.find(file) == pendingFiles_.end();
+    const bool new_file = !pendingFiles_.contains(file);
     const Bytes meta = pendingMetadataBytes() +
         (new_file ? config_.metadataBlockBytes : 0);
     if (!pending_.empty() &&
@@ -190,9 +201,13 @@ LfsLog::seal(SealCause cause)
         return false;
     }
 
+    // One metadata block per distinct file (minimum one).
+    const std::size_t files = std::max<std::size_t>(
+        1, pendingFiles_.size());
     Segment segment;
     segment.id = static_cast<std::uint32_t>(segments_.size());
     segment.cause = cause;
+    segment.entries.reserve(pending_.size() + files + 1);
     if (fault == nvram::SealFault::Torn) {
         // The write is issued and the in-memory state proceeds as if
         // it succeeded — the pre-crash host cannot tell — but the
@@ -229,9 +244,6 @@ LfsLog::seal(SealCause cause)
         if (auto old = inodes_.update(pb.file, pb.block, address))
             killAddress(*old);
     }
-    // One metadata block per distinct file (minimum one).
-    const std::size_t files = std::max<std::size_t>(
-        1, pendingFiles_.size());
     for (std::size_t i = 0; i < files; ++i) {
         segment.entries.push_back({EntryKind::Metadata, kNoFile, 0,
                                    config_.metadataBlockBytes, false});
@@ -279,12 +291,14 @@ LfsLog::seal(SealCause cause)
     }
 
     // Persist the chronological journal (conceptually part of the
-    // summary block); recovery replays it in order.
+    // summary block); recovery replays it in order.  A copy is one
+    // exact-size allocation, and the open journal keeps its capacity
+    // for the next segment.
     journals_.resize(segments_.size() + 1);
-    journals_[segment.id] = std::move(pendingJournal_);
+    journals_[segment.id] = pendingJournal_;
     pendingJournal_.clear();
 
-    activeIds_.insert(segment.id);
+    activeIds_.push_back(segment.id); // ids only grow
     segments_.push_back(std::move(segment));
     pending_.clear();
     pendingIndex_.clear();
@@ -328,7 +342,7 @@ LfsLog::deleteFile(FileId file)
         for (PendingBlock &pb : pending_) {
             if (pb.file == file)
                 continue;
-            pendingIndex_[{pb.file, pb.block}] = kept.size();
+            pendingIndex_[pendingKey(pb.file, pb.block)] = kept.size();
             pendingData_ += pb.bytes();
             kept.push_back(std::move(pb));
         }
@@ -375,7 +389,8 @@ LfsLog::truncate(FileId file, Bytes new_size)
         pendingFiles_.clear();
         pendingData_ = 0;
         for (std::size_t i = 0; i < pending_.size(); ++i) {
-            pendingIndex_[{pending_[i].file, pending_[i].block}] = i;
+            pendingIndex_[pendingKey(pending_[i].file,
+                                     pending_[i].block)] = i;
             ++pendingFiles_[pending_[i].file];
             pendingData_ += pending_[i].bytes();
         }
@@ -466,7 +481,10 @@ LfsLog::reclaim(std::uint32_t segment_id)
     segment.entries.shrink_to_fit();
     NVFS_REQUIRE(active_ > 0, "active segment underflow");
     --active_;
-    activeIds_.erase(segment_id);
+    const auto it = std::lower_bound(activeIds_.begin(), activeIds_.end(),
+                                     segment_id);
+    if (it != activeIds_.end() && *it == segment_id)
+        activeIds_.erase(it);
 }
 
 void
@@ -495,25 +513,13 @@ LfsLog::auditInvariants() const
         Bytes metadata = 0;
         Bytes summary = 0;
         Bytes live = 0;
-        for (std::size_t slot = 0; slot < segment.entries.size();
-             ++slot) {
-            const SegmentEntry &entry = segment.entries[slot];
+        for (const SegmentEntry &entry : segment.entries) {
             switch (entry.kind) {
               case EntryKind::Data:
                 data += entry.bytes;
                 if (entry.live) {
                     live += entry.bytes;
                     ++live_entries;
-                    // The inode map must name this copy as current.
-                    const SegmentAddress here{
-                        segment.id, static_cast<std::uint32_t>(slot)};
-                    const auto located =
-                        inodes_.locate(entry.file, entry.blockIndex);
-                    NVFS_AUDIT_CHECK(
-                        located.has_value() && *located == here,
-                        "LfsLog",
-                        "live data entry not current in the inode "
-                        "map (stale liveness)");
                 }
                 break;
               case EntryKind::Metadata:
@@ -534,16 +540,46 @@ LfsLog::auditInvariants() const
                          "segment live-byte accounting diverged");
     }
 
-    // Every live data entry resolves to its inode-map address above;
-    // equal populations make the correspondence a bijection (no
-    // inode-map entry can point at a dead or missing copy).
-    NVFS_AUDIT_CHECK(live_entries == inodes_.blockCount(), "LfsLog",
+    // --- Inode map <-> live data entries. ---
+    // Every map address must name a live data entry of its own file
+    // and block.  Distinct map keys then name distinct entries, so
+    // equal populations make the correspondence a bijection: no live
+    // entry is missing from the map, and no map entry points at a
+    // dead, foreign or missing copy.
+    std::size_t mapped = 0;
+    bool current = true;
+    inodes_.forEach([&](FileId file, std::uint32_t block,
+                        const SegmentAddress &address) {
+        ++mapped;
+        if (!current)
+            return;
+        const std::vector<SegmentEntry> *entries =
+            address.segment < segments_.size()
+                ? &segments_[address.segment].entries
+                : nullptr;
+        if (entries == nullptr || address.slot >= entries->size()) {
+            current = false;
+            return;
+        }
+        const SegmentEntry &entry = (*entries)[address.slot];
+        current = entry.kind == EntryKind::Data && entry.live &&
+                  entry.file == file && entry.blockIndex == block;
+    });
+    NVFS_AUDIT_CHECK(current, "LfsLog",
+                     "live data entry not current in the inode map "
+                     "(stale liveness)");
+    NVFS_AUDIT_CHECK(live_entries == mapped, "LfsLog",
                      "inode map population diverged from live "
                      "segment entries");
 
     // --- Active-segment bookkeeping. ---
     NVFS_AUDIT_CHECK(activeIds_.size() == active_, "LfsLog",
                      "active counter diverged from the active set");
+    NVFS_AUDIT_CHECK(std::adjacent_find(activeIds_.begin(),
+                                        activeIds_.end(),
+                                        std::greater_equal<>()) ==
+                         activeIds_.end(),
+                     "LfsLog", "active set not strictly ascending");
     for (const std::uint32_t id : activeIds_) {
         NVFS_AUDIT_CHECK(id < segments_.size(), "LfsLog",
                          "active set names an unknown segment");
@@ -552,15 +588,19 @@ LfsLog::auditInvariants() const
     }
     for (const Segment &segment : segments_) {
         NVFS_AUDIT_CHECK(segment.reclaimed ||
-                             activeIds_.count(segment.id) == 1,
+                             std::binary_search(activeIds_.begin(),
+                                                activeIds_.end(),
+                                                segment.id),
                          "LfsLog",
                          "sealed unreclaimed segment missing from "
                          "the active set");
     }
 
     // --- Pending (open-segment) state. ---
+    pendingIndex_.auditInvariants();
+    pendingFiles_.auditInvariants();
     Bytes pending_total = 0;
-    std::map<FileId, int> file_counts;
+    util::FlatMap<FileId, int, util::SplitMix64Hash> file_counts;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
         const PendingBlock &pb = pending_[i];
         pb.ranges.auditInvariants();
@@ -572,8 +612,9 @@ LfsLog::auditInvariants() const
                          "pending dirty range extends past the block");
         pending_total += pb.bytes();
         ++file_counts[pb.file];
-        const auto it = pendingIndex_.find({pb.file, pb.block});
-        NVFS_AUDIT_CHECK(it != pendingIndex_.end() && it->second == i,
+        const std::size_t *at =
+            pendingIndex_.find(pendingKey(pb.file, pb.block));
+        NVFS_AUDIT_CHECK(at != nullptr && *at == i,
                          "LfsLog",
                          "pending index does not name the pending "
                          "block's position");
@@ -582,7 +623,12 @@ LfsLog::auditInvariants() const
                      "pending index population diverged");
     NVFS_AUDIT_CHECK(pending_total == pendingData_, "LfsLog",
                      "pending byte accounting diverged");
-    NVFS_AUDIT_CHECK(file_counts == pendingFiles_, "LfsLog",
+    bool counts_match = file_counts.size() == pendingFiles_.size();
+    pendingFiles_.forEach([&](FileId file, int count) {
+        const int *mine = file_counts.find(file);
+        counts_match = counts_match && mine != nullptr && *mine == count;
+    });
+    NVFS_AUDIT_CHECK(counts_match, "LfsLog",
                      "pending per-file counts diverged");
 
     // --- Cumulative stats vs. the segments actually sealed. ---

@@ -15,13 +15,12 @@
 
 #pragma once
 
-#include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "lfs/inode_map.hpp"
 #include "lfs/segment.hpp"
+#include "util/flat_map.hpp"
 #include "util/interval_set.hpp"
 
 namespace nvfs::nvram {
@@ -168,7 +167,7 @@ class LfsLog
     void reclaim(std::uint32_t segment_id);
 
     /** Ids of sealed, unreclaimed segments (ascending). */
-    const std::set<std::uint32_t> &activeSegmentIds() const
+    const std::vector<std::uint32_t> &activeSegmentIds() const
     {
         return activeIds_;
     }
@@ -249,11 +248,16 @@ class LfsLog
     std::vector<Segment> segments_;
     LogStats stats_;
     std::uint32_t active_ = 0;
-    std::set<std::uint32_t> activeIds_;
+    /** Ascending: ids only grow, so a seal appends and reclaim()
+     *  binary-searches. */
+    std::vector<std::uint32_t> activeIds_;
 
     std::vector<PendingBlock> pending_;
-    std::map<std::pair<FileId, std::uint32_t>, std::size_t> pendingIndex_;
-    std::map<FileId, int> pendingFiles_; ///< distinct files pending
+    /** pending_ position of each block, keyed pendingKey(file, block). */
+    util::FlatMap<std::uint64_t, std::size_t, util::SplitMix64Hash>
+        pendingIndex_;
+    /** Pending block count per distinct file. */
+    util::FlatMap<FileId, int, util::SplitMix64Hash> pendingFiles_;
     Bytes pendingData_ = 0;
     std::vector<JournalRecord> pendingJournal_;
     /** Per-segment persisted journals, indexed by segment id. */

@@ -39,12 +39,15 @@ NvramDevice::put(std::uint64_t tag, Bytes bytes)
         ++writes_;
         return false;
     }
-    auto it = contents_.find(tag);
-    const Bytes old = it == contents_.end() ? 0 : it->second;
+    Bytes *stored = contents_.find(tag);
+    const Bytes old = stored == nullptr ? 0 : *stored;
     if (used_ - old + bytes > params_.capacity)
         return false;
     used_ = used_ - old + bytes;
-    contents_[tag] = bytes;
+    if (stored != nullptr)
+        *stored = bytes;
+    else
+        contents_.insertOrAssign(tag, bytes);
     ++writes_;
     return true;
 }
@@ -53,10 +56,10 @@ std::optional<Bytes>
 NvramDevice::get(std::uint64_t tag)
 {
     ++reads_;
-    auto it = contents_.find(tag);
-    if (it == contents_.end())
+    const Bytes *stored = contents_.find(tag);
+    if (stored == nullptr)
         return std::nullopt;
-    return it->second;
+    return *stored;
 }
 
 std::vector<std::uint64_t>
@@ -64,8 +67,8 @@ NvramDevice::tags() const
 {
     std::vector<std::uint64_t> out;
     out.reserve(contents_.size());
-    for (const auto &[tag, bytes] : contents_)
-        out.push_back(tag);
+    contents_.forEach(
+        [&out](std::uint64_t tag, Bytes) { out.push_back(tag); });
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -73,12 +76,12 @@ NvramDevice::tags() const
 Bytes
 NvramDevice::erase(std::uint64_t tag)
 {
-    auto it = contents_.find(tag);
-    if (it == contents_.end())
+    const Bytes *stored = contents_.find(tag);
+    if (stored == nullptr)
         return 0;
-    const Bytes bytes = it->second;
+    const Bytes bytes = *stored;
     used_ -= bytes;
-    contents_.erase(it);
+    contents_.erase(tag);
     return bytes;
 }
 

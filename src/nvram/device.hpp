@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "util/flat_map.hpp"
 #include "util/types.hpp"
 
 namespace nvfs::nvram {
@@ -79,11 +79,27 @@ class NvramDevice
     /** True if the tag currently holds data (no access counted). */
     bool holds(std::uint64_t tag) const
     {
-        return contents_.count(tag) != 0;
+        return contents_.contains(tag);
     }
 
     /** Every stored tag, ascending (recovery walks the contents). */
     std::vector<std::uint64_t> tags() const;
+
+    /**
+     * Remove every tag for which pred(tag) holds, as erase() would
+     * one by one; returns how many went.
+     */
+    template <typename Pred>
+    std::size_t
+    eraseIf(Pred &&pred)
+    {
+        return contents_.eraseIf([&](std::uint64_t tag, Bytes bytes) {
+            if (!pred(tag))
+                return false;
+            used_ -= bytes;
+            return true;
+        });
+    }
 
     /** Drop everything. */
     void clear();
@@ -123,7 +139,7 @@ class NvramDevice
 
   private:
     DeviceParams params_;
-    std::unordered_map<std::uint64_t, Bytes> contents_;
+    util::FlatMap<std::uint64_t, Bytes, util::SplitMix64Hash> contents_;
     Bytes used_ = 0;
     int goodBatteries_;
     bool attached_ = true;

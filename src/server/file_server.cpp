@@ -1,9 +1,9 @@
 #include "server/file_server.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "nvram/crash_site.hpp"
+#include "util/audit.hpp"
 #include "util/log.hpp"
 
 namespace nvfs::server {
@@ -111,13 +111,18 @@ FileServer::auditInvariants() const
     for (const auto &fs : state_) {
         fs->log.auditInvariants();
         fs->dirty.auditInvariants();
+        // Writes dirty every block they insert and staging removes it,
+        // so an fsync can stage all of a file's resident blocks.
+        NVFS_AUDIT_CHECK(fs->dirty.dirtyBlockCount() == fs->dirty.size(),
+                         "FileServer", "clean block in the dirty pool");
     }
 }
 
 void
-FileServer::stageBlock(FsState &fs, const cache::BlockId &id, TimeUs now)
+FileServer::stageBlock(FsState &fs, const cache::CacheBlock &block,
+                       TimeUs now)
 {
-    const cache::CacheBlock block = fs.dirty.remove(id);
+    const cache::BlockId &id = block.id;
     if (!block.isDirty())
         return;
     // Buffered mode: the block enters the NVRAM write buffer first —
@@ -127,8 +132,9 @@ FileServer::stageBlock(FsState &fs, const cache::BlockId &id, TimeUs now)
         fs.nvram->put(blockTag(id.file, id.index),
                       block.dirty.totalBytes());
     const std::size_t sealed_before = fs.log.segments().size();
-    for (const auto &run : block.dirty.runs())
-        fs.log.writeBlockRange(id.file, id.index, run.begin, run.end);
+    block.dirty.forEachRun([&](Bytes begin, Bytes end) {
+        fs.log.writeBlockRange(id.file, id.index, begin, end);
+    });
     if (fs.log.segments().size() != sealed_before)
         reconcileNvram(fs); // a Full segment auto-sealed mid-append
     if (fs.pendingSince == kNoTime && fs.log.pendingBytes() > 0)
@@ -144,13 +150,19 @@ FileServer::reconcileNvram(FsState &fs)
     // what was staged at the instant of the crash.
     if (!fs.nvram || crashed())
         return;
-    std::unordered_set<std::uint64_t> pending;
-    for (const auto &[file, block] : fs.log.pendingBlocks())
-        pending.insert(blockTag(file, block));
-    for (const std::uint64_t tag : fs.nvram->tags()) {
-        if (pending.count(tag) == 0)
-            fs.nvram->erase(tag); // its segment sealed to disk
+    if (fs.log.pendingBytes() == 0) {
+        fs.nvram->clear(); // every staged block's segment sealed
+        return;
     }
+    // An auto-seal mid-stage leaves the block being staged pending;
+    // every other tag's segment sealed to disk.
+    std::vector<std::uint64_t> pending;
+    for (const auto &[file, block] : fs.log.pendingBlocks())
+        pending.push_back(blockTag(file, block));
+    std::sort(pending.begin(), pending.end());
+    fs.nvram->eraseIf([&pending](std::uint64_t tag) {
+        return !std::binary_search(pending.begin(), pending.end(), tag);
+    });
 }
 
 void
@@ -160,7 +172,7 @@ FileServer::sweep(FsState &fs, TimeUs now)
     bool flushed = false;
     for (const cache::BlockId &id :
          fs.dirty.dirtyOlderThan(now - config_.writeBackAge)) {
-        stageBlock(fs, id, now);
+        stageBlock(fs, fs.dirty.remove(id), now);
         flushed = true;
     }
     // Seal when volatile data was flushed.  NVRAM-buffered data does
@@ -213,30 +225,40 @@ FileServer::run(const std::vector<ServerOp> &ops,
         switch (op.kind) {
           case ServerOp::Kind::Write: {
             fs.stats.arrivedBytes += op.length;
-            // Scatter the range across 4 KB blocks in the dirty pool.
-            Bytes begin = op.offset;
-            const Bytes end = op.offset + op.length;
-            while (begin < end) {
-                const auto index = static_cast<std::uint32_t>(
-                    begin / kBlockSize);
-                const Bytes block_begin = begin % kBlockSize;
-                const Bytes block_end = std::min<Bytes>(
-                    kBlockSize, block_begin + (end - begin));
-                const cache::BlockId id{op.file, index};
-                if (!fs.dirty.contains(id))
-                    fs.dirty.insert(id, op.time);
-                fs.dirty.markDirty(id, block_begin, block_end, op.time);
-                begin += block_end - block_begin;
+            if (op.length == 0)
+                break;
+            // Scatter the range across 4 KB blocks in the dirty pool:
+            // insert the runs of missing blocks, then dirty the whole
+            // range, exactly the per-block insert-then-markDirty loop.
+            const auto first =
+                static_cast<std::uint32_t>(op.offset / kBlockSize);
+            const auto last = static_cast<std::uint32_t>(
+                (op.offset + op.length - 1) / kBlockSize);
+            for (std::uint32_t block = first; block <= last;) {
+                const auto run = fs.dirty.probeRange(op.file, block, last);
+                if (!run.resident)
+                    fs.dirty.insertRange(op.file, block, run.end - 1,
+                                         op.time);
+                block = run.end;
             }
+            fs.dirty.markDirtyRange(op.file, op.offset, op.length,
+                                    op.time);
             break;
           }
           case ServerOp::Kind::Fsync: {
             ++fs.stats.fsyncs;
-            const auto blocks = fs.dirty.dirtyBlocksOfFile(op.file);
-            if (blocks.empty() && fs.log.pendingBytes() == 0)
+            // Every resident block is dirty (auditInvariants checks),
+            // so this stages exactly the file's dirty blocks in
+            // ascending order, each before it leaves the pool; nothing
+            // staged reads the pool.
+            bool staged = false;
+            fs.dirty.removeFileBlocks(
+                op.file, [&](const cache::CacheBlock &block) {
+                    stageBlock(fs, block, op.time);
+                    staged = true;
+                });
+            if (!staged && fs.log.pendingBytes() == 0)
                 break; // nothing to make durable
-            for (const cache::BlockId &id : blocks)
-                stageBlock(fs, id, op.time);
             if (!buffered) {
                 // Synchronous partial-segment write.
                 if (fs.log.seal(lfs::SealCause::Fsync))
@@ -271,7 +293,7 @@ FileServer::run(const std::vector<ServerOp> &ops,
     // Drain: flush everything left so totals are comparable.
     for (auto &fs : state_) {
         for (const cache::BlockId &id : fs->dirty.allDirtyBlocks())
-            stageBlock(*fs, id, last);
+            stageBlock(*fs, fs->dirty.remove(id), last);
         if (fs->log.seal(lfs::SealCause::Shutdown))
             reconcileNvram(*fs);
         fs->cleaner.maybeClean(fs->log);

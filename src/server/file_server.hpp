@@ -131,8 +131,10 @@ class FileServer
     /** Advance the 5-second sweeper up to `now`. */
     void advanceClock(TimeUs now);
 
-    /** Move one dirty block into the log's open segment. */
-    void stageBlock(FsState &fs, const cache::BlockId &id, TimeUs now);
+    /** Move one block, just taken out of the dirty pool, into the
+     *  log's open segment. */
+    void stageBlock(FsState &fs, const cache::CacheBlock &block,
+                    TimeUs now);
 
     /** Drain staged NVRAM tags whose blocks are no longer pending
      *  (their segment sealed).  No-op on a dead host. */

@@ -232,6 +232,23 @@ class IntervalSet
         end_ = 0;
     }
 
+    /**
+     * Visit every run as fn(begin, end), in increasing order, without
+     * allocating.  fn must not mutate the set.
+     */
+    template <typename Fn>
+    void
+    forEachRun(Fn &&fn) const
+    {
+        if (!spill_) {
+            if (begin_ != end_)
+                fn(begin_, end_);
+            return;
+        }
+        for (const auto &[b, e] : spill_->ranges)
+            fn(b, e);
+    }
+
     /** Snapshot of the runs in increasing order. */
     std::vector<ByteRange>
     runs() const

@@ -7,6 +7,8 @@
  * loses at most the data that was never made durable.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "lfs/log.hpp"
@@ -30,6 +32,29 @@ class AuditTestPeer
     }
 
     static void dropJournal(LfsLog &log) { log.journals_.pop_back(); }
+
+    /** Point the inode map's entry for (file, block) at `address`. */
+    static void
+    repoint(LfsLog &log, FileId file, std::uint32_t block,
+            SegmentAddress address)
+    {
+        log.inodes_.update(file, block, address);
+    }
+
+    /** Set an entry's live flag, moving its segment's liveBytes to
+     *  match so only the inode-map correspondence is broken. */
+    static void
+    setLive(LfsLog &log, SegmentAddress address, bool live)
+    {
+        Segment &segment = log.segments_[address.segment];
+        SegmentEntry &entry = segment.entries[address.slot];
+        ASSERT_NE(entry.live, live);
+        entry.live = live;
+        if (live)
+            segment.liveBytes += entry.bytes;
+        else
+            segment.liveBytes -= entry.bytes;
+    }
 };
 
 namespace {
@@ -304,6 +329,71 @@ TEST(AuditDetection, MissingJournalThrows)
 
     AuditTestPeer::dropJournal(log);
     EXPECT_THROW(log.auditInvariants(), util::AuditError);
+}
+
+/**
+ * Block (1, 0) written twice, leaving a dead copy at {0, 0} and the
+ * live one at {1, 0}, plus block (1, 1) live at {1, 1}.
+ */
+LfsLog
+rewrittenLog()
+{
+    LfsLog log(smallConfig());
+    log.writeBlock(1, 0, kBlockSize);
+    log.seal(SealCause::Fsync);
+    log.writeBlock(1, 0, kBlockSize);
+    log.writeBlock(1, 1, kBlockSize);
+    log.seal(SealCause::Fsync);
+    return log;
+}
+
+/** The audit's message, or "" when it passes. */
+std::string
+auditMessage(const LfsLog &log)
+{
+    try {
+        log.auditInvariants();
+    } catch (const util::AuditError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(AuditDetection, MapEntryAtDeadOlderCopyThrows)
+{
+    LfsLog log = rewrittenLog();
+    ASSERT_FALSE(log.segments()[0].entries[0].live);
+    EXPECT_EQ(auditMessage(log), "");
+
+    AuditTestPeer::repoint(log, 1, 0, {0, 0});
+    EXPECT_THROW(log.auditInvariants(), util::AuditError);
+    EXPECT_NE(auditMessage(log).find("stale liveness"), std::string::npos);
+}
+
+TEST(AuditDetection, ClearedLiveFlagThrows)
+{
+    LfsLog log = rewrittenLog();
+    AuditTestPeer::setLive(log, {1, 1}, false);
+    EXPECT_THROW(log.auditInvariants(), util::AuditError);
+    EXPECT_NE(auditMessage(log).find("stale liveness"), std::string::npos);
+}
+
+TEST(AuditDetection, RevivedDeadCopyThrows)
+{
+    LfsLog log = rewrittenLog();
+    AuditTestPeer::setLive(log, {0, 0}, true);
+    EXPECT_THROW(log.auditInvariants(), util::AuditError);
+    EXPECT_NE(auditMessage(log).find("population"), std::string::npos);
+}
+
+TEST(AuditDetection, MapEntryAtAnotherBlocksCopyThrows)
+{
+    // Both map entries name {1, 0}, a live copy, and the populations
+    // still agree: only the file-and-block comparison can tell.
+    LfsLog log = rewrittenLog();
+    AuditTestPeer::repoint(log, 1, 1, {1, 0});
+    EXPECT_THROW(log.auditInvariants(), util::AuditError);
+    EXPECT_NE(auditMessage(log).find("stale liveness"), std::string::npos);
 }
 
 TEST(AuditDetection, CheckInvariantsStillPassesOnHealthyLog)

@@ -156,5 +156,53 @@ TEST(FileServer, DrainWritesEverythingAtShutdown)
     EXPECT_EQ(server.stats(0).log.dataBytes, 12345u);
 }
 
+TEST(FileServer, RangeScatterDirtiesEachBlockOnce)
+{
+    // Two overlapping writes spanning partial and whole blocks, and a
+    // zero-length write past them that must dirty nothing.
+    for (const Bytes buffer : {Bytes{0}, 512 * kKiB}) {
+        SCOPED_TRACE(buffer);
+        FileServer server({"/fs"}, config(buffer));
+        server.run({
+            write(secondsUs(1), 0, 1, 100, 4900),    // [100, 5000)
+            write(secondsUs(2), 0, 1, 3000, 10000),  // [3000, 13000)
+            write(secondsUs(3), 0, 1, 20000, 0),
+            fsync(secondsUs(4), 0, 1),
+        });
+        const FsStats &stats = server.stats(0);
+        EXPECT_EQ(stats.arrivedBytes, 14900u);
+        EXPECT_EQ(stats.log.dataBytes, 12900u);
+
+        const auto &segments = server.log(0).segments();
+        ASSERT_EQ(segments.size(), 1u);
+        std::vector<std::pair<std::uint32_t, Bytes>> data;
+        for (const lfs::SegmentEntry &entry : segments[0].entries) {
+            if (entry.kind == lfs::EntryKind::Data) {
+                EXPECT_EQ(entry.file, 1u);
+                data.emplace_back(entry.blockIndex, entry.bytes);
+            }
+        }
+        const std::vector<std::pair<std::uint32_t, Bytes>> expected = {
+            {0, 3996}, {1, 4096}, {2, 4096}, {3, 712}};
+        EXPECT_EQ(data, expected);
+
+        if (buffer == 0) {
+            EXPECT_EQ(segments[0].cause, lfs::SealCause::Fsync);
+            EXPECT_EQ(stats.log.partialsByFsync, 1u);
+            EXPECT_EQ(stats.fsyncsAbsorbed, 0u);
+            EXPECT_EQ(server.nvramDevice(0), nullptr);
+        } else {
+            EXPECT_EQ(segments[0].cause, lfs::SealCause::Shutdown);
+            EXPECT_EQ(stats.log.partialsByFsync, 0u);
+            EXPECT_EQ(stats.fsyncsAbsorbed, 1u);
+            const nvram::NvramDevice *ledger = server.nvramDevice(0);
+            ASSERT_NE(ledger, nullptr);
+            EXPECT_TRUE(ledger->tags().empty());
+            EXPECT_EQ(ledger->usedBytes(), 0u);
+        }
+        EXPECT_NO_THROW(server.auditInvariants());
+    }
+}
+
 } // namespace
 } // namespace nvfs::server
