@@ -293,35 +293,6 @@ BM_OpStreamReplay(benchmark::State &state)
 BENCHMARK(BM_OpStreamReplay);
 
 void
-BM_SweepRunner(benchmark::State &state)
-{
-    // An 8-config unified-model grid fanned out over Arg(0) worker
-    // threads; Arg(0)=1 is the serial baseline for the speedup.
-    const auto &ops = core::standardOps(7, 0.05);
-    std::vector<core::ModelConfig> models;
-    for (const double mb : {0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 16.0}) {
-        core::ModelConfig model;
-        model.kind = core::ModelKind::Unified;
-        model.volatileBytes = 8 * kMiB;
-        model.nvramBytes = static_cast<Bytes>(mb * kMiB);
-        models.push_back(model);
-    }
-    const core::SweepRunner runner(
-        static_cast<unsigned>(state.range(0)));
-    for (auto _ : state) {
-        const auto results = runner.runClientSweep(ops, models);
-        benchmark::DoNotOptimize(results.front().appWriteBytes);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(models.size()));
-}
-BENCHMARK(BM_SweepRunner)
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void
 BM_ReplayGrid(benchmark::State &state)
 {
     // The replay grid scheduler itself: all three models on trace 4,

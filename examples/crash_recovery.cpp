@@ -132,8 +132,8 @@ part3CrashExplorer(double scale)
         crash::ExploreConfig config;
         config.server.nvramBufferBytes = buffer;
         // A workload this size has tens of thousands of sites; a
-        // seeded sample keeps the example snappy (NVFS_CRASH_SAMPLE /
-        // NVFS_CRASH_SITES override it).
+        // seeded sample keeps the example snappy (NVFS_CRASH_SITES
+        // overrides it).
         config.sampleSites = 150;
         const auto result = crash::explore(server_ops, config);
         table.addRow(

@@ -102,7 +102,8 @@ runPerBlockReference(const prep::OpStream &ops,
         clients.push_back(
             makePerBlockModel(config.model, metrics, sizes, rng));
     }
-    core::replayOps(ops, config, clients, sizes, {&metrics, 1});
+    core::replayOps(ops, config, clients, sizes, {&metrics, 1},
+                    /*coalesce=*/false);
     return metrics;
 }
 

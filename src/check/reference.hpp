@@ -21,8 +21,9 @@ namespace nvfs::check {
 /**
  * Replay `ops` as core::ClusterSim(config, max(1, ops.clientCount))
  * would, with every read, write and block-level recall handled one
- * block at a time.  The production replay must return identical
- * Metrics.
+ * block at a time and no op folded into its neighbours.  The
+ * production replay, which folds sequential runs, must return
+ * identical Metrics, so every differential also checks the fold.
  */
 core::Metrics runPerBlockReference(const prep::OpStream &ops,
                                    const core::ClusterConfig &config);

@@ -46,15 +46,6 @@ struct ClusterConfig
     bool blockLevelCallbacks = false;
 
     /**
-     * Fold adjacent same-time sequential reads/writes of one
-     * (client, pid, file) stream into a single maximal op before
-     * dispatch (prep::canCoalesce), so the models see whole extents.
-     * Provably invisible to the results; off only for the coalescing
-     * differential tests.
-     */
-    bool coalesce = true;
-
-    /**
      * Fault injection (Section 4): (time, client) pairs, sorted by
      * time.  At each point the client crashes and reboots — volatile
      * contents are lost, NVRAM contents are recovered.
@@ -78,6 +69,13 @@ struct ClusterConfig
  * charged to every Metrics in `bypass` (ClusterSim's one, or one per
  * curve size) and, block by block, to config.model.sink.
  *
+ * Adjacent same-time sequential reads/writes of one (client, pid,
+ * file) stream are folded into a single maximal op before dispatch
+ * (prep::canCoalesce), so the models see whole extents.  The fold is
+ * invisible to the results; `coalesce` = false dispatches every op as
+ * it stands, which only check::runPerBlockReference asks for, so each
+ * reference differential also checks the fold.
+ *
  * Client provides ClientModel's operations as (non-virtual or
  * virtual) members: read, write, fsync, recall, recallRange,
  * removeFile, truncate, tick, crash, finish and auditInvariants.
@@ -86,7 +84,8 @@ template <typename Client>
 void
 replayOps(const prep::OpStream &ops, const ClusterConfig &config,
           std::vector<std::unique_ptr<Client>> &clients,
-          FileSizeMap &sizes, std::span<Metrics> bypass)
+          FileSizeMap &sizes, std::span<Metrics> bypass,
+          bool coalesce = true)
 {
     using prep::OpType;
 
@@ -202,7 +201,7 @@ replayOps(const prep::OpStream &ops, const ClusterConfig &config,
             Client *owner =
                 bypassed ? nullptr : other_owner(file, client);
             Bytes length = col.length[i];
-            if (config.coalesce && owner == nullptr)
+            if (coalesce && owner == nullptr)
                 i = fold(i, file, offset, length);
             auto &size = sizes[file];
             size = std::max(size, offset + length);
@@ -226,7 +225,7 @@ replayOps(const prep::OpStream &ops, const ClusterConfig &config,
             const Bytes offset = col.offset[i];
             NVFS_REQUIRE(client < clients.size(), "bad client");
             Bytes length = col.length[i];
-            if (config.coalesce)
+            if (coalesce)
                 i = fold(i, file, offset, length);
             auto &size = sizes[file];
             size = std::max(size, offset + length);

@@ -379,14 +379,4 @@ UnifiedModel::auditInvariants() const
                      "dirty block outside the NVRAM");
 }
 
-void
-UnifiedModel::checkInvariants() const
-{
-    try {
-        auditInvariants();
-    } catch (const util::AuditError &error) {
-        util::panic(error.what());
-    }
-}
-
 } // namespace nvfs::core

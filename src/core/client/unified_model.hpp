@@ -49,9 +49,6 @@ class UnifiedModel : public ClientModel
     /** Throwing audit: cache structure + residency disjointness. */
     void auditInvariants() const override;
 
-    /** Panics if a block is resident in both memories. */
-    void checkInvariants() const;
-
   protected:
     /**
      * The per-block engine, one 4 KB block per call: the bodies

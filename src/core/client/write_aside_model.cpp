@@ -407,14 +407,4 @@ WriteAsideModel::auditInvariants() const
     }
 }
 
-void
-WriteAsideModel::checkInvariants() const
-{
-    try {
-        auditInvariants();
-    } catch (const util::AuditError &error) {
-        util::panic(error.what());
-    }
-}
-
 } // namespace nvfs::core

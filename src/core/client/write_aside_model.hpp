@@ -48,9 +48,6 @@ class WriteAsideModel : public ClientModel
     /** Throwing audit: cache structure + the mirroring invariant. */
     void auditInvariants() const override;
 
-    /** Panics if the NVRAM/volatile mirroring invariant is broken. */
-    void checkInvariants() const;
-
   protected:
     /**
      * The per-block engine, one 4 KB block per call: the bodies

@@ -36,26 +36,17 @@ sampleSites(std::uint64_t total, std::uint64_t want,
 }
 
 /**
- * Sites to crash at, 1-based: NVFS_CRASH_SITES / NVFS_CRASH_SAMPLE
- * when set (strict-parsed; malformed values are hard errors), else
- * config.sampleSites when positive, else every site the census
- * counted.
+ * Sites to crash at, 1-based: NVFS_CRASH_SITES when set
+ * (strict-parsed; malformed values are hard errors), else a seeded
+ * sample of config.sampleSites sites when positive and below the
+ * total, else every site the census counted.
  */
 std::vector<std::uint64_t>
 selectSites(std::uint64_t total, const ExploreConfig &config)
 {
-    const std::uint64_t seed = config.seed;
     const char *list = util::envRaw("NVFS_CRASH_SITES");
-    const char *sample = util::envRaw("NVFS_CRASH_SAMPLE");
-    const bool have_list = list != nullptr && *list != '\0';
-    const bool have_sample = sample != nullptr && *sample != '\0';
-    if (have_list && have_sample) {
-        util::fatal("set at most one of NVFS_CRASH_SITES and "
-                    "NVFS_CRASH_SAMPLE");
-    }
-
     std::vector<std::uint64_t> sites;
-    if (have_list) {
+    if (list != nullptr && *list != '\0') {
         const std::string spec(list);
         std::size_t pos = 0;
         while (pos < spec.size()) {
@@ -87,22 +78,9 @@ selectSites(std::uint64_t total, const ExploreConfig &config)
                     sites.end());
         return sites;
     }
-    if (have_sample) {
-        const auto n = util::tryParseInt(sample);
-        if (!n || *n <= 0) {
-            util::fatal(util::format(
-                "NVFS_CRASH_SAMPLE: '%s' is not a positive sample "
-                "size",
-                sample));
-        }
-        const auto want = static_cast<std::uint64_t>(*n);
-        // A sample covering everything falls through to exhaustive
-        // enumeration.
-        if (want < total)
-            return sampleSites(total, want, seed);
-    } else if (config.sampleSites > 0 && config.sampleSites < total) {
-        return sampleSites(total, config.sampleSites, seed);
-    }
+    // A sample covering everything is exhaustive enumeration.
+    if (config.sampleSites > 0 && config.sampleSites < total)
+        return sampleSites(total, config.sampleSites, config.seed);
     sites.reserve(total);
     for (std::uint64_t site = 1; site <= total; ++site)
         sites.push_back(site);
@@ -268,7 +246,7 @@ exploreOne(const std::vector<workload::ServerOp> &ops,
 
 ExploreResult
 explore(const std::vector<workload::ServerOp> &ops,
-        const ExploreConfig &config)
+        const ExploreConfig &config, CrashReplay replay)
 {
     static const obs::Counter explored("crash.crashes_explored");
     static const obs::Counter violated("crash.oracle_violations");
@@ -304,7 +282,7 @@ explore(const std::vector<workload::ServerOp> &ops,
                 static_cast<unsigned long long>(sites[i]));
         },
         [&](std::size_t i) {
-            verdicts[i] = exploreOne(ops, config, sites[i]);
+            verdicts[i] = replay(ops, config, sites[i]);
         });
 
     for (CrashVerdict &verdict : verdicts) {
@@ -332,7 +310,7 @@ explore(const std::vector<workload::ServerOp> &ops,
                 [&](const std::vector<workload::ServerOp>
                         &candidate) {
                     const CrashVerdict probe =
-                        exploreOne(candidate, config, site);
+                        replay(candidate, config, site);
                     return probe.crashed && probe.violation.has_value();
                 },
                 config.shrinkBudget);

@@ -23,12 +23,11 @@
  *     crash caught pending or torn (the paper's reliability claim);
  *  5. the post-crash log still passes its structural audit.
  *
- * Site selection is exhaustive by default and steerable with env
- * knobs (both strict-parsed; malformed values are hard errors):
- *
- *   NVFS_CRASH_SITES=3,17,40   crash only at these 1-based sites
- *   NVFS_CRASH_SAMPLE=64       crash at a seeded uniform sample of
- *                              64 sites
+ * Site selection is exhaustive by default.  ExploreConfig::sampleSites
+ * (nvfs_sim crashsweep --sample) draws a seeded uniform sample
+ * instead, and NVFS_CRASH_SITES=3,17,40 pins the 1-based sites to
+ * crash at (strict-parsed; a malformed or out-of-range list is a hard
+ * error).
  *
  * The crash replays are independent, so they run on the shared
  * NVFS_JOBS pool (util::ThreadPool::global()).  Each verdict goes to
@@ -61,8 +60,8 @@ struct ExploreConfig
     std::vector<std::string> fsNames = {"/fs"};
     std::uint64_t seed = 42;        ///< seeds the site sampling
     /** Crash at a seeded uniform sample of this many sites instead of
-     *  all of them (0 = exhaustive).  The NVFS_CRASH_SITES /
-     *  NVFS_CRASH_SAMPLE env knobs take precedence when set. */
+     *  all of them (0 = exhaustive).  NVFS_CRASH_SITES takes
+     *  precedence when set. */
     std::uint64_t sampleSites = 0;
     bool shrinkOnFailure = true;
     std::size_t shrinkBudget = 100; ///< replays spent minimizing
@@ -125,12 +124,23 @@ CrashVerdict exploreOne(const std::vector<workload::ServerOp> &ops,
                         std::uint64_t site);
 
 /**
+ * One crash replay of explore(): exploreOne, or a test's stand-in.
+ * The census runs without it, so a stand-in must reach the sites the
+ * census counts (a tear marked at a seal commit does).
+ */
+using CrashReplay = CrashVerdict (*)(
+    const std::vector<workload::ServerOp> &ops,
+    const ExploreConfig &config, std::uint64_t site);
+
+/**
  * Census the workload's crash sites, then crash at every selected
- * site (all of them, or the NVFS_CRASH_SITES / NVFS_CRASH_SAMPLE
- * selection) on the shared pool and oracle-check each recovery.
- * Violations come out in site order at every NVFS_JOBS width.
+ * site (all of them, config.sampleSites of them, or the
+ * NVFS_CRASH_SITES pin) on the shared pool through `replay`, and
+ * shrink each violation with the same replay.  Violations come out in
+ * site order at every NVFS_JOBS width.
  */
 ExploreResult explore(const std::vector<workload::ServerOp> &ops,
-                      const ExploreConfig &config);
+                      const ExploreConfig &config,
+                      CrashReplay replay = exploreOne);
 
 } // namespace nvfs::crash

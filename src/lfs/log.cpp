@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "nvram/crash_site.hpp"
-#include "nvram/fault.hpp"
 #include "obs/obs.hpp"
 #include "util/audit.hpp"
 #include "util/log.hpp"
@@ -19,6 +17,22 @@ std::uint64_t
 pendingKey(FileId file, std::uint32_t block)
 {
     return (static_cast<std::uint64_t>(file) << 32) | block;
+}
+
+/** A site answer that kills an op before anything durable names it. */
+bool
+diesInMemory(nvram::CrashAction action)
+{
+    return action == nvram::CrashAction::PowerFail ||
+           action == nvram::CrashAction::Dead;
+}
+
+/** A seal-site answer that leaves the segment without its summary. */
+bool
+tears(nvram::CrashAction action)
+{
+    return action == nvram::CrashAction::Torn ||
+           action == nvram::CrashAction::Dead;
 }
 
 } // namespace
@@ -69,6 +83,14 @@ LfsLog::killAddress(const SegmentAddress &address)
     }
 }
 
+nvram::CrashAction
+LfsLog::atSite(nvram::CrashSiteKind kind, std::uint64_t detail)
+{
+    return crashHook_ == nullptr
+               ? nvram::CrashAction::None
+               : crashHook_->onSite(kind, detail, this);
+}
+
 void
 LfsLog::appendInternal(FileId file, std::uint32_t block, Bytes begin,
                        Bytes end, bool cleaner)
@@ -76,17 +98,10 @@ LfsLog::appendInternal(FileId file, std::uint32_t block, Bytes begin,
     NVFS_REQUIRE(begin < end && end <= config_.blockBytes,
                  "block write range out of range");
 
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::JournalAppend,
-                                   file, this)) {
-          case nvram::CrashAction::PowerFail:
-          case nvram::CrashAction::Dead:
-            // The write dies in volatile memory before reaching the
-            // open segment; nothing durable ever names it.
-            return;
-          default:
-            break;
-        }
+    if (diesInMemory(atSite(nvram::CrashSiteKind::JournalAppend, file))) {
+        // The write dies in volatile memory before reaching the open
+        // segment; nothing durable ever names it.
+        return;
     }
 
     // Rewriting a block already in the open segment unions the dirty
@@ -166,39 +181,21 @@ LfsLog::seal(SealCause cause)
         return false;
     }
 
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::SealBegin, 0,
-                                   this)) {
-          case nvram::CrashAction::PowerFail:
-            // Power died before the write began: the disk is untouched
-            // and the open segment's volatile contents are gone.
-            pending_.clear();
-            pendingIndex_.clear();
-            pendingFiles_.clear();
-            pendingData_ = 0;
-            pendingJournal_.clear();
-            return false;
-          case nvram::CrashAction::Dead:
-            // The host is already down; the write is never issued.
-            return false;
-          default:
-            break;
-        }
-    }
-
-    nvram::SealFault fault = nvram::SealFault::None;
-    if (faults_ != nullptr)
-        fault = faults_->onSeal();
-    if (fault == nvram::SealFault::PowerFail) {
-        // Power died before the write began: the disk is untouched
-        // and the open segment's volatile contents are gone.
-        faultFired_ = true;
+    switch (atSite(nvram::CrashSiteKind::SealBegin, 0)) {
+      case nvram::CrashAction::PowerFail:
+        // Power died before the write began: the disk is untouched and
+        // the open segment's volatile contents are gone.
         pending_.clear();
         pendingIndex_.clear();
         pendingFiles_.clear();
         pendingData_ = 0;
         pendingJournal_.clear();
         return false;
+      case nvram::CrashAction::Dead:
+        // The host is already down; the write is never issued.
+        return false;
+      default:
+        break;
     }
 
     // One metadata block per distinct file (minimum one).
@@ -208,30 +205,14 @@ LfsLog::seal(SealCause cause)
     segment.id = static_cast<std::uint32_t>(segments_.size());
     segment.cause = cause;
     segment.entries.reserve(pending_.size() + files + 1);
-    if (fault == nvram::SealFault::Torn) {
-        // The write is issued and the in-memory state proceeds as if
-        // it succeeded — the pre-crash host cannot tell — but the
-        // summary block never hits the disk, so recovery will treat
-        // the log as ending at this segment.
-        segment.torn = true;
-        faultFired_ = true;
-    }
 
     for (const PendingBlock &pb : pending_) {
-        if (crashHook_ != nullptr) {
-            switch (crashHook_->onSite(
-                nvram::CrashSiteKind::InodeUpdate, pb.file, this)) {
-              case nvram::CrashAction::Torn:
-              case nvram::CrashAction::Dead:
-                // Crash mid-seal: some prefix of the data is on disk
-                // but the summary never follows.  The in-memory image
-                // still completes (recovery never parses a torn
-                // segment, so its exact contents are moot).
-                segment.torn = true;
-                break;
-              default:
-                break;
-            }
+        if (tears(atSite(nvram::CrashSiteKind::InodeUpdate, pb.file))) {
+            // Crash mid-seal: some prefix of the data is on disk but
+            // the summary never follows.  The in-memory image still
+            // completes (recovery never parses a torn segment, so its
+            // exact contents are moot).
+            segment.torn = true;
         }
         const SegmentAddress address{
             segment.id, static_cast<std::uint32_t>(
@@ -305,17 +286,12 @@ LfsLog::seal(SealCause cause)
     pendingFiles_.clear();
     pendingData_ = 0;
 
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::SealCommit,
-                                   segments_.back().id, this)) {
-          case nvram::CrashAction::Torn:
-          case nvram::CrashAction::Dead:
-            // The summary block itself never reached the disk.
-            segments_.back().torn = true;
-            break;
-          default:
-            break;
-        }
+    if (tears(atSite(nvram::CrashSiteKind::SealCommit,
+                     segments_.back().id))) {
+        // The summary block never reached the disk.  The in-memory
+        // state proceeds as if the write succeeded — the pre-crash
+        // host cannot tell — and recovery ends the log here.
+        segments_.back().torn = true;
     }
     return true;
 }
@@ -323,16 +299,8 @@ LfsLog::seal(SealCause cause)
 void
 LfsLog::deleteFile(FileId file)
 {
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::JournalAppend,
-                                   file, this)) {
-          case nvram::CrashAction::PowerFail:
-          case nvram::CrashAction::Dead:
-            return; // the delete dies in volatile memory
-          default:
-            break;
-        }
-    }
+    if (diesInMemory(atSite(nvram::CrashSiteKind::JournalAppend, file)))
+        return; // the delete dies in volatile memory
     // Drop pending blocks of the file.
     if (pendingFiles_.erase(file) > 0) {
         std::vector<PendingBlock> kept;
@@ -356,16 +324,8 @@ LfsLog::deleteFile(FileId file)
 void
 LfsLog::truncate(FileId file, Bytes new_size)
 {
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::JournalAppend,
-                                   file, this)) {
-          case nvram::CrashAction::PowerFail:
-          case nvram::CrashAction::Dead:
-            return; // the truncate dies in volatile memory
-          default:
-            break;
-        }
-    }
+    if (diesInMemory(atSite(nvram::CrashSiteKind::JournalAppend, file)))
+        return; // the truncate dies in volatile memory
     const auto first_dead = static_cast<std::uint32_t>(
         blocksCovering(new_size));
     // Pending blocks beyond the new size die before reaching disk.
@@ -406,18 +366,11 @@ LfsLog::truncate(FileId file, Bytes new_size)
 Checkpoint
 LfsLog::takeCheckpoint()
 {
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::Checkpoint,
-                                   0, this)) {
-          case nvram::CrashAction::PowerFail:
-          case nvram::CrashAction::Dead:
-            // The checkpoint was never written; the caller holds a
-            // snapshot covering nothing (roll-forward starts at
-            // segment zero).
-            return Checkpoint{};
-          default:
-            break;
-        }
+    if (diesInMemory(atSite(nvram::CrashSiteKind::Checkpoint, 0))) {
+        // The checkpoint was never written; the caller holds a
+        // snapshot covering nothing (roll-forward starts at segment
+        // zero).
+        return Checkpoint{};
     }
     seal(SealCause::Checkpoint);
     Checkpoint cp;
@@ -645,16 +598,6 @@ LfsLog::auditInvariants() const
     // journals_ is kept exactly one slot per sealed segment.
     NVFS_AUDIT_CHECK(journals_.size() == segments_.size(), "LfsLog",
                      "journal store diverged from the segment count");
-}
-
-void
-LfsLog::checkInvariants() const
-{
-    try {
-        auditInvariants();
-    } catch (const util::AuditError &error) {
-        util::panic(error.what());
-    }
 }
 
 } // namespace nvfs::lfs

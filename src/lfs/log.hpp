@@ -20,13 +20,9 @@
 
 #include "lfs/inode_map.hpp"
 #include "lfs/segment.hpp"
+#include "nvram/crash_site.hpp"
 #include "util/flat_map.hpp"
 #include "util/interval_set.hpp"
-
-namespace nvfs::nvram {
-class CrashSiteHook;
-class FaultPlan;
-}
 
 namespace nvfs::lfs {
 
@@ -172,20 +168,7 @@ class LfsLog
         return activeIds_;
     }
 
-    // ---- Fault injection (nvfs::check) -------------------------------
-
-    /**
-     * Attach a fault plan; nullptr detaches.  Not owned — the caller
-     * keeps it alive for the log's lifetime.  The plan is consulted
-     * once per segment write: a torn seal completes in memory (the
-     * pre-crash host believes the write succeeded) but marks the
-     * segment torn so recovery stops there; a power-fail aborts the
-     * write and drops the open segment's volatile contents.
-     */
-    void setFaultPlan(nvram::FaultPlan *plan) { faults_ = plan; }
-
-    /** True once an injected seal fault has fired on this log. */
-    bool faultFired() const { return faultFired_; }
+    // ---- Crash sites (nvfs::crash) -----------------------------------
 
     /**
      * Attach a crash-site hook (nvfs::crash); nullptr detaches.  Not
@@ -210,9 +193,6 @@ class LfsLog
      * util::AuditError on violation.
      */
     void auditInvariants() const;
-
-    /** Check internal consistency (tests); panics on violation. */
-    void checkInvariants() const;
 
   private:
     /** Test-only peer that corrupts internals to prove audits fire. */
@@ -243,6 +223,11 @@ class LfsLog
     /** Dead-en a superseded on-disk copy. */
     void killAddress(const SegmentAddress &address);
 
+    /** The attached hook's answer at a crash site; None without a
+     *  hook. */
+    nvram::CrashAction atSite(nvram::CrashSiteKind kind,
+                              std::uint64_t detail);
+
     LfsConfig config_;
     InodeMap inodes_;
     std::vector<Segment> segments_;
@@ -263,8 +248,6 @@ class LfsLog
     /** Per-segment persisted journals, indexed by segment id. */
     std::vector<std::vector<JournalRecord>> journals_;
 
-    nvram::FaultPlan *faults_ = nullptr;
-    bool faultFired_ = false;
     nvram::CrashSiteHook *crashHook_ = nullptr;
 };
 

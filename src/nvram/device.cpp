@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "nvram/crash_site.hpp"
-#include "nvram/fault.hpp"
 #include "util/log.hpp"
 
 namespace nvfs::nvram {
@@ -32,12 +31,6 @@ NvramDevice::put(std::uint64_t tag, Bytes bytes)
           default:
             break;
         }
-    }
-    if (faults_ != nullptr && faults_->onDeviceWrite()) {
-        // Torn device write: the access was issued (count it) but the
-        // cell never committed; the old value for the tag survives.
-        ++writes_;
-        return false;
     }
     Bytes *stored = contents_.find(tag);
     const Bytes old = stored == nullptr ? 0 : *stored;

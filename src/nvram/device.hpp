@@ -21,7 +21,6 @@
 namespace nvfs::nvram {
 
 class CrashSiteHook;
-class FaultPlan;
 
 /** Static properties of an NVRAM part. */
 struct DeviceParams
@@ -122,14 +121,6 @@ class NvramDevice
     std::uint64_t writeAccesses() const { return writes_; }
 
     /**
-     * Attach a fault plan (nvfs::check); nullptr detaches.  Not owned
-     * — the caller keeps it alive for the device's lifetime.  An armed
-     * device-drop fault makes the matching put() fail as if power
-     * dropped mid-write: nothing stored, previous contents intact.
-     */
-    void setFaultPlan(FaultPlan *plan) { faults_ = plan; }
-
-    /**
      * Attach a crash-site hook (nvfs::crash); nullptr detaches.  Not
      * owned.  Every put() is a DevicePut crash site: the hook can
      * count it, drop it (power fails mid-write; previous contents
@@ -146,7 +137,6 @@ class NvramDevice
     bool contentsValid_ = true;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
-    FaultPlan *faults_ = nullptr;
     CrashSiteHook *crashHook_ = nullptr;
 };
 

@@ -26,17 +26,10 @@ FileServer::FileServer(std::vector<std::string> fs_names,
     : config_(config)
 {
     NVFS_REQUIRE(!fs_names.empty(), "server needs file systems");
-    if (auto plan = nvram::FaultPlan::fromEnv()) {
-        faults_ = std::make_unique<nvram::FaultPlan>(std::move(*plan));
-        util::inform("NVFS_FAULTS armed (indices count across all "
-                     "file systems)");
-    }
     state_.reserve(fs_names.size());
     for (auto &name : fs_names) {
         auto fs = std::make_unique<FsState>(config_.lfs);
         fs->stats.name = std::move(name);
-        if (faults_)
-            fs->log.setFaultPlan(faults_.get());
         if (config_.nvramBufferBytes > 0) {
             // The ledger never enforces capacity — the overflow seal
             // in run() does that against nvramBufferBytes — so give

@@ -24,7 +24,6 @@
 #include "lfs/cleaner.hpp"
 #include "lfs/log.hpp"
 #include "nvram/device.hpp"
-#include "nvram/fault.hpp"
 #include "workload/server_workload.hpp"
 
 namespace nvfs::server {
@@ -145,9 +144,6 @@ class FileServer
 
     ServerConfig config_;
     std::vector<std::unique_ptr<FsState>> state_;
-    /** NVFS_FAULTS plan shared by every log; heap-owned so the
-     *  pointers the logs hold survive a FileServer move. */
-    std::unique_ptr<nvram::FaultPlan> faults_;
     nvram::CrashSiteHook *crashHook_ = nullptr;
     TimeUs lastSweep_ = 0;
 };

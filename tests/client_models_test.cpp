@@ -181,7 +181,7 @@ TEST_F(ModelTest, WriteAsideMirrorsDirtyBlocks)
     EXPECT_TRUE(model.volatileCache().contains({1, 0}));
     EXPECT_TRUE(model.nvramCache().contains({1, 0}));
     EXPECT_EQ(model.dirtyBytes(), 4096u);
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
     // Twice the bus traffic of a single-cache write.
     EXPECT_EQ(metrics.busBytes, 2 * 4096u);
 }
@@ -223,7 +223,7 @@ TEST_F(ModelTest, WriteAsideNvramReplacementCleansVolatileCopy)
     // The volatile duplicate is now clean but still cached.
     ASSERT_TRUE(model.volatileCache().contains({1, 0}));
     EXPECT_FALSE(model.volatileCache().peek({1, 0})->isDirty());
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST_F(ModelTest, WriteAsideVolatileEvictionInvalidatesBoth)
@@ -239,7 +239,7 @@ TEST_F(ModelTest, WriteAsideVolatileEvictionInvalidatesBoth)
     EXPECT_EQ(metrics.serverWrites(WriteCause::Replacement), 4096u);
     EXPECT_FALSE(model.volatileCache().contains({1, 0}));
     EXPECT_FALSE(model.nvramCache().contains({1, 0}));
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST_F(ModelTest, WriteAsideNvramNeverReadOnReadPath)
@@ -291,7 +291,7 @@ TEST_F(ModelTest, UnifiedWriteGoesOnlyToNvram)
     EXPECT_TRUE(model.nvramCache().contains({1, 0}));
     EXPECT_FALSE(model.volatileCache().contains({1, 0}));
     EXPECT_EQ(metrics.busBytes, 4096u); // single memory write
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST_F(ModelTest, UnifiedReadsServedFromEitherMemory)
@@ -335,7 +335,7 @@ TEST_F(ModelTest, UnifiedNvramReplacementDemotesVictim)
     ASSERT_TRUE(model.volatileCache().contains({1, 0}));
     EXPECT_FALSE(model.volatileCache().peek({1, 0})->isDirty());
     EXPECT_EQ(metrics.nvramToCacheBytes, 4096u);
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST_F(ModelTest, UnifiedDemotionSkippedWhenVictimOlderThanLru)
@@ -351,7 +351,7 @@ TEST_F(ModelTest, UnifiedDemotionSkippedWhenVictimOlderThanLru)
     model.write(3, 0, 4096, 200); // evicts block 1 (older than LRU)
     EXPECT_FALSE(model.volatileCache().contains({1, 0}));
     EXPECT_TRUE(model.volatileCache().contains({2, 0}));
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST_F(ModelTest, UnifiedPartialUpdatePromotesFromVolatile)
@@ -365,7 +365,7 @@ TEST_F(ModelTest, UnifiedPartialUpdatePromotesFromVolatile)
     EXPECT_FALSE(model.volatileCache().contains({1, 0}));
     EXPECT_TRUE(model.nvramCache().contains({1, 0}));
     EXPECT_EQ(metrics.cacheToNvramBytes, 4096u);
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST_F(ModelTest, UnifiedReadPlacementUsesNvramWhenVolatileFull)
@@ -381,7 +381,7 @@ TEST_F(ModelTest, UnifiedReadPlacementUsesNvramWhenVolatileFull)
     EXPECT_TRUE(model.volatileCache().contains({1, 0}));
     EXPECT_TRUE(model.nvramCache().contains({2, 0}));
     EXPECT_FALSE(model.nvramCache().peek({2, 0})->isDirty());
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST_F(ModelTest, UnifiedRecallFlushesDirtyAndInvalidates)

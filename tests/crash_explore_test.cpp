@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "armed_site_hook.hpp"
 #include "check/shrink.hpp"
 #include "crash/explore.hpp"
 #include "crash/registry.hpp"
@@ -512,13 +513,52 @@ smallExploreConfig(Bytes nvram_buffer)
 }
 
 /**
+ * exploreOne with the first seal commit torn behind the registry's
+ * back: the registry records a clean commit while the log marks the
+ * segment torn, so recovery loses data the oracle expects and every
+ * crash after that commit is a violation.
+ */
+crash::CrashVerdict
+tornFirstSealReplay(const std::vector<ServerOp> &ops,
+                    const crash::ExploreConfig &config,
+                    std::uint64_t site)
+{
+    CrashSiteRegistry registry;
+    registry.armCrash(site);
+    ArmedSiteHook tear(CrashSiteKind::SealCommit, 1, CrashAction::Torn,
+                       &registry);
+    server::FileServer server(config.fsNames, config.server);
+    server.setCrashHook(&tear);
+    for (std::size_t i = 0; i < server.fsCount(); ++i) {
+        const auto fs = static_cast<FsId>(i);
+        registry.track(server.log(fs), server.nvramDevice(fs));
+    }
+    server.run(ops, [&registry] { return registry.dead(); });
+
+    crash::CrashVerdict verdict;
+    verdict.crashed = registry.crash().has_value();
+    if (!verdict.crashed) {
+        verdict.violation = crash::Violation{
+            site, CrashSiteKind::SealBegin, "never reached", {}};
+        return verdict;
+    }
+    if (const auto what =
+            crash::verifyDurability(registry, &verdict.quarantine)) {
+        verdict.violation =
+            crash::Violation{site, registry.crash()->kind, *what, {}};
+    }
+    return verdict;
+}
+
+/**
  * What explore() must report, computed the slow way: a census, then
- * exploreOne at every site in order, each violation shrunk while its
+ * `replay` at every site in order, each violation shrunk while its
  * crash still fires and still violates.
  */
 crash::ExploreResult
 serialExplore(const std::vector<ServerOp> &ops,
-              const crash::ExploreConfig &config)
+              const crash::ExploreConfig &config,
+              crash::CrashReplay replay)
 {
     crash::ExploreResult result;
     {
@@ -534,8 +574,7 @@ serialExplore(const std::vector<ServerOp> &ops,
         result.sitesByKind = census.sitesByKind();
     }
     for (std::uint64_t site = 1; site <= result.sitesTotal; ++site) {
-        const crash::CrashVerdict verdict =
-            crash::exploreOne(ops, config, site);
+        const crash::CrashVerdict verdict = replay(ops, config, site);
         ++result.crashesExplored;
         result.segmentsQuarantined +=
             verdict.quarantine.segmentsQuarantined;
@@ -548,8 +587,7 @@ serialExplore(const std::vector<ServerOp> &ops,
             violation.repro = check::deltaShrink(
                 ops,
                 [&](const std::vector<ServerOp> &candidate) {
-                    const auto probe =
-                        crash::exploreOne(candidate, config, site);
+                    const auto probe = replay(candidate, config, site);
                     return probe.crashed && probe.violation.has_value();
                 },
                 config.shrinkBudget);
@@ -584,15 +622,15 @@ TEST(Explore, ShrunkReproReachesItsSite)
 {
     // A torn first seal loses data the registry saw commit, so every
     // later crash violates the oracle.
-    const ScopedEnv faults("NVFS_FAULTS", "torn-seal:1");
     const crash::ExploreConfig config = smallExploreConfig(0);
-    const auto result = crash::explore(smallWorkload(), config);
+    const auto result =
+        crash::explore(smallWorkload(), config, tornFirstSealReplay);
     ASSERT_FALSE(result.violations.empty());
     for (const crash::Violation &violation : result.violations) {
         EXPECT_FALSE(violation.repro.empty())
             << "site " << violation.site;
-        const auto probe =
-            crash::exploreOne(violation.repro, config, violation.site);
+        const auto probe = tornFirstSealReplay(violation.repro, config,
+                                               violation.site);
         EXPECT_TRUE(probe.crashed) << "site " << violation.site;
         EXPECT_TRUE(probe.violation.has_value())
             << "site " << violation.site;
@@ -605,27 +643,29 @@ TEST(Explore, SameResultAtEveryWidth)
     {
         const char *name;
         Bytes nvramBuffer;
-        const char *faults; ///< NVFS_FAULTS, or nullptr
+        crash::CrashReplay replay;
     };
     const Case cases[] = {
-        {"buffered", 256 * kKiB, nullptr},
-        {"unbuffered", 0, nullptr},
-        {"torn seal", 0, "torn-seal:1"},
+        {"buffered", 256 * kKiB, crash::exploreOne},
+        {"unbuffered", 0, crash::exploreOne},
+        {"torn seal", 0, tornFirstSealReplay},
     };
     const auto ops = smallWorkload();
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
-        const ScopedEnv faults("NVFS_FAULTS", c.faults);
         const crash::ExploreConfig config =
             smallExploreConfig(c.nvramBuffer);
-        const crash::ExploreResult want = serialExplore(ops, config);
+        const crash::ExploreResult want =
+            serialExplore(ops, config, c.replay);
         ASSERT_GT(want.sitesTotal, 0u);
-        EXPECT_EQ(want.violations.empty(), c.faults == nullptr);
+        EXPECT_EQ(want.violations.empty(),
+                  c.replay == crash::exploreOne);
         // Wide first, so a pool the test starts is wide too.
         for (const char *jobs : {"4", "1"}) {
             SCOPED_TRACE(std::string("NVFS_JOBS=") + jobs);
             const ScopedEnv width("NVFS_JOBS", jobs);
-            expectSameResult(crash::explore(ops, config), want);
+            expectSameResult(crash::explore(ops, config, c.replay),
+                             want);
         }
     }
 }
@@ -644,19 +684,6 @@ TEST(Explore, CrashSitesEnvSelectsExplicitSites)
     EXPECT_TRUE(result.violations.empty());
 }
 
-TEST(Explore, CrashSampleEnvSamplesSites)
-{
-    ::setenv("NVFS_CRASH_SAMPLE", "3", 1);
-    crash::ExploreConfig config;
-    config.server.lfs.segmentBytes = 64 * kKiB;
-    config.shrinkOnFailure = false;
-    const auto result = crash::explore(smallWorkload(), config);
-    ::unsetenv("NVFS_CRASH_SAMPLE");
-    ASSERT_GT(result.sitesTotal, 3u);
-    EXPECT_EQ(result.crashesExplored, 3u);
-    EXPECT_TRUE(result.violations.empty());
-}
-
 TEST(ExploreDeathTest, MalformedCrashSitesIsFatal)
 {
     ::setenv("NVFS_CRASH_SITES", "2,banana", 1);
@@ -665,18 +692,6 @@ TEST(ExploreDeathTest, MalformedCrashSitesIsFatal)
     EXPECT_EXIT(crash::explore(smallWorkload(), config),
                 ::testing::ExitedWithCode(1), "banana");
     ::unsetenv("NVFS_CRASH_SITES");
-}
-
-TEST(ExploreDeathTest, ConflictingSiteKnobsAreFatal)
-{
-    ::setenv("NVFS_CRASH_SITES", "2", 1);
-    ::setenv("NVFS_CRASH_SAMPLE", "3", 1);
-    crash::ExploreConfig config;
-    config.server.lfs.segmentBytes = 64 * kKiB;
-    EXPECT_EXIT(crash::explore(smallWorkload(), config),
-                ::testing::ExitedWithCode(1), "at most one");
-    ::unsetenv("NVFS_CRASH_SITES");
-    ::unsetenv("NVFS_CRASH_SAMPLE");
 }
 
 // -------------------------------------------------- delta shrinking

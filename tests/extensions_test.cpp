@@ -68,7 +68,7 @@ TEST_F(CrashTest, WriteAsideModelRecoversFromNvram)
     EXPECT_EQ(metrics.lostDirtyBytes, 0u);
     EXPECT_EQ(metrics.serverWrites(WriteCause::Recovery), 8192u);
     EXPECT_EQ(model.dirtyBytes(), 0u);
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST_F(CrashTest, UnifiedModelRecoversAndKeepsCleanNvramBlocks)
@@ -91,7 +91,7 @@ TEST_F(CrashTest, UnifiedModelRecoversAndKeepsCleanNvramBlocks)
     // Volatile emptied; NVRAM survivors stay resident (now clean).
     EXPECT_EQ(model.volatileCache().size(), 0u);
     EXPECT_GE(model.nvramCache().size(), clean_nvram_before);
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
 }
 
 TEST(CrashInjection, ClusterAppliesScheduledCrashes)

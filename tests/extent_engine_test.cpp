@@ -83,9 +83,11 @@ crashSchedule(const prep::OpStream &ops)
 // per-block reference, identical Metrics (operator== covers the
 // per-cause byte histogram, both absorbed counters and the lost dirty
 // bytes).  Both sides replay through core::replayOps, so the crash
-// and callback dispatch is exercised against both engines.  The
-// multi-run stream is one more input: it puts two or more dirty runs
-// in a block, which no standard trace does.
+// and callback dispatch is exercised against both engines; the
+// reference dispatches every op unfolded, so the production fold of
+// sequential runs must be invisible too.  The multi-run stream is one
+// more input: it puts two or more dirty runs in a block, which no
+// standard trace does.
 TEST(ExtentEngineDifferential, MatchesPerBlockReferenceOnStandardTraces)
 {
     const ModelKind kinds[] = {ModelKind::Volatile,
@@ -171,34 +173,6 @@ TEST(ExtentEngineDifferential, MatchesLegacyWithDirtyPreference)
                       check::runPerBlockReference(ops, config))
                 << "trace " << trace << " model "
                 << modelKindName(kind);
-        }
-    }
-}
-
-// Prep-layer coalescing folds adjacent same-time sequential sub-ops
-// into one extent before dispatch; it must be invisible in every
-// counter, with and without block-level callbacks.
-TEST(ExtentEngineDifferential, CoalescingIsInvisible)
-{
-    const ModelKind kinds[] = {ModelKind::Volatile,
-                               ModelKind::WriteAside,
-                               ModelKind::Unified};
-    for (int trace = 1; trace <= 8; ++trace) {
-        const auto &ops = standardOps(trace, kScale);
-        for (ModelKind kind : kinds) {
-            for (bool callbacks : {false, true}) {
-                ClusterConfig config;
-                config.model = tinyModel(kind);
-                config.blockLevelCallbacks = callbacks;
-                config.coalesce = true;
-                const Metrics merged = runCluster(ops, config);
-                config.coalesce = false;
-                const Metrics split = runCluster(ops, config);
-                EXPECT_EQ(merged, split)
-                    << "trace " << trace << " model "
-                    << modelKindName(kind) << " callbacks "
-                    << callbacks;
-            }
         }
     }
 }

@@ -4,17 +4,19 @@
  * failures mid-seal, dropped NVRAM writes, and the recovery
  * guarantees the paper's reliability argument rests on — after any
  * injected fault, roll-forward rebuilds a consistent inode map and
- * loses at most the data that was never made durable.
+ * loses at most the data that was never made durable.  Each fault is
+ * armed through the production crash-site seam (ArmedSiteHook).
  */
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "armed_site_hook.hpp"
 #include "lfs/log.hpp"
 #include "lfs/recovery.hpp"
 #include "nvram/device.hpp"
-#include "nvram/fault.hpp"
 #include "server/file_server.hpp"
 #include "util/audit.hpp"
 
@@ -59,8 +61,8 @@ class AuditTestPeer
 
 namespace {
 
-using nvram::FaultEvent;
-using nvram::FaultPlan;
+using nvram::CrashAction;
+using nvram::CrashSiteKind;
 using nvram::NvramDevice;
 
 LfsConfig
@@ -71,79 +73,6 @@ smallConfig()
     return config;
 }
 
-// ------------------------------------------------- FaultPlan parsing
-
-TEST(FaultPlan, ParsesSpec)
-{
-    const auto plan =
-        FaultPlan::fromSpec("torn-seal:2,power-fail:5,device-drop:1");
-    ASSERT_TRUE(plan.has_value());
-    FaultPlan mutable_plan = *plan;
-    EXPECT_EQ(mutable_plan.onSeal(), nvram::SealFault::None);
-    EXPECT_EQ(mutable_plan.onSeal(), nvram::SealFault::Torn);
-    EXPECT_TRUE(mutable_plan.onDeviceWrite());
-    EXPECT_FALSE(mutable_plan.onDeviceWrite());
-}
-
-TEST(FaultPlan, RejectsMalformedSpecs)
-{
-    EXPECT_FALSE(FaultPlan::fromSpec("torn-seal").has_value());
-    EXPECT_FALSE(FaultPlan::fromSpec("torn-seal:x").has_value());
-    EXPECT_FALSE(FaultPlan::fromSpec("torn-seal:0").has_value());
-    EXPECT_FALSE(FaultPlan::fromSpec("torn-seal:-3").has_value());
-    EXPECT_FALSE(FaultPlan::fromSpec("torn-seal:2x").has_value());
-    EXPECT_FALSE(FaultPlan::fromSpec("meteor-strike:1").has_value());
-    // Empty specs / items are benign: a plan with nothing armed.
-    EXPECT_TRUE(FaultPlan::fromSpec("").has_value());
-    EXPECT_TRUE(
-        FaultPlan::fromSpec("torn-seal:1,,power-fail:2").has_value());
-}
-
-TEST(FaultPlan, FromEnvReadsNvfsFaults)
-{
-    ::setenv("NVFS_FAULTS", "power-fail:3", 1);
-    const auto plan = FaultPlan::fromEnv();
-    ::unsetenv("NVFS_FAULTS");
-    ASSERT_TRUE(plan.has_value());
-    EXPECT_FALSE(FaultPlan::fromEnv().has_value());
-}
-
-TEST(FaultPlan, RecordsFiredEvents)
-{
-    FaultPlan plan;
-    plan.tearSealAt(2);
-    EXPECT_FALSE(plan.anyFired());
-    plan.onSeal();
-    plan.onSeal();
-    ASSERT_EQ(plan.fired().size(), 1u);
-    EXPECT_EQ(plan.fired()[0],
-              (FaultEvent{FaultEvent::Kind::TornSeal, 2}));
-    EXPECT_EQ(plan.sealsSeen(), 2u);
-}
-
-TEST(FaultPlan, NvfsFaultsArmsTheFileServer)
-{
-    // NVFS_FAULTS must reach real drivers, not just unit tests: a
-    // FileServer constructed with it set arms every log.
-    ::setenv("NVFS_FAULTS", "torn-seal:1", 1);
-    server::ServerConfig config;
-    config.lfs.segmentBytes = 64 * kKiB;
-    server::FileServer srv({"fs0"}, config);
-    ::unsetenv("NVFS_FAULTS");
-
-    LfsLog &log = srv.log(0);
-    log.writeBlock(1, 0, kBlockSize);
-    EXPECT_TRUE(log.seal(SealCause::Fsync));
-    EXPECT_TRUE(log.faultFired());
-    EXPECT_TRUE(log.segments().back().torn);
-
-    // Unset env arms nothing.
-    server::FileServer clean({"fs0"}, config);
-    clean.log(0).writeBlock(1, 0, kBlockSize);
-    EXPECT_TRUE(clean.log(0).seal(SealCause::Fsync));
-    EXPECT_FALSE(clean.log(0).faultFired());
-}
-
 // --------------------------------------------------- torn seg writes
 
 TEST(FaultInjection, TornFinalSegmentLosesOnlyItsOwnData)
@@ -152,9 +81,8 @@ TEST(FaultInjection, TornFinalSegmentLosesOnlyItsOwnData)
     // summary never reaches the disk.  Recovery must stop there,
     // keeping everything sealed before the tear.
     LfsLog log(smallConfig());
-    FaultPlan plan;
-    plan.tearSealAt(3);
-    log.setFaultPlan(&plan);
+    ArmedSiteHook tear(CrashSiteKind::SealCommit, 3, CrashAction::Torn);
+    log.setCrashHook(&tear);
 
     log.writeBlock(1, 0, kBlockSize);
     EXPECT_TRUE(log.seal(SealCause::Fsync));
@@ -162,7 +90,7 @@ TEST(FaultInjection, TornFinalSegmentLosesOnlyItsOwnData)
     EXPECT_TRUE(log.seal(SealCause::Fsync));
     log.writeBlock(3, 0, kBlockSize);
     EXPECT_TRUE(log.seal(SealCause::Fsync)); // torn: host can't tell
-    EXPECT_TRUE(log.faultFired());
+    EXPECT_TRUE(tear.fired());
     EXPECT_TRUE(log.segments().back().torn);
 
     const RecoveryResult result = rollForward(log);
@@ -182,9 +110,8 @@ TEST(FaultInjection, TornMiddleSegmentTruncatesTheLog)
     // torn one, but recovery cannot parse past the missing summary —
     // the log effectively ends at the tear.
     LfsLog log(smallConfig());
-    FaultPlan plan;
-    plan.tearSealAt(2);
-    log.setFaultPlan(&plan);
+    ArmedSiteHook tear(CrashSiteKind::SealCommit, 2, CrashAction::Torn);
+    log.setCrashHook(&tear);
 
     log.writeBlock(1, 0, kBlockSize);
     log.seal(SealCause::Fsync);
@@ -201,16 +128,15 @@ TEST(FaultInjection, TornMiddleSegmentTruncatesTheLog)
     EXPECT_FALSE(result.inodes.locate(3, 0).has_value());
 }
 
-TEST(FaultInjection, TornWriteGoesUndetectedWithoutTheFaultPlan)
+TEST(FaultInjection, TornWriteGoesUndetectedUntilRecovery)
 {
     // The pre-nvfs::check behavior: the in-memory state after a torn
     // seal is indistinguishable from a successful one — stats,
     // invariants, and the live inode map all look perfectly healthy.
-    // Only replaying recovery (or arming the plan) exposes the loss.
+    // Only replaying recovery exposes the loss.
     LfsLog log(smallConfig());
-    FaultPlan plan;
-    plan.tearSealAt(1);
-    log.setFaultPlan(&plan);
+    ArmedSiteHook tear(CrashSiteKind::SealCommit, 1, CrashAction::Torn);
+    log.setCrashHook(&tear);
     log.writeBlock(1, 0, kBlockSize);
     log.seal(SealCause::Fsync);
 
@@ -231,15 +157,15 @@ TEST(FaultInjection, TornWriteGoesUndetectedWithoutTheFaultPlan)
 TEST(FaultInjection, PowerFailDropsTheOpenSegment)
 {
     LfsLog log(smallConfig());
-    FaultPlan plan;
-    plan.powerFailAt(2);
-    log.setFaultPlan(&plan);
+    ArmedSiteHook power(CrashSiteKind::SealBegin, 2,
+                        CrashAction::PowerFail);
+    log.setCrashHook(&power);
 
     log.writeBlock(1, 0, kBlockSize);
     EXPECT_TRUE(log.seal(SealCause::Fsync));
     log.writeBlock(2, 0, kBlockSize);
     EXPECT_FALSE(log.seal(SealCause::Fsync)); // power died
-    EXPECT_TRUE(log.faultFired());
+    EXPECT_TRUE(power.fired());
 
     // Nothing half-written: the open segment's volatile contents are
     // simply gone and the log is still internally consistent.
@@ -259,9 +185,9 @@ TEST(FaultInjection, PowerFailDropsTheOpenSegment)
 TEST(FaultInjection, LogStaysUsableAfterPowerFail)
 {
     LfsLog log(smallConfig());
-    FaultPlan plan;
-    plan.powerFailAt(1);
-    log.setFaultPlan(&plan);
+    ArmedSiteHook power(CrashSiteKind::SealBegin, 1,
+                        CrashAction::PowerFail);
+    log.setCrashHook(&power);
 
     log.writeBlock(1, 0, kBlockSize);
     EXPECT_FALSE(log.seal(SealCause::Fsync));
@@ -281,13 +207,12 @@ TEST(FaultInjection, LogStaysUsableAfterPowerFail)
 TEST(FaultInjection, DeviceDropKeepsPreviousContents)
 {
     NvramDevice device;
-    FaultPlan plan;
-    plan.dropDeviceWriteAt(2);
-    device.setFaultPlan(&plan);
+    ArmedSiteHook drop(CrashSiteKind::DevicePut, 2, CrashAction::Drop);
+    device.setCrashHook(&drop);
 
     EXPECT_TRUE(device.put(7, 100));
     EXPECT_FALSE(device.put(7, 500)); // dropped mid-write
-    EXPECT_TRUE(plan.anyFired());
+    EXPECT_TRUE(drop.fired());
 
     // The old value survives — a dropped write must not tear the tag.
     const auto stored = device.get(7);
@@ -296,6 +221,63 @@ TEST(FaultInjection, DeviceDropKeepsPreviousContents)
     EXPECT_EQ(device.usedBytes(), 100u);
     // The attempt still cost a write access.
     EXPECT_EQ(device.writeAccesses(), 2u);
+}
+
+// ------------------------------------------- faults in a whole server
+
+TEST(FaultInjection, ServerHookTearsAcrossLogsAndDropsLedgerPuts)
+{
+    // A buffered two-file-system server with one hook: the second
+    // seal commit counted across both logs tears (fs1's first
+    // segment), and the third put counted across both ledgers drops.
+    server::ServerConfig config;
+    config.lfs.segmentBytes = 64 * kKiB;
+    config.nvramBufferBytes = 512 * kKiB;
+    server::FileServer srv({"fs0", "fs1"}, config);
+    ArmedSiteHook drop(CrashSiteKind::DevicePut, 3, CrashAction::Drop);
+    ArmedSiteHook tear(CrashSiteKind::SealCommit, 2, CrashAction::Torn,
+                       &drop);
+    srv.setCrashHook(&tear);
+
+    using Op = workload::ServerOp;
+    const std::vector<Op> ops = {
+        // Aged out by the 35 s sweep: put 1 (fs0) and seal commit 1,
+        // then put 2 (fs1) and seal commit 2, which tears.
+        {1 * kUsPerSecond, 0, 1, 0, kBlockSize, Op::Kind::Write},
+        {2 * kUsPerSecond, 1, 2, 0, kBlockSize, Op::Kind::Write},
+        // fsyncs absorbed by fs1's buffer: put 3 drops, put 4 lands.
+        {40 * kUsPerSecond, 1, 2, kBlockSize, kBlockSize,
+         Op::Kind::Write},
+        {40 * kUsPerSecond, 1, 2, 0, 0, Op::Kind::Fsync},
+        {41 * kUsPerSecond, 1, 2, 2 * kBlockSize, kBlockSize,
+         Op::Kind::Write},
+        {41 * kUsPerSecond, 1, 2, 0, 0, Op::Kind::Fsync},
+    };
+    // Stop once every op ran, before the drain seals the ledgers away.
+    std::size_t polls = 0;
+    srv.run(ops, [&] { return ++polls > ops.size(); });
+    EXPECT_TRUE(tear.fired());
+    EXPECT_TRUE(drop.fired());
+
+    ASSERT_EQ(srv.log(0).segments().size(), 1u);
+    ASSERT_EQ(srv.log(1).segments().size(), 1u);
+    EXPECT_FALSE(srv.log(0).segments()[0].torn);
+    EXPECT_TRUE(srv.log(1).segments()[0].torn);
+    EXPECT_TRUE(rollForward(srv.log(0)).inodes.locate(1, 0).has_value());
+    const RecoveryResult torn = rollForward(srv.log(1));
+    EXPECT_TRUE(torn.stoppedAtTornSegment);
+    EXPECT_EQ(torn.inodes.blockCount(), 0u);
+
+    // The dropped put left no tag; the puts around it landed.
+    const NvramDevice &ledger = *srv.nvramDevice(1);
+    const auto tag = [](FileId file, std::uint32_t block) {
+        return (static_cast<std::uint64_t>(file) << 32) | block;
+    };
+    EXPECT_FALSE(ledger.holds(tag(2, 1)));
+    EXPECT_TRUE(ledger.holds(tag(2, 2)));
+    EXPECT_EQ(ledger.writeAccesses(), 3u);
+    EXPECT_EQ(srv.nvramDevice(0)->writeAccesses(), 1u);
+    EXPECT_NO_THROW(srv.auditInvariants());
 }
 
 // ------------------------------------------- audits catch corruption
@@ -406,7 +388,6 @@ TEST(AuditDetection, CheckInvariantsStillPassesOnHealthyLog)
     log.seal(SealCause::Timeout);
     log.truncate(2, 500);
     EXPECT_NO_THROW(log.auditInvariants());
-    log.checkInvariants(); // panic-wrapper flavor stays callable
 }
 
 } // namespace

@@ -291,7 +291,7 @@ TEST(LfsLog, OverwriteDeadensOldCopy)
     log.seal(SealCause::Timeout);
     EXPECT_EQ(log.segments()[0].liveBytes, 0u);
     EXPECT_EQ(log.segments()[1].liveBytes, kBlockSize);
-    log.checkInvariants();
+    ASSERT_NO_THROW(log.auditInvariants());
 }
 
 TEST(LfsLog, DeleteDropsPendingAndDeadensSealed)
@@ -305,7 +305,7 @@ TEST(LfsLog, DeleteDropsPendingAndDeadensSealed)
     EXPECT_EQ(log.pendingBytes(), kBlockSize); // only file 2 remains
     EXPECT_EQ(log.segments()[0].liveBytes, 0u);
     EXPECT_FALSE(log.inodes().locate(1, 0).has_value());
-    log.checkInvariants();
+    ASSERT_NO_THROW(log.auditInvariants());
 }
 
 TEST(LfsLog, TruncateKillsTailBlocks)
@@ -318,7 +318,7 @@ TEST(LfsLog, TruncateKillsTailBlocks)
     EXPECT_TRUE(log.inodes().locate(1, 2).has_value());
     EXPECT_FALSE(log.inodes().locate(1, 3).has_value());
     EXPECT_EQ(log.segments()[0].liveBytes, 3 * kBlockSize);
-    log.checkInvariants();
+    ASSERT_NO_THROW(log.auditInvariants());
 }
 
 TEST(LfsLog, TruncateOfAnotherFileLeavesPendingBlocksIntact)
@@ -380,7 +380,7 @@ TEST(Cleaner, ReclaimsDeadSegments)
     const CleanResult result = cleaner.clean(log, 31, true);
     EXPECT_GE(result.segmentsReclaimed, 1u);
     EXPECT_EQ(result.liveBytesCopied, 0u); // nothing was live
-    log.checkInvariants();
+    ASSERT_NO_THROW(log.auditInvariants());
 }
 
 TEST(Cleaner, CopiesLiveDataForward)
@@ -401,7 +401,7 @@ TEST(Cleaner, CopiesLiveDataForward)
     EXPECT_GT(address->segment, 0u);
     EXPECT_TRUE(log.segments()[0].reclaimed);
     EXPECT_GE(log.stats().cleanerSegments, 1u);
-    log.checkInvariants();
+    ASSERT_NO_THROW(log.auditInvariants());
 }
 
 TEST(Cleaner, MaybeCleanIdleAboveLowWater)

@@ -84,14 +84,15 @@ TEST_P(ModelStress, WriteAsideInvariantsHoldUnderChaos)
                                 metrics, sizes, rng);
     for (TimeUs now = 1; now <= 3000; ++now) {
         step(model, now);
-        if (now % 100 == 0)
-            model.checkInvariants();
+        if (now % 100 == 0) {
+            ASSERT_NO_THROW(model.auditInvariants());
+        }
         ASSERT_LE(model.volatileCache().size(),
                   model.volatileCache().capacityBlocks());
         ASSERT_LE(model.nvramCache().size(),
                   model.nvramCache().capacityBlocks());
     }
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
     model.finish(3001);
     EXPECT_EQ(model.dirtyBytes(), 0u);
 }
@@ -102,10 +103,11 @@ TEST_P(ModelStress, UnifiedInvariantsHoldUnderChaos)
                              sizes, rng);
     for (TimeUs now = 1; now <= 3000; ++now) {
         step(model, now);
-        if (now % 100 == 0)
-            model.checkInvariants();
+        if (now % 100 == 0) {
+            ASSERT_NO_THROW(model.auditInvariants());
+        }
     }
-    model.checkInvariants();
+    ASSERT_NO_THROW(model.auditInvariants());
     model.finish(3001);
     EXPECT_EQ(model.dirtyBytes(), 0u);
 }

@@ -552,8 +552,8 @@ cmdSweep(const Args &args)
  * trace, client model (whose server-bound traffic differs), and
  * server engine (unbuffered vs NVRAM-buffered).  Each cell censuses
  * the workload's persistence sites, then crashes at every selected
- * site (NVFS_CRASH_SITES / NVFS_CRASH_SAMPLE narrow the selection)
- * and oracle-checks the recovery.
+ * site (--sample draws a seeded sample, NVFS_CRASH_SITES pins exact
+ * sites) and oracle-checks the recovery.
  */
 int
 cmdCrashsweep(const Args &args)
@@ -746,9 +746,8 @@ usage()
         "           [--no-shrink]\n"
         "           crash at every persistence site and verify "
         "recovery\n"
-        "           (NVFS_CRASH_SITES=3,17 or NVFS_CRASH_SAMPLE=64\n"
-        "           narrow the site selection; --sample N draws a\n"
-        "           seeded sample of N sites)\n"
+        "           (--sample N draws a seeded sample of N sites;\n"
+        "           NVFS_CRASH_SITES=3,17 pins the sites instead)\n"
         "\n"
         "Every command also accepts --stats (print the observability\n"
         "counter/timer table after the run); any flag a command does\n"
