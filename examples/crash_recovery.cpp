@@ -165,7 +165,7 @@ main(int argc, char **argv)
         argc > 1 ? util::argDouble("scale", argv[1], 1e-6, 1e6) : 0.1;
     part1DeviceStory();
     part2ClusterStory(scale);
-    // The explorer replays the workload once per site; keep its scale
+    // The explorer crashes the workload once per site; keep its scale
     // a notch below the cluster story's so the example stays snappy.
     part3CrashExplorer(std::min(scale, 0.02));
     return 0;

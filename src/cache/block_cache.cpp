@@ -20,6 +20,18 @@ BlockCache::BlockCache(std::uint64_t capacity_blocks,
     }
 }
 
+BlockCache::BlockCache(const BlockCache &other)
+    : capacity_(other.capacity_), size_(other.size_),
+      arena_(other.arena_), freeHead_(other.freeHead_),
+      lru_(other.lru_), dirtyOrder_(other.dirtyOrder_),
+      cleanLru_(other.cleanLru_), cleanTracking_(other.cleanTracking_),
+      orderedHint_(other.orderedHint_), extents_(other.extents_),
+      dirtyBytes_(other.dirtyBytes_), dirtyBlocks_(other.dirtyBlocks_)
+{
+    NVFS_REQUIRE(other.policy_ == nullptr,
+                 "only a policy-free block cache can be copied");
+}
+
 bool
 BlockCache::contains(const BlockId &id) const
 {

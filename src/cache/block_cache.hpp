@@ -57,7 +57,13 @@ class BlockCache
     explicit BlockCache(std::uint64_t capacity_blocks,
                         std::unique_ptr<ReplacementPolicy> policy = nullptr);
 
-    BlockCache(const BlockCache &) = delete;
+    /**
+     * Copy a cache built without a policy (a policy object cannot be
+     * copied; panics otherwise): the same blocks in the same slots
+     * and orders, so the copy goes on exactly as the original would.
+     * The crash explorer forks a server's dirty pool this way.
+     */
+    BlockCache(const BlockCache &other);
     BlockCache &operator=(const BlockCache &) = delete;
     BlockCache(BlockCache &&) = default;
     BlockCache &operator=(BlockCache &&) = default;
@@ -258,6 +264,35 @@ class BlockCache
     removeFileBlocks(FileId file)
     {
         removeFileBlocks(file, [](const CacheBlock &) {});
+    }
+
+    /**
+     * Remove every dirty block whose dirtySince <= cutoff, oldest
+     * first, invoking fn on each block's final metadata first.
+     * Exactly remove() over dirtyOlderThan(cutoff), but each block is
+     * unlinked through the slot the dirty-list walk already holds
+     * instead of a snapshot vector plus a lookup per block.  The
+     * callback must not mutate this cache.
+     */
+    template <typename Fn>
+    void
+    removeDirtyOlderThan(TimeUs cutoff, Fn &&fn)
+    {
+        while (dirtyOrder_.head != kNil &&
+               arena_[dirtyOrder_.head].block.dirtySince <= cutoff) {
+            const std::uint32_t slot = dirtyOrder_.head;
+            const CacheBlock &block = arena_[slot].block;
+            fn(block);
+            dirtyBytes_ -= block.dirtyBytes();
+            --dirtyBlocks_;
+            listRemove(dirtyOrder_, &Entry::dirty, slot);
+            listRemove(lru_, &Entry::lru, slot);
+            extents_.remove(block.id.file, block.id.index);
+            if (policy_)
+                policy_->onRemove(block.id);
+            freeEntry(slot);
+            --size_;
+        }
     }
 
     /** All resident blocks of a file, ascending block index. */

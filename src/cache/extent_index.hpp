@@ -65,6 +65,9 @@ class ExtentIndex
             runInserts.add(hot_.runInserts);
     }
 
+    /** A copy holds the same blocks; its probe counters start at
+     *  zero, so the two never flush the same probes. */
+    ExtentIndex(const ExtentIndex &) = default;
     ExtentIndex(ExtentIndex &&) = default;
     ExtentIndex &operator=(ExtentIndex &&) = default;
 
@@ -367,8 +370,8 @@ class ExtentIndex
 
     /**
      * Locally-accumulated hot-path counters, flushed to obs by the
-     * destructor.  Moves zero the source so a moved-from index never
-     * double-flushes.
+     * destructor.  Moves zero the source and copies start at zero, so
+     * no probe is flushed twice.
      */
     struct HotStats
     {
@@ -378,7 +381,7 @@ class ExtentIndex
         std::uint64_t runInserts = 0;
 
         HotStats() = default;
-        HotStats(const HotStats &) = delete;
+        HotStats(const HotStats &) {}
         HotStats &operator=(const HotStats &) = delete;
         HotStats(HotStats &&other) noexcept
             : probes(other.probes), hintHits(other.hintHits),

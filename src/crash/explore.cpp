@@ -16,6 +16,13 @@ namespace nvfs::crash {
 
 namespace {
 
+/**
+ * Pool tasks per worker: more, shorter runs of sites even out the
+ * tasks' costs (later sites recover longer logs), at the price of one
+ * more forward replay per task.
+ */
+constexpr std::size_t kRunsPerWorker = 2;
+
 /** The NVRAM ledger tag FileServer stages a block under. */
 std::uint64_t
 blockTag(FileId file, std::uint32_t block)
@@ -36,11 +43,117 @@ sampleSites(std::uint64_t total, std::uint64_t want,
 }
 
 /**
- * Sites to crash at, 1-based: NVFS_CRASH_SITES when set
- * (strict-parsed; malformed values are hard errors), else a seeded
- * sample of config.sampleSites sites when positive and below the
- * total, else every site the census counted.
+ * The hook every server of the explorer reports to: its registry,
+ * behind the test filter when there is one.
  */
+class FilteredRegistry final : public nvram::CrashSiteHook
+{
+  public:
+    FilteredRegistry(CrashSiteRegistry &registry, SiteFilter filter)
+        : registry_(registry), filter_(filter)
+    {
+    }
+
+    nvram::CrashAction
+    onSite(nvram::CrashSiteKind kind, std::uint64_t detail,
+           const void *origin) override
+    {
+        const nvram::CrashAction answer =
+            registry_.onSite(kind, detail, origin);
+        return filter_ == nullptr ? answer
+                                  : filter_(kind, detail, answer);
+    }
+
+    bool dead() const override { return registry_.dead(); }
+
+    SiteFilter filter() const { return filter_; }
+
+  private:
+    CrashSiteRegistry &registry_;
+    SiteFilter filter_;
+};
+
+/**
+ * A FileServer whose logs and devices report to its own registry.
+ * Copying one forks the replay: the copy's registry keeps the counts
+ * and sealed snapshots and follows the copied logs and devices.
+ */
+struct Replay
+{
+    CrashSiteRegistry registry;
+    FilteredRegistry hook;
+    server::FileServer server;
+
+    Replay(const ExploreConfig &config, SiteFilter filter)
+        : hook(registry, filter), server(config.fsNames, config.server)
+    {
+        server.setCrashHook(&hook);
+        for (std::size_t i = 0; i < server.fsCount(); ++i) {
+            const auto fs = static_cast<FsId>(i);
+            registry.track(server.log(fs), server.nvramDevice(fs));
+        }
+    }
+
+    Replay(const Replay &other)
+        : registry(other.registry), hook(registry, other.hook.filter()),
+          server(other.server)
+    {
+        server.setCrashHook(&hook);
+        for (std::size_t i = 0; i < server.fsCount(); ++i) {
+            const auto fs = static_cast<FsId>(i);
+            registry.retarget(i, server.log(fs), server.nvramDevice(fs));
+        }
+    }
+
+    Replay &operator=(const Replay &) = delete;
+
+    /** Run ops[first..] (and the drain) until the armed crash fires. */
+    void
+    crashFrom(const std::vector<workload::ServerOp> &ops,
+              std::size_t first)
+    {
+        server.run(ops, [this] { return registry.dead(); }, first);
+    }
+
+    /** The oracle's verdict once the replay armed at `site` ran. */
+    CrashVerdict
+    verdict(std::uint64_t site) const
+    {
+        CrashVerdict verdict;
+        verdict.crashed = registry.crash().has_value();
+        if (!verdict.crashed) {
+            // The census counted this site, so a deterministic replay
+            // must reach it again.
+            verdict.violation =
+                Violation{site, nvram::CrashSiteKind::SealBegin,
+                          "armed crash site was never reached on "
+                          "replay (nondeterministic schedule)",
+                          {}};
+            return verdict;
+        }
+        if (const auto what =
+                verifyDurability(registry, &verdict.quarantine)) {
+            verdict.violation = Violation{site, registry.crash()->kind,
+                                          *what, {}};
+        }
+        return verdict;
+    }
+};
+
+/** Count damaged (torn/corrupt) segments of a log. */
+std::uint32_t
+damagedSegments(const lfs::LfsLog &log)
+{
+    std::uint32_t damaged = 0;
+    for (const lfs::Segment &segment : log.segments()) {
+        if (segment.torn || segment.corrupt)
+            ++damaged;
+    }
+    return damaged;
+}
+
+} // namespace
+
 std::vector<std::uint64_t>
 selectSites(std::uint64_t total, const ExploreConfig &config)
 {
@@ -86,20 +199,6 @@ selectSites(std::uint64_t total, const ExploreConfig &config)
         sites.push_back(site);
     return sites;
 }
-
-/** Count damaged (torn/corrupt) segments of a log. */
-std::uint32_t
-damagedSegments(const lfs::LfsLog &log)
-{
-    std::uint32_t damaged = 0;
-    for (const lfs::Segment &segment : log.segments()) {
-        if (segment.torn || segment.corrupt)
-            ++damaged;
-    }
-    return damaged;
-}
-
-} // namespace
 
 std::optional<std::string>
 verifyDurability(const CrashSiteRegistry &registry,
@@ -212,41 +311,18 @@ verifyDurability(const CrashSiteRegistry &registry,
 
 CrashVerdict
 exploreOne(const std::vector<workload::ServerOp> &ops,
-           const ExploreConfig &config, std::uint64_t site)
+           const ExploreConfig &config, std::uint64_t site,
+           SiteFilter filter)
 {
-    CrashSiteRegistry registry;
-    registry.armCrash(site);
-    server::FileServer server(config.fsNames, config.server);
-    server.setCrashHook(&registry);
-    for (std::size_t i = 0; i < server.fsCount(); ++i) {
-        const auto fs = static_cast<FsId>(i);
-        registry.track(server.log(fs), server.nvramDevice(fs));
-    }
-    server.run(ops, [&registry] { return registry.dead(); });
-
-    CrashVerdict verdict;
-    verdict.crashed = registry.crash().has_value();
-    if (!verdict.crashed) {
-        // The census counted this site, so a deterministic replay
-        // must reach it again.
-        verdict.violation =
-            Violation{site, nvram::CrashSiteKind::SealBegin,
-                      "armed crash site was never reached on replay "
-                      "(nondeterministic schedule)",
-                      {}};
-        return verdict;
-    }
-    if (const auto what =
-            verifyDurability(registry, &verdict.quarantine)) {
-        verdict.violation = Violation{site, registry.crash()->kind,
-                                      *what, {}};
-    }
-    return verdict;
+    Replay replay(config, filter);
+    replay.registry.armCrash(site);
+    replay.crashFrom(ops, 0);
+    return replay.verdict(site);
 }
 
 ExploreResult
 explore(const std::vector<workload::ServerOp> &ops,
-        const ExploreConfig &config, CrashReplay replay)
+        const ExploreConfig &config, SiteFilter filter)
 {
     static const obs::Counter explored("crash.crashes_explored");
     static const obs::Counter violated("crash.oracle_violations");
@@ -254,35 +330,68 @@ explore(const std::vector<workload::ServerOp> &ops,
     ExploreResult result;
 
     // Census: one clean replay counts the schedule space.
+    // reachedBefore[i] is the number of sites reached before op i, and
+    // reachedBefore[ops.size()] before the drain.
+    std::vector<std::uint64_t> reachedBefore;
+    reachedBefore.reserve(ops.size() + 1);
     {
-        CrashSiteRegistry census;
-        server::FileServer server(config.fsNames, config.server);
-        server.setCrashHook(&census);
-        for (std::size_t i = 0; i < server.fsCount(); ++i) {
-            const auto fs = static_cast<FsId>(i);
-            census.track(server.log(fs), server.nvramDevice(fs));
+        Replay census(config, filter);
+        for (const workload::ServerOp &op : ops) {
+            reachedBefore.push_back(census.registry.sitesSeen());
+            census.server.step(op);
         }
-        server.run(ops);
-        result.sitesTotal = census.sitesSeen();
-        result.sitesByKind = census.sitesByKind();
+        reachedBefore.push_back(census.registry.sitesSeen());
+        census.server.run(ops, {}, ops.size());
+        result.sitesTotal = census.registry.sitesSeen();
+        result.sitesByKind = census.registry.sitesByKind();
     }
+    // The op (ops.size(): the drain) during which `site` is reached.
+    const auto opHolding = [&reachedBefore](std::uint64_t site) {
+        const auto after = std::lower_bound(reachedBefore.begin(),
+                                            reachedBefore.end(), site);
+        return static_cast<std::size_t>(after - reachedBefore.begin()) -
+               1;
+    };
 
     // Crash once per selected site and oracle-check the recovery.  The
-    // replays are independent, so they fan out on the shared pool into
-    // per-site slots and merge below in site order: the result is the
-    // same at every NVFS_JOBS width.
+    // sites (ascending) split into contiguous runs, one pool task
+    // each.  A task steps a forward replay, which only counts, to the
+    // op holding each of its sites, forks it there and resumes the
+    // fork armed at the site, so each crash costs its own op and the
+    // oracle rather than a replay of its whole prefix.  Verdicts land
+    // in per-site slots and merge below in site order: the result is
+    // the same at every NVFS_JOBS width.
     const std::vector<std::uint64_t> sites =
         selectSites(result.sitesTotal, config);
+    const unsigned width = util::defaultJobCount();
+    const std::size_t runs =
+        std::min<std::size_t>(sites.size(), kRunsPerWorker * width);
+    const auto runStart = [&](std::size_t run) {
+        return run * sites.size() / runs;
+    };
     std::vector<CrashVerdict> verdicts(sites.size());
     util::ThreadPool::global().forEach(
-        sites.size(), util::defaultJobCount(),
-        [&sites](std::size_t i) {
+        runs, width,
+        [&](std::size_t run) {
             return util::format(
-                "crash site %llu",
-                static_cast<unsigned long long>(sites[i]));
+                "crash sites %llu-%llu",
+                static_cast<unsigned long long>(sites[runStart(run)]),
+                static_cast<unsigned long long>(
+                    sites[runStart(run + 1) - 1]));
         },
-        [&](std::size_t i) {
-            verdicts[i] = replay(ops, config, sites[i]);
+        [&](std::size_t run) {
+            Replay forward(config, filter);
+            std::size_t stepped = 0;
+            for (std::size_t i = runStart(run); i < runStart(run + 1);
+                 ++i) {
+                const std::size_t at = opHolding(sites[i]);
+                for (; stepped < at; ++stepped)
+                    forward.server.step(ops[stepped]);
+                Replay fork(forward);
+                fork.registry.armCrash(sites[i]);
+                fork.crashFrom(ops, at);
+                verdicts[i] = fork.verdict(sites[i]);
+            }
         });
 
     for (CrashVerdict &verdict : verdicts) {
@@ -310,7 +419,7 @@ explore(const std::vector<workload::ServerOp> &ops,
                 [&](const std::vector<workload::ServerOp>
                         &candidate) {
                     const CrashVerdict probe =
-                        replay(candidate, config, site);
+                        exploreOne(candidate, config, site, filter);
                     return probe.crashed && probe.violation.has_value();
                 },
                 config.shrinkBudget);

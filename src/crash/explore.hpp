@@ -7,10 +7,11 @@
  * One census run replays the workload against an instrumented
  * FileServer and counts every crash site it reaches (seal begins,
  * inode-map updates, seal commits, journal appends, checkpoints,
- * NVRAM puts).  The explorer then replays the workload once per
- * selected site, crashing there with the site kind's natural failure
- * mode — power-fail, torn write, or dropped device put — and checks
- * the durability oracle against the post-crash log:
+ * NVRAM puts), and how many it had reached before each op and before
+ * the end-of-run drain.  The explorer then crashes the workload at
+ * each selected site with the site kind's natural failure mode —
+ * power-fail, torn write, or dropped device put — and checks the
+ * durability oracle against the post-crash log:
  *
  *  1. roll-forward recovery reproduces exactly the durable state at
  *     the last successful seal commit (nothing acked-durable lost,
@@ -29,15 +30,21 @@
  * crash at (strict-parsed; a malformed or out-of-range list is a hard
  * error).
  *
- * The crash replays are independent, so they run on the shared
- * NVFS_JOBS pool (util::ThreadPool::global()).  Each verdict goes to
- * its site's slot and the slots merge in site order, so the result
- * is the same at every width.
+ * A crash is not replayed from the first op.  The selected sites
+ * split into contiguous runs, one task each on the shared NVFS_JOBS
+ * pool (util::ThreadPool::global()).  A task steps one forward
+ * server, whose registry only counts, through the stream; at the op
+ * holding each of its sites (or at the drain) it copies the server
+ * and the registry, arms the copy at the site and resumes the run on
+ * the copy from that op, so the crash fires inside it exactly as in a
+ * replay from scratch (exploreOne, the tests' reference).  Each
+ * verdict goes to its site's slot and the slots merge in site order,
+ * so the result is the same at every width.
  *
  * A violating schedule is then shrunk, serially and in site order,
  * with the fuzzer's delta-debugging machinery to a minimal op stream
  * that still reaches the crash site and still violates the oracle
- * there.
+ * there; each candidate stream is replayed from scratch.
  */
 
 #pragma once
@@ -115,32 +122,44 @@ verifyDurability(const CrashSiteRegistry &registry,
                  lfs::RecoveryReport *aggregate = nullptr);
 
 /**
- * Replay `ops` against a fresh instrumented FileServer, crashing at
- * the 1-based `site`, and run the oracle.  The building block of
- * explore(); exposed for tests and for shrinking.
+ * Sites to crash at, 1-based and ascending: NVFS_CRASH_SITES when set
+ * (strict-parsed; malformed values are hard errors), else a seeded
+ * sample of config.sampleSites sites when positive and below `total`,
+ * else every site the census counted.
  */
-CrashVerdict exploreOne(const std::vector<workload::ServerOp> &ops,
-                        const ExploreConfig &config,
-                        std::uint64_t site);
+std::vector<std::uint64_t> selectSites(std::uint64_t total,
+                                       const ExploreConfig &config);
 
 /**
- * One crash replay of explore(): exploreOne, or a test's stand-in.
- * The census runs without it, so a stand-in must reach the sites the
- * census counts (a tear marked at a seal commit does).
+ * A defect a test plants between the registry and the logs and
+ * devices of every server the explorer builds: told each site and the
+ * registry's answer, it returns the action they obey.  It keeps no
+ * state, so a forked server carries the defect in its forward state.
  */
-using CrashReplay = CrashVerdict (*)(
-    const std::vector<workload::ServerOp> &ops,
-    const ExploreConfig &config, std::uint64_t site);
+using SiteFilter = nvram::CrashAction (*)(nvram::CrashSiteKind kind,
+                                          std::uint64_t detail,
+                                          nvram::CrashAction answer);
+
+/**
+ * Replay `ops` from the first op against a fresh instrumented
+ * FileServer, crashing at the 1-based `site`, and run the oracle.
+ * Shrinking replays its candidate streams this way, and the tests
+ * hold explore()'s forked crashes to it.
+ */
+CrashVerdict exploreOne(const std::vector<workload::ServerOp> &ops,
+                        const ExploreConfig &config, std::uint64_t site,
+                        SiteFilter filter = nullptr);
 
 /**
  * Census the workload's crash sites, then crash at every selected
  * site (all of them, config.sampleSites of them, or the
- * NVFS_CRASH_SITES pin) on the shared pool through `replay`, and
- * shrink each violation with the same replay.  Violations come out in
- * site order at every NVFS_JOBS width.
+ * NVFS_CRASH_SITES pin) by forking forward replays on the shared
+ * pool, and shrink each violation with exploreOne.  `filter` (tests
+ * only) sits in front of every registry.  Violations come out in site
+ * order at every NVFS_JOBS width.
  */
 ExploreResult explore(const std::vector<workload::ServerOp> &ops,
                       const ExploreConfig &config,
-                      CrashReplay replay = exploreOne);
+                      SiteFilter filter = nullptr);
 
 } // namespace nvfs::crash

@@ -16,6 +16,15 @@ CrashSiteRegistry::track(const lfs::LfsLog &log,
 }
 
 void
+CrashSiteRegistry::retarget(std::size_t index, const lfs::LfsLog &log,
+                            const nvram::NvramDevice *device)
+{
+    NVFS_REQUIRE(index < tracked_.size(), "retarget of an untracked fs");
+    tracked_[index].log = &log;
+    tracked_[index].device = device;
+}
+
+void
 CrashSiteRegistry::captureAtCrash()
 {
     for (TrackedFs &fs : tracked_) {

@@ -77,6 +77,15 @@ class CrashSiteRegistry : public nvram::CrashSiteHook
     void track(const lfs::LfsLog &log,
                const nvram::NvramDevice *device);
 
+    /**
+     * Point the `index`th tracked file system (in track() order) at
+     * another log and device.  A copied registry keeps its counts and
+     * sealed snapshots; retargeted at a copied server's logs and
+     * devices, it follows the forked replay.
+     */
+    void retarget(std::size_t index, const lfs::LfsLog &log,
+                  const nvram::NvramDevice *device);
+
     /** Arm a crash at the 1-based `site`; 0 disarms (census mode). */
     void armCrash(std::uint64_t site) { armedSite_ = site; }
 

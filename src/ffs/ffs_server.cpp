@@ -83,11 +83,10 @@ FfsServer::syncWriteBlock(const cache::BlockId &id, Bytes bytes)
 void
 FfsServer::sweep(TimeUs now)
 {
-    for (const cache::BlockId &id :
-         dirty_.dirtyOlderThan(now - config_.writeBackAge)) {
-        const cache::CacheBlock block = dirty_.remove(id);
-        diskWriteBlock(id, block.dirtyBytes());
-    }
+    dirty_.removeDirtyOlderThan(
+        now - config_.writeBackAge, [this](const cache::CacheBlock &block) {
+            diskWriteBlock(block.id, block.dirtyBytes());
+        });
 }
 
 void
@@ -150,10 +149,10 @@ FfsServer::run(const std::vector<ServerOp> &ops)
     }
 
     // Drain everything left.
-    for (const cache::BlockId &id : dirty_.allDirtyBlocks()) {
-        const cache::CacheBlock block = dirty_.remove(id);
-        diskWriteBlock(id, block.dirtyBytes());
-    }
+    dirty_.removeDirtyOlderThan(
+        kTimeInfinity, [this](const cache::CacheBlock &block) {
+            diskWriteBlock(block.id, block.dirtyBytes());
+        });
     drainNvram();
 }
 

@@ -36,17 +36,28 @@ FileServer::FileServer(std::vector<std::string> fs_names,
             // the device room for any transient staging excess.
             nvram::DeviceParams params;
             params.capacity = static_cast<Bytes>(1) << 40;
-            fs->nvram = std::make_unique<nvram::NvramDevice>(params);
+            fs->nvram.emplace(params);
         }
         state_.push_back(std::move(fs));
     }
+}
+
+FileServer::FileServer(const FileServer &other)
+    : config_(other.config_), lastSweep_(other.lastSweep_),
+      lastOp_(other.lastOp_)
+{
+    state_.reserve(other.state_.size());
+    for (const auto &fs : other.state_)
+        state_.push_back(std::make_unique<FsState>(*fs));
+    setCrashHook(nullptr);
 }
 
 nvram::NvramDevice *
 FileServer::nvramDevice(FsId fs)
 {
     NVFS_REQUIRE(fs < state_.size(), "bad fs id");
-    return state_[fs]->nvram.get();
+    auto &nvram = state_[fs]->nvram;
+    return nvram ? &*nvram : nullptr;
 }
 
 void
@@ -112,8 +123,7 @@ FileServer::auditInvariants() const
 }
 
 void
-FileServer::stageBlock(FsState &fs, const cache::CacheBlock &block,
-                       TimeUs now)
+FileServer::stageBlock(FsState &fs, const cache::CacheBlock &block)
 {
     const cache::BlockId &id = block.id;
     if (!block.isDirty())
@@ -130,10 +140,6 @@ FileServer::stageBlock(FsState &fs, const cache::CacheBlock &block,
     });
     if (fs.log.segments().size() != sealed_before)
         reconcileNvram(fs); // a Full segment auto-sealed mid-append
-    if (fs.pendingSince == kNoTime && fs.log.pendingBytes() > 0)
-        fs.pendingSince = now;
-    if (fs.log.pendingBytes() == 0)
-        fs.pendingSince = kNoTime; // auto-sealed Full
 }
 
 void
@@ -161,23 +167,20 @@ FileServer::reconcileNvram(FsState &fs)
 void
 FileServer::sweep(FsState &fs, TimeUs now)
 {
-    // Flush volatile blocks older than the write-back age.
+    // Flush volatile blocks older than the write-back age, oldest
+    // first; staging reads nothing from the pool.
     bool flushed = false;
-    for (const cache::BlockId &id :
-         fs.dirty.dirtyOlderThan(now - config_.writeBackAge)) {
-        stageBlock(fs, fs.dirty.remove(id), now);
-        flushed = true;
-    }
+    fs.dirty.removeDirtyOlderThan(
+        now - config_.writeBackAge, [&](const cache::CacheBlock &block) {
+            stageBlock(fs, block);
+            flushed = true;
+        });
     // Seal when volatile data was flushed.  NVRAM-buffered data does
     // not age to disk on its own: "the writes would remain in the
     // NVRAM buffer until a whole segment accumulated" — it rides out
     // with the next natural flush or with an auto-sealed full segment.
-    if (flushed) {
-        if (fs.log.seal(lfs::SealCause::Timeout)) {
-            fs.pendingSince = kNoTime;
-            reconcileNvram(fs);
-        }
-    }
+    if (flushed && fs.log.seal(lfs::SealCause::Timeout))
+        reconcileNvram(fs);
     // On a bounded disk the garbage collector reclaims dead segments
     // when free space runs low.
     fs.cleaner.maybeClean(fs.log);
@@ -201,92 +204,96 @@ FileServer::run(const std::vector<ServerOp> &ops)
 
 void
 FileServer::run(const std::vector<ServerOp> &ops,
-                const std::function<bool()> &stop)
+                const std::function<bool()> &stop, std::size_t first)
 {
-    const bool buffered = config_.nvramBufferBytes > 0;
-    TimeUs last = 0;
-
-    for (const ServerOp &op : ops) {
-        if ((stop && stop()) || crashed())
+    const auto down = [&] { return (stop && stop()) || crashed(); };
+    for (std::size_t i = first; i < ops.size(); ++i) {
+        if (down())
             break; // the host went down mid-stream
-        NVFS_REQUIRE(op.time >= last, "server ops out of order");
-        last = op.time;
-        advanceClock(op.time);
-        NVFS_REQUIRE(op.fs < state_.size(), "bad fs id in op");
-        FsState &fs = *state_[op.fs];
-
-        switch (op.kind) {
-          case ServerOp::Kind::Write: {
-            fs.stats.arrivedBytes += op.length;
-            if (op.length == 0)
-                break;
-            // Scatter the range across 4 KB blocks in the dirty pool:
-            // insert the runs of missing blocks, then dirty the whole
-            // range, exactly the per-block insert-then-markDirty loop.
-            const auto first =
-                static_cast<std::uint32_t>(op.offset / kBlockSize);
-            const auto last = static_cast<std::uint32_t>(
-                (op.offset + op.length - 1) / kBlockSize);
-            for (std::uint32_t block = first; block <= last;) {
-                const auto run = fs.dirty.probeRange(op.file, block, last);
-                if (!run.resident)
-                    fs.dirty.insertRange(op.file, block, run.end - 1,
-                                         op.time);
-                block = run.end;
-            }
-            fs.dirty.markDirtyRange(op.file, op.offset, op.length,
-                                    op.time);
-            break;
-          }
-          case ServerOp::Kind::Fsync: {
-            ++fs.stats.fsyncs;
-            // Every resident block is dirty (auditInvariants checks),
-            // so this stages exactly the file's dirty blocks in
-            // ascending order, each before it leaves the pool; nothing
-            // staged reads the pool.
-            bool staged = false;
-            fs.dirty.removeFileBlocks(
-                op.file, [&](const cache::CacheBlock &block) {
-                    stageBlock(fs, block, op.time);
-                    staged = true;
-                });
-            if (!staged && fs.log.pendingBytes() == 0)
-                break; // nothing to make durable
-            if (!buffered) {
-                // Synchronous partial-segment write.
-                if (fs.log.seal(lfs::SealCause::Fsync))
-                    fs.pendingSince = kNoTime;
-                break;
-            }
-            // Buffered: data is durable once in NVRAM.  Only write to
-            // disk if the buffer cannot hold the open segment.
-            const Bytes occupancy = fs.log.pendingBytes();
-            if (occupancy > config_.nvramBufferBytes) {
-                ++fs.stats.bufferOverflows;
-                if (fs.log.seal(lfs::SealCause::Fsync)) {
-                    fs.pendingSince = kNoTime;
-                    reconcileNvram(fs);
-                }
-            } else {
-                ++fs.stats.fsyncsAbsorbed;
-            }
-            break;
-          }
-        }
+        step(ops[i]);
     }
-
-    if ((stop && stop()) || crashed()) {
+    if (down()) {
         // The machine is down: no drain, the durable state stays
         // exactly as the crash left it for recovery to examine.
         for (auto &fs : state_)
             fs->stats.log = fs->log.stats();
         return;
     }
+    drain();
+}
 
-    // Drain: flush everything left so totals are comparable.
+void
+FileServer::step(const ServerOp &op)
+{
+    NVFS_REQUIRE(op.time >= lastOp_, "server ops out of order");
+    lastOp_ = op.time;
+    advanceClock(op.time);
+    NVFS_REQUIRE(op.fs < state_.size(), "bad fs id in op");
+    FsState &fs = *state_[op.fs];
+
+    switch (op.kind) {
+      case ServerOp::Kind::Write: {
+        fs.stats.arrivedBytes += op.length;
+        if (op.length == 0)
+            break;
+        // Scatter the range across 4 KB blocks in the dirty pool:
+        // insert the runs of missing blocks, then dirty the whole
+        // range, exactly the per-block insert-then-markDirty loop.
+        const auto first =
+            static_cast<std::uint32_t>(op.offset / kBlockSize);
+        const auto last = static_cast<std::uint32_t>(
+            (op.offset + op.length - 1) / kBlockSize);
+        for (std::uint32_t block = first; block <= last;) {
+            const auto run = fs.dirty.probeRange(op.file, block, last);
+            if (!run.resident)
+                fs.dirty.insertRange(op.file, block, run.end - 1,
+                                     op.time);
+            block = run.end;
+        }
+        fs.dirty.markDirtyRange(op.file, op.offset, op.length, op.time);
+        break;
+      }
+      case ServerOp::Kind::Fsync: {
+        ++fs.stats.fsyncs;
+        // Every resident block is dirty (auditInvariants checks), so
+        // this stages exactly the file's dirty blocks in ascending
+        // order, each before it leaves the pool; nothing staged reads
+        // the pool.
+        bool staged = false;
+        fs.dirty.removeFileBlocks(
+            op.file, [&](const cache::CacheBlock &block) {
+                stageBlock(fs, block);
+                staged = true;
+            });
+        if (!staged && fs.log.pendingBytes() == 0)
+            break; // nothing to make durable
+        if (!fs.nvram) {
+            fs.log.seal(lfs::SealCause::Fsync); // synchronous partial
+            break;
+        }
+        // Buffered: data is durable once in NVRAM.  Only write to disk
+        // if the buffer cannot hold the open segment.
+        const Bytes occupancy = fs.log.pendingBytes();
+        if (occupancy > config_.nvramBufferBytes) {
+            ++fs.stats.bufferOverflows;
+            if (fs.log.seal(lfs::SealCause::Fsync))
+                reconcileNvram(fs);
+        } else {
+            ++fs.stats.fsyncsAbsorbed;
+        }
+        break;
+      }
+    }
+}
+
+void
+FileServer::drain()
+{
     for (auto &fs : state_) {
-        for (const cache::BlockId &id : fs->dirty.allDirtyBlocks())
-            stageBlock(*fs, fs->dirty.remove(id), last);
+        fs->dirty.removeDirtyOlderThan(
+            kTimeInfinity, [&](const cache::CacheBlock &block) {
+                stageBlock(*fs, block);
+            });
         if (fs->log.seal(lfs::SealCause::Shutdown))
             reconcileNvram(*fs);
         fs->cleaner.maybeClean(fs->log);

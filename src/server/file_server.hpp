@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,17 +63,37 @@ class FileServer
     FileServer(std::vector<std::string> fs_names,
                const ServerConfig &config);
 
+    /**
+     * A copy of the whole server state — logs, dirty pools, NVRAM
+     * ledgers, sweep clock — without the crash hook: the copy goes on
+     * exactly as this server would, reporting to whatever hook
+     * setCrashHook() gives it.  The crash explorer forks a replay
+     * this way.
+     */
+    FileServer(const FileServer &other);
+    FileServer &operator=(const FileServer &) = delete;
+    FileServer(FileServer &&) = default;
+    FileServer &operator=(FileServer &&) = default;
+
     /** Replay a time-sorted op stream to completion. */
     void run(const std::vector<workload::ServerOp> &ops);
 
     /**
-     * Replay until `stop` returns true (checked before each op) or a
-     * crash hook declares the host down.  A stopped/crashed run does
+     * Replay ops[first..] with step(), then drain, until `stop`
+     * returns true (checked before each op and before the drain) or
+     * a crash hook declares the host down.  A stopped/crashed run does
      * NOT drain: the durable state stays exactly as the crash left it
-     * so recovery can be checked against it.
+     * so recovery can be checked against it.  A positive `first`
+     * resumes a server that has already stepped through ops[0, first).
      */
     void run(const std::vector<workload::ServerOp> &ops,
-             const std::function<bool()> &stop);
+             const std::function<bool()> &stop, std::size_t first = 0);
+
+    /**
+     * Apply one op: advance the sweeper to its time, then absorb the
+     * write or serve the fsync.  Ops must come in time order.
+     */
+    void step(const workload::ServerOp &op);
 
     /** Results after run(). */
     const FsStats &stats(FsId fs) const;
@@ -116,10 +137,8 @@ class FileServer
         lfs::Cleaner cleaner;
         /** Volatile dirty pool (unbounded; eviction not modeled). */
         cache::BlockCache dirty{0};
-        /** When the open NVRAM segment started accumulating. */
-        TimeUs pendingSince = kNoTime;
         /** Write-buffer ledger (buffered mode only). */
-        std::unique_ptr<nvram::NvramDevice> nvram;
+        std::optional<nvram::NvramDevice> nvram;
 
         explicit FsState(const lfs::LfsConfig &config) : log(config) {}
     };
@@ -127,13 +146,15 @@ class FileServer
     /** Flush blocks older than the write-back age; seal as Timeout. */
     void sweep(FsState &fs, TimeUs now);
 
+    /** Flush everything left and seal, so totals are comparable. */
+    void drain();
+
     /** Advance the 5-second sweeper up to `now`. */
     void advanceClock(TimeUs now);
 
-    /** Move one block, just taken out of the dirty pool, into the
-     *  log's open segment. */
-    void stageBlock(FsState &fs, const cache::CacheBlock &block,
-                    TimeUs now);
+    /** Move one block, leaving the dirty pool, into the log's open
+     *  segment. */
+    void stageBlock(FsState &fs, const cache::CacheBlock &block);
 
     /** Drain staged NVRAM tags whose blocks are no longer pending
      *  (their segment sealed).  No-op on a dead host. */
@@ -146,6 +167,8 @@ class FileServer
     std::vector<std::unique_ptr<FsState>> state_;
     nvram::CrashSiteHook *crashHook_ = nullptr;
     TimeUs lastSweep_ = 0;
+    /** Time of the last op stepped (ops must not go back). */
+    TimeUs lastOp_ = 0;
 };
 
 } // namespace nvfs::server

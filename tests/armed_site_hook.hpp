@@ -9,10 +9,9 @@
  *  - a power failure:  SealBegin, PowerFail (the open segment is lost);
  *  - a dropped put:    DevicePut, Drop (the old contents survive).
  *
- * It can wrap an inner hook (the explorer's CrashSiteRegistry): the
- * inner hook sees every site first and its answer wins unless it is
- * None, so the registry records a clean commit while the log is told
- * the seal tore.
+ * It can wrap an inner hook: the inner hook sees every site first and
+ * its answer wins unless it is None, so two armed failures (a dropped
+ * put under a torn seal) can share one server.
  */
 
 #pragma once

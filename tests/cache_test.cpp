@@ -110,6 +110,92 @@ TEST(BlockCache, DirtyOlderThanWalksInOrder)
     EXPECT_EQ(cache.allDirtyBlocks().size(), 5u);
 }
 
+// The walk the server's sweep and drain use: exactly remove() over
+// dirtyOlderThan(cutoff), with the boundary block (dirtySince ==
+// cutoff) included, clean blocks and younger dirty ones left alone,
+// and every counter and list sound afterwards.
+TEST(BlockCache, RemoveDirtyOlderThanWalksDirtyOrder)
+{
+    BlockCache cache(0);
+    for (std::uint32_t i = 0; i < 6; ++i)
+        cache.insert(id(i), i);
+    // Dirty order 3, 1, 5, 0 (dirtySince 10, 20, 30, 40); 2 and 4
+    // stay clean.
+    cache.markDirty(id(3), 0, 100, 10);
+    cache.markDirty(id(1), 0, kBlockSize, 20);
+    cache.markDirty(id(5), 5, 15, 30);
+    cache.markDirty(id(0), 0, 1, 40);
+    const Bytes dirty_before = cache.dirtyBytes();
+
+    std::vector<BlockId> seen;
+    Bytes removed_bytes = 0;
+    cache.removeDirtyOlderThan(30, [&](const CacheBlock &block) {
+        seen.push_back(block.id);
+        removed_bytes += block.dirtyBytes();
+    });
+    EXPECT_EQ(seen, (std::vector<BlockId>{id(3), id(1), id(5)}));
+    EXPECT_EQ(removed_bytes, 100 + kBlockSize + 10);
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(cache.dirtyBlockCount(), 1u);
+    EXPECT_EQ(cache.dirtyBytes(), dirty_before - removed_bytes);
+    EXPECT_EQ(cache.allDirtyBlocks(), (std::vector<BlockId>{id(0)}));
+    EXPECT_EQ(cache.lruOrder(),
+              (std::vector<BlockId>{id(2), id(4), id(0)}));
+    EXPECT_FALSE(cache.contains(id(3)));
+    EXPECT_TRUE(cache.contains(id(2)));
+    ASSERT_NO_THROW(cache.auditInvariants());
+
+    // Nothing at or below a cutoff older than every dirty block.
+    cache.removeDirtyOlderThan(39, [&](const CacheBlock &) {
+        ADD_FAILURE() << "removed a block dirtied after the cutoff";
+    });
+    // The freed slots are reused.
+    cache.insert(id(7), 50);
+    cache.markDirty(id(7), 0, 10, 50);
+    cache.removeDirtyOlderThan(kTimeInfinity, [&](const CacheBlock &) {});
+    EXPECT_EQ(cache.dirtyBlockCount(), 0u);
+    EXPECT_EQ(cache.dirtyBytes(), 0u);
+    EXPECT_EQ(cache.allBlocks(), (std::vector<BlockId>{id(2), id(4)}));
+    ASSERT_NO_THROW(cache.auditInvariants());
+}
+
+// A copy holds the same blocks in the same slots and orders, so the
+// same operations on both leave them identical: the crash explorer's
+// forked dirty pools rely on it.
+TEST(BlockCache, CopyGoesOnLikeTheOriginal)
+{
+    BlockCache original(0);
+    util::Rng rng(7);
+    const auto churn = [&rng](BlockCache &cache, TimeUs from) {
+        for (TimeUs t = from; t < from + 200; ++t) {
+            const BlockId bid{static_cast<FileId>(rng.uniformInt(1, 4)),
+                              static_cast<std::uint32_t>(
+                                  rng.uniformInt(0, 32))};
+            if (!cache.contains(bid))
+                cache.insert(bid, t);
+            if (rng.uniformInt(0, 3) == 0)
+                cache.remove(bid);
+            else
+                cache.markDirty(bid, 0, 100, t);
+            if (t % 50 == 0)
+                cache.removeDirtyOlderThan(t - 40,
+                                           [](const CacheBlock &) {});
+        }
+    };
+    churn(original, 0);
+    BlockCache copy(original);
+    ASSERT_NO_THROW(copy.auditInvariants());
+    util::Rng fork_rng = rng;
+    churn(original, 200);
+    rng = fork_rng;
+    churn(copy, 200);
+    EXPECT_EQ(copy.lruOrder(), original.lruOrder());
+    EXPECT_EQ(copy.allDirtyBlocks(), original.allDirtyBlocks());
+    EXPECT_EQ(copy.dirtyBytes(), original.dirtyBytes());
+    ASSERT_NO_THROW(copy.auditInvariants());
+    ASSERT_NO_THROW(original.auditInvariants());
+}
+
 TEST(BlockCache, DirtyOrderSurvivesCleanAndRedirty)
 {
     BlockCache cache(8);

@@ -5,8 +5,8 @@
  * durability oracle (including the two deliberate-corruption tests
  * that prove it is not vacuous), recovery idempotence, quarantining
  * recovery's damage accounting, the NVRAM write-buffer ledger, env
- * knob parsing, delta-debug shrinking, and the same explore() result
- * at every NVFS_JOBS width.
+ * knob parsing, delta-debug shrinking, and explore()'s forked crashes
+ * against replays from scratch at every NVFS_JOBS width.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +14,8 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "armed_site_hook.hpp"
 #include "check/shrink.hpp"
+#include "core/sim/experiments.hpp"
 #include "crash/explore.hpp"
 #include "crash/registry.hpp"
 #include "lfs/log.hpp"
@@ -513,52 +513,30 @@ smallExploreConfig(Bytes nvram_buffer)
 }
 
 /**
- * exploreOne with the first seal commit torn behind the registry's
- * back: the registry records a clean commit while the log marks the
- * segment torn, so recovery loses data the oracle expects and every
- * crash after that commit is a violation.
+ * A torn first seal behind the registry's back: the registry records
+ * a clean commit of segment 0 while the log is told it tore, so
+ * recovery loses data the oracle expects and every crash after that
+ * commit is a violation.
  */
-crash::CrashVerdict
-tornFirstSealReplay(const std::vector<ServerOp> &ops,
-                    const crash::ExploreConfig &config,
-                    std::uint64_t site)
+CrashAction
+tearFirstSegment(CrashSiteKind kind, std::uint64_t detail,
+                 CrashAction answer)
 {
-    CrashSiteRegistry registry;
-    registry.armCrash(site);
-    ArmedSiteHook tear(CrashSiteKind::SealCommit, 1, CrashAction::Torn,
-                       &registry);
-    server::FileServer server(config.fsNames, config.server);
-    server.setCrashHook(&tear);
-    for (std::size_t i = 0; i < server.fsCount(); ++i) {
-        const auto fs = static_cast<FsId>(i);
-        registry.track(server.log(fs), server.nvramDevice(fs));
-    }
-    server.run(ops, [&registry] { return registry.dead(); });
-
-    crash::CrashVerdict verdict;
-    verdict.crashed = registry.crash().has_value();
-    if (!verdict.crashed) {
-        verdict.violation = crash::Violation{
-            site, CrashSiteKind::SealBegin, "never reached", {}};
-        return verdict;
-    }
-    if (const auto what =
-            crash::verifyDurability(registry, &verdict.quarantine)) {
-        verdict.violation =
-            crash::Violation{site, registry.crash()->kind, *what, {}};
-    }
-    return verdict;
+    return answer == CrashAction::None &&
+                   kind == CrashSiteKind::SealCommit && detail == 0
+               ? CrashAction::Torn
+               : answer;
 }
 
 /**
- * What explore() must report, computed the slow way: a census, then
- * `replay` at every site in order, each violation shrunk while its
- * crash still fires and still violates.
+ * What explore() must report, computed the slow way: a census, then a
+ * replay from scratch at every selected site in order, each violation
+ * shrunk while its crash still fires and still violates.
  */
 crash::ExploreResult
 serialExplore(const std::vector<ServerOp> &ops,
               const crash::ExploreConfig &config,
-              crash::CrashReplay replay)
+              crash::SiteFilter filter)
 {
     crash::ExploreResult result;
     {
@@ -573,8 +551,10 @@ serialExplore(const std::vector<ServerOp> &ops,
         result.sitesTotal = census.sitesSeen();
         result.sitesByKind = census.sitesByKind();
     }
-    for (std::uint64_t site = 1; site <= result.sitesTotal; ++site) {
-        const crash::CrashVerdict verdict = replay(ops, config, site);
+    for (const std::uint64_t site :
+         crash::selectSites(result.sitesTotal, config)) {
+        const crash::CrashVerdict verdict =
+            crash::exploreOne(ops, config, site, filter);
         ++result.crashesExplored;
         result.segmentsQuarantined +=
             verdict.quarantine.segmentsQuarantined;
@@ -587,7 +567,8 @@ serialExplore(const std::vector<ServerOp> &ops,
             violation.repro = check::deltaShrink(
                 ops,
                 [&](const std::vector<ServerOp> &candidate) {
-                    const auto probe = replay(candidate, config, site);
+                    const auto probe =
+                        crash::exploreOne(candidate, config, site, filter);
                     return probe.crashed && probe.violation.has_value();
                 },
                 config.shrinkBudget);
@@ -624,47 +605,81 @@ TEST(Explore, ShrunkReproReachesItsSite)
     // later crash violates the oracle.
     const crash::ExploreConfig config = smallExploreConfig(0);
     const auto result =
-        crash::explore(smallWorkload(), config, tornFirstSealReplay);
+        crash::explore(smallWorkload(), config, tearFirstSegment);
     ASSERT_FALSE(result.violations.empty());
     for (const crash::Violation &violation : result.violations) {
         EXPECT_FALSE(violation.repro.empty())
             << "site " << violation.site;
-        const auto probe = tornFirstSealReplay(violation.repro, config,
-                                               violation.site);
+        const auto probe = crash::exploreOne(
+            violation.repro, config, violation.site, tearFirstSegment);
         EXPECT_TRUE(probe.crashed) << "site " << violation.site;
         EXPECT_TRUE(probe.violation.has_value())
             << "site " << violation.site;
     }
 }
 
+// The forked explorer against replays from scratch: smallWorkload()
+// crashed at every site (and with a torn first seal, so violations and
+// their shrunk repros compare too), then the server-bound streams of
+// all eight traces under each client model, unbuffered and buffered,
+// on an unbounded disk of small segments and on a small disk the
+// cleaner must keep free, each crashed at a seeded sample of sites;
+// every case at NVFS_JOBS 4 and 1.
 TEST(Explore, SameResultAtEveryWidth)
 {
     struct Case
     {
-        const char *name;
-        Bytes nvramBuffer;
-        crash::CrashReplay replay;
+        std::string name;
+        std::vector<ServerOp> ops;
+        crash::ExploreConfig config;
+        crash::SiteFilter filter;
     };
-    const Case cases[] = {
-        {"buffered", 256 * kKiB, crash::exploreOne},
-        {"unbuffered", 0, crash::exploreOne},
-        {"torn seal", 0, tornFirstSealReplay},
+    std::vector<Case> cases = {
+        {"buffered", smallWorkload(), smallExploreConfig(256 * kKiB),
+         nullptr},
+        {"unbuffered", smallWorkload(), smallExploreConfig(0), nullptr},
+        {"torn seal", smallWorkload(), smallExploreConfig(0),
+         tearFirstSegment},
     };
-    const auto ops = smallWorkload();
+    for (int trace = 1; trace <= 8; ++trace) {
+        for (const core::ModelKind kind :
+             {core::ModelKind::Volatile, core::ModelKind::WriteAside,
+              core::ModelKind::Unified}) {
+            core::ModelConfig model;
+            model.kind = kind;
+            std::vector<ServerOp> ops = core::collectServerOps(
+                core::standardOps(trace, 0.02), model);
+            if (ops.size() > 1000)
+                ops.resize(1000);
+            for (const Bytes buffer : {Bytes{0}, 512 * kKiB}) {
+                const std::string name =
+                    "trace " + std::to_string(trace) + " " +
+                    core::modelKindName(kind) + " buffer " +
+                    std::to_string(buffer);
+                crash::ExploreConfig config = smallExploreConfig(buffer);
+                config.sampleSites = 60;
+                cases.push_back({name, ops, config, nullptr});
+                // 24 segments of 512 KiB: the cleaner runs in most of
+                // these cells, so forks resume with cleaner state.  A
+                // tighter disk makes Cleaner::clean loop forever.
+                config.server.lfs = lfs::LfsConfig{};
+                config.server.lfs.diskSegments = 24;
+                cases.push_back({name + " small disk", ops, config,
+                                 nullptr});
+            }
+        }
+    }
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
-        const crash::ExploreConfig config =
-            smallExploreConfig(c.nvramBuffer);
         const crash::ExploreResult want =
-            serialExplore(ops, config, c.replay);
+            serialExplore(c.ops, c.config, c.filter);
         ASSERT_GT(want.sitesTotal, 0u);
-        EXPECT_EQ(want.violations.empty(),
-                  c.replay == crash::exploreOne);
+        EXPECT_EQ(want.violations.empty(), c.filter == nullptr);
         // Wide first, so a pool the test starts is wide too.
         for (const char *jobs : {"4", "1"}) {
             SCOPED_TRACE(std::string("NVFS_JOBS=") + jobs);
             const ScopedEnv width("NVFS_JOBS", jobs);
-            expectSameResult(crash::explore(ops, config, c.replay),
+            expectSameResult(crash::explore(c.ops, c.config, c.filter),
                              want);
         }
     }

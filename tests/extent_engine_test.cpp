@@ -346,8 +346,9 @@ TEST(BlockCacheRangeOps, RandomizedEquivalenceWithPerBlock)
                 break;
               }
             }
-            if (step % 256 == 0)
+            if (step % 256 == 0) {
                 ASSERT_EQ(snapshot(ranged), snapshot(blocked));
+            }
         }
         EXPECT_EQ(snapshot(ranged), snapshot(blocked));
 

@@ -221,8 +221,9 @@ TEST(FlatMapTest, DifferentialVsUnorderedMap)
             const std::uint64_t *found = map.find(key);
             const auto it = ref.find(key);
             ASSERT_EQ(found != nullptr, it != ref.end());
-            if (found != nullptr)
+            if (found != nullptr) {
                 ASSERT_EQ(*found, it->second);
+            }
             break;
           }
           default: // operator[]

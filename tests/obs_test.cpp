@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "cache/extent_index.hpp"
 #include "core/sim/experiments.hpp"
 #include "core/sim/sweep.hpp"
 #include "lfs/log.hpp"
@@ -257,6 +258,23 @@ TEST(Obs, LfsSealCountersMirrorLogStats)
     EXPECT_EQ(snap.value("lfs.segments_sealed"), 2u);
     EXPECT_EQ(snap.value("lfs.partial_segments"), 2u);
     EXPECT_EQ(snap.value("lfs.fsync_forced_partials"), 1u);
+}
+
+// A copied extent index flushes only its own probes: the crash
+// explorer copies a dirty pool per crash, and a copy that inherited
+// its source's counters would count them twice.
+TEST(Obs, CopiedExtentIndexFlushesOnlyItsOwnProbes)
+{
+    obs::resetAll();
+    {
+        cache::ExtentIndex index;
+        index.insert(1, 0, 0);
+        for (int i = 0; i < 5; ++i)
+            EXPECT_TRUE(index.probeRun(1, 0, 0).resident);
+        const cache::ExtentIndex copy(index);
+        EXPECT_TRUE(copy.probeRun(1, 0, 0).resident);
+    }
+    EXPECT_EQ(obs::snapshot().value("cache.extent_probes"), 6u);
 }
 
 /**
