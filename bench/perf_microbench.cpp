@@ -193,7 +193,8 @@ BENCHMARK(BM_FileServerRun)
 void
 BM_ClientSimTrace7(benchmark::State &state)
 {
-    // Small-scale end-to-end simulation throughput (ops/second).
+    // Small-scale end-to-end simulation throughput (ops/second) of
+    // runClientSim, a one-size curve pass for this LRU cell.
     const auto &ops = core::standardOps(7, 0.05);
     for (auto _ : state) {
         core::ModelConfig model;
@@ -212,8 +213,9 @@ BENCHMARK(BM_ClientSimTrace7);
 void
 BM_ClusterSimReplay(benchmark::State &state)
 {
-    // End-to-end replay macrobenchmark: one whole trace through the
-    // cluster simulator per iteration, per model.
+    // End-to-end replay macrobenchmark: one whole trace per
+    // iteration, per model, through runClientSim (a one-size curve
+    // pass: every cell here is an LRU cell).
     const auto trace = static_cast<int>(state.range(0));
     const auto kind = static_cast<core::ModelKind>(state.range(1));
     const auto &ops = core::standardOps(trace, core::benchScale());
@@ -332,8 +334,9 @@ BM_CurveSweep(benchmark::State &state)
 {
     // The multi-size sweep both ways: curve=1 is one single-pass
     // replay classifying every event against all sizes at once;
-    // curve=0 is one runClientSim per size, one after another (the
-    // replay grid would group those cells into a curve pass itself).
+    // curve=0 is one replay per size on the client models
+    // (ClusterSim), one after another (runClientSim and the replay
+    // grid would replay those cells on the curve engine themselves).
     // The per-size:curve time ratio is the curve_speedups entry in
     // BENCH_e2e.json.  nvram=1 sweeps NVRAM sizes under the unified
     // model (the Fig 3-4 grid), nvram=2 under the write-aside model
@@ -365,8 +368,11 @@ BM_CurveSweep(benchmark::State &state)
             continue;
         }
         for (const core::ModelConfig &model : models) {
-            const core::Metrics row =
-                core::runClientSim(ops, model, spec.seed);
+            core::ClusterConfig config;
+            config.model = model;
+            config.seed = spec.seed;
+            core::ClusterSim sim(config, ops.clientCount);
+            const core::Metrics row = sim.run(ops);
             benchmark::DoNotOptimize(row.appWriteBytes);
         }
     }

@@ -463,16 +463,6 @@ BlockCache::insertRange(FileId file, std::uint32_t first,
     size_ += count;
 }
 
-void
-BlockCache::touchRange(FileId file, std::uint32_t first,
-                       std::uint32_t last, TimeUs now)
-{
-    extents_.forEachInRange(file, first, last,
-                            [&](std::uint32_t, std::uint32_t slot) {
-                                touchSlot(slot, now);
-                            });
-}
-
 Bytes
 BlockCache::markDirtyRange(FileId file, Bytes offset, Bytes length,
                            TimeUs now)

@@ -18,9 +18,10 @@
  * slot map is an ExtentIndex: per-file sorted (block, slot) runs that
  * resolve one block with a file probe plus a hinted binary search, and
  * a (file, first..last) span to runs of consecutive resident blocks
- * with one probe.  On top of that sit the range operations —
- * insertRange / touchRange / markDirtyRange / peekRange — which walk
- * arena slots directly instead of resolving each block.  Pointers and
+ * with one probe.  On top of that sit the range operations the file
+ * server writes through — probeRange / insertRange / markDirtyRange /
+ * removeFileBlocks / removeDirtyOlderThan — which walk arena slots
+ * directly instead of resolving each block.  Pointers and
  * references returned by insert()/peek() are invalidated by a later
  * insert (the arena may grow); use them before the next mutation, as
  * all callers do.
@@ -166,7 +167,7 @@ class BlockCache
     TimeUs lruAccessTime() const;
 
     // ------------------------------------------------------------------
-    // Range operations (the extent engine's hot path).  Each resolves
+    // Range operations (the file server's write path).  Each resolves
     // a (file, first..last) block span through the per-file extent
     // index: one file probe + binary search instead of one lookup per
     // block.  Semantically each is exactly the per-block loop over
@@ -192,40 +193,15 @@ class BlockCache
                      std::uint32_t last, TimeUs now);
 
     /**
-     * touch() every resident block of `file` in [first, last],
-     * ascending.  Callers normally pass a fully-resident run from
-     * probeRange().
-     */
-    void touchRange(FileId file, std::uint32_t first, std::uint32_t last,
-                    TimeUs now);
-
-    /**
      * markDirty() bytes [offset, offset+length) of `file`; every
      * covered block must be resident.  Returns the previously-dirty
      * bytes the range overlapped (the absorbed-overwrite count the
-     * models would otherwise gather with one IntervalSet query per
+     * callers would otherwise gather with one IntervalSet query per
      * block — interior full blocks are answered in O(1) from the
      * block's dirty-byte total).
      */
     Bytes markDirtyRange(FileId file, Bytes offset, Bytes length,
                          TimeUs now);
-
-    /**
-     * Visit the resident blocks of `file` in [first, last] ascending
-     * without touching LRU state.  The callback must not mutate the
-     * cache (snapshot first for flush/invalidate loops).
-     */
-    template <typename Fn>
-    void
-    peekRange(FileId file, std::uint32_t first, std::uint32_t last,
-              Fn &&fn) const
-    {
-        extents_.forEachInRange(
-            file, first, last,
-            [&](std::uint32_t, std::uint32_t slot) {
-                fn(static_cast<const CacheBlock &>(arena_[slot].block));
-            });
-    }
 
     /**
      * Remove every resident block of `file` in ascending block order,

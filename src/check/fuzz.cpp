@@ -37,20 +37,73 @@ constexpr ModelKind kModels[] = {ModelKind::Volatile,
                                  ModelKind::WriteAside,
                                  ModelKind::Unified};
 
+/** One event a replay sent its ServerWriteSink. */
+struct SinkEvent
+{
+    TimeUs time = 0;
+    FileId file = 0;
+    std::uint32_t block = 0;
+    Bytes bytes = 0;
+    core::WriteCause cause = core::WriteCause::Replacement;
+    bool fsync = false;
+
+    bool operator==(const SinkEvent &other) const = default;
+};
+
+/** Records the server-bound stream of one replay. */
+class StreamRecorder : public core::ServerWriteSink
+{
+  public:
+    void
+    onServerWrite(TimeUs now, FileId file, std::uint32_t block,
+                  Bytes bytes, core::WriteCause cause) override
+    {
+        events.push_back({now, file, block, bytes, cause, false});
+    }
+
+    void
+    onFsync(TimeUs now, FileId file) override
+    {
+        events.push_back({now, file, 0, 0, core::WriteCause::Fsync, true});
+    }
+
+    std::vector<SinkEvent> events;
+};
+
+std::string
+describeEvent(const std::vector<SinkEvent> &events, std::size_t i)
+{
+    if (i >= events.size())
+        return "none";
+    const SinkEvent &e = events[i];
+    std::ostringstream out;
+    if (e.fsync) {
+        out << "fsync t=" << e.time << " file=" << e.file;
+    } else {
+        out << core::writeCauseName(e.cause) << " t=" << e.time
+            << " file=" << e.file << " block=" << e.block
+            << " bytes=" << e.bytes;
+    }
+    return out.str();
+}
+
 /**
  * One simulation leg: the production replay, or the per-block
  * reference.  Audits (util::AuditError) and simulator invariant
  * panics (util::PanicError via NVFS_REQUIRE) both count as failures;
- * anything escaping the replay is folded into the description.
+ * anything escaping the replay is folded into the description.  A
+ * `sink` records the leg's server-bound stream.
  */
 std::optional<Metrics>
 runOne(const OpStream &ops, ModelKind kind, bool reference,
-       const FuzzConfig &config, std::string &error)
+       const FuzzConfig &config, std::string &error,
+       core::ServerWriteSink *sink = nullptr)
 {
     ClusterConfig cluster;
     cluster.model.kind = kind;
     cluster.model.volatileBytes = config.volatileBytes;
     cluster.model.nvramBytes = config.nvramBytes;
+    cluster.model.sink = sink;
     cluster.seed = config.seed; // same replacement stream both legs
     cluster.auditEvery = config.auditEvery;
     try {
@@ -139,6 +192,46 @@ runCurveArm(const OpStream &ops, ModelKind kind, const FuzzConfig &config,
     return std::nullopt;
 }
 
+/**
+ * The stream arm: a one-size curve pass of `kind` at the configured
+ * size with a sink, whose server-bound stream must equal `expected`,
+ * the production replay's, event for event.
+ */
+std::optional<std::string>
+runStreamArm(const OpStream &ops, ModelKind kind, const FuzzConfig &config,
+             const std::vector<SinkEvent> &expected)
+{
+    StreamRecorder recorder;
+    core::ModelConfig model;
+    model.kind = kind;
+    model.volatileBytes = config.volatileBytes;
+    model.nvramBytes = config.nvramBytes;
+    model.sink = &recorder;
+    core::CurveSpec spec = core::cellSpec(model, config.seed);
+    spec.auditEvery = config.auditEvery;
+    if (!core::curveSupported(spec))
+        return std::nullopt;
+    try {
+        core::runCurveSim(ops, spec);
+    } catch (const std::exception &e) {
+        return core::modelKindName(kind) + "/curve stream: " + e.what();
+    }
+    const std::vector<SinkEvent> &got = recorder.events;
+    std::size_t i = 0;
+    while (i < got.size() && i < expected.size() && got[i] == expected[i])
+        ++i;
+    if (i == got.size() && i == expected.size())
+        return std::nullopt;
+    std::ostringstream out;
+    out << core::modelKindName(kind)
+        << ": one-size curve pass and production replay send different "
+           "server streams at event "
+        << i << " of " << expected.size() << " (curve "
+        << describeEvent(got, i) << ", production "
+        << describeEvent(expected, i) << ")";
+    return out.str();
+}
+
 /** Rebuild a stream from a row-wise op vector (shrink candidates). */
 OpStream
 makeStream(const std::vector<Op> &rows, std::uint32_t client_count)
@@ -167,8 +260,8 @@ toRows(const OpStream &stream)
 /**
  * Delta-debugging shrink over the op rows.  Removing ops cannot break
  * stream validity — timestamps stay sorted and ids stay in range — so
- * every candidate is a legal input.  Each probe replays six
- * simulations; the default deltaShrink budget keeps that bounded.
+ * every candidate is a legal input.  Each probe replays every leg of
+ * runDifferential; the default deltaShrink budget keeps that bounded.
  */
 std::vector<Op>
 shrinkOps(std::vector<Op> rows, std::uint32_t client_count,
@@ -298,7 +391,9 @@ runDifferential(const OpStream &ops, const FuzzConfig &config)
 {
     for (ModelKind kind : kModels) {
         std::string error;
-        const auto production = runOne(ops, kind, false, config, error);
+        StreamRecorder stream;
+        const auto production =
+            runOne(ops, kind, false, config, error, &stream);
         if (!production.has_value())
             return error;
         const auto reference = runOne(ops, kind, true, config, error);
@@ -310,6 +405,9 @@ runDifferential(const OpStream &ops, const FuzzConfig &config)
                    describeMismatch(*production, *reference);
         }
         if (auto failure = runCurveArm(ops, kind, config, *production))
+            return failure;
+        if (auto failure =
+                runStreamArm(ops, kind, config, stream.events))
             return failure;
     }
     return std::nullopt;

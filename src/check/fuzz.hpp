@@ -3,13 +3,16 @@
  * nvfs::check — the differential fuzz driver.
  *
  * Generates randomized (but valid: time-sorted, bounded ids) op
- * streams and replays each one through the production cluster
- * simulator and the per-block reference (check::runPerBlockReference),
- * across all three client cache models, with structural audits
- * enabled, and through one curve pass per model (core::runCurveSim)
- * over sizes around the configured memory.  A run fails when an audit
- * throws util::AuditError, a simulator invariant panics, or any leg
- * disagrees with the production replay on any Metrics counter.
+ * streams and replays each one through the client models (ClusterSim,
+ * the production leg) and the unfolded reference
+ * (check::runPerBlockReference), across all three client cache
+ * models, with structural audits enabled; through one curve pass per
+ * model (core::runCurveSim) over sizes around the configured memory;
+ * and through a one-size curve pass with a sink at the configured
+ * size.  A run fails when an audit throws util::AuditError, a
+ * simulator invariant panics, any leg disagrees with the production
+ * replay on any Metrics counter, or the one-size pass sends the
+ * server a different stream.
  * Failures are shrunk to a minimal reproducing op stream before being
  * reported.
  */
@@ -35,7 +38,7 @@ struct FuzzConfig
     std::uint64_t auditEvery = 64;
     /**
      * Deliberately small memories so the streams force evictions,
-     * write-back, and NVRAM pressure — where the fast paths live.
+     * write-back, and NVRAM pressure.
      */
     Bytes volatileBytes = 48 * kBlockSize;
     Bytes nvramBytes = 16 * kBlockSize;
@@ -75,14 +78,17 @@ prep::OpStream generateOps(const FuzzConfig &config,
                            std::uint64_t seed);
 
 /**
- * Replay `ops` through the production simulator and the per-block
+ * Replay `ops` through the production simulator and the unfolded
  * reference for each of the three models (audits every
  * config.auditEvery ops) and compare the Metrics; then run one curve
  * pass per model over one block, half, the configured size and double
  * (the volatile cache for the volatile model, the NVRAM for the
  * others) and compare each row with the production replay at that
- * size.  Returns a description of the first failure, or nullopt when
- * every pairing agrees and no audit fires.
+ * size; then bit-compare the server-bound stream (every sink event:
+ * time, file, block, bytes, cause, fsyncs) of a one-size pass at the
+ * configured size with the production replay's.  Returns a
+ * description of the first failure, or nullopt when every pairing
+ * agrees and no audit fires.
  */
 std::optional<std::string>
 runDifferential(const prep::OpStream &ops, const FuzzConfig &config);

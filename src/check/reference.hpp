@@ -1,14 +1,12 @@
 /**
  * @file
- * nvfs::check — the per-block reference engine.
+ * nvfs::check — the unfolded reference replay.
  *
- * The client models process whole block runs through the caches'
- * range operations.  Their per-block bodies — one probe and one LRU
- * splice per 4 KB block — survive only as the oracle those fast paths
- * are checked against: runPerBlockReference replays an op stream
- * through the same protocol driver (core::replayOps) with model
- * subclasses whose read, write and recallRange take the per-block
- * route, so a differential isolates the engine from the protocol.
+ * core::replayOps folds adjacent same-time sequential reads and
+ * writes of one stream into one op before dispatch.  The reference
+ * replays the same client models (ClusterSim's) with that fold turned
+ * off, so every op reaches the models as it stands; a differential
+ * against ClusterSim isolates the fold from everything else.
  */
 
 #pragma once
@@ -20,10 +18,8 @@ namespace nvfs::check {
 
 /**
  * Replay `ops` as core::ClusterSim(config, max(1, ops.clientCount))
- * would, with every read, write and block-level recall handled one
- * block at a time and no op folded into its neighbours.  The
- * production replay, which folds sequential runs, must return
- * identical Metrics, so every differential also checks the fold.
+ * would, with no op folded into its neighbours.  ClusterSim, which
+ * folds sequential runs, must return identical Metrics.
  */
 core::Metrics runPerBlockReference(const prep::OpStream &ops,
                                    const core::ClusterConfig &config);

@@ -28,20 +28,6 @@ ClientModel::ClientModel(const ModelConfig &config, Metrics &metrics,
 }
 
 Bytes
-ClientModel::rangeTransferBytes(FileId file, std::uint32_t first,
-                                std::uint32_t last) const
-{
-    const Bytes *found = sizes_.find(file);
-    const Bytes size = found == nullptr ? 0 : *found;
-    Bytes total = Bytes{last - first + 1} * kBlockSize;
-    const Bytes rem = size % kBlockSize;
-    const auto size_block = static_cast<std::uint32_t>(size / kBlockSize);
-    if (rem != 0 && size_block >= first && size_block <= last)
-        total -= kBlockSize - rem;
-    return total;
-}
-
-Bytes
 ClientModel::serverWriteBlock(const cache::BlockId &id,
                               WriteCause cause, TimeUs now)
 {
@@ -50,24 +36,6 @@ ClientModel::serverWriteBlock(const cache::BlockId &id,
     if (config_.sink)
         config_.sink->onServerWrite(now, id.file, id.index, bytes,
                                     cause);
-    return bytes;
-}
-
-Bytes
-ClientModel::serverWriteRun(FileId file, std::uint32_t first,
-                            std::uint32_t last, WriteCause cause,
-                            TimeUs now)
-{
-    const Bytes bytes = rangeTransferBytes(file, first, last);
-    metrics_.addServerWrite(cause, bytes);
-    if (config_.sink) {
-        for (std::uint32_t b = first; b <= last; ++b) {
-            config_.sink->onServerWrite(
-                now, file, b,
-                blockTransferBytes(cache::BlockId{file, b}, sizes_),
-                cause);
-        }
-    }
     return bytes;
 }
 

@@ -8,6 +8,14 @@
  * table to clip block transfers at end-of-file (a partial application
  * write can still cause a whole cache block to travel, which is why
  * Table 2's columns exceed the application write total).
+ *
+ * A model handles one 4 KB block at a time: read, write and
+ * recallRange are loops over each model's per-block bodies.  Cells
+ * with an LRU NVRAM and none of the ablations below replay on the
+ * curve engine instead (core/sim/curve.hpp, through runClientSim and
+ * runClientGrid); the models serve random, clock and omniscient
+ * NVRAMs, dirty preference, dynamic sizing, injected client crashes,
+ * block-level callbacks and the tests' reference replays (ClusterSim).
  */
 
 #pragma once
@@ -86,179 +94,6 @@ struct ModelConfig
     bool operator==(const ModelConfig &other) const = default;
 };
 
-/** One client's cache state. */
-class ClientModel
-{
-  public:
-    ClientModel(const ModelConfig &config, Metrics &metrics,
-                const FileSizeMap &sizes, util::Rng &rng);
-    virtual ~ClientModel() = default;
-
-    /** Application read of [offset, offset+length). */
-    virtual void read(FileId file, Bytes offset, Bytes length,
-                      TimeUs now) = 0;
-
-    /** Application write of [offset, offset+length). */
-    virtual void write(FileId file, Bytes offset, Bytes length,
-                       TimeUs now) = 0;
-
-    /** Application fsync of the file. */
-    virtual void fsync(FileId file, TimeUs now) = 0;
-
-    /**
-     * Flush the file's dirty data to the server with the given cause
-     * and invalidate every cached block of the file (Sprite's
-     * whole-file consistency action).
-     */
-    virtual void recall(FileId file, WriteCause cause, TimeUs now) = 0;
-
-    /**
-     * Block-level consistency extension ([21], the paper's §2.3
-     * suggestion): flush and invalidate only the dirty blocks
-     * overlapping [offset, offset+length).  Returns the bytes sent to
-     * the server.
-     */
-    virtual Bytes recallRange(FileId file, Bytes offset, Bytes length,
-                              WriteCause cause, TimeUs now) = 0;
-
-    /** The file was deleted: absorb its dirty data, drop its blocks. */
-    virtual void removeFile(FileId file, TimeUs now) = 0;
-
-    /** The file shrank to new_size: drop blocks past the new end. */
-    virtual void truncate(FileId file, Bytes new_size, TimeUs now) = 0;
-
-    /** Periodic block-cleaner tick (only the volatile model acts). */
-    virtual void tick(TimeUs /*now*/) {}
-
-    /** End of trace: flush remaining dirty data (pessimistic). */
-    virtual void finish(TimeUs now) = 0;
-
-    /** Total dirty bytes cached on this client. */
-    virtual Bytes dirtyBytes() const = 0;
-
-    /**
-     * The workstation crashed and rebooted (Section 4).  Volatile
-     * contents are lost; NVRAM contents survive.  Dirty bytes that
-     * existed only in volatile memory are counted in
-     * Metrics::lostDirtyBytes; dirty NVRAM data is recovered and
-     * flushed to the server (Recovery cause) so it becomes visible
-     * again, as the paper requires of a crashed client's NVRAM.
-     */
-    virtual void crash(TimeUs now) = 0;
-
-    /**
-     * Structural audit (nvfs::check): the model's cache memories plus
-     * its own cross-memory invariants (residency disjointness, NVRAM
-     * shadowing).  Throws util::AuditError on violation — catchable,
-     * unlike the NVFS_REQUIRE panics on the hot paths.
-     */
-    virtual void auditInvariants() const = 0;
-
-  protected:
-    /**
-     * Sum of blockTransferBytes over blocks [first, last] of `file`,
-     * in closed form: one size lookup per run instead of one per
-     * block.  Every block transfers kBlockSize except the one
-     * containing the EOF byte, which is clipped (blocks past EOF
-     * charge a full block, matching blockTransferBytes' unknown-size
-     * rule).
-     */
-    Bytes rangeTransferBytes(FileId file, std::uint32_t first,
-                             std::uint32_t last) const;
-
-    /**
-     * Account one block write to the server: updates the metrics and
-     * notifies the configured sink.  Returns the bytes transferred.
-     */
-    Bytes serverWriteBlock(const cache::BlockId &id, WriteCause cause,
-                           TimeUs now);
-
-    /**
-     * Account a contiguous run [first, last] of block writes of
-     * `file` with ONE metrics update: rangeTransferBytes is the
-     * closed-form sum of the per-block transfers, so the counters end
-     * up exactly where last-first+1 serverWriteBlock calls would put
-     * them.  Sink events stay per block, ascending, with per-block
-     * byte counts, so end-to-end replays observe an identical stream.
-     * Returns the total bytes transferred.
-     */
-    Bytes serverWriteRun(FileId file, std::uint32_t first,
-                         std::uint32_t last, WriteCause cause,
-                         TimeUs now);
-
-    /**
-     * Accumulates ascending block indices of one file into contiguous
-     * runs and flushes each run with one serverWriteRun call — the
-     * removeFileBlocks/peekRange walks hand blocks over in ascending
-     * order, so sequential dirty data collapses from one metrics
-     * update per 4 KB block to one per uniform run.
-     */
-    class RunFlusher
-    {
-      public:
-        RunFlusher(ClientModel &model, FileId file, WriteCause cause,
-                   TimeUs now)
-            : model_(model), file_(file), cause_(cause), now_(now)
-        {
-        }
-
-        /** Add the next block to flush; indices must ascend. */
-        void
-        add(std::uint32_t index)
-        {
-            if (active_ && index == last_ + 1) {
-                last_ = index;
-                return;
-            }
-            flushRun();
-            first_ = last_ = index;
-            active_ = true;
-        }
-
-        /** Flush the trailing run; returns the total bytes flushed. */
-        Bytes
-        finish()
-        {
-            flushRun();
-            return bytes_;
-        }
-
-      private:
-        void
-        flushRun()
-        {
-            if (!active_)
-                return;
-            bytes_ += model_.serverWriteRun(file_, first_, last_,
-                                            cause_, now_);
-            active_ = false;
-        }
-
-        ClientModel &model_;
-        FileId file_;
-        WriteCause cause_;
-        TimeUs now_;
-        std::uint32_t first_ = 0;
-        std::uint32_t last_ = 0;
-        Bytes bytes_ = 0;
-        bool active_ = false;
-    };
-
-    /** Count dirty bytes of a block as absorbed (delete/truncate). */
-    void absorbBlock(const cache::CacheBlock &block, bool deleted);
-
-    const ModelConfig config_;
-    Metrics &metrics_;
-    const FileSizeMap &sizes_;
-    util::Rng &rng_;
-};
-
-/** Instantiate the configured model for one client. */
-std::unique_ptr<ClientModel> makeClientModel(const ModelConfig &config,
-                                             Metrics &metrics,
-                                             const FileSizeMap &sizes,
-                                             util::Rng &rng);
-
 /**
  * Visit every 4 KB block overlapping [offset, offset+length) of a
  * file.  The callback receives the block id and the in-block byte
@@ -295,22 +130,128 @@ lastBlockOf(Bytes offset, Bytes length)
                                       kBlockSize);
 }
 
-/**
- * Clamp a block run's exclusive end so the run spans at most `cap`
- * blocks from `b` (cap > 0).  The models chunk giant runs this way so
- * the batched fast paths — whose equivalence proofs need the run to
- * fit in the cache — keep applying; the loop re-probes after each
- * chunk, and processing a prefix then re-probing is exactly the
- * per-block schedule cut into pieces, so chunking cannot change the
- * simulated outcome.
- */
-inline std::uint32_t
-clampRunEnd(std::uint32_t b, std::uint32_t end, std::uint64_t cap)
+/** One client's cache state. */
+class ClientModel
 {
-    const std::uint64_t limit = b + cap;
-    return std::uint64_t{end} > limit
-               ? static_cast<std::uint32_t>(limit)
-               : end;
-}
+  public:
+    ClientModel(const ModelConfig &config, Metrics &metrics,
+                const FileSizeMap &sizes, util::Rng &rng);
+    virtual ~ClientModel() = default;
+
+    /** Application read of [offset, offset+length), block by block. */
+    void
+    read(FileId file, Bytes offset, Bytes length, TimeUs now)
+    {
+        metrics_.appReadBytes += length;
+        forEachBlock(file, offset, length,
+                     [&](const cache::BlockId &id, Bytes, Bytes) {
+                         readBlock(id, now);
+                     });
+    }
+
+    /** Application write of [offset, offset+length), block by block. */
+    void
+    write(FileId file, Bytes offset, Bytes length, TimeUs now)
+    {
+        metrics_.appWriteBytes += length;
+        forEachBlock(file, offset, length,
+                     [&](const cache::BlockId &id, Bytes begin,
+                         Bytes end) { writeBlock(id, begin, end, now); });
+    }
+
+    /** Application fsync of the file. */
+    virtual void fsync(FileId file, TimeUs now) = 0;
+
+    /**
+     * Flush the file's dirty data to the server with the given cause
+     * and invalidate every cached block of the file (Sprite's
+     * whole-file consistency action).
+     */
+    virtual void recall(FileId file, WriteCause cause, TimeUs now) = 0;
+
+    /**
+     * Block-level consistency extension ([21], the paper's §2.3
+     * suggestion): flush and invalidate only the dirty blocks
+     * overlapping [offset, offset+length), block by block.  Returns
+     * the bytes sent to the server.
+     */
+    Bytes
+    recallRange(FileId file, Bytes offset, Bytes length, WriteCause cause,
+                TimeUs now)
+    {
+        Bytes flushed = 0;
+        forEachBlock(file, offset, length,
+                     [&](const cache::BlockId &id, Bytes, Bytes) {
+                         flushed += recallBlock(id, cause, now);
+                     });
+        return flushed;
+    }
+
+    /** The file was deleted: absorb its dirty data, drop its blocks. */
+    virtual void removeFile(FileId file, TimeUs now) = 0;
+
+    /** The file shrank to new_size: drop blocks past the new end. */
+    virtual void truncate(FileId file, Bytes new_size, TimeUs now) = 0;
+
+    /** Periodic block-cleaner tick (only the volatile model acts). */
+    virtual void tick(TimeUs /*now*/) {}
+
+    /** End of trace: flush remaining dirty data (pessimistic). */
+    virtual void finish(TimeUs now) = 0;
+
+    /** Total dirty bytes cached on this client. */
+    virtual Bytes dirtyBytes() const = 0;
+
+    /**
+     * The workstation crashed and rebooted (Section 4).  Volatile
+     * contents are lost; NVRAM contents survive.  Dirty bytes that
+     * existed only in volatile memory are counted in
+     * Metrics::lostDirtyBytes; dirty NVRAM data is recovered and
+     * flushed to the server (Recovery cause) so it becomes visible
+     * again, as the paper requires of a crashed client's NVRAM.
+     */
+    virtual void crash(TimeUs now) = 0;
+
+    /**
+     * Structural audit (nvfs::check): the model's cache memories plus
+     * its own cross-memory invariants (residency disjointness, NVRAM
+     * shadowing).  Throws util::AuditError on violation — catchable,
+     * unlike the NVFS_REQUIRE panics on the hot paths.
+     */
+    virtual void auditInvariants() const = 0;
+
+  protected:
+    /** One application read of a 4 KB block. */
+    virtual void readBlock(const cache::BlockId &id, TimeUs now) = 0;
+
+    /** One application write of bytes [begin, end) of a block. */
+    virtual void writeBlock(const cache::BlockId &id, Bytes begin,
+                            Bytes end, TimeUs now) = 0;
+
+    /** Flush (if dirty) and drop one block; returns bytes sent. */
+    virtual Bytes recallBlock(const cache::BlockId &id, WriteCause cause,
+                              TimeUs now) = 0;
+
+    /**
+     * Account one block write to the server: updates the metrics and
+     * notifies the configured sink.  Returns the bytes transferred.
+     */
+    Bytes serverWriteBlock(const cache::BlockId &id, WriteCause cause,
+                           TimeUs now);
+
+    /** Count dirty bytes of a block as absorbed (delete/truncate). */
+    void absorbBlock(const cache::CacheBlock &block, bool deleted);
+
+    const ModelConfig config_;
+    Metrics &metrics_;
+    const FileSizeMap &sizes_;
+    util::Rng &rng_;
+};
+
+/** Instantiate the configured model for one client. */
+std::unique_ptr<ClientModel> makeClientModel(const ModelConfig &config,
+                                             Metrics &metrics,
+                                             const FileSizeMap &sizes,
+                                             util::Rng &rng);
 
 } // namespace nvfs::core

@@ -11,7 +11,9 @@
  * audits, and the end-of-trace flush.  It is templated on the client
  * type, so ClusterSim replays virtual ClientModels and the curve
  * engine replays its multi-size clients through the same code with no
- * per-op indirection.  A protocol change is made here, once.
+ * per-op indirection; every LRU cell replays on the curve engine (a
+ * lone cell as a one-size pass), the rest on ClusterSim.  A protocol
+ * change is made here, once.
  */
 
 #pragma once
@@ -71,10 +73,10 @@ struct ClusterConfig
  *
  * Adjacent same-time sequential reads/writes of one (client, pid,
  * file) stream are folded into a single maximal op before dispatch
- * (prep::canCoalesce), so the models see whole extents.  The fold is
+ * (prep::canCoalesce), so the clients see whole extents.  The fold is
  * invisible to the results; `coalesce` = false dispatches every op as
  * it stands, which only check::runPerBlockReference asks for, so each
- * reference differential also checks the fold.
+ * reference differential checks the fold.
  *
  * Client provides ClientModel's operations as (non-virtual or
  * virtual) members: read, write, fsync, recall, recallRange,

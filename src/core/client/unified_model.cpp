@@ -18,38 +18,33 @@ UnifiedModel::UnifiedModel(const ModelConfig &config, Metrics &metrics,
 }
 
 void
-UnifiedModel::evictNvramVictim(TimeUs now)
-{
-    const auto victim_id = nvram_.chooseVictim(now);
-    NVFS_REQUIRE(victim_id.has_value(), "full NVRAM without victim");
-    const Bytes transfer = blockTransferBytes(*victim_id, sizes_);
-    const cache::CacheBlock victim = nvram_.remove(*victim_id);
-    if (victim.isDirty())
-        serverWriteBlock(*victim_id, WriteCause::Replacement, now);
-    // Demotion rule: keep a clean copy in the volatile cache when
-    // the victim was accessed more recently than the volatile LRU
-    // block (or the volatile cache has room).
-    bool demote;
-    if (!volatile_.full()) {
-        demote = true;
-    } else {
-        demote = volatile_.lruAccessTime() < victim.lastAccess;
-        if (demote)
-            volatile_.remove(*volatile_.lruBlock());
-    }
-    if (demote) {
-        volatile_.insertOrdered(*victim_id, victim.lastAccess);
-        metrics_.nvramToCacheBytes += transfer;
-        metrics_.busBytes += transfer;
-        ++metrics_.nvramReadAccesses; // reading it out of NVRAM
-    }
-}
-
-void
 UnifiedModel::ensureNvramSpace(TimeUs now)
 {
-    while (nvram_.full())
-        evictNvramVictim(now);
+    while (nvram_.full()) {
+        const auto victim_id = nvram_.chooseVictim(now);
+        NVFS_REQUIRE(victim_id.has_value(), "full NVRAM without victim");
+        const Bytes transfer = blockTransferBytes(*victim_id, sizes_);
+        const cache::CacheBlock victim = nvram_.remove(*victim_id);
+        if (victim.isDirty())
+            serverWriteBlock(*victim_id, WriteCause::Replacement, now);
+        // Demotion rule: keep a clean copy in the volatile cache when
+        // the victim was accessed more recently than the volatile LRU
+        // block (or the volatile cache has room).
+        bool demote;
+        if (!volatile_.full()) {
+            demote = true;
+        } else {
+            demote = volatile_.lruAccessTime() < victim.lastAccess;
+            if (demote)
+                volatile_.remove(*volatile_.lruBlock());
+        }
+        if (demote) {
+            volatile_.insertOrdered(*victim_id, victim.lastAccess);
+            metrics_.nvramToCacheBytes += transfer;
+            metrics_.busBytes += transfer;
+            ++metrics_.nvramReadAccesses; // reading it out of NVRAM
+        }
+    }
 }
 
 void
@@ -136,164 +131,20 @@ UnifiedModel::writeBlock(const cache::BlockId &id, Bytes begin,
 }
 
 void
-UnifiedModel::read(FileId file, Bytes offset, Bytes length, TimeUs now)
-{
-    metrics_.appReadBytes += length;
-    if (length == 0)
-        return;
-    const std::uint32_t last = lastBlockOf(offset, length);
-    std::uint32_t b = firstBlockOf(offset);
-    while (b <= last) {
-        const auto rv = volatile_.probeRange(file, b, last);
-        if (rv.resident) {
-            volatile_.touchRange(file, b, rv.end - 1, now);
-            b = rv.end;
-            continue;
-        }
-        const auto rn = nvram_.probeRange(file, b, last);
-        std::uint32_t end = std::min(rv.end, rn.end);
-        if (rn.resident) {
-            nvram_.touchRange(file, b, end - 1, now);
-            metrics_.nvramReadAccesses += std::uint64_t{end - b};
-            b = end;
-            continue;
-        }
-        // placeCleanBlock degenerates to a plain volatile insert while
-        // the volatile cache has room; anything tighter consults
-        // occupancy and LRU ages per block, so chunk the run at the
-        // free space (batching exactly the prefix that fits) and fall
-        // back for the rest.
-        const std::uint64_t free = volatile_.freeBlocks();
-        if (free > 0)
-            end = clampRunEnd(b, end, free);
-        const auto count = std::uint64_t{end - b};
-        const Bytes fetched = rangeTransferBytes(file, b, end - 1);
-        metrics_.serverReadBytes += fetched;
-        metrics_.busBytes += fetched;
-        if (free >= count) {
-            volatile_.insertRange(file, b, end - 1, now);
-        } else {
-            for (std::uint32_t i = b; i < end; ++i)
-                placeCleanBlock(cache::BlockId{file, i}, now);
-        }
-        b = end;
-    }
-}
-
-void
-UnifiedModel::write(FileId file, Bytes offset, Bytes length, TimeUs now)
-{
-    metrics_.appWriteBytes += length;
-    if (length == 0)
-        return;
-    const Bytes op_end = offset + length;
-    const bool lru_nvram = config_.nvramPolicy == cache::PolicyKind::Lru;
-    const std::uint32_t last = lastBlockOf(offset, length);
-    std::uint32_t b = firstBlockOf(offset);
-    while (b <= last) {
-        const auto rv = volatile_.probeRange(file, b, last);
-        const auto rn = nvram_.probeRange(file, b, last);
-        std::uint32_t end = std::min(rv.end, rn.end);
-        // Chunk double-miss runs at the NVRAM capacity so the batched
-        // fill below keeps applying to runs longer than the cache.
-        if (!rn.resident && !rv.resident && lru_nvram)
-            end = clampRunEnd(b, end, nvram_.capacityBlocks());
-        const auto count = std::uint64_t{end - b};
-        const Bytes run_begin =
-            std::max<Bytes>(offset, Bytes{b} * kBlockSize);
-        const Bytes run_end =
-            std::min<Bytes>(op_end, Bytes{end} * kBlockSize);
-        if (rn.resident) {
-            metrics_.absorbedOverwrittenBytes += nvram_.markDirtyRange(
-                file, run_begin, run_end - run_begin, now);
-            metrics_.nvramWriteAccesses += count;
-            metrics_.busBytes += run_end - run_begin;
-        } else if (!rv.resident && lru_nvram &&
-                   count <= nvram_.capacityBlocks()) {
-            // Whole-run NVRAM fill.  Victims are successive LRU heads
-            // and demotion decisions only read volatile-cache state,
-            // which evolves identically whether the evictions
-            // interleave with the inserts or precede them.
-            while (nvram_.freeBlocks() < count)
-                evictNvramVictim(now);
-            nvram_.insertRange(file, b, end - 1, now);
-            nvram_.markDirtyRange(file, run_begin, run_end - run_begin,
-                                  now);
-            metrics_.nvramWriteAccesses += count;
-            metrics_.busBytes += run_end - run_begin;
-        } else {
-            forEachBlock(file, run_begin, run_end - run_begin,
-                         [&](const cache::BlockId &id, Bytes begin,
-                             Bytes in_end) {
-                             writeBlock(id, begin, in_end, now);
-                         });
-        }
-        b = end;
-    }
-}
-
-void
 UnifiedModel::fsync(FileId, TimeUs)
 {
     // Absorbed: dirty data is already permanent in the NVRAM.
 }
 
-Bytes
-UnifiedModel::recallRange(FileId file, Bytes offset, Bytes length,
-                          WriteCause cause, TimeUs now)
-{
-    if (length == 0)
-        return 0;
-    Bytes flushed = 0;
-    const std::uint32_t first = firstBlockOf(offset);
-    const std::uint32_t last = lastBlockOf(offset, length);
-    recallScratch_.clear();
-    nvram_.peekRange(file, first, last,
-                     [&](const cache::CacheBlock &block) {
-                         recallScratch_.emplace_back(block.id.index,
-                                                     block.isDirty());
-                     });
-    RunFlusher flusher(*this, file, cause, now);
-    std::uint64_t dirty_count = 0;
-    for (const auto &[index, dirty] : recallScratch_) {
-        nvram_.remove(cache::BlockId{file, index});
-        if (dirty) {
-            flusher.add(index);
-            ++dirty_count;
-        }
-    }
-    flushed += flusher.finish();
-    metrics_.nvramReadAccesses += dirty_count;
-    recallScratch_.clear();
-    volatile_.peekRange(file, first, last,
-                        [&](const cache::CacheBlock &block) {
-                            recallScratch_.emplace_back(block.id.index,
-                                                        false);
-                        });
-    for (const auto &[index, dirty] : recallScratch_) {
-        (void)dirty;
-        volatile_.remove(cache::BlockId{file, index});
-    }
-    return flushed;
-}
-
 void
 UnifiedModel::recall(FileId file, WriteCause cause, TimeUs now)
 {
-    // The removal walk hands dirty blocks over in ascending order;
-    // contiguous ones flush as single runs (one metrics update each),
-    // and the NVRAM read count is added once for the whole file.
-    RunFlusher flusher(*this, file, cause, now);
-    std::uint64_t dirty_count = 0;
-    nvram_.removeFileBlocks(file,
-                            [&](const cache::CacheBlock &block) {
-                                if (block.isDirty()) {
-                                    flusher.add(block.id.index);
-                                    ++dirty_count;
-                                }
-                            });
-    flusher.finish();
-    metrics_.nvramReadAccesses += dirty_count;
+    nvram_.removeFileBlocks(file, [&](const cache::CacheBlock &block) {
+        if (!block.isDirty())
+            return;
+        serverWriteBlock(block.id, cause, now);
+        ++metrics_.nvramReadAccesses;
+    });
     volatile_.removeFileBlocks(file);
 }
 

@@ -14,9 +14,6 @@
 
 #pragma once
 
-#include <utility>
-#include <vector>
-
 #include "core/client/client_model.hpp"
 
 namespace nvfs::core {
@@ -28,14 +25,8 @@ class UnifiedModel : public ClientModel
     UnifiedModel(const ModelConfig &config, Metrics &metrics,
                  const FileSizeMap &sizes, util::Rng &rng);
 
-    void read(FileId file, Bytes offset, Bytes length,
-              TimeUs now) override;
-    void write(FileId file, Bytes offset, Bytes length,
-               TimeUs now) override;
     void fsync(FileId file, TimeUs now) override;
     void recall(FileId file, WriteCause cause, TimeUs now) override;
-    Bytes recallRange(FileId file, Bytes offset, Bytes length,
-                      WriteCause cause, TimeUs now) override;
     void removeFile(FileId file, TimeUs now) override;
     void truncate(FileId file, Bytes new_size, TimeUs now) override;
     void finish(TimeUs now) override;
@@ -50,18 +41,11 @@ class UnifiedModel : public ClientModel
     void auditInvariants() const override;
 
   protected:
-    /**
-     * The per-block engine, one 4 KB block per call: the bodies
-     * check::runPerBlockReference loops over as the differential
-     * oracle for the batched read/write/recallRange.  writeBlock is
-     * also the production fallback for runs no batch proof covers.
-     */
-    void readBlock(const cache::BlockId &id, TimeUs now);
+    void readBlock(const cache::BlockId &id, TimeUs now) override;
     void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
-                    TimeUs now);
-    /** Flush (if dirty) and drop one block; returns bytes sent. */
+                    TimeUs now) override;
     Bytes recallBlock(const cache::BlockId &id, WriteCause cause,
-                      TimeUs now);
+                      TimeUs now) override;
 
   private:
     /**
@@ -71,16 +55,11 @@ class UnifiedModel : public ClientModel
      */
     void ensureNvramSpace(TimeUs now);
 
-    /** One eviction step of ensureNvramSpace (extent batching). */
-    void evictNvramVictim(TimeUs now);
-
     /** Insert a clean fetched block per the unified placement rule. */
     void placeCleanBlock(const cache::BlockId &id, TimeUs now);
 
     cache::BlockCache volatile_;
     cache::BlockCache nvram_;
-    /** Scratch for recallRange (snapshot before mutating). */
-    std::vector<std::pair<std::uint32_t, bool>> recallScratch_;
 };
 
 } // namespace nvfs::core

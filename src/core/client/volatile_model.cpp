@@ -103,121 +103,6 @@ VolatileModel::writeBlock(const cache::BlockId &id, Bytes begin,
 }
 
 void
-VolatileModel::evictBlocks(std::uint64_t count, TimeUs now)
-{
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const auto victim = cache_.chooseVictim(now);
-        NVFS_REQUIRE(victim.has_value(), "eviction from empty cache");
-        if (cache_.peek(*victim)->isDirty())
-            flushBlock(*victim, WriteCause::Replacement, now);
-        cache_.remove(*victim);
-    }
-}
-
-void
-VolatileModel::fillRun(FileId file, std::uint32_t first,
-                       std::uint32_t last, TimeUs now)
-{
-    const auto count = std::uint64_t{last - first} + 1;
-    const std::uint64_t free = cache_.freeBlocks();
-    if (free >= count) {
-        cache_.insertRange(file, first, last, now);
-        return;
-    }
-    // Evicting the whole deficit up front matches the per-block
-    // interleaving exactly when victims come from the LRU list (always,
-    // for this cache), replacement ignores dirtiness, and the
-    // run fits in the cache: inserted blocks sit at the MRU end, so
-    // the per-block schedule's victims are the same `count - free`
-    // oldest pre-existing blocks in the same order.
-    if (!config_.dirtyPreference && count <= cache_.capacityBlocks()) {
-        evictBlocks(count - free, now);
-        cache_.insertRange(file, first, last, now);
-        return;
-    }
-    for (std::uint32_t b = first;; ++b) {
-        ensureSpace(now);
-        cache_.insert(cache::BlockId{file, b}, now);
-        if (b == last)
-            break;
-    }
-}
-
-void
-VolatileModel::read(FileId file, Bytes offset, Bytes length, TimeUs now)
-{
-    metrics_.appReadBytes += length;
-    if (length == 0)
-        return;
-    const std::uint32_t last = lastBlockOf(offset, length);
-    std::uint32_t b = firstBlockOf(offset);
-    while (b <= last) {
-        const auto run = cache_.probeRange(file, b, last);
-        if (run.resident) {
-            cache_.touchRange(file, b, run.end - 1, now);
-            b = run.end;
-            continue;
-        }
-        // Chunk runs longer than the cache so fillRun's batched fill
-        // (which needs the run to fit) keeps applying.
-        const std::uint32_t end =
-            clampRunEnd(b, run.end, cache_.capacityBlocks());
-        const Bytes fetched = rangeTransferBytes(file, b, end - 1);
-        metrics_.serverReadBytes += fetched;
-        metrics_.busBytes += fetched;
-        fillRun(file, b, end - 1, now);
-        b = end;
-    }
-}
-
-void
-VolatileModel::write(FileId file, Bytes offset, Bytes length, TimeUs now)
-{
-    metrics_.appWriteBytes += length;
-    if (length == 0)
-        return;
-    const Bytes op_end = offset + length;
-    const std::uint32_t last = lastBlockOf(offset, length);
-    std::uint32_t b = firstBlockOf(offset);
-    while (b <= last) {
-        const auto run = cache_.probeRange(file, b, last);
-        // Chunk miss runs longer than the cache so the batched path
-        // below keeps applying.
-        const std::uint32_t end =
-            run.resident
-                ? run.end
-                : clampRunEnd(b, run.end, cache_.capacityBlocks());
-        const Bytes run_begin =
-            std::max<Bytes>(offset, Bytes{b} * kBlockSize);
-        const Bytes run_end =
-            std::min<Bytes>(op_end, Bytes{end} * kBlockSize);
-        const auto count = std::uint64_t{end - b};
-        // Filling first and dirtying after is only the per-block
-        // schedule when no eviction decision can observe the
-        // in-between state: dirty-preferring replacement would see the
-        // run's blocks still clean and pick different victims.
-        const bool batch =
-            run.resident || cache_.freeBlocks() >= count ||
-            (!config_.dirtyPreference &&
-             count <= cache_.capacityBlocks());
-        if (batch) {
-            if (!run.resident)
-                fillRun(file, b, end - 1, now);
-            metrics_.absorbedOverwrittenBytes += cache_.markDirtyRange(
-                file, run_begin, run_end - run_begin, now);
-            metrics_.busBytes += run_end - run_begin;
-        } else {
-            forEachBlock(file, run_begin, run_end - run_begin,
-                         [&](const cache::BlockId &id, Bytes begin,
-                             Bytes in_end) {
-                             writeBlock(id, begin, in_end, now);
-                         });
-        }
-        b = end;
-    }
-}
-
-void
 VolatileModel::fsync(FileId file, TimeUs now)
 {
     for (const cache::BlockId &id : cache_.dirtyBlocksOfFile(file))
@@ -228,47 +113,13 @@ VolatileModel::fsync(FileId file, TimeUs now)
         config_.sink->onFsync(now, file);
 }
 
-Bytes
-VolatileModel::recallRange(FileId file, Bytes offset, Bytes length,
-                           WriteCause cause, TimeUs now)
-{
-    if (length == 0)
-        return 0;
-    Bytes flushed = 0;
-    // Snapshot the resident blocks first: flushing/removing while the
-    // extent index is being walked would invalidate the walk.
-    recallScratch_.clear();
-    cache_.peekRange(file, firstBlockOf(offset),
-                     lastBlockOf(offset, length),
-                     [&](const cache::CacheBlock &block) {
-                         recallScratch_.emplace_back(block.id.index,
-                                                     block.isDirty());
-                     });
-    for (const auto &[index, dirty] : recallScratch_) {
-        const cache::BlockId id{file, index};
-        if (dirty) {
-            flushed += blockTransferBytes(id, sizes_);
-            flushBlock(id, cause, now);
-        }
-        cache_.remove(id);
-    }
-    return flushed;
-}
-
 void
 VolatileModel::recall(FileId file, WriteCause cause, TimeUs now)
 {
-    // Dirty blocks flush in ascending block order either way, so the
-    // single removal pass emits the same server-write sequence as a
-    // flush pass followed by a removal pass — contiguous blocks
-    // batched into one metrics update per run.
-    RunFlusher flusher(*this, file, cause, now);
-    cache_.removeFileBlocks(file,
-                            [&](const cache::CacheBlock &block) {
-                                if (block.isDirty())
-                                    flusher.add(block.id.index);
-                            });
-    flusher.finish();
+    cache_.removeFileBlocks(file, [&](const cache::CacheBlock &block) {
+        if (block.isDirty())
+            serverWriteBlock(block.id, cause, now);
+    });
 }
 
 void

@@ -12,9 +12,6 @@
 
 #pragma once
 
-#include <utility>
-#include <vector>
-
 #include "core/client/client_model.hpp"
 
 namespace nvfs::core {
@@ -26,14 +23,8 @@ class VolatileModel : public ClientModel
     VolatileModel(const ModelConfig &config, Metrics &metrics,
                   const FileSizeMap &sizes, util::Rng &rng);
 
-    void read(FileId file, Bytes offset, Bytes length,
-              TimeUs now) override;
-    void write(FileId file, Bytes offset, Bytes length,
-               TimeUs now) override;
     void fsync(FileId file, TimeUs now) override;
     void recall(FileId file, WriteCause cause, TimeUs now) override;
-    Bytes recallRange(FileId file, Bytes offset, Bytes length,
-                      WriteCause cause, TimeUs now) override;
     void removeFile(FileId file, TimeUs now) override;
     void truncate(FileId file, Bytes new_size, TimeUs now) override;
     void tick(TimeUs now) override;
@@ -46,18 +37,11 @@ class VolatileModel : public ClientModel
     const cache::BlockCache &cache() const { return cache_; }
 
   protected:
-    /**
-     * The per-block engine, one 4 KB block per call: the bodies
-     * check::runPerBlockReference loops over as the differential
-     * oracle for the batched read/write/recallRange.  writeBlock is
-     * also the production fallback for runs no batch proof covers.
-     */
-    void readBlock(const cache::BlockId &id, TimeUs now);
+    void readBlock(const cache::BlockId &id, TimeUs now) override;
     void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
-                    TimeUs now);
-    /** Flush (if dirty) and drop one block; returns bytes sent. */
+                    TimeUs now) override;
     Bytes recallBlock(const cache::BlockId &id, WriteCause cause,
-                      TimeUs now);
+                      TimeUs now) override;
 
   private:
     /** Write a dirty block's contents to the server and clean it. */
@@ -67,25 +51,11 @@ class VolatileModel : public ClientModel
     /** Evict until an insert is possible. */
     void ensureSpace(TimeUs now);
 
-    /**
-     * Make blocks [first, last] of `file` resident (extent engine).
-     * Batches the insert — and, when the per-block victim schedule
-     * provably matches, the evictions — falling back to the per-block
-     * loop otherwise.
-     */
-    void fillRun(FileId file, std::uint32_t first, std::uint32_t last,
-                 TimeUs now);
-
-    /** Evict exactly `count` victims (flushing dirty ones). */
-    void evictBlocks(std::uint64_t count, TimeUs now);
-
     /** Apply Sprite's dynamic cache sizing (when enabled). */
     void resize(TimeUs now);
 
     cache::BlockCache cache_;
     double sizingPhase_ = 0.0;
-    /** Scratch for recallRange (snapshot before mutating). */
-    std::vector<std::pair<std::uint32_t, bool>> recallScratch_;
 };
 
 } // namespace nvfs::core

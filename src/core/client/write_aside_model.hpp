@@ -13,9 +13,6 @@
 
 #pragma once
 
-#include <utility>
-#include <vector>
-
 #include "core/client/client_model.hpp"
 
 namespace nvfs::core {
@@ -27,14 +24,8 @@ class WriteAsideModel : public ClientModel
     WriteAsideModel(const ModelConfig &config, Metrics &metrics,
                     const FileSizeMap &sizes, util::Rng &rng);
 
-    void read(FileId file, Bytes offset, Bytes length,
-              TimeUs now) override;
-    void write(FileId file, Bytes offset, Bytes length,
-               TimeUs now) override;
     void fsync(FileId file, TimeUs now) override;
     void recall(FileId file, WriteCause cause, TimeUs now) override;
-    Bytes recallRange(FileId file, Bytes offset, Bytes length,
-                      WriteCause cause, TimeUs now) override;
     void removeFile(FileId file, TimeUs now) override;
     void truncate(FileId file, Bytes new_size, TimeUs now) override;
     void finish(TimeUs now) override;
@@ -49,18 +40,11 @@ class WriteAsideModel : public ClientModel
     void auditInvariants() const override;
 
   protected:
-    /**
-     * The per-block engine, one 4 KB block per call: the bodies
-     * check::runPerBlockReference loops over as the differential
-     * oracle for the batched read/write/recallRange.  writeBlock is
-     * also the production fallback for runs no batch proof covers.
-     */
-    void readBlock(const cache::BlockId &id, TimeUs now);
+    void readBlock(const cache::BlockId &id, TimeUs now) override;
     void writeBlock(const cache::BlockId &id, Bytes begin, Bytes end,
-                    TimeUs now);
-    /** Flush (if dirty) and drop one block; returns bytes sent. */
+                    TimeUs now) override;
     Bytes recallBlock(const cache::BlockId &id, WriteCause cause,
-                      TimeUs now);
+                      TimeUs now) override;
 
   private:
     /** Flush an NVRAM block to the server; volatile copy goes clean. */
@@ -73,18 +57,8 @@ class WriteAsideModel : public ClientModel
     /** Evict from the NVRAM until an insert fits. */
     void ensureNvramSpace(TimeUs now);
 
-    /**
-     * Make blocks [first, last] of `file` resident in the volatile
-     * cache (extent engine).  Only called when batching the evictions
-     * preserves the per-block victim schedule.
-     */
-    void fillVolatileRun(FileId file, std::uint32_t first,
-                         std::uint32_t last, TimeUs now);
-
     cache::BlockCache volatile_;
     cache::BlockCache nvram_;
-    /** Scratch for recallRange (snapshot before mutating). */
-    std::vector<std::pair<std::uint32_t, bool>> recallScratch_;
 };
 
 } // namespace nvfs::core

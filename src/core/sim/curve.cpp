@@ -56,8 +56,8 @@ curveSupported(const CurveSpec &spec)
         if (size / kBlockSize == 0)
             return false;
     }
-    // Per-replay side channels see one interleaved stream per size.
-    if (spec.base.sink != nullptr)
+    // A sink sees one interleaved stream, which only one size has.
+    if (spec.base.sink != nullptr && spec.sizes.size() != 1)
         return false;
     // Ablations the clients do not mirror (see DESIGN.md §14).
     if (spec.base.dirtyPreference || spec.base.dynamicSizing)
@@ -89,6 +89,22 @@ curveGridModels(const CurveSpec &spec)
     return models;
 }
 
+CurveSpec
+cellSpec(const ModelConfig &model, std::uint64_t seed)
+{
+    CurveSpec spec;
+    spec.base = model;
+    spec.seed = seed;
+    if (model.kind == ModelKind::Volatile) {
+        spec.axis = CurveAxis::VolatileBytes;
+        spec.sizes = {model.volatileBytes};
+    } else {
+        spec.axis = CurveAxis::NvramBytes;
+        spec.sizes = {model.nvramBytes};
+    }
+    return spec;
+}
+
 std::vector<Metrics>
 runCurveSim(const prep::OpStream &ops, const CurveSpec &spec)
 {
@@ -108,12 +124,15 @@ runCurveSim(const prep::OpStream &ops, const CurveSpec &spec)
             ? replayCurve<curve::WriteAsideCurveClient>(ops, spec)
             : replayCurve<curve::UnifiedCurveClient>(ops, spec);
 #if defined(__GLIBC__)
-    // The pass just freed its clients' state, megabytes each, into the
-    // malloc arena of this thread.  Once large frees have raised glibc's
-    // trim threshold, an arena keeps what it frees, so with passes on
-    // several pool threads every arena would hold a pass's worth; hand
-    // the pages back instead.
-    ::malloc_trim(0);
+    // A pass over several sizes just freed its clients' state,
+    // megabytes each, into the malloc arena of this thread.  Once large
+    // frees have raised glibc's trim threshold, an arena keeps what it
+    // frees, so with passes on several pool threads every arena would
+    // hold a pass's worth; hand the pages back instead.  A one-size
+    // pass frees no more than the model replay it stands for, which
+    // never trimmed.
+    if (spec.sizes.size() > 1)
+        ::malloc_trim(0);
 #endif
     return metrics;
 }

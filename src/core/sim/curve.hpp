@@ -19,14 +19,17 @@
  * protocol driver ClusterSim runs too; the curve engine contributes
  * only its multi-size client set.
  *
- * Results are bit-identical to one runClientSim per size; the
- * curve_sim_test differential matrix enforces this over all eight
- * paper traces, and nvfs_sim check on random streams.  The engine is
- * reached through core::runClientGrid, which replays each group of
- * cells that differ only in the swept size as one pass when
- * curveSupported accepts it, and every other cell alone: random,
- * clock and omniscient NVRAM policies, dirty-preferring replacement,
- * dynamic cache sizing and end-to-end sinks replay per cell.
+ * Results are bit-identical to one replay per size on the client
+ * models (ClusterSim); the curve_sim_test differential matrix
+ * enforces this over all eight paper traces, and nvfs_sim check on
+ * random streams.  It is the only production replay of every cell
+ * curveSupported accepts: core::runClientGrid replays each group of
+ * cells that differ only in the swept size as one pass, and
+ * core::runClientSim a lone cell as a one-size pass, which may carry
+ * a ServerWriteSink and hands it exactly the models' stream
+ * (collectServerOps and runEndToEnd go through it).  Random, clock and
+ * omniscient NVRAM policies, dirty-preferring replacement and dynamic
+ * cache sizing replay on the models.
  */
 
 #pragma once
@@ -65,11 +68,20 @@ constexpr std::size_t kCurveMaxSizes = 32;
  * True when the single-pass engine reproduces this spec exactly: the
  * volatile model on the volatile axis, or the unified or write-aside
  * model with an LRU NVRAM on the NVRAM axis; every size holds at
- * least one block, at most kCurveMaxSizes sizes, and no per-replay
- * side channel (sink) or unmirrored ablation (dirty preference,
- * dynamic sizing) is configured.
+ * least one block, at most kCurveMaxSizes sizes, no unmirrored
+ * ablation (dirty preference, dynamic sizing) is configured, and a
+ * sink comes only with exactly one size (it sees one interleaved
+ * stream, which a pass over several sizes does not have).
  */
 bool curveSupported(const CurveSpec &spec);
+
+/**
+ * The one-size spec of a single cell: `model` at its own size on its
+ * model's axis (the volatile cache for the volatile model, the NVRAM
+ * for the others).  runClientSim replays the cell this way when
+ * curveSupported accepts it.
+ */
+CurveSpec cellSpec(const ModelConfig &model, std::uint64_t seed = 42);
 
 /**
  * The per-size model grid equivalent to `spec`: one ModelConfig per
@@ -81,8 +93,9 @@ std::vector<ModelConfig> curveGridModels(const CurveSpec &spec);
 /**
  * Run the single-pass engine: one replay of `ops`, one Metrics row
  * per spec.sizes entry (in order).  Requires curveSupported(spec).
- * Bit-identical to runClientSim(ops, model, seed) for each model of
- * curveGridModels(spec).
+ * Bit-identical to a ClusterSim replay of each model of
+ * curveGridModels(spec) with spec.seed; with one size and a sink, the
+ * sink receives that replay's stream, event for event.
  */
 std::vector<Metrics> runCurveSim(const prep::OpStream &ops,
                                  const CurveSpec &spec);

@@ -123,7 +123,11 @@ struct SlotList
  */
 struct PerSizeState
 {
-    TimeUs dirtySince = kNoTime;
+    /** Set on the clean->dirty transition, kNoTime while clean: the
+     *  time for the volatile client, whose 30 s sweep reads it, and
+     *  the transition's ordinal for the NVRAM clients, whose
+     *  end-of-trace flush goes in that order. */
+    TimeUs dirtyStamp = kNoTime;
     /** Dirty FIFO (volatile), volatile or NVRAM LRU (unified), NVRAM
      *  LRU (write-aside). */
     SlotLink link;
@@ -148,6 +152,11 @@ lowBit(std::uint32_t mask)
  * (take a slot off every list of its own before it is freed) and
  * cleaned (size k's copy just went clean); `SlotExtra` holds its own
  * per-slot fields.
+ *
+ * A one-size pass may carry the configured ServerWriteSink.  Every
+ * write-back reaches it from flushAt, stamped with the time of the op,
+ * sweep or end of trace that caused it, in the order the per-block
+ * models emit the same stream (curve_sim_test's stream differential).
  */
 template <typename Client, typename SlotExtra>
 class CurveCore
@@ -210,11 +219,31 @@ class CurveCore
         }
     }
 
+    /**
+     * End of trace: every size's dirty copies go in the order they
+     * became dirty, as the models flush (BlockCache::allDirtyBlocks).
+     * The NVRAM clients' stamps are ordinals from one counter, so one
+     * sort gives that order at every size.  The volatile client walks
+     * its dirty FIFOs instead.
+     */
     void
-    finish(TimeUs)
+    finish(TimeUs now)
     {
-        for (std::uint32_t slot = 0; slot < arena_.size(); ++slot)
-            flushDirtySizes(slot, WriteCause::EndOfTrace);
+        std::vector<std::pair<TimeUs, std::size_t>> order;
+        for (std::uint32_t slot = 0; slot < arena_.size(); ++slot) {
+            for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
+                 m &= m - 1) {
+                const std::uint32_t k = lowBit(m);
+                order.emplace_back(state(slot, k).dirtyStamp,
+                                   std::size_t{slot} * sizeCount_ + k);
+            }
+        }
+        std::sort(order.begin(), order.end());
+        for (const auto &[stamp, at] : order) {
+            flushAt(static_cast<std::uint32_t>(at / sizeCount_),
+                    static_cast<std::uint32_t>(at % sizeCount_),
+                    WriteCause::EndOfTrace, now);
+        }
     }
 
     /**
@@ -245,12 +274,16 @@ class CurveCore
     };
 
     CurveCore(std::vector<Metrics> &metrics,
-              const FileSizeMap &file_sizes, std::size_t size_count)
+              const FileSizeMap &file_sizes, std::size_t size_count,
+              ServerWriteSink *sink)
         : metrics_(metrics), fileSizes_(file_sizes),
           sizeCount_(static_cast<std::uint32_t>(size_count)),
           allMask_(sizeCount_ >= 32 ? 0xffffffffu
-                                    : (1u << sizeCount_) - 1u)
+                                    : (1u << sizeCount_) - 1u),
+          sink_(sink)
     {
+        NVFS_REQUIRE(sink_ == nullptr || sizeCount_ == 1,
+                     "a server-write sink needs a one-size curve pass");
     }
 
     Client &
@@ -357,19 +390,43 @@ class CurveCore
         return blockTransferBytes(arena_[slot].id, fileSizes_);
     }
 
-    /** Replacement/recall/sweep write-back of size k's copy. */
-    void
-    flushAt(std::uint32_t slot, std::uint32_t k, WriteCause cause)
+    /** Replacement/recall/sweep write-back of size k's copy; returns
+     *  the bytes sent.  Forced inline, as it was before the sink call
+     *  made the compiler stop inlining it into the per-block paths. */
+    [[gnu::always_inline]] Bytes
+    flushAt(std::uint32_t slot, std::uint32_t k, WriteCause cause,
+            TimeUs now)
     {
-        metrics_[k].addServerWrite(cause, transferBytes(slot));
+        const Bytes bytes = transferBytes(slot);
+        metrics_[k].addServerWrite(cause, bytes);
+        if (sink_ != nullptr)
+            notifySink(slot, bytes, cause, now);
         clearDirtyAt(slot, k);
+        return bytes;
+    }
+
+    /** flushAt's sink call, kept out of line so the inlined flushAt
+     *  stays small in the per-block paths. */
+    [[gnu::noinline]] void
+    notifySink(std::uint32_t slot, Bytes bytes, WriteCause cause,
+               TimeUs now)
+    {
+        const cache::BlockId &id = arena_[slot].id;
+        sink_->onServerWrite(now, id.file, id.index, bytes, cause);
     }
 
     void
-    flushDirtySizes(std::uint32_t slot, WriteCause cause)
+    flushDirtySizes(std::uint32_t slot, WriteCause cause, TimeUs now)
     {
         for (std::uint32_t m = arena_[slot].dirtyMask; m != 0; m &= m - 1)
-            flushAt(slot, lowBit(m), cause);
+            flushAt(slot, lowBit(m), cause, now);
+    }
+
+    /** The next NVRAM client dirty stamp (see PerSizeState). */
+    TimeUs
+    nextDirtyOrdinal()
+    {
+        return static_cast<TimeUs>(dirtyOrdinals_++);
     }
 
     /** Deleted-file absorption: dirty bytes die without a transfer. */
@@ -406,7 +463,7 @@ class CurveCore
     {
         PerSizeState &d = state(slot, k);
         d.dirty.clear();
-        d.dirtySince = kNoTime;
+        d.dirtyStamp = kNoTime;
         arena_[slot].dirtyMask &= ~(1u << k);
         self().cleaned(slot, k);
     }
@@ -446,7 +503,7 @@ class CurveCore
                                  "CurveSim",
                                  "dirty bit disagrees with dirty bytes");
                 NVFS_AUDIT_CHECK(d.dirty.empty() ==
-                                     (d.dirtySince == kNoTime),
+                                     (d.dirtyStamp == kNoTime),
                                  "CurveSim",
                                  "dirty stamp disagrees with dirty bytes");
             }
@@ -486,6 +543,8 @@ class CurveCore
     const FileSizeMap &fileSizes_;
     const std::uint32_t sizeCount_;
     const std::uint32_t allMask_;
+    /** The configured sink; only a one-size pass carries one. */
+    ServerWriteSink *const sink_;
     std::vector<Slot> arena_;
     std::vector<PerSizeState> perSize_;
     cache::ExtentIndex extents_;
@@ -525,6 +584,7 @@ class CurveCore
     }
 
     std::uint32_t freeHead_ = kNil;
+    std::uint64_t dirtyOrdinals_ = 0;
     std::vector<std::uint32_t> scratch_;
     std::vector<std::uint32_t> scratchBlocks_;
 };
@@ -564,7 +624,7 @@ class VolatileCurveClient
                         const std::vector<Bytes> &sizes,
                         std::vector<Metrics> &metrics,
                         const FileSizeMap &file_sizes)
-        : Core(metrics, file_sizes, sizes.size()),
+        : Core(metrics, file_sizes, sizes.size(), base.sink),
           writeBackAge_(base.writeBackAge)
     {
         per_.reserve(sizeCount_);
@@ -583,20 +643,23 @@ class VolatileCurveClient
     }
 
     void
-    recall(FileId file, WriteCause cause, TimeUs)
+    recall(FileId file, WriteCause cause, TimeUs now)
     {
         dropFile(file, [&](std::uint32_t slot) {
-            flushDirtySizes(slot, cause);
+            flushDirtySizes(slot, cause, now);
         });
     }
 
     void
-    fsync(FileId file, TimeUs)
+    fsync(FileId file, TimeUs now)
     {
         extents_.forEachOfFile(
             file, [&](std::uint32_t, std::uint32_t slot) {
-                flushDirtySizes(slot, WriteCause::Fsync);
+                flushDirtySizes(slot, WriteCause::Fsync, now);
             });
+        // The fsync itself reaches the server (VolatileModel::fsync).
+        if (sink_ != nullptr)
+            sink_->onFsync(now, file);
     }
 
     void
@@ -604,12 +667,24 @@ class VolatileCurveClient
     {
         const TimeUs cutoff = now - writeBackAge_;
         for (std::uint32_t k = 0; k < sizeCount_; ++k) {
-            // dirtySince ascends along the FIFO (set only on the
+            // dirtyStamp ascends along the FIFO (set only on the
             // clean->dirty transition), same as BlockCache's list.
             const SlotList &fifo = per_[k].dirty;
             while (fifo.head != kNil &&
-                   state(fifo.head, k).dirtySince <= cutoff)
-                flushAt(fifo.head, k, WriteCause::DelayedWriteBack);
+                   state(fifo.head, k).dirtyStamp <= cutoff)
+                flushAt(fifo.head, k, WriteCause::DelayedWriteBack, now);
+        }
+    }
+
+    /** End of trace: each size's dirty FIFO is the order its blocks
+     *  became dirty. */
+    void
+    finish(TimeUs now)
+    {
+        for (std::uint32_t k = 0; k < sizeCount_; ++k) {
+            while (per_[k].dirty.head != kNil)
+                flushAt(per_[k].dirty.head, k, WriteCause::EndOfTrace,
+                        now);
         }
     }
 
@@ -667,11 +742,11 @@ class VolatileCurveClient
                     NVFS_AUDIT_CHECK(
                         (arena_[slot].dirtyMask >> k & 1) != 0,
                         "CurveSim", "dirty FIFO visits a clean slot");
-                    NVFS_AUDIT_CHECK(state(slot, k).dirtySince >=
+                    NVFS_AUDIT_CHECK(state(slot, k).dirtyStamp >=
                                          last_since,
                                      "CurveSim",
                                      "dirty FIFO not time-ordered");
-                    last_since = state(slot, k).dirtySince;
+                    last_since = state(slot, k).dirtyStamp;
                 });
             NVFS_AUDIT_CHECK(queued == dirty[k], "CurveSim",
                              "dirty FIFO misses dirty slots");
@@ -688,7 +763,7 @@ class VolatileCurveClient
     };
 
     void
-    readBlock(const cache::BlockId &id, TimeUs)
+    readBlock(const cache::BlockId &id, TimeUs now)
     {
         const std::uint32_t slot = slotOf(id);
         const std::uint32_t miss =
@@ -701,7 +776,7 @@ class VolatileCurveClient
                 out.busBytes += fetched;
             }
         }
-        touchResident(id, slot, miss);
+        touchResident(id, slot, miss, now);
     }
 
     void
@@ -711,7 +786,7 @@ class VolatileCurveClient
         std::uint32_t slot = slotOf(id);
         const std::uint32_t miss =
             allMask_ & ~(slot == kNil ? 0u : arena_[slot].presentMask);
-        slot = touchResident(id, slot, miss);
+        slot = touchResident(id, slot, miss, now);
         Slot &s = arena_[slot];
         for (std::uint32_t k = 0; k < sizeCount_; ++k) {
             PerSizeState &d = state(slot, k);
@@ -730,7 +805,7 @@ class VolatileCurveClient
             metrics_[k].busBytes += end - begin;
             if ((s.dirtyMask >> k & 1) == 0) {
                 s.dirtyMask |= 1u << k;
-                d.dirtySince = now;
+                d.dirtyStamp = now;
                 per_[k].dirty.pushBack(slot, linksAt(k));
             }
         }
@@ -744,7 +819,7 @@ class VolatileCurveClient
      */
     std::uint32_t
     touchResident(const cache::BlockId &id, std::uint32_t slot,
-                  std::uint32_t miss)
+                  std::uint32_t miss, TimeUs now)
     {
         for (std::uint32_t m = miss; m != 0; m &= m - 1) {
             const std::uint32_t k = lowBit(m);
@@ -756,7 +831,7 @@ class VolatileCurveClient
             }
             const std::uint32_t victim = s.boundary;
             if ((arena_[victim].dirtyMask >> k & 1) != 0)
-                flushAt(victim, k, WriteCause::Replacement);
+                flushAt(victim, k, WriteCause::Replacement, now);
             passBoundary(k, victim);
             arena_[victim].presentMask &= ~(1u << k);
             if (arena_[victim].presentMask == 0) {
@@ -853,7 +928,7 @@ class UnifiedCurveClient
                        const std::vector<Bytes> &sizes,
                        std::vector<Metrics> &metrics,
                        const FileSizeMap &file_sizes)
-        : Core(metrics, file_sizes, sizes.size()),
+        : Core(metrics, file_sizes, sizes.size(), base.sink),
           volCapacity_(base.volatileBytes / kBlockSize)
     {
         NVFS_REQUIRE(volCapacity_ > 0, "volatile cache too small");
@@ -875,14 +950,14 @@ class UnifiedCurveClient
     }
 
     void
-    recall(FileId file, WriteCause cause, TimeUs)
+    recall(FileId file, WriteCause cause, TimeUs now)
     {
         dropFile(file, [&](std::uint32_t slot) {
             // Each written-back copy is read out of the NVRAM.
             for (std::uint32_t m = arena_[slot].dirtyMask; m != 0;
                  m &= m - 1)
                 ++metrics_[lowBit(m)].nvramReadAccesses;
-            flushDirtySizes(slot, cause);
+            flushDirtySizes(slot, cause, now);
         });
     }
 
@@ -1008,7 +1083,7 @@ class UnifiedCurveClient
             if ((s.nvramMask >> k & 1) != 0) {
                 metrics_[k].absorbedOverwrittenBytes +=
                     state(slot, k).dirty.overlapBytes(begin, end);
-                markDirtyAt(slot, k, begin, end, now);
+                markDirtyAt(slot, k, begin, end);
                 ++metrics_[k].nvramWriteAccesses;
                 metrics_[k].busBytes += n;
             } else if ((s.presentMask >> k & 1) != 0) {
@@ -1019,14 +1094,14 @@ class UnifiedCurveClient
                 s.presentMask &= ~(1u << k);
                 ensureNvramSpace(k, now);
                 insertNvram(slot, k);
-                markDirtyAt(slot, k, begin, end, now);
+                markDirtyAt(slot, k, begin, end);
                 metrics_[k].cacheToNvramBytes += transfer;
                 metrics_[k].busBytes += transfer + n;
                 metrics_[k].nvramWriteAccesses += 2;
             } else {
                 ensureNvramSpace(k, now);
                 insertNvram(slot, k);
-                markDirtyAt(slot, k, begin, end, now);
+                markDirtyAt(slot, k, begin, end);
                 ++metrics_[k].nvramWriteAccesses;
                 metrics_[k].busBytes += n;
             }
@@ -1037,12 +1112,13 @@ class UnifiedCurveClient
     /**
      * UnifiedModel::placeCleanBlock at size k: volatile space first,
      * NVRAM free block second, else replace the globally
-     * least-recently-used of the two memories' LRU heads.
+     * least-recently-used of the two memories' LRU heads.  Forced
+     * inline into readBlock, where the compiler put it before the
+     * write-back's sink call grew it.
      */
-    void
+    [[gnu::always_inline]] void
     placeCleanBlock(std::uint32_t slot, std::uint32_t k, TimeUs now)
     {
-        (void)now;
         SizeState &st = per_[k];
         if (st.volOccupancy < volCapacity_) {
             insertVolatileMru(slot, k);
@@ -1060,7 +1136,7 @@ class UnifiedCurveClient
             const std::uint32_t victim = st.nv.head;
             leaveNvram(victim, k);
             if ((arena_[victim].dirtyMask >> k & 1) != 0)
-                flushAt(victim, k, WriteCause::Replacement);
+                flushAt(victim, k, WriteCause::Replacement, now);
             evictFromSize(victim, k);
             insertNvram(slot, k);
             ++metrics_[k].nvramWriteAccesses;
@@ -1080,17 +1156,14 @@ class UnifiedCurveClient
     void
     evictNvramVictim(std::uint32_t k, TimeUs now)
     {
-        (void)now;
         SizeState &st = per_[k];
         const std::uint32_t victim = st.nv.head;
         NVFS_REQUIRE(victim != kNil, "full NVRAM without victim");
-        const Bytes transfer = transferBytes(victim);
         leaveNvram(victim, k);
-        if ((arena_[victim].dirtyMask >> k & 1) != 0) {
-            metrics_[k].addServerWrite(WriteCause::Replacement,
-                                       transfer);
-            clearDirtyAt(victim, k);
-        }
+        const Bytes transfer =
+            (arena_[victim].dirtyMask >> k & 1) != 0
+                ? flushAt(victim, k, WriteCause::Replacement, now)
+                : transferBytes(victim);
         bool demote;
         if (st.volOccupancy < volCapacity_) {
             demote = true;
@@ -1235,7 +1308,7 @@ class UnifiedCurveClient
 
     void
     markDirtyAt(std::uint32_t slot, std::uint32_t k, Bytes begin,
-                Bytes end, TimeUs now)
+                Bytes end)
     {
         PerSizeState &d = state(slot, k);
         if (begin == 0 && end == kBlockSize) {
@@ -1246,7 +1319,7 @@ class UnifiedCurveClient
         }
         if ((arena_[slot].dirtyMask >> k & 1) == 0) {
             arena_[slot].dirtyMask |= 1u << k;
-            d.dirtySince = now;
+            d.dirtyStamp = nextDirtyOrdinal();
         }
         // The write also refreshes the block's NVRAM LRU position.
         per_[k].nv.moveToBack(slot, linksAt(k));
@@ -1308,7 +1381,7 @@ class WriteAsideCurveClient
                           const std::vector<Bytes> &sizes,
                           std::vector<Metrics> &metrics,
                           const FileSizeMap &file_sizes)
-        : Core(metrics, file_sizes, sizes.size()),
+        : Core(metrics, file_sizes, sizes.size(), base.sink),
           volCapacity_(base.volatileBytes / kBlockSize)
     {
         NVFS_REQUIRE(volCapacity_ > 0, "volatile cache too small");
@@ -1325,10 +1398,10 @@ class WriteAsideCurveClient
     }
 
     void
-    recall(FileId file, WriteCause cause, TimeUs)
+    recall(FileId file, WriteCause cause, TimeUs now)
     {
         dropFile(file, [&](std::uint32_t slot) {
-            flushDirtySizes(slot, cause);
+            flushDirtySizes(slot, cause, now);
         });
     }
 
@@ -1388,7 +1461,7 @@ class WriteAsideCurveClient
     };
 
     void
-    readBlock(const cache::BlockId &id, TimeUs)
+    readBlock(const cache::BlockId &id, TimeUs now)
     {
         // The NVRAM is never read during normal operation.
         const std::uint32_t slot = slotOf(id);
@@ -1401,7 +1474,7 @@ class WriteAsideCurveClient
             m.serverReadBytes += fetched;
             m.busBytes += fetched;
         }
-        insertVolatile(id);
+        insertVolatile(id, now);
     }
 
     void
@@ -1411,7 +1484,7 @@ class WriteAsideCurveClient
         const Bytes n = end - begin;
         std::uint32_t slot = slotOf(id);
         if (slot == kNil)
-            slot = insertVolatile(id);
+            slot = insertVolatile(id, now);
         else
             volatile_.moveToBack(slot, recencyLinks());
         for (std::uint32_t k = 0; k < sizeCount_; ++k) {
@@ -1426,11 +1499,11 @@ class WriteAsideCurveClient
                 // A full NVRAM writes its LRU block back; that block's
                 // volatile copy goes clean with it.
                 while (st.nvOccupancy >= st.nvCapacity)
-                    flushAt(st.nv.head, k, WriteCause::Replacement);
+                    flushAt(st.nv.head, k, WriteCause::Replacement, now);
                 st.nv.pushBack(slot, linksAt(k));
                 ++st.nvOccupancy;
                 arena_[slot].dirtyMask |= 1u << k;
-                d.dirtySince = now;
+                d.dirtyStamp = nextDirtyOrdinal();
             }
             if (begin == 0 && end == kBlockSize) {
                 d.dirty.clear();
@@ -1449,11 +1522,11 @@ class WriteAsideCurveClient
      * from its NVRAM, then the block enters at the MRU end.
      */
     std::uint32_t
-    insertVolatile(const cache::BlockId &id)
+    insertVolatile(const cache::BlockId &id, TimeUs now)
     {
         if (volOccupancy_ == volCapacity_) {
             const std::uint32_t victim = volatile_.head;
-            flushDirtySizes(victim, WriteCause::Replacement);
+            flushDirtySizes(victim, WriteCause::Replacement, now);
             volatile_.remove(victim, recencyLinks());
             --volOccupancy_;
             arena_[victim].presentMask = 0;

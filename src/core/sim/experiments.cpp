@@ -158,6 +158,9 @@ Metrics
 runClientSim(const prep::OpStream &ops, const ModelConfig &model,
              std::uint64_t seed)
 {
+    const CurveSpec spec = cellSpec(model, seed);
+    if (curveSupported(spec))
+        return runCurveSim(ops, spec).front();
     ClusterConfig config;
     config.model = model;
     config.seed = seed;
@@ -190,10 +193,10 @@ sweptBytes(Model &model)
 
 /**
  * Split a grid into tasks.  Cells equal in every ModelConfig field but
- * the swept size form a group (first appearance first).  A group of
- * two or more whose spec curveSupported accepts runs as curve passes
- * of at most kCurveMaxSizes sizes, in even chunks; every other cell
- * runs alone.
+ * the swept size form a group (first appearance first).  A group whose
+ * spec curveSupported accepts runs as curve passes of at most
+ * kCurveMaxSizes sizes, in even chunks (a group of one is a one-size
+ * pass); every other cell runs alone on the models.
  */
 std::vector<GridTask>
 planGrid(const std::vector<ModelConfig> &models, std::uint64_t seed)
@@ -231,7 +234,7 @@ planGrid(const std::vector<ModelConfig> &models, std::uint64_t seed)
             pass.spec.seed = seed;
             for (const std::size_t i : pass.cells)
                 pass.spec.sizes.push_back(sweptBytes(models[i]));
-            if (n >= 2 && curveSupported(pass.spec)) {
+            if (curveSupported(pass.spec)) {
                 tasks.push_back(std::move(pass));
                 continue;
             }
@@ -360,42 +363,43 @@ class OpCollector : public ServerWriteSink
     std::vector<workload::ServerOp> ops_;
 };
 
+/**
+ * The cell's replay (runClientSim: a one-size curve pass when
+ * curveSupported accepts it) with an OpCollector as its sink; returns
+ * the server-bound stream and, into `client`, the cell's Metrics.
+ */
+std::vector<workload::ServerOp>
+replayCollecting(const prep::OpStream &ops, ModelConfig model,
+                 std::uint64_t seed, Metrics &client)
+{
+    OpCollector collector;
+    model.sink = &collector;
+    client = runClientSim(ops, model, seed);
+    return collector.take();
+}
+
 } // namespace
 
 std::vector<workload::ServerOp>
 collectServerOps(const prep::OpStream &ops, const ModelConfig &model,
                  std::uint64_t seed)
 {
-    OpCollector collector;
-    ClusterConfig cluster;
-    cluster.model = model;
-    cluster.model.sink = &collector;
-    cluster.seed = seed;
-    ClusterSim sim(cluster, std::max<std::uint32_t>(
-                                1, ops.clientCount));
-    sim.run(ops);
-    return collector.take();
+    Metrics client;
+    return replayCollecting(ops, model, seed, client);
 }
 
 EndToEndResult
 runEndToEnd(const prep::OpStream &ops, const ModelConfig &model,
             Bytes server_buffer_bytes, std::uint64_t seed)
 {
-    OpCollector collector;
-    ClusterConfig cluster;
-    cluster.model = model;
-    cluster.model.sink = &collector;
-    cluster.seed = seed;
-    ClusterSim sim(cluster, std::max<std::uint32_t>(
-                                1, ops.clientCount));
-
     EndToEndResult result;
-    result.client = sim.run(ops);
+    std::vector<workload::ServerOp> server_ops =
+        replayCollecting(ops, model, seed, result.client);
 
     server::ServerConfig config;
     config.nvramBufferBytes = server_buffer_bytes;
     server::FileServer fs({"/users"}, config);
-    fs.run(collector.take());
+    fs.run(server_ops);
     result.server = fs.stats(0);
     return result;
 }

@@ -46,7 +46,13 @@ const LifetimeResult &standardLifetimes(int paper_number,
 const NextModifyIndex &standardOracle(int paper_number,
                                       double scale = 1.0);
 
-/** Run a client cluster simulation over an op stream. */
+/**
+ * Replay one cell over an op stream: a one-size curve pass when
+ * curveSupported(cellSpec(model, seed)) accepts it (every LRU cell
+ * without dirty preference or dynamic sizing, a model.sink included),
+ * otherwise the client models (ClusterSim).  The two are
+ * bit-identical in Metrics and in the sink's stream.
+ */
 Metrics runClientSim(const prep::OpStream &ops, const ModelConfig &model,
                      std::uint64_t seed = 42);
 
@@ -54,9 +60,10 @@ Metrics runClientSim(const prep::OpStream &ops, const ModelConfig &model,
  * Replay one op stream through every model concurrently.  Cells equal
  * in every ModelConfig field but the swept size (volatileBytes for
  * the volatile model, nvramBytes for the NVRAM models) form a group,
- * and each group of two or more that curveSupported accepts replays
- * as one runCurveSim pass (at most kCurveMaxSizes sizes per pass);
- * every other cell replays alone.  Each pass or lone cell is one
+ * and each group that curveSupported accepts replays as one
+ * runCurveSim pass (at most kCurveMaxSizes sizes per pass; a group of
+ * one is a one-size pass); every other cell replays alone on the
+ * models.  Each pass or lone cell is one
  * index of the shared pool's claim loop (util::ThreadPool::forEach)
  * with its own simulator and Metrics, and the results come back in
  * model order.  Bit-identical to calling runClientSim on each model
@@ -97,11 +104,11 @@ ServerRunResult runServerSim(TimeUs duration, double scale,
 double benchScale();
 
 /**
- * Derive the server-bound op stream a client simulation produces: run
- * the cluster sim over `ops` with a collecting ServerWriteSink and
- * return the write/fsync traffic that reached the server, time
- * sorted.  This is the workload the crash-schedule explorer replays
- * against an instrumented FileServer.
+ * Derive the server-bound op stream a client simulation produces:
+ * replay the cell (runClientSim) with a collecting ServerWriteSink
+ * and return the write/fsync traffic that reached the server, in
+ * time order.  This is the workload the crash-schedule explorer
+ * replays against an instrumented FileServer.
  */
 std::vector<workload::ServerOp>
 collectServerOps(const prep::OpStream &ops, const ModelConfig &model,
@@ -116,8 +123,9 @@ struct EndToEndResult
 
 /**
  * End-to-end run: the client simulation's server-bound write stream
- * (via ServerWriteSink) is replayed against the LFS file server, so
- * client-side NVRAM choices propagate into server disk accesses.
+ * (collected as collectServerOps does) is replayed against the LFS
+ * file server, so client-side NVRAM choices propagate into server
+ * disk accesses.
  * @param server_buffer_bytes the server's own NVRAM write buffer
  */
 EndToEndResult runEndToEnd(const prep::OpStream &ops,

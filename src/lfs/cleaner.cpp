@@ -47,15 +47,15 @@ Cleaner::clean(LfsLog &log, std::uint32_t target_free, bool force)
             batch.push_back(segment->id);
             batch_live += segment->liveBytes;
         }
-        // Progress check: the batch frees batch.size() slots and the
-        // copied data consumes at most one.  A single all-dead victim
-        // is productive; a single victim with live data is not —
-        // except on an explicitly forced pass, where compaction for
-        // its own sake is the caller's intent.
+        // A single all-dead victim is productive; a single victim
+        // with live data is not — except on an explicitly forced
+        // pass, where compaction for its own sake is the caller's
+        // intent.
         if (batch.empty() ||
             (batch.size() == 1 && batch_live > 0 && !forced_pass)) {
             break; // nothing productive left to clean
         }
+        const std::size_t active_before = log.activeSegmentIds().size();
 
         for (const std::uint32_t victim_id : batch) {
             ++result.segmentsExamined;
@@ -92,6 +92,14 @@ Cleaner::clean(LfsLog &log, std::uint32_t target_free, bool force)
             log.reclaim(victim_id);
             ++result.segmentsReclaimed;
         }
+        // Progress check: the payload cap budgets the copies into one
+        // segment, but a copy writes metadata per distinct file, so
+        // the copies can fill as many segments as the pass reclaimed.
+        // A pass that left no fewer active segments than it found
+        // freed nothing, and every further pass would grow the log the
+        // same way.
+        if (log.activeSegmentIds().size() >= active_before)
+            break;
     }
     return result;
 }

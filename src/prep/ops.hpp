@@ -230,8 +230,8 @@ struct OpStream
 std::string opTypeName(OpType type);
 
 /**
- * Sequential-run coalescing predicate (the extent engine's prep-side
- * merge).  Op `j` may be folded into a run of ops that started at op
+ * Sequential-run coalescing predicate (replayOps' fold of sequential
+ * ops into one extent).  Op `j` may be folded into a run of ops that started at op
  * `head` and currently spans [offset, offset+length) iff the fold is
  * provably invisible to the simulation:
  *  - same timestamp, type (Read or Write only), file, client and pid;

@@ -3,8 +3,9 @@
  * Tests for the nvfs::check subsystem: structural audits on the core
  * data structures (including proof that corruption is detected), the
  * NVFS_AUDIT hook in the cluster simulator, and the differential fuzz
- * driver that replays randomized op streams through the extent and
- * legacy engines across all three client models.
+ * driver that replays randomized op streams through the client
+ * models, their unfolded reference and the curve engine across all
+ * three client models.
  */
 
 #include <gtest/gtest.h>
@@ -167,8 +168,9 @@ TEST(Fuzz, GenerateOpsIsDeterministicAndValid)
 
 TEST(Fuzz, TenThousandOpsBothEnginesZeroFailures)
 {
-    // The PR's acceptance bar: 10k randomized ops through extent and
-    // legacy engines, all three models, audits on, zero failures.
+    // 10k randomized ops through the models, the unfolded reference
+    // and the curve passes, all three models, audits on, zero
+    // failures.
     FuzzConfig config;
     config.opsPerRun = 10000;
     config.auditEvery = 32;

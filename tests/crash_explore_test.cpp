@@ -660,11 +660,15 @@ TEST(Explore, SameResultAtEveryWidth)
                 config.sampleSites = 60;
                 cases.push_back({name, ops, config, nullptr});
                 // 24 segments of 512 KiB: the cleaner runs in most of
-                // these cells, so forks resume with cleaner state.  A
-                // tighter disk makes Cleaner::clean loop forever.
+                // these cells, so forks resume with cleaner state.  On
+                // 16 the cleaner's passes stop freeing segments, and
+                // Cleaner::clean must end the loop there.
                 config.server.lfs = lfs::LfsConfig{};
                 config.server.lfs.diskSegments = 24;
                 cases.push_back({name + " small disk", ops, config,
+                                 nullptr});
+                config.server.lfs.diskSegments = 16;
+                cases.push_back({name + " tight disk", ops, config,
                                  nullptr});
             }
         }

@@ -1,14 +1,16 @@
 /**
  * @file
  * Differential tests of the single-pass multi-size curve engine
- * (core::CurveSim) against per-size replays, with the engine's
- * invariant audits on.  The curve engine must be *bit-identical* —
- * every Metrics counter, including the per-cause server-write
- * histogram and both absorbed counters, must match one runClientSim
- * per size on every trace and size.  The oracle is that plain loop,
- * not runClientGrid, which runs the curve engine itself.  Also tests
- * of the spec checks, of the per-cell fallback path, and that the
- * engine's audits catch a corrupted block -> slot map.
+ * (core::CurveSim) against per-size replays on the client models,
+ * with the engine's invariant audits on.  The curve engine must be
+ * *bit-identical* — every Metrics counter, including the per-cause
+ * server-write histogram and both absorbed counters, must match one
+ * ClusterSim per size on every trace and size — and a one-size pass
+ * must hand a ServerWriteSink exactly the models' stream.  The oracle
+ * is ClusterSim, not runClientSim or runClientGrid, which run the
+ * curve engine themselves.  Also tests of the spec checks, of the
+ * per-cell fallback path, and that the engine's audits catch a
+ * corrupted block -> slot map.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/client/cluster_sim.hpp"
 #include "core/sim/curve.hpp"
 #include "core/sim/curve_clients.hpp"
 #include "core/sim/sweep.hpp"
@@ -87,21 +90,70 @@ writeAsideSpec()
     return spec;
 }
 
-/** The oracle: one runClientSim per size, the swept field set here. */
+/** One cell on the client models (ClusterSim). */
+Metrics
+modelReplay(const prep::OpStream &ops, const ModelConfig &model,
+            std::uint64_t seed)
+{
+    ClusterConfig config;
+    config.model = model;
+    config.seed = seed;
+    ClusterSim sim(config, std::max<std::uint32_t>(1, ops.clientCount));
+    return sim.run(ops);
+}
+
+/** The oracle: one model replay per size, the swept field set here. */
 std::vector<Metrics>
 perSizeReplay(const prep::OpStream &ops, const CurveSpec &spec)
 {
     std::vector<Metrics> rows;
-    for (const Bytes size : spec.sizes) {
-        ModelConfig model = spec.base;
-        if (spec.axis == CurveAxis::VolatileBytes)
-            model.volatileBytes = size;
-        else
-            model.nvramBytes = size;
-        rows.push_back(runClientSim(ops, model, spec.seed));
-    }
+    for (const ModelConfig &model : curveGridModels(spec))
+        rows.push_back(modelReplay(ops, model, spec.seed));
     return rows;
 }
+
+/** One sink event, every field the sink is given. */
+struct SinkEvent
+{
+    TimeUs time = 0;
+    FileId file = 0;
+    std::uint32_t block = 0;
+    Bytes bytes = 0;
+    WriteCause cause = WriteCause::Replacement;
+    bool fsync = false;
+
+    bool operator==(const SinkEvent &other) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &out, const SinkEvent &e)
+{
+    if (e.fsync)
+        return out << "fsync t=" << e.time << " file=" << e.file;
+    return out << writeCauseName(e.cause) << " t=" << e.time
+               << " file=" << e.file << " block=" << e.block
+               << " bytes=" << e.bytes;
+}
+
+/** Records the server-bound stream a replay emits. */
+class RecordingSink : public ServerWriteSink
+{
+  public:
+    void
+    onServerWrite(TimeUs now, FileId file, std::uint32_t block,
+                  Bytes bytes, WriteCause cause) override
+    {
+        events.push_back({now, file, block, bytes, cause, false});
+    }
+
+    void
+    onFsync(TimeUs now, FileId file) override
+    {
+        events.push_back({now, file, 0, 0, WriteCause::Fsync, true});
+    }
+
+    std::vector<SinkEvent> events;
+};
 
 /** Row k's label in failure messages. */
 std::string
@@ -231,6 +283,87 @@ TEST(CurveDifferential, SizesInArbitraryOrder)
         compare(trace, spec);
 }
 
+// A one-size pass with a sink is the production client half of
+// runEndToEnd and collectServerOps, so its server-bound stream must be
+// the models' own, event for event: time, file, block, bytes, cause
+// and the volatile model's fsyncs, in the same order.  Metrics are
+// sums, so the differentials above cannot see the order; this one
+// can.  All 8 traces and the multi-run stream, each model at a tiny
+// size (evictions at every turn) and at the figure defaults (8 MiB
+// volatile, 1 MiB NVRAM: most data leaves at the end of the trace).
+// Both sides audit at the NVFS_AUDIT cadence (CI's invariant-audit
+// job sets 1).
+TEST(CurveDifferential, SinkStreamMatchesModels)
+{
+    std::size_t end_of_trace = 0;
+    std::size_t replacements = 0;
+    std::size_t fsyncs = 0;
+    std::size_t sweeps = 0;
+    const auto compare = [&](const std::string &input,
+                             const prep::OpStream &ops) {
+        for (const ModelKind kind : {ModelKind::Volatile,
+                                     ModelKind::WriteAside,
+                                     ModelKind::Unified}) {
+            for (const bool tiny : {true, false}) {
+                ModelConfig model;
+                model.kind = kind;
+                if (tiny) {
+                    model.volatileBytes = 48 * kBlockSize;
+                    model.nvramBytes = 16 * kBlockSize;
+                }
+                RecordingSink curve_sink;
+                CurveSpec spec = cellSpec(model);
+                spec.base.sink = &curve_sink;
+                ASSERT_TRUE(curveSupported(spec));
+                const Metrics curve = runCurveSim(ops, spec).front();
+
+                RecordingSink model_sink;
+                model.sink = &model_sink;
+                const Metrics models = modelReplay(ops, model, 42);
+                const std::string where =
+                    input + ": " + modelKindName(kind) +
+                    (tiny ? " tiny" : " default");
+                EXPECT_EQ(curve, models) << where;
+                const std::vector<SinkEvent> &want = model_sink.events;
+                const std::vector<SinkEvent> &got = curve_sink.events;
+                const auto differ = std::mismatch(
+                    want.begin(), want.end(), got.begin(), got.end());
+                if (differ.first != want.end() ||
+                    differ.second != got.end()) {
+                    const std::size_t i = static_cast<std::size_t>(
+                        differ.first - want.begin());
+                    ADD_FAILURE()
+                        << where << ": event " << i << " of "
+                        << want.size() << " (" << got.size()
+                        << " from the curve pass) differs: models "
+                        << (i < want.size() ? want[i] : SinkEvent{})
+                        << ", curve "
+                        << (i < got.size() ? got[i] : SinkEvent{});
+                }
+                for (const SinkEvent &e : want) {
+                    end_of_trace += !e.fsync &&
+                                    e.cause == WriteCause::EndOfTrace;
+                    replacements += !e.fsync &&
+                                    e.cause == WriteCause::Replacement;
+                    sweeps += !e.fsync &&
+                              e.cause == WriteCause::DelayedWriteBack;
+                    fsyncs += e.fsync ? 1 : 0;
+                }
+            }
+        }
+    };
+    for (int trace = 1; trace <= 8; ++trace)
+        compare("trace " + std::to_string(trace), standardOps(trace, kScale));
+    const prep::OpStream multi_run = testutil::multiRunOps(16);
+    compare("multi-run stream", multi_run);
+
+    // Every kind of event the order could differ on actually occurs.
+    EXPECT_GT(end_of_trace, 0u);
+    EXPECT_GT(replacements, 0u);
+    EXPECT_GT(sweeps, 0u);
+    EXPECT_GT(fsyncs, 0u);
+}
+
 TEST(CurveSupport, RejectsInclusionBreakers)
 {
     CurveSpec spec = unifiedSpec();
@@ -277,6 +410,15 @@ TEST(CurveSupport, RejectsInclusionBreakers)
     bad = aside;
     bad.axis = CurveAxis::VolatileBytes;
     EXPECT_FALSE(curveSupported(bad));
+
+    // A sink sees one stream: one size only.
+    RecordingSink sink;
+    for (CurveSpec with_sink : {volatileSpec(), unifiedSpec(), aside}) {
+        with_sink.base.sink = &sink;
+        EXPECT_FALSE(curveSupported(with_sink));
+        with_sink.sizes.resize(1);
+        EXPECT_TRUE(curveSupported(with_sink));
+    }
 }
 
 // The extent index is the engine's only block -> slot map, so an

@@ -1,13 +1,14 @@
 /**
  * @file
- * Differential tests of the production (extent-granularity) client
- * models against the per-block reference engine
- * (check::runPerBlockReference).  Production must be *byte-identical*
- * — every Metrics counter, including the per-cause server-write
- * histogram, must match the reference on every trace, model,
- * consistency mode and crash schedule — and the BlockCache range
- * operations must leave the cache in exactly the state the equivalent
- * per-block loop would.
+ * Differential tests of the extent-level pieces that remain around the
+ * per-block client models.  replayOps folds adjacent sequential ops
+ * into one extent before dispatch: ClusterSim must be *byte-identical*
+ * to the unfolded replay (check::runPerBlockReference) — every Metrics
+ * counter, including the per-cause server-write histogram — on every
+ * trace, model, policy, consistency mode and crash schedule.  And the
+ * BlockCache range operations the file server writes through must
+ * leave the cache in exactly the state the equivalent per-block loop
+ * would.
  */
 
 #include <gtest/gtest.h>
@@ -78,16 +79,14 @@ crashSchedule(const prep::OpStream &ops)
     return crashes;
 }
 
-// The acceptance check: 8 traces x 3 models x block-level callbacks
-// on/off x injected client crashes on/off, production vs the
-// per-block reference, identical Metrics (operator== covers the
-// per-cause byte histogram, both absorbed counters and the lost dirty
-// bytes).  Both sides replay through core::replayOps, so the crash
-// and callback dispatch is exercised against both engines; the
-// reference dispatches every op unfolded, so the production fold of
-// sequential runs must be invisible too.  The multi-run stream is one
-// more input: it puts two or more dirty runs in a block, which no
-// standard trace does.
+// The fold check: 8 traces x 3 models x block-level callbacks on/off
+// x injected client crashes on/off, ClusterSim vs the unfolded
+// reference, identical Metrics (operator== covers the per-cause byte
+// histogram, both absorbed counters and the lost dirty bytes).  Both
+// sides replay the same models through core::replayOps; the reference
+// dispatches every op unfolded, so the fold of sequential runs must
+// be invisible.  The multi-run stream is one more input: it puts two
+// or more dirty runs in a block, which no standard trace does.
 TEST(ExtentEngineDifferential, MatchesPerBlockReferenceOnStandardTraces)
 {
     const ModelKind kinds[] = {ModelKind::Volatile,
@@ -130,9 +129,8 @@ TEST(ExtentEngineDifferential, MatchesPerBlockReferenceOnStandardTraces)
     EXPECT_GT(recovered, 0u);
 }
 
-// Non-LRU NVRAM policies exercise the per-block fallback paths and
-// the zero-eviction insertRange batching (whose policy-notification
-// regrouping must be invisible to Random/Clock/Omniscient state).
+// Non-LRU NVRAM policies: the fold must be invisible to the
+// Random/Clock/Omniscient victim choices too.
 TEST(ExtentEngineDifferential, MatchesLegacyUnderNonLruPolicies)
 {
     for (int trace : {1, 4}) {
@@ -157,9 +155,8 @@ TEST(ExtentEngineDifferential, MatchesLegacyUnderNonLruPolicies)
     }
 }
 
-// The dirty-preference ablation disables most write batching (victim
-// choice observes dirty state mid-run); the fallback must still be
-// exact.
+// The dirty-preference ablation: victim choice observes dirty state,
+// and the fold must still be invisible.
 TEST(ExtentEngineDifferential, MatchesLegacyWithDirtyPreference)
 {
     for (int trace : {2, 3}) {
@@ -244,9 +241,10 @@ class LruPolicy final : public cache::ReplacementPolicy
 };
 
 // Randomized equivalence: drive one cache through the range
-// operations and a twin through the per-block calls, and require the
-// same resident set, LRU order, per-block dirty runs, absorbed-byte
-// returns, and victim sequence at every step.
+// operations FileServer uses and a twin through the per-block calls,
+// and require the same resident set, LRU order, per-block dirty runs,
+// absorbed-byte returns, removal order and victim sequence at every
+// step.
 TEST(BlockCacheRangeOps, RandomizedEquivalenceWithPerBlock)
 {
     for (bool with_policy : {true, false}) {
@@ -281,12 +279,17 @@ TEST(BlockCacheRangeOps, RandomizedEquivalenceWithPerBlock)
                     blocked.insert({file, b}, now);
                 break;
               }
-              case 1: { // touchRange over whatever is resident
-                ranged.touchRange(file, first, last, now);
-                for (std::uint32_t b = first; b <= last; ++b) {
-                    if (blocked.contains({file, b}))
-                        blocked.touch({file, b}, now);
-                }
+              case 1: { // removeFileBlocks: the whole file, ascending
+                std::vector<BlockId> removed;
+                ranged.removeFileBlocks(
+                    file, [&](const cache::CacheBlock &block) {
+                        removed.push_back(block.id);
+                    });
+                const std::vector<BlockId> expected =
+                    blocked.blocksOfFile(file);
+                for (const BlockId &id : expected)
+                    blocked.remove(id);
+                EXPECT_EQ(removed, expected);
                 break;
               }
               case 2: { // markDirtyRange over a fully-resident run
@@ -331,18 +334,19 @@ TEST(BlockCacheRangeOps, RandomizedEquivalenceWithPerBlock)
                 }
                 break;
               }
-              case 5: { // peekRange must see the per-block view
-                std::vector<BlockId> seen;
-                ranged.peekRange(file, first, last,
-                                 [&](const cache::CacheBlock &block) {
-                                     seen.push_back(block.id);
-                                 });
-                std::vector<BlockId> expected;
-                for (std::uint32_t b = first; b <= last; ++b) {
-                    if (blocked.contains({file, b}))
-                        expected.push_back({file, b});
-                }
-                EXPECT_EQ(seen, expected);
+              case 5: { // removeDirtyOlderThan: oldest dirty first
+                const TimeUs cutoff =
+                    now - static_cast<TimeUs>(rng.uniformInt(0, 40));
+                std::vector<BlockId> removed;
+                ranged.removeDirtyOlderThan(
+                    cutoff, [&](const cache::CacheBlock &block) {
+                        removed.push_back(block.id);
+                    });
+                const std::vector<BlockId> expected =
+                    blocked.dirtyOlderThan(cutoff);
+                for (const BlockId &id : expected)
+                    blocked.remove(id);
+                EXPECT_EQ(removed, expected);
                 break;
               }
             }

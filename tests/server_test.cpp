@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sim/experiments.hpp"
 #include "server/file_server.hpp"
 
 namespace nvfs::server {
@@ -125,6 +126,25 @@ TEST(FileServer, LargeDumpMakesFullSegments)
     const FsStats &stats = server.stats(0);
     EXPECT_GE(stats.log.fullSegments, 1u);
     EXPECT_GE(stats.log.partialSegments, 1u); // the remainder
+}
+
+// A tight bounded disk: 64 segments of 64 KiB under trace 1's
+// volatile server stream.  A cleaning pass's copies can fill as many
+// segments as it reclaims (each copy writes metadata per distinct
+// file), so the cleaner must stop when a pass frees nothing instead of
+// growing the log pass after pass; the run must finish with the
+// structures intact.
+TEST(FileServer, CleanerEndsOnATightDisk)
+{
+    ServerConfig tight;
+    tight.lfs.segmentBytes = 64 * kKiB;
+    tight.lfs.diskSegments = 64;
+    core::ModelConfig model;
+    model.kind = core::ModelKind::Volatile;
+    FileServer server({"/fs"}, tight);
+    server.run(core::collectServerOps(core::standardOps(1, 0.02), model));
+    EXPECT_NO_THROW(server.auditInvariants());
+    EXPECT_GT(server.stats(0).log.cleanerSegments, 0u);
 }
 
 TEST(FileServer, FsyncOfCleanFileIsFree)

@@ -31,6 +31,21 @@ namespace {
 
 constexpr double kScale = 0.02;
 
+/**
+ * One cell replayed on the models (ClusterSim), the oracle for the
+ * grid: runClientSim and runClientGrid replay LRU cells on the curve
+ * engine, so comparing against them would compare the curve with
+ * itself.
+ */
+Metrics
+modelReplay(const prep::OpStream &ops, const ModelConfig &model)
+{
+    ClusterConfig config;
+    config.model = model;
+    ClusterSim sim(config, std::max<std::uint32_t>(1, ops.clientCount));
+    return sim.run(ops);
+}
+
 /** The grid every determinism test sweeps: 3 models x 4 sizes. */
 std::vector<ModelConfig>
 standardGrid()
@@ -231,7 +246,7 @@ TEST(SweepRunner, ClientSweepMatchesSerialForAnyWorkerCount)
 
     std::vector<Metrics> serial;
     for (const ModelConfig &model : models)
-        serial.push_back(runClientSim(ops, model));
+        serial.push_back(modelReplay(ops, model));
 
     for (const unsigned jobs : {1u, 2u, 8u}) {
         const SweepRunner runner(jobs);
@@ -317,7 +332,7 @@ TEST(SweepRunner, StressManyMoreTasksThanThreads)
     model.nvramBytes = kMiB;
     // Clock has no curve pass, so the grid replays every cell alone.
     model.nvramPolicy = cache::PolicyKind::Clock;
-    const Metrics expected = runClientSim(ops, model);
+    const Metrics expected = modelReplay(ops, model);
 
     // 32 identical sims through 4 threads: every slot must hold the
     // same metrics (no cross-task state leakage).
@@ -444,10 +459,10 @@ gridModels()
 
 TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
 {
-    // The replay grid must be bit-identical to calling runClientSim
-    // in a serial loop, for any width, with the invariant audits on,
-    // and the serial loop to the per-block reference engine: traces
-    // 3/4/7, all three models.
+    // The replay grid must be bit-identical to replaying each cell on
+    // the models in a serial loop, for any width, with the invariant
+    // audits on, and the serial loop to the unfolded reference:
+    // traces 3/4/7, all three models.
     ::setenv("NVFS_AUDIT", "2048", 1);
     const auto models = gridModels();
     for (const int t : {3, 4, 7}) {
@@ -456,14 +471,14 @@ TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
         std::vector<Metrics> serial;
         serial.reserve(models.size());
         for (const ModelConfig &model : models) {
-            serial.push_back(runClientSim(ops, model));
+            serial.push_back(modelReplay(ops, model));
             ClusterConfig config;
             config.model = model;
             EXPECT_EQ(serial.back(),
                       check::runPerBlockReference(ops, config))
                 << "trace " << t << " model "
                 << modelKindName(model.kind)
-                << " diverged from the per-block reference";
+                << " diverged from the unfolded reference";
         }
 
         const auto one = runClientGrid(ops, models, 42, 1);
@@ -487,11 +502,12 @@ TEST(SweepRunner, GridGroupsMatchPerCellReplay)
 {
     // runClientGrid replays each group of cells that differ only in
     // the swept size as one curve pass and every other cell alone; at
-    // any width every row must still be its cell's own runClientSim.
-    // The grid holds Fig 5's three columns (a curve pass each), a Clock
-    // group (no curve pass: its cells replay alone), a lone cell, and
-    // unified cells on a second volatile size, which share NVRAM sizes
-    // with the Fig 5 column but not its volatile cache.
+    // any width every row must still be its cell's own replay on the
+    // models.  The grid holds Fig 5's three columns (a curve pass
+    // each), a Clock group (no curve pass: its cells replay alone on
+    // the models), a lone cell (a one-size pass), and unified cells on
+    // a second volatile size, which share NVRAM sizes with the Fig 5
+    // column but not its volatile cache.
     std::vector<ModelConfig> models;
     for (const double mb : {0.0, 0.5, 1.0, 2.0}) {
         const auto extra = static_cast<Bytes>(mb * kMiB);
@@ -529,7 +545,7 @@ TEST(SweepRunner, GridGroupsMatchPerCellReplay)
         const auto &ops = standardOps(t, kScale);
         std::vector<Metrics> serial;
         for (const ModelConfig &model : models)
-            serial.push_back(runClientSim(ops, model));
+            serial.push_back(modelReplay(ops, model));
         for (const unsigned width : {1u, 8u}) {
             const auto grid = runClientGrid(ops, models, 42, width);
             ASSERT_EQ(grid.size(), models.size());

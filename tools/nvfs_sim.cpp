@@ -694,8 +694,8 @@ cmdCheck(const Args &args)
     }
     if (result.ok()) {
         std::printf("check: %zu runs, %zu ops, production == "
-                    "per-block reference == curve passes, all audits "
-                    "clean\n",
+                    "per-block reference == curve passes, same server "
+                    "streams, all audits clean\n",
                     result.runs, result.opsExecuted);
         return 0;
     }
