@@ -6,7 +6,6 @@
 #include <sstream>
 #include <vector>
 
-#include "check/reference.hpp"
 #include "check/shrink.hpp"
 #include "core/client/cluster_sim.hpp"
 #include "core/sim/curve.hpp"
@@ -88,35 +87,28 @@ describeEvent(const std::vector<SinkEvent> &events, std::size_t i)
 }
 
 /**
- * One simulation leg: the production replay, or the per-block
- * reference.  Audits (util::AuditError) and simulator invariant
- * panics (util::PanicError via NVFS_REQUIRE) both count as failures;
+ * The production replay (ClusterSim) of `kind`.  Audits
+ * (util::AuditError) and simulator invariant panics
+ * (util::PanicError via NVFS_REQUIRE) both count as failures;
  * anything escaping the replay is folded into the description.  A
- * `sink` records the leg's server-bound stream.
+ * `sink` records the replay's server-bound stream.
  */
 std::optional<Metrics>
-runOne(const OpStream &ops, ModelKind kind, bool reference,
-       const FuzzConfig &config, std::string &error,
-       core::ServerWriteSink *sink = nullptr)
+runOne(const OpStream &ops, ModelKind kind, const FuzzConfig &config,
+       std::string &error, core::ServerWriteSink *sink = nullptr)
 {
     ClusterConfig cluster;
     cluster.model.kind = kind;
     cluster.model.volatileBytes = config.volatileBytes;
     cluster.model.nvramBytes = config.nvramBytes;
     cluster.model.sink = sink;
-    cluster.seed = config.seed; // same replacement stream both legs
+    cluster.seed = config.seed;
     cluster.auditEvery = config.auditEvery;
     try {
-        if (reference)
-            return runPerBlockReference(ops, cluster);
         ClusterSim sim(cluster, ops.clientCount);
         return sim.run(ops);
     } catch (const std::exception &e) {
-        std::ostringstream out;
-        out << core::modelKindName(kind) << "/"
-            << (reference ? "reference" : "production") << ": "
-            << e.what();
-        error = out.str();
+        error = core::modelKindName(kind) + "/production: " + e.what();
         return std::nullopt;
     }
 }
@@ -175,7 +167,7 @@ runCurveArm(const OpStream &ops, ModelKind kind, const FuzzConfig &config,
             (volatile_axis ? at_size.volatileBytes : at_size.nvramBytes) =
                 spec.sizes[k];
             std::string error;
-            production = runOne(ops, kind, false, at_size, error);
+            production = runOne(ops, kind, at_size, error);
             if (!production.has_value())
                 return error;
         }
@@ -392,18 +384,9 @@ runDifferential(const OpStream &ops, const FuzzConfig &config)
     for (ModelKind kind : kModels) {
         std::string error;
         StreamRecorder stream;
-        const auto production =
-            runOne(ops, kind, false, config, error, &stream);
+        const auto production = runOne(ops, kind, config, error, &stream);
         if (!production.has_value())
             return error;
-        const auto reference = runOne(ops, kind, true, config, error);
-        if (!reference.has_value())
-            return error;
-        if (!(*production == *reference)) {
-            return core::modelKindName(kind) +
-                   ": production and per-block reference disagree " +
-                   describeMismatch(*production, *reference);
-        }
         if (auto failure = runCurveArm(ops, kind, config, *production))
             return failure;
         if (auto failure =

@@ -3,16 +3,15 @@
  * nvfs::check — the differential fuzz driver.
  *
  * Generates randomized (but valid: time-sorted, bounded ids) op
- * streams and replays each one through the client models (ClusterSim,
- * the production leg) and the unfolded reference
- * (check::runPerBlockReference), across all three client cache
- * models, with structural audits enabled; through one curve pass per
- * model (core::runCurveSim) over sizes around the configured memory;
- * and through a one-size curve pass with a sink at the configured
- * size.  A run fails when an audit throws util::AuditError, a
- * simulator invariant panics, any leg disagrees with the production
- * replay on any Metrics counter, or the one-size pass sends the
- * server a different stream.
+ * streams and replays each one, for all three client cache models,
+ * through the client models (ClusterSim, the production leg) with
+ * structural audits enabled; through one curve pass per model
+ * (core::runCurveSim) over sizes around the configured memory; and
+ * through a one-size curve pass with a sink at the configured size.
+ * A run fails when an audit throws util::AuditError, a simulator
+ * invariant panics, a curve pass disagrees with the production replay
+ * on any Metrics counter, or the one-size pass sends the server a
+ * different stream.
  * Failures are shrunk to a minimal reproducing op stream before being
  * reported.
  */
@@ -78,9 +77,8 @@ prep::OpStream generateOps(const FuzzConfig &config,
                            std::uint64_t seed);
 
 /**
- * Replay `ops` through the production simulator and the unfolded
- * reference for each of the three models (audits every
- * config.auditEvery ops) and compare the Metrics; then run one curve
+ * Replay `ops` through the production simulator for each of the three
+ * models (audits every config.auditEvery ops); then run one curve
  * pass per model over one block, half, the configured size and double
  * (the volatile cache for the volatile model, the NVRAM for the
  * others) and compare each row with the production replay at that

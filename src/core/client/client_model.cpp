@@ -22,8 +22,8 @@ modelKindName(ModelKind kind)
 }
 
 ClientModel::ClientModel(const ModelConfig &config, Metrics &metrics,
-                         const FileSizeMap &sizes, util::Rng &rng)
-    : config_(config), metrics_(metrics), sizes_(sizes), rng_(rng)
+                         const FileSizeMap &sizes)
+    : config_(config), metrics_(metrics), sizes_(sizes)
 {
 }
 

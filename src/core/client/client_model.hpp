@@ -54,6 +54,9 @@ enum class ModelKind { Volatile, WriteAside, Unified };
 /** Printable model name. */
 std::string modelKindName(ModelKind kind);
 
+/** Period of the dynamic-sizing ablation's capacity oscillation. */
+inline constexpr TimeUs kDynamicSizingPeriod = 20 * kUsPerMinute;
+
 /** Configuration shared by all three models. */
 struct ModelConfig
 {
@@ -64,11 +67,10 @@ struct ModelConfig
     /** Oracle for the omniscient policy (owned by the caller). */
     const cache::NextModifyOracle *oracle = nullptr;
     /**
-     * Volatile model: 30-second delayed write-back age and the
-     * 5-second block-cleaner period (Sprite defaults).
+     * Volatile model: the delayed write-back age (Sprite's 30 s; the
+     * block cleaner runs every kSweepInterval).
      */
-    TimeUs writeBackAge = 30 * kUsPerSecond;
-    TimeUs sweepInterval = 5 * kUsPerSecond;
+    TimeUs writeBackAge = kWriteBackAge;
     /**
      * Ablation: give dirty blocks preference in volatile replacement
      * (Sprite's real policy; the paper's model disables it).
@@ -82,13 +84,12 @@ struct ModelConfig
      * Ablation of the paper's other §2.1 simplification: real Sprite
      * caches change size with virtual-memory pressure.  When enabled,
      * the volatile model's capacity oscillates between
-     * dynamicMinFraction and 1.0 of volatileBytes with the given
-     * period (a deterministic per-client phase keeps runs
-     * reproducible).
+     * dynamicMinFraction and 1.0 of volatileBytes with period
+     * kDynamicSizingPeriod (a deterministic per-client phase keeps
+     * runs reproducible).
      */
     bool dynamicSizing = false;
     double dynamicMinFraction = 0.5;
-    TimeUs dynamicPeriod = 20 * kUsPerMinute;
 
     /** Field-for-field equality (the replay grid's curve groups). */
     bool operator==(const ModelConfig &other) const = default;
@@ -135,7 +136,7 @@ class ClientModel
 {
   public:
     ClientModel(const ModelConfig &config, Metrics &metrics,
-                const FileSizeMap &sizes, util::Rng &rng);
+                const FileSizeMap &sizes);
     virtual ~ClientModel() = default;
 
     /** Application read of [offset, offset+length), block by block. */
@@ -245,7 +246,6 @@ class ClientModel
     const ModelConfig config_;
     Metrics &metrics_;
     const FileSizeMap &sizes_;
-    util::Rng &rng_;
 };
 
 /** Instantiate the configured model for one client. */

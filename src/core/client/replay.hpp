@@ -69,14 +69,8 @@ struct ClusterConfig
  * file-size table the clients were built over; the replay maintains
  * it.  I/O to a file with caching disabled bypasses the clients and is
  * charged to every Metrics in `bypass` (ClusterSim's one, or one per
- * curve size) and, block by block, to config.model.sink.
- *
- * Adjacent same-time sequential reads/writes of one (client, pid,
- * file) stream are folded into a single maximal op before dispatch
- * (prep::canCoalesce), so the clients see whole extents.  The fold is
- * invisible to the results; `coalesce` = false dispatches every op as
- * it stands, which only check::runPerBlockReference asks for, so each
- * reference differential checks the fold.
+ * curve size) and, block by block, to config.model.sink.  Every op
+ * reaches the clients as it stands.
  *
  * Client provides ClientModel's operations as (non-virtual or
  * virtual) members: read, write, fsync, recall, recallRange,
@@ -86,8 +80,7 @@ template <typename Client>
 void
 replayOps(const prep::OpStream &ops, const ClusterConfig &config,
           std::vector<std::unique_ptr<Client>> &clients,
-          FileSizeMap &sizes, std::span<Metrics> bypass,
-          bool coalesce = true)
+          FileSizeMap &sizes, std::span<Metrics> bypass)
 {
     using prep::OpType;
 
@@ -130,24 +123,12 @@ replayOps(const prep::OpStream &ops, const ClusterConfig &config,
     const prep::OpColumns &col = ops.ops;
     const std::size_t count = col.size();
 
-    // Fold every op after op i that prep::canCoalesce merges into it,
-    // adding its length to `length`; returns the last folded index.
-    const auto fold = [&](std::size_t i, FileId file, Bytes offset,
-                          Bytes &length) {
-        const Bytes *sz = sizes.find(file);
-        const Bytes size0 = sz == nullptr ? 0 : *sz;
-        while (i + 1 < count &&
-               prep::canCoalesce(col, i, i + 1, offset, length, size0))
-            length += col.length[++i];
-        return i;
-    };
-
     for (std::size_t i = 0; i < count; ++i) {
         const TimeUs now = col.time[i];
         NVFS_REQUIRE(now >= last, "ops out of order");
         last = now;
-        while (last_sweep + config.model.sweepInterval <= now) {
-            last_sweep += config.model.sweepInterval;
+        while (last_sweep + kSweepInterval <= now) {
+            last_sweep += kSweepInterval;
             for (auto &client : clients)
                 client->tick(last_sweep);
         }
@@ -196,25 +177,17 @@ replayOps(const prep::OpStream &ops, const ClusterConfig &config,
             const ClientId client = col.client[i];
             const Bytes offset = col.offset[i];
             NVFS_REQUIRE(client < clients.size(), "bad client");
-            const bool bypassed = engine.cachingDisabled(file);
-            // A block-level callback fires one recallRange per sub-op
-            // interleaved with the reads; folding the reads would
-            // regroup those flushes around them, so don't.
-            Client *owner =
-                bypassed ? nullptr : other_owner(file, client);
-            Bytes length = col.length[i];
-            if (coalesce && owner == nullptr)
-                i = fold(i, file, offset, length);
+            const Bytes length = col.length[i];
             auto &size = sizes[file];
             size = std::max(size, offset + length);
-            if (bypassed) {
+            if (engine.cachingDisabled(file)) {
                 // Bypass: straight from the server.
                 for (Metrics &m : bypass) {
                     m.appReadBytes += length;
                     m.serverReadBytes += length;
                 }
             } else {
-                if (owner != nullptr) {
+                if (Client *owner = other_owner(file, client)) {
                     owner->recallRange(file, offset, length,
                                        WriteCause::Callback, now);
                 }
@@ -226,9 +199,7 @@ replayOps(const prep::OpStream &ops, const ClusterConfig &config,
             const ClientId client = col.client[i];
             const Bytes offset = col.offset[i];
             NVFS_REQUIRE(client < clients.size(), "bad client");
-            Bytes length = col.length[i];
-            if (coalesce)
-                i = fold(i, file, offset, length);
+            const Bytes length = col.length[i];
             auto &size = sizes[file];
             size = std::max(size, offset + length);
             if (engine.cachingDisabled(file)) {

@@ -7,7 +7,7 @@ namespace nvfs::core {
 
 UnifiedModel::UnifiedModel(const ModelConfig &config, Metrics &metrics,
                            const FileSizeMap &sizes, util::Rng &rng)
-    : ClientModel(config, metrics, sizes, rng),
+    : ClientModel(config, metrics, sizes),
       volatile_(config.volatileBytes / kBlockSize),
       nvram_(config.nvramBytes / kBlockSize,
              cache::makePolicy(config.nvramPolicy, &rng, config.oracle))

@@ -8,7 +8,7 @@ namespace nvfs::core {
 
 VolatileModel::VolatileModel(const ModelConfig &config, Metrics &metrics,
                              const FileSizeMap &sizes, util::Rng &rng)
-    : ClientModel(config, metrics, sizes, rng),
+    : ClientModel(config, metrics, sizes),
       cache_(config.volatileBytes / kBlockSize),
       sizingPhase_(rng.uniform(0.0, 2.0 * M_PI))
 {
@@ -25,7 +25,7 @@ VolatileModel::resize(TimeUs now)
     // dynamicMinFraction and 1.0 of the configured size.
     const double phase =
         2.0 * M_PI * static_cast<double>(now) /
-            static_cast<double>(config_.dynamicPeriod) +
+            static_cast<double>(kDynamicSizingPeriod) +
         sizingPhase_;
     const double fraction =
         config_.dynamicMinFraction +

@@ -422,7 +422,7 @@ explore(const std::vector<workload::ServerOp> &ops,
                         exploreOne(candidate, config, site, filter);
                     return probe.crashed && probe.violation.has_value();
                 },
-                config.shrinkBudget);
+                kShrinkBudget);
         }
         result.violations.push_back(std::move(violation));
     }

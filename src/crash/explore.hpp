@@ -60,6 +60,9 @@
 
 namespace nvfs::crash {
 
+/** Crash replays one violation's shrink may spend minimizing. */
+inline constexpr std::size_t kShrinkBudget = 100;
+
 /** Explorer parameters. */
 struct ExploreConfig
 {
@@ -71,7 +74,6 @@ struct ExploreConfig
      *  precedence when set. */
     std::uint64_t sampleSites = 0;
     bool shrinkOnFailure = true;
-    std::size_t shrinkBudget = 100; ///< replays spent minimizing
 };
 
 /** One oracle violation (a durability bug). */

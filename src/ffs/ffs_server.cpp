@@ -8,6 +8,13 @@ namespace nvfs::ffs {
 
 using workload::ServerOp;
 
+namespace {
+
+/** The Prestoserve board drains once it holds this many blocks. */
+constexpr std::size_t kDrainBatchBlocks = 64;
+
+} // namespace
+
 FfsServer::FfsServer(const FfsConfig &config)
     : config_(config), disk_(config.disk)
 {
@@ -76,7 +83,7 @@ FfsServer::syncWriteBlock(const cache::BlockId &id, Bytes bytes)
     nvramUsed_ = nvramUsed_ - old + merged;
     ++stats_.nvramAbsorbed;
     stats_.syncLatencyMs += 0.01; // ~10 us: a bus write
-    if (nvram_.size() >= config_.drainBatchBlocks)
+    if (nvram_.size() >= kDrainBatchBlocks)
         drainNvram();
 }
 
@@ -84,7 +91,7 @@ void
 FfsServer::sweep(TimeUs now)
 {
     dirty_.removeDirtyOlderThan(
-        now - config_.writeBackAge, [this](const cache::CacheBlock &block) {
+        now - kWriteBackAge, [this](const cache::CacheBlock &block) {
             diskWriteBlock(block.id, block.dirtyBytes());
         });
 }
@@ -98,8 +105,8 @@ FfsServer::run(const std::vector<ServerOp> &ops)
     for (const ServerOp &op : ops) {
         NVFS_REQUIRE(op.time >= last, "server ops out of order");
         last = op.time;
-        while (lastSweep_ + config_.sweepInterval <= op.time) {
-            lastSweep_ += config_.sweepInterval;
+        while (lastSweep_ + kSweepInterval <= op.time) {
+            lastSweep_ += kSweepInterval;
             sweep(lastSweep_);
         }
 

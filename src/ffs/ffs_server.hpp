@@ -35,11 +35,6 @@ struct FfsConfig
     bool nfsProtocol = false;
     /** Prestoserve-style NVRAM write cache (0 = none). */
     Bytes nvramBytes = 0;
-    /** Drain the NVRAM when it holds this many blocks. */
-    std::uint32_t drainBatchBlocks = 64;
-    /** Local-FFS delayed write-back, as on the clients. */
-    TimeUs writeBackAge = 30 * kUsPerSecond;
-    TimeUs sweepInterval = 5 * kUsPerSecond;
     disk::DiskParams disk;
 };
 

@@ -17,8 +17,7 @@ Cleaner::clean(LfsLog &log, std::uint32_t target_free, bool force)
     // in fewer output segments than it frees: cap one pass's copy
     // volume at (roughly) one segment of payload.
     const Bytes payload =
-        log.config().segmentBytes - 2 * log.config().metadataBlockBytes -
-        log.config().summaryBytes;
+        log.config().segmentBytes - 2 * kMetadataBlockBytes - kSummaryBytes;
 
     while (force || log.freeSegments() < target_free) {
         if (log.crashed())

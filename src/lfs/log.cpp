@@ -53,7 +53,7 @@ sealCauseName(SealCause cause)
 
 LfsLog::LfsLog(const LfsConfig &config) : config_(config)
 {
-    NVFS_REQUIRE(config_.segmentBytes >= 2 * config_.blockBytes,
+    NVFS_REQUIRE(config_.segmentBytes >= 2 * kBlockSize,
                  "segment must hold at least two blocks");
 }
 
@@ -63,7 +63,7 @@ LfsLog::pendingMetadataBytes() const
     // At least one metadata block per segment, one per distinct file.
     const std::size_t files = std::max<std::size_t>(
         1, pendingFiles_.size());
-    return static_cast<Bytes>(files) * config_.metadataBlockBytes;
+    return static_cast<Bytes>(files) * kMetadataBlockBytes;
 }
 
 void
@@ -95,7 +95,7 @@ void
 LfsLog::appendInternal(FileId file, std::uint32_t block, Bytes begin,
                        Bytes end, bool cleaner)
 {
-    NVFS_REQUIRE(begin < end && end <= config_.blockBytes,
+    NVFS_REQUIRE(begin < end && end <= kBlockSize,
                  "block write range out of range");
 
     if (diesInMemory(atSite(nvram::CrashSiteKind::JournalAppend, file))) {
@@ -123,9 +123,9 @@ LfsLog::appendInternal(FileId file, std::uint32_t block, Bytes begin,
     const Bytes bytes = end - begin;
     const bool new_file = !pendingFiles_.contains(file);
     const Bytes meta = pendingMetadataBytes() +
-        (new_file ? config_.metadataBlockBytes : 0);
+        (new_file ? kMetadataBlockBytes : 0);
     if (!pending_.empty() &&
-        pendingData_ + bytes + meta + config_.summaryBytes >
+        pendingData_ + bytes + meta + kSummaryBytes >
             config_.segmentBytes) {
         seal(cleaner ? SealCause::Cleaner : SealCause::Full);
     }
@@ -227,12 +227,12 @@ LfsLog::seal(SealCause cause)
     }
     for (std::size_t i = 0; i < files; ++i) {
         segment.entries.push_back({EntryKind::Metadata, kNoFile, 0,
-                                   config_.metadataBlockBytes, false});
-        segment.metadataBytes += config_.metadataBlockBytes;
+                                   kMetadataBlockBytes, false});
+        segment.metadataBytes += kMetadataBlockBytes;
     }
     segment.entries.push_back({EntryKind::Summary, kNoFile, 0,
-                               config_.summaryBytes, false});
-    segment.summaryBytes = config_.summaryBytes;
+                               kSummaryBytes, false});
+    segment.summaryBytes = kSummaryBytes;
 
     // Stats (the obs mirror feeds nvfs_sim --stats; the per-log
     // LogStats stays authoritative for the Table 3 reproduction).
@@ -559,8 +559,7 @@ LfsLog::auditInvariants() const
         pb.ranges.auditInvariants();
         NVFS_AUDIT_CHECK(!pb.ranges.empty(), "LfsLog",
                          "pending block with no dirty bytes");
-        NVFS_AUDIT_CHECK(pb.ranges.runs().back().end <=
-                             config_.blockBytes,
+        NVFS_AUDIT_CHECK(pb.ranges.runs().back().end <= kBlockSize,
                          "LfsLog",
                          "pending dirty range extends past the block");
         pending_total += pb.bytes();

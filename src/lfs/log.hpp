@@ -86,7 +86,7 @@ class LfsLog
      * Write (up to) one block of dirty data into the log.  Auto-seals
      * a Full segment when the pending data reaches the segment size.
      * Equivalent to writeBlockRange(file, block, 0, bytes).
-     * @param bytes dirty bytes in the block, <= config.blockBytes
+     * @param bytes dirty bytes in the block, <= kBlockSize
      */
     void writeBlock(FileId file, std::uint32_t block, Bytes bytes);
 

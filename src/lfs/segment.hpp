@@ -94,13 +94,19 @@ struct Segment
     }
 };
 
-/** Static layout parameters. */
+/** Bytes of one metadata (inode) block in a segment. */
+inline constexpr Bytes kMetadataBlockBytes = kBlockSize;
+
+/** Bytes of a segment's trailing summary block. */
+inline constexpr Bytes kSummaryBytes = 512;
+
+/**
+ * Static layout parameters.  A file data block is kBlockSize bytes,
+ * as on the clients.
+ */
 struct LfsConfig
 {
     Bytes segmentBytes = 512 * kKiB; ///< Sprite LFS segment size
-    Bytes blockBytes = kBlockSize;   ///< file data block
-    Bytes metadataBlockBytes = kBlockSize; ///< one inode block
-    Bytes summaryBytes = 512;
     /** Disk capacity in segments (0 = unbounded, cleaner idle). */
     std::uint32_t diskSegments = 0;
     /** Start cleaning when free segments drop below this many. */

@@ -229,35 +229,6 @@ struct OpStream
 /** Name of an op type. */
 std::string opTypeName(OpType type);
 
-/**
- * Sequential-run coalescing predicate (replayOps' fold of sequential
- * ops into one extent).  Op `j` may be folded into a run of ops that started at op
- * `head` and currently spans [offset, offset+length) iff the fold is
- * provably invisible to the simulation:
- *  - same timestamp, type (Read or Write only), file, client and pid;
- *  - byte-contiguous, with the junction on a 4 KB block boundary, so
- *    the merged per-block decomposition — and every per-block counter
- *    derived from it — is exactly the concatenation of the originals;
- *  - the file's size before the run (`size_before`) already covers
- *    the merged extent, so no transfer clipped at end-of-file can
- *    observe that the size updates were regrouped.
- */
-inline bool
-canCoalesce(const OpColumns &col, std::size_t head, std::size_t j,
-            Bytes offset, Bytes length, Bytes size_before)
-{
-    const Bytes end = offset + length;
-    return (col.type[head] == OpType::Read ||
-            col.type[head] == OpType::Write) &&
-           col.type[j] == col.type[head] &&
-           col.time[j] == col.time[head] &&
-           col.file[j] == col.file[head] &&
-           col.client[j] == col.client[head] &&
-           col.pid[j] == col.pid[head] && col.offset[j] == end &&
-           end % kBlockSize == 0 &&
-           col.offset[j] + col.length[j] <= size_before;
-}
-
 /** Aggregate byte counts of an op stream (for sanity checks). */
 struct OpStreamTotals
 {

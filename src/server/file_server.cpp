@@ -171,7 +171,7 @@ FileServer::sweep(FsState &fs, TimeUs now)
     // first; staging reads nothing from the pool.
     bool flushed = false;
     fs.dirty.removeDirtyOlderThan(
-        now - config_.writeBackAge, [&](const cache::CacheBlock &block) {
+        now - kWriteBackAge, [&](const cache::CacheBlock &block) {
             stageBlock(fs, block);
             flushed = true;
         });
@@ -189,8 +189,8 @@ FileServer::sweep(FsState &fs, TimeUs now)
 void
 FileServer::advanceClock(TimeUs now)
 {
-    while (lastSweep_ + config_.sweepInterval <= now) {
-        lastSweep_ += config_.sweepInterval;
+    while (lastSweep_ + kSweepInterval <= now) {
+        lastSweep_ += kSweepInterval;
         for (auto &fs : state_)
             sweep(*fs, lastSweep_);
     }

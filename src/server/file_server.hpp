@@ -32,10 +32,8 @@ namespace nvfs::server {
 /** Server-wide configuration. */
 struct ServerConfig
 {
-    lfs::LfsConfig lfs;                      ///< per file system
-    TimeUs writeBackAge = 30 * kUsPerSecond; ///< dirty-data age limit
-    TimeUs sweepInterval = 5 * kUsPerSecond; ///< block-cleaner period
-    Bytes nvramBufferBytes = 0;              ///< 0 = no write buffer
+    lfs::LfsConfig lfs;         ///< per file system
+    Bytes nvramBufferBytes = 0; ///< 0 = no write buffer
 };
 
 /** Per-file-system results. */

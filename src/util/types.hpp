@@ -54,6 +54,14 @@ inline constexpr TimeUs kUsPerSecond = 1'000'000;
 inline constexpr TimeUs kUsPerMinute = 60 * kUsPerSecond;
 inline constexpr TimeUs kUsPerHour = 60 * kUsPerMinute;
 
+/**
+ * Sprite's delayed write-back, on the clients and the server alike: a
+ * block cleaner wakes every 5 seconds and writes back dirty data
+ * older than 30 seconds.
+ */
+inline constexpr TimeUs kSweepInterval = 5 * kUsPerSecond;
+inline constexpr TimeUs kWriteBackAge = 30 * kUsPerSecond;
+
 /** Convert seconds (fractional allowed) to microseconds. */
 constexpr TimeUs
 secondsUs(double seconds)

@@ -3,9 +3,8 @@
  * Tests for the nvfs::check subsystem: structural audits on the core
  * data structures (including proof that corruption is detected), the
  * NVFS_AUDIT hook in the cluster simulator, and the differential fuzz
- * driver that replays randomized op streams through the client
- * models, their unfolded reference and the curve engine across all
- * three client models.
+ * driver that replays randomized op streams through the client models
+ * and the curve engine across all three client models.
  */
 
 #include <gtest/gtest.h>
@@ -168,9 +167,8 @@ TEST(Fuzz, GenerateOpsIsDeterministicAndValid)
 
 TEST(Fuzz, TenThousandOpsBothEnginesZeroFailures)
 {
-    // 10k randomized ops through the models, the unfolded reference
-    // and the curve passes, all three models, audits on, zero
-    // failures.
+    // 10k randomized ops through the models and the curve passes, all
+    // three models, audits on, zero failures.
     FuzzConfig config;
     config.opsPerRun = 10000;
     config.auditEvery = 32;

@@ -571,7 +571,7 @@ serialExplore(const std::vector<ServerOp> &ops,
                         crash::exploreOne(candidate, config, site, filter);
                     return probe.crashed && probe.violation.has_value();
                 },
-                config.shrinkBudget);
+                crash::kShrinkBudget);
         }
         result.violations.push_back(std::move(violation));
     }

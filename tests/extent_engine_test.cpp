@@ -1,14 +1,10 @@
 /**
  * @file
- * Differential tests of the extent-level pieces that remain around the
- * per-block client models.  replayOps folds adjacent sequential ops
- * into one extent before dispatch: ClusterSim must be *byte-identical*
- * to the unfolded replay (check::runPerBlockReference) — every Metrics
- * counter, including the per-cause server-write histogram — on every
- * trace, model, policy, consistency mode and crash schedule.  And the
- * BlockCache range operations the file server writes through must
+ * Differential tests of the extent-level pieces the simulator keeps.
+ * The BlockCache range operations the file server writes through must
  * leave the cache in exactly the state the equivalent per-block loop
- * would.
+ * would, and the run-based NextModifyIndex must answer exactly like a
+ * per-block reference built from plain maps.
  */
 
 #include <gtest/gtest.h>
@@ -17,162 +13,22 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "cache/block_cache.hpp"
-#include "check/reference.hpp"
-#include "core/client/cluster_sim.hpp"
+#include "core/client/client_model.hpp"
 #include "core/lifetime/next_modify.hpp"
 #include "core/sim/experiments.hpp"
 #include "util/rng.hpp"
-#include "multi_run_ops.hpp"
 
 namespace nvfs::core {
 namespace {
 
 using cache::BlockCache;
 using cache::BlockId;
-using cache::PolicyKind;
 
 constexpr double kScale = 0.02;
-
-/** Run one cluster simulation with full config control. */
-Metrics
-runCluster(const prep::OpStream &ops, const ClusterConfig &config)
-{
-    ClusterSim sim(config,
-                   std::max<std::uint32_t>(1, ops.clientCount));
-    return sim.run(ops);
-}
-
-/** Small caches so every trace forces evictions in both memories. */
-ModelConfig
-tinyModel(ModelKind kind)
-{
-    ModelConfig model;
-    model.kind = kind;
-    model.volatileBytes = 48 * kBlockSize;
-    model.nvramBytes = 16 * kBlockSize;
-    return model;
-}
-
-/**
- * Three client crashes spread over the trace, each 1 us after a write
- * by the victim, so the victim crashes holding fresh dirty data.
- */
-std::vector<std::pair<TimeUs, ClientId>>
-crashSchedule(const prep::OpStream &ops)
-{
-    const prep::OpColumns &col = ops.ops;
-    std::vector<std::size_t> writes;
-    for (std::size_t i = 0; i < col.size(); ++i) {
-        if (col.type[i] == prep::OpType::Write)
-            writes.push_back(i);
-    }
-    std::vector<std::pair<TimeUs, ClientId>> crashes;
-    for (std::size_t q = 1; q <= 3 && !writes.empty(); ++q) {
-        const std::size_t w = writes[q * writes.size() / 4];
-        crashes.emplace_back(col.time[w] + 1, col.client[w]);
-    }
-    return crashes;
-}
-
-// The fold check: 8 traces x 3 models x block-level callbacks on/off
-// x injected client crashes on/off, ClusterSim vs the unfolded
-// reference, identical Metrics (operator== covers the per-cause byte
-// histogram, both absorbed counters and the lost dirty bytes).  Both
-// sides replay the same models through core::replayOps; the reference
-// dispatches every op unfolded, so the fold of sequential runs must
-// be invisible.  The multi-run stream is one more input: it puts two
-// or more dirty runs in a block, which no standard trace does.
-TEST(ExtentEngineDifferential, MatchesPerBlockReferenceOnStandardTraces)
-{
-    const ModelKind kinds[] = {ModelKind::Volatile,
-                               ModelKind::WriteAside,
-                               ModelKind::Unified};
-    Bytes lost = 0;
-    Bytes recovered = 0;
-    const auto compare = [&](const std::string &input,
-                             const prep::OpStream &ops) {
-        for (ModelKind kind : kinds) {
-            for (bool callbacks : {false, true}) {
-                for (bool crashes : {false, true}) {
-                    ClusterConfig config;
-                    config.model = tinyModel(kind);
-                    config.blockLevelCallbacks = callbacks;
-                    if (crashes)
-                        config.crashes = crashSchedule(ops);
-                    const Metrics production = runCluster(ops, config);
-                    EXPECT_EQ(production,
-                              check::runPerBlockReference(ops, config))
-                        << input << " model " << modelKindName(kind)
-                        << " callbacks " << callbacks << " crashes "
-                        << crashes;
-                    lost += production.lostDirtyBytes;
-                    recovered +=
-                        production.serverWrites(WriteCause::Recovery);
-                }
-            }
-        }
-    };
-    for (int trace = 1; trace <= 8; ++trace)
-        compare("trace " + std::to_string(trace), standardOps(trace, kScale));
-
-    const prep::OpStream multi_run = testutil::multiRunOps(16);
-    ASSERT_GT(testutil::multiRunWrites(multi_run), 0u);
-    compare("multi-run stream", multi_run);
-
-    // The crash axis must actually crash clients holding dirty data.
-    EXPECT_GT(lost, 0u);
-    EXPECT_GT(recovered, 0u);
-}
-
-// Non-LRU NVRAM policies: the fold must be invisible to the
-// Random/Clock/Omniscient victim choices too.
-TEST(ExtentEngineDifferential, MatchesLegacyUnderNonLruPolicies)
-{
-    for (int trace : {1, 4}) {
-        const auto &ops = standardOps(trace, kScale);
-        const auto &oracle = standardOracle(trace, kScale);
-        for (PolicyKind policy :
-             {PolicyKind::Random, PolicyKind::Clock,
-              PolicyKind::Omniscient}) {
-            for (ModelKind kind :
-                 {ModelKind::WriteAside, ModelKind::Unified}) {
-                ClusterConfig config;
-                config.model = tinyModel(kind);
-                config.model.nvramPolicy = policy;
-                config.model.oracle = &oracle;
-                EXPECT_EQ(runCluster(ops, config),
-                          check::runPerBlockReference(ops, config))
-                    << "trace " << trace << " model "
-                    << modelKindName(kind) << " policy "
-                    << cache::policyName(policy);
-            }
-        }
-    }
-}
-
-// The dirty-preference ablation: victim choice observes dirty state,
-// and the fold must still be invisible.
-TEST(ExtentEngineDifferential, MatchesLegacyWithDirtyPreference)
-{
-    for (int trace : {2, 3}) {
-        const auto &ops = standardOps(trace, kScale);
-        for (ModelKind kind :
-             {ModelKind::Volatile, ModelKind::WriteAside}) {
-            ClusterConfig config;
-            config.model = tinyModel(kind);
-            config.model.dirtyPreference = true;
-            EXPECT_EQ(runCluster(ops, config),
-                      check::runPerBlockReference(ops, config))
-                << "trace " << trace << " model "
-                << modelKindName(kind);
-        }
-    }
-}
 
 /** Full observable state of a BlockCache, for exact comparison. */
 struct CacheState

@@ -9,12 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "core/client/cluster_sim.hpp"
 #include "core/client/unified_model.hpp"
 #include "core/client/volatile_model.hpp"
 #include "core/client/write_aside_model.hpp"
 #include "core/sim/experiments.hpp"
 #include "prep/characterize.hpp"
+#include "multi_run_ops.hpp"
 
 namespace nvfs {
 namespace {
@@ -161,6 +167,96 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ModelStress,
 
 // ----------------------------------------------- cluster properties
 
+/**
+ * Three client crashes spread over the trace, each 1 us after a write
+ * by the victim, so the victim crashes holding fresh dirty data.
+ */
+std::vector<std::pair<TimeUs, ClientId>>
+crashSchedule(const prep::OpStream &ops)
+{
+    const prep::OpColumns &col = ops.ops;
+    std::vector<std::size_t> writes;
+    for (std::size_t i = 0; i < col.size(); ++i) {
+        if (col.type[i] == prep::OpType::Write)
+            writes.push_back(i);
+    }
+    std::vector<std::pair<TimeUs, ClientId>> crashes;
+    for (std::size_t q = 1; q <= 3 && !writes.empty(); ++q) {
+        const std::size_t w = writes[q * writes.size() / 4];
+        crashes.emplace_back(col.time[w] + 1, col.client[w]);
+    }
+    return crashes;
+}
+
+/**
+ * ClusterSim on `ops` in every configuration only the client models
+ * replay: block-level callbacks x injected client crashes, the
+ * random, clock and omniscient NVRAMs (`oracle` serves the last) and
+ * the volatile model's dirty preference, with small memories so every
+ * trace forces evictions in both.  Each run must repeat exactly and
+ * account every application byte, and a crash must lose the volatile
+ * model's dirty bytes and recover the NVRAM models'.
+ */
+void
+expectClusterSimProperties(const std::string &input,
+                           const prep::OpStream &ops, ModelKind kind,
+                           const cache::NextModifyOracle &oracle)
+{
+    core::ClusterConfig base;
+    base.model.kind = kind;
+    base.model.volatileBytes = 48 * kBlockSize;
+    base.model.nvramBytes = 16 * kBlockSize;
+    std::vector<std::pair<std::string, core::ClusterConfig>> cells;
+    for (const bool callbacks : {false, true}) {
+        for (const bool crashes : {false, true}) {
+            core::ClusterConfig config = base;
+            config.blockLevelCallbacks = callbacks;
+            if (crashes)
+                config.crashes = crashSchedule(ops);
+            cells.emplace_back(std::string("callbacks ") +
+                                   (callbacks ? "on" : "off") +
+                                   ", crashes " + (crashes ? "on" : "off"),
+                               config);
+        }
+    }
+    if (kind == ModelKind::Volatile) {
+        core::ClusterConfig config = base;
+        config.model.dirtyPreference = true;
+        cells.emplace_back("dirty preference", config);
+    } else {
+        for (const auto policy :
+             {cache::PolicyKind::Random, cache::PolicyKind::Clock,
+              cache::PolicyKind::Omniscient}) {
+            core::ClusterConfig config = base;
+            config.model.nvramPolicy = policy;
+            config.model.oracle = &oracle;
+            cells.emplace_back(cache::policyName(policy), config);
+        }
+    }
+
+    const auto run = [&](const core::ClusterConfig &config) {
+        core::ClusterSim sim(config,
+                             std::max<std::uint32_t>(1, ops.clientCount));
+        return sim.run(ops);
+    };
+    const auto totals = prep::totals(ops);
+    for (const auto &[name, config] : cells) {
+        const std::string cell = input + ", " +
+                                 core::modelKindName(kind) + ", " + name;
+        const Metrics a = run(config);
+        EXPECT_EQ(a, run(config)) << cell;
+        EXPECT_EQ(a.appWriteBytes, totals.writeBytes) << cell;
+        EXPECT_EQ(a.appReadBytes, totals.readBytes) << cell;
+        const bool crashed = !config.crashes.empty();
+        EXPECT_EQ(a.lostDirtyBytes > 0,
+                  crashed && kind == ModelKind::Volatile)
+            << cell;
+        EXPECT_EQ(a.serverWrites(core::WriteCause::Recovery) > 0,
+                  crashed && kind != ModelKind::Volatile)
+            << cell;
+    }
+}
+
 class TraceParam
     : public ::testing::TestWithParam<std::tuple<int, int>>
 {
@@ -175,11 +271,9 @@ TEST_P(TraceParam, ClusterSimDeterministicAndConservative)
     model.volatileBytes = 4 * kMiB;
     model.nvramBytes = kMiB;
 
+    // runClientSim replays this LRU cell as a one-size curve pass.
     const Metrics a = core::runClientSim(ops, model, 9);
-    const Metrics b = core::runClientSim(ops, model, 9);
-    EXPECT_EQ(a.totalServerWrites(), b.totalServerWrites());
-    EXPECT_EQ(a.serverReadBytes, b.serverReadBytes);
-    EXPECT_EQ(a.busBytes, b.busBytes);
+    EXPECT_EQ(a, core::runClientSim(ops, model, 9));
 
     // Conservation: app bytes equal the generator's totals.
     const auto totals = prep::totals(ops);
@@ -189,12 +283,28 @@ TEST_P(TraceParam, ClusterSimDeterministicAndConservative)
     // rounding (each flush moves at most a whole block per dirty
     // block; absorbed bytes only shrink it).
     EXPECT_LT(a.netWriteTrafficPct(), 101.0);
+
+    expectClusterSimProperties(
+        "trace " + std::to_string(trace_number), ops, model.kind,
+        core::standardOracle(trace_number, 0.02));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     TracesAndModels, TraceParam,
-    ::testing::Combine(::testing::Values(1, 3, 7),
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
                        ::testing::Values(0, 1, 2)));
+
+// The multi-run stream puts two or more dirty runs in a block, which
+// no standard trace does.
+TEST(ClusterSimProperties, MultiRunStream)
+{
+    const prep::OpStream ops = testutil::multiRunOps(16);
+    ASSERT_GT(testutil::multiRunWrites(ops), 0u);
+    const core::NextModifyIndex oracle(ops);
+    for (const auto kind : {ModelKind::Volatile, ModelKind::WriteAside,
+                            ModelKind::Unified})
+        expectClusterSimProperties("multi-run stream", ops, kind, oracle);
+}
 
 // ----------------------------------------------- characterization
 

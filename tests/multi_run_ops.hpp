@@ -1,7 +1,7 @@
 /**
  * @file
  * A seeded op stream that leaves two or more dirty runs in one cache
- * block, shared by the differential tests.
+ * block, shared by the tests that replay the client models.
  *
  * The standard traces dirty whole blocks or contiguous appends, so a
  * block's dirty set never holds a second run there and the spilled

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "check/reference.hpp"
 #include "core/sim/sweep.hpp"
 #include "prep/converter.hpp"
 #include "trace/stream.hpp"
@@ -461,8 +460,7 @@ TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
 {
     // The replay grid must be bit-identical to replaying each cell on
     // the models in a serial loop, for any width, with the invariant
-    // audits on, and the serial loop to the unfolded reference:
-    // traces 3/4/7, all three models.
+    // audits on: traces 3/4/7, all three models.
     ::setenv("NVFS_AUDIT", "2048", 1);
     const auto models = gridModels();
     for (const int t : {3, 4, 7}) {
@@ -470,16 +468,8 @@ TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
 
         std::vector<Metrics> serial;
         serial.reserve(models.size());
-        for (const ModelConfig &model : models) {
+        for (const ModelConfig &model : models)
             serial.push_back(modelReplay(ops, model));
-            ClusterConfig config;
-            config.model = model;
-            EXPECT_EQ(serial.back(),
-                      check::runPerBlockReference(ops, config))
-                << "trace " << t << " model "
-                << modelKindName(model.kind)
-                << " diverged from the unfolded reference";
-        }
 
         const auto one = runClientGrid(ops, models, 42, 1);
         const auto eight = runClientGrid(ops, models, 42, 8);

@@ -693,9 +693,8 @@ cmdCheck(const Args &args)
         return 1;
     }
     if (result.ok()) {
-        std::printf("check: %zu runs, %zu ops, production == "
-                    "per-block reference == curve passes, same server "
-                    "streams, all audits clean\n",
+        std::printf("check: %zu runs, %zu ops, production == curve "
+                    "passes, same server streams, all audits clean\n",
                     result.runs, result.opsExecuted);
         return 0;
     }
